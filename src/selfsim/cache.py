@@ -1,12 +1,14 @@
 """Advisory on-disk cache for computed JSON payloads.
 
 Entries are keyed by presentation fingerprint, level, ray and payload kind.
-Loads are advisory: anything missing, unreadable or failing revalidation is
-recomputed and overwritten.
+The cache is advisory both ways: anything missing, unreadable or failing
+revalidation is recomputed and overwritten, and a store that fails is
+dropped without failing the run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -39,10 +41,18 @@ def load(directory: Path, key: str) -> dict | None:
 
 
 def store(directory: Path, key: str, payload: dict) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{key}.json"
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    """Write an entry; a directory that can't be written just skips the store.
+
+    Each writer fills its own temporary file, so concurrent writers of one
+    key never interleave; the last rename wins.
+    """
+    tmp = directory / f"{key}.{os.urandom(8).hex()}.tmp"
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=False)
+            fh.write("\n")
+        os.replace(tmp, directory / f"{key}.json")
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)

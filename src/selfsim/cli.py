@@ -52,8 +52,6 @@ def _add_common(sp, ray: bool):
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument("--cache-dir", help="advisory result cache directory "
                                         f"(or ${cache.ENV_VAR})")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="reserved; output is identical for any value")
     if ray:
         sp.add_argument("--ray", help="base ray: digit string (periodic tail) "
                                       "or 'dinf' (default)")
@@ -346,12 +344,14 @@ def _cmd_decompose(args) -> int:
             mismatch = doc["oracle_degrees"] != degrees
         return doc
 
-    payload = _cached_payload(
-        args, pres, args.level, ray, kind,
-        lambda doc: _valid_decompose_payload(doc, args.level, size, kind)
-        and not args.oracle,  # cached oracle runs would skip the cross-check
-        compute,
-    )
+    if args.oracle:  # a cached oracle run would skip the cross-check
+        payload = compute()
+    else:
+        payload = _cached_payload(
+            args, pres, args.level, ray, kind,
+            lambda doc: _valid_decompose_payload(doc, args.level, size, kind),
+            compute,
+        )
     lines = [f"level {payload['level']}: rank {payload['rank']}, "
              f"gelfand: {payload['gelfand']}",
              f"degrees: {payload['degrees']}"]
@@ -368,6 +368,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise _UsageError(f"--cases must be at least 1, got {args.cases}")
     pres, label, ray = _resolve(args)
     results = run_verification(pres, args.level, ray, args.seed, args.cases,
                                args.cap)

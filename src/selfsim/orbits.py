@@ -1,15 +1,26 @@
 """Level transversals, point-stabilizer generators and suborbits.
 
 Fix a base vertex on level n (a ray prefix).  A breadth-first sweep over the
-generators yields a transversal u_x with act(u_x, base) = x for every level
-vertex x; the stabilizer of the base is then generated by the loop words
-u_{s(x)}^-1 s u_x, and its orbits partition the level.
+generators stores a Schreier vector (Seress, Permutation Group Algorithms,
+section 4.1): for every level vertex x, the vertex parent[x] it was reached
+from and the generator via[x] that reached it.  Following parents back to the
+base spells the transversal word u_x with act(u_x, base) = x; the sweep also
+keeps the level permutation of every u_x.  The stabilizer of the base is
+generated by the Schreier generators u_{s(x)}^-1 s u_x, and its orbits
+partition the level.
+
+The suborbit partition needs only the permutations of those generators, so
+it never builds a word.  Words are spelled out on demand: the transversal
+words when ``Transversal.words`` is first read, the reduced generator words
+only in ``schreier_generators``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -17,23 +28,39 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NotTransitiveError, SizeCapError
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size, ray_prefix
-from .wreath import Word, WreathPresentation, generator_level_perms
+from .wreath import Word, WreathPresentation, generator_level_perms, inverse_perm
 
 DEFAULT_GROUP_CAP = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class Transversal:
-    """Coset representatives for the base-point stabilizer on one level."""
+    """Coset representatives for the base-point stabilizer on one level,
+    stored as a Schreier vector.
+
+    Vertex x was first reached from parent[x] by generator via[x], so its
+    transversal word is u_x = via[x] u_{parent[x]}; the base has parent -1,
+    no generator and the empty word.  ``words`` spells every u_x out on first
+    access and keeps the result.
+    """
 
     base: Vertex
     level: int
-    words: tuple[Word, ...]   # index x -> word with act(word, base) = x
-    perms: np.ndarray         # perms[x] = level permutation of words[x]
-    order: tuple[int, ...]    # indices in breadth-first discovery order
+    parent: tuple[int, ...]        # parent[x] -> vertex x was reached from
+    via: tuple[str | None, ...]    # via[x] -> generator carrying parent[x] to x
+    perms: np.ndarray              # perms[x] = level permutation of u_x
+    order: tuple[int, ...]         # indices in breadth-first discovery order
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.order)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """Index x -> word u_x with act(u_x, base) = x."""
+        words = [Word()] * len(self.order)
+        for x in self.order[1:]:
+            words[x] = Word.generator(self.via[x]) * words[self.parent[x]]
+        return tuple(words)
 
 
 def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
@@ -45,9 +72,10 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
     base_idx = base.index()
     gen_perms = generator_level_perms(pres, n, cap)
 
-    words: list[Word | None] = [None] * size
+    parent: list[int | None] = [None] * size
+    via: list[str | None] = [None] * size
     perms = np.empty((size, size), dtype=np.int64)
-    words[base_idx] = Word()
+    parent[base_idx] = -1
     perms[base_idx] = np.arange(size, dtype=np.int64)
     order = [base_idx]
     queue = deque([base_idx])
@@ -55,8 +83,9 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
         x = queue.popleft()
         for name in pres.generator_names:
             y = int(gen_perms[name][x])
-            if words[y] is None:
-                words[y] = Word.generator(name) * words[x]
+            if parent[y] is None:
+                parent[y] = x
+                via[y] = name
                 perms[y] = gen_perms[name][perms[x]]
                 order.append(y)
                 queue.append(y)
@@ -66,53 +95,46 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
             f"{len(order)} of {size} vertices",
             orbit_size=len(order),
         )
-    return Transversal(base, n, tuple(words), perms, tuple(order))
+    return Transversal(base, n, tuple(parent), tuple(via), perms, tuple(order))
 
 
-def _inverse_rows(perms: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perms)
-    cols = np.arange(perms.shape[1], dtype=perms.dtype)
-    for x in range(perms.shape[0]):
-        inv[x][perms[x]] = cols
-    return inv
+def _schreier_pairs(pres: WreathPresentation,
+                    tv: Transversal) -> Iterator[tuple[str, int, int, np.ndarray]]:
+    """Yield (s, x, y, perm) for the Schreier generator u_y^-1 s u_x of every
+    (generator s, vertex x) pair, y = s(x), with perm its level permutation.
+
+    Generators come in declared order, vertices in discovery order.  Pairs
+    on the breadth-first tree (u_y = s u_x) give the empty word and the
+    identity, so they are left out.
+    """
+    gen_perms = generator_level_perms(pres, tv.level)
+    inv = inverse_perm(tv.perms)
+    for name in pres.generator_names:
+        pg = gen_perms[name]
+        for x in tv.order:
+            y = int(pg[x])
+            if tv.parent[y] != x or tv.via[y] != name:
+                yield name, x, y, inv[y][pg[tv.perms[x]]]
 
 
-def _schreier_perms_words(pres: WreathPresentation,
-                          tv: Transversal) -> tuple[list[np.ndarray], list[Word]]:
-    """Stabilizer generators as (level permutation, reduced word) pairs.
+def schreier_generators(pres: WreathPresentation, n: int, ray: Ray,
+                        cap: int = DEFAULT_LEVEL_CAP) -> list[Word]:
+    """Words generating the stabilizer of the level-n ray prefix.
 
     Words reducing to the empty word are dropped; after that the first word
     per distinct permutation wins (generators in declared order, vertices in
     discovery order).
     """
-    gen_perms = generator_level_perms(pres, tv.level)
-    inv = _inverse_rows(tv.perms)
-    seen: set[bytes] = set()
-    out_perms: list[np.ndarray] = []
-    out_words: list[Word] = []
-    for name in pres.generator_names:
-        pg = gen_perms[name]
-        for x in tv.order:
-            y = int(pg[x])
-            word = pres.reduce(tv.words[y].inverse() * Word.generator(name) * tv.words[x])
-            if len(word) == 0:
-                continue
-            perm = inv[y][pg[tv.perms[x]]]
-            key = perm.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            out_perms.append(perm)
-            out_words.append(word)
-    return out_perms, out_words
-
-
-def schreier_generators(pres: WreathPresentation, n: int, ray: Ray,
-                        cap: int = DEFAULT_LEVEL_CAP) -> list[Word]:
-    """Words generating the stabilizer of the level-n ray prefix."""
     tv = orbit_transversal(pres, n, ray, cap)
-    _, words = _schreier_perms_words(pres, tv)
-    return words
+    kept: dict[bytes, Word] = {}
+    for name, x, y, perm in _schreier_pairs(pres, tv):
+        key = perm.tobytes()
+        if key in kept:
+            continue
+        word = pres.reduce(tv.words[y].inverse() * Word.generator(name) * tv.words[x])
+        if len(word) > 0:
+            kept[key] = word
+    return list(kept.values())
 
 
 @dataclass(frozen=True)
@@ -155,17 +177,26 @@ def _canonical_partition(labels: np.ndarray, base: Vertex, level: int,
     return SuborbitPartition(base, level, (base_block, *rest))
 
 
-def _component_partition(perms: list[np.ndarray], size: int, base: Vertex,
+def _component_partition(perms: Iterable[np.ndarray], size: int, base: Vertex,
                          level: int, base_idx: int) -> SuborbitPartition:
-    if not perms:
-        labels = np.arange(size, dtype=np.int64)
-    else:
-        rows = np.concatenate([np.arange(size, dtype=np.int64)] * len(perms))
-        cols = np.concatenate(perms)
-        data = np.ones(len(rows), dtype=np.int8)
-        graph = coo_matrix((data, (rows, cols)), shape=(size, size))
-        _, labels = connected_components(graph, directed=False)
-    return _canonical_partition(labels, base, level, base_idx)
+    """Orbits of the group the permutations generate: the components of the
+    graph joining x to g(x).
+
+    The permutations are folded in one at a time, each component tracked by
+    its smallest vertex.  A permutation that keeps every vertex inside its
+    component, such as a repeat, costs one gather and is never stored.
+    """
+    vertices = np.arange(size, dtype=np.int64)
+    rep = vertices
+    for g in perms:
+        if np.array_equal(rep[g], rep):
+            continue
+        edges = (np.concatenate([vertices, vertices]), np.concatenate([rep, g]))
+        graph = coo_matrix((np.ones(2 * size, dtype=np.int8), edges), shape=(size, size))
+        _, comp = connected_components(graph, directed=False)
+        _, first = np.unique(comp, return_index=True)
+        rep = first[comp]
+    return _canonical_partition(rep, base, level, base_idx)
 
 
 def stabilizer_suborbits(pres: WreathPresentation, n: int, ray: Ray,
@@ -176,8 +207,9 @@ def stabilizer_suborbits(pres: WreathPresentation, n: int, ray: Ray,
 
 
 def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> SuborbitPartition:
-    perms, _ = _schreier_perms_words(pres, tv)
-    return _component_partition(perms, len(tv.words), tv.base, tv.level, tv.base.index())
+    """Orbits of the Schreier generators' permutations; no word is built."""
+    perms = (perm for *_, perm in _schreier_pairs(pres, tv))
+    return _component_partition(perms, len(tv), tv.base, tv.level, tv.base.index())
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError
-from .orbits import (SuborbitPartition, Transversal, _inverse_rows,
-                     orbit_transversal, suborbits_from_transversal)
+from .orbits import (SuborbitPartition, Transversal, orbit_transversal,
+                     suborbits_from_transversal)
 from .tree import DEFAULT_LEVEL_CAP, Ray
-from .wreath import WreathPresentation
+from .wreath import WreathPresentation, inverse_perm
 
 DEFAULT_MATERIALIZE_CAP = 4096
 
@@ -64,7 +64,7 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
                  materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> OrbitalScheme:
     tv = orbit_transversal(pres, n, ray, cap)
     partition = suborbits_from_transversal(pres, tv)
-    size = len(tv.words)
+    size = len(tv)
     base_idx = tv.base.index()
     r = partition.rank
     block_of = partition.block_of_array(size)
@@ -73,7 +73,7 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
 
     labels = None
     if size <= materialize_cap:
-        labels = block_of[_inverse_rows(tv.perms)]
+        labels = block_of[inverse_perm(tv.perms)]
 
     p = np.empty((r, r, r), dtype=np.int64)
     for k, y_k in enumerate(reps):
@@ -91,8 +91,7 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
         partition=partition,
         block_of=block_of,
         valencies=valencies,
-        pairing=tuple(int(block_of[np.argmax(tv.perms == base_idx, axis=1)[y]])
-                      for y in reps),
+        pairing=tuple(int(block_of[np.argmax(tv.perms[y] == base_idx)]) for y in reps),
         representatives=reps,
         p=p,
         labels=labels,

@@ -9,7 +9,8 @@ import numpy as np
 from .scheme import OrbitalScheme, build_scheme, is_commutative, verify_scheme_axioms
 from .spectral import DEFAULT_SEED, intersection_matrices, common_eigensystem, multiplicities
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
-from .wreath import Word, WreathPresentation, act, level_permutation, section
+from .wreath import (Word, WreathPresentation, act, inverse_perm, level_permutation,
+                     section)
 
 DEFAULT_CASES = 200
 _WORD_LEN = 10
@@ -113,10 +114,7 @@ def _label_invariance(pres, scheme, rng, cases):
 def _label_row(scheme: OrbitalScheme, x: int) -> np.ndarray:
     if scheme.labels is not None:
         return scheme.labels[x]
-    row = scheme.transversal.perms[x]
-    inv = np.empty_like(row)
-    inv[row] = np.arange(len(row))
-    return scheme.block_of[inv]
+    return scheme.block_of[inverse_perm(scheme.transversal.perms[x])]
 
 
 def _scheme_axioms(pres, scheme, rng, cases):

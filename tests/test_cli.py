@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from selfsim import __version__
+from selfsim import __version__, cache
 from selfsim.cli import main
 
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
@@ -273,10 +273,42 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert list((tmp_path / "envcache").glob("*.json"))
 
 
-def test_workers_flag_accepted(capsys):
-    code, a, _ = run(capsys, "orbits", "--group", "gamma", "--level", "2",
-                     "--json", "--workers", "4")
-    code2, b, _ = run(capsys, "orbits", "--group", "gamma", "--level", "2",
-                      "--json", "--workers", "1")
-    assert code == code2 == 0
-    assert a == b
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_needs_a_case(capsys, cases):
+    code, out, err = run(capsys, "verify", "--group", "grigorchuk",
+                         "--level", "2", "--cases", cases)
+    assert code == 1
+    assert out == ""
+    assert "--cases must be at least 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("scheme", "--group", "grigorchuk", "--level", "3"),
+    ("decompose", "--group", "gamma", "--level", "2"),
+])
+def test_unwritable_cache_dir_never_fails(capsys, tmp_path, command):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("x")
+    code, doc, err = run_json(capsys, *command, "--cache-dir", str(blocker))
+    code_plain, plain, _ = run_json(capsys, *command)
+    assert code == code_plain == 0 and err == ""
+    assert doc == plain
+    assert blocker.read_text() == "x"
+
+
+def test_cache_store_uses_its_own_temp_file(tmp_path):
+    other_writer = tmp_path / "k.tmp"
+    other_writer.write_text("half-written by another process")
+    cache.store(tmp_path, "k", {"a": 1})
+    cache.store(tmp_path, "k", {"a": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json", "k.tmp"]
+    assert other_writer.read_text() == "half-written by another process"
+    assert cache.load(tmp_path, "k") == {"a": 2}
+
+
+def test_decompose_oracle_skips_the_cache(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    code, doc, _ = run_json(capsys, "decompose", "--group", "gamma", "--level", "2",
+                            "--oracle", "--cache-dir", str(cache_dir))
+    assert code == 0 and doc["oracle_degrees"] == doc["degrees"]
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())

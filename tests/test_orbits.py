@@ -6,8 +6,10 @@ from selfsim.errors import NotTransitiveError, SizeCapError
 from selfsim.orbits import (bfs_group_order, oracle_suborbits,
                             orbit_transversal, schreier_generators,
                             stabilizer_suborbits)
+from selfsim.scheme import build_scheme
 from selfsim.tree import all_d_ray, ray_prefix
-from selfsim.wreath import Word, act, level_permutation, parse_presentation
+from selfsim.wreath import (Word, WreathPresentation, act, level_permutation,
+                            parse_presentation)
 
 ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
 
@@ -144,3 +146,64 @@ def test_oracle_suborbits_examples():
     assert oracle_suborbits(pres, 2, ray) == stabilizer_suborbits(pres, 2, ray)
     pres, ray = _entry("gamma")
     assert oracle_suborbits(pres, 1, ray).blocks_as_vertices(3) == [["3"], ["1"], ["2"]]
+
+
+def test_schreier_vector_spells_the_words():
+    pres, ray = _entry("gupta-sidki")
+    tv = orbit_transversal(pres, 3, ray)
+    base_idx = ray_prefix(ray, 3).index()
+    assert tv.order[0] == base_idx
+    assert (tv.parent[base_idx], tv.via[base_idx]) == (-1, None)
+    for x in tv.order[1:]:
+        assert tv.order.index(tv.parent[x]) < tv.order.index(x)
+        assert tv.words[x] == Word.generator(tv.via[x]) * tv.words[tv.parent[x]]
+        assert np.array_equal(tv.perms[x], level_permutation(pres, tv.words[x], 3))
+
+
+# The exact word lists are output: their order and the rule that drops empty
+# words, then keeps the first word per permutation, are pinned here.
+GOLDEN_SCHREIER = {
+    ("grigorchuk", 4): [
+        "b", "c", "a b c a", "a b a c a b a", "a b a b a b c a b a b a",
+        "a b a b a b a c a b c a c a b a b a b a",
+        "a b a b a b a c a b a b a b c a b a b a c a b a b a b a", "d",
+    ],
+    ("gupta-sidki", 3): [
+        "a a a", "a^-1 a^-1 t^-1 a t t a", "a^-1 t^-1 t^-1 a a t a a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 a^-1 a^-1 t^-1 a a t t a a t a",
+        "a^-1 t^-1 a^-1 a^-1 t^-1 t^-1 a t a a t a t a a",
+        "a^-1 t^-1 a^-1 a^-1 t^-1 a^-1 a^-1 t^-1 a t a t t a t a a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 t^-1 a^-1 t^-1 a a t a a t a a t a",
+        "t", "a^-1 t^-1 a^-1 t t a a", "a^-1 a^-1 t a t a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 t^-1 a^-1 t a t a a t a",
+        "a^-1 t^-1 a^-1 a^-1 t^-1 t^-1 a^-1 t t a t a t a a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 a^-1 t a t t a a t a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 a^-1 t^-1 a^-1 t t a a t a t a a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 a^-1 a^-1 t a t a t a t a a",
+        "a^-1 t^-1 a^-1 a^-1 t^-1 a^-1 a^-1 t a a t t a t a a",
+        "a^-1 t^-1 a^-1 a^-1 t^-1 a^-1 t t a t t a t a a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 t^-1 a^-1 a^-1 t t a a t a a t a",
+        "a^-1 a^-1 t^-1 a^-1 t^-1 a^-1 t^-1 a^-1 a^-1 t a a t a t a t a a",
+    ],
+}
+
+
+@pytest.mark.parametrize("key,n", sorted(GOLDEN_SCHREIER))
+def test_schreier_generators_golden(key, n):
+    pres, ray = _entry(key)
+    assert [str(w) for w in schreier_generators(pres, n, ray)] == GOLDEN_SCHREIER[key, n]
+
+
+def test_suborbits_build_no_words(monkeypatch):
+    pres, ray = _entry("grigorchuk")
+    expected = stabilizer_suborbits(pres, 5, ray)
+
+    def no_words(*_):
+        raise AssertionError("the suborbit route built or reduced a word")
+
+    monkeypatch.setattr(WreathPresentation, "reduce", no_words)
+    monkeypatch.setattr(Word, "__mul__", no_words)
+    monkeypatch.setattr(Word, "inverse", no_words)
+    scheme = build_scheme(pres, 5, ray)
+    assert scheme.partition == expected
+    assert "words" not in vars(scheme.transversal)
