@@ -17,6 +17,7 @@ only in ``schreier_generators``.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -68,6 +69,12 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
     if ray.degree != pres.degree:
         raise ValueError("ray degree does not match the presentation")
     size = check_level_size(pres.degree, n, cap)
+    planned = 16 * size * size  # int64 perms, and its inverse in _schreier_pairs
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if planned > physical:
+        raise SizeCapError(f"level {n} needs {planned} bytes for its N x N transversal "
+                           f"tables, more than the {physical} bytes of physical memory",
+                           size=size)
     base = ray_prefix(ray, n)
     base_idx = base.index()
     gen_perms = generator_level_perms(pres, n, cap)

@@ -11,6 +11,7 @@ _PALETTE = (
     "red", "blue", "forestgreen", "orange", "purple", "brown",
     "cadetblue", "magenta", "darkgoldenrod", "navy", "turquoise", "gray40",
 )
+ORBITAL_GRAPH_CAP = 4096  # the export reads the full N x N label table
 
 
 def export_dot(kind: str, data) -> str:
@@ -60,7 +61,7 @@ def orbital_graph_dot(scheme: OrbitalScheme) -> str:
     paired class only the x -> y direction is drawn, the reverse pair being
     implied by the pairing.
     """
-    if scheme.labels is None:
+    if scheme.point_count > ORBITAL_GRAPH_CAP:
         raise SizeCapError(
             "orbital graph export needs the materialized label table "
             f"({scheme.point_count} points is past the cap)",

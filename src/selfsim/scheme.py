@@ -1,8 +1,8 @@
 """The orbital association scheme of a level action.
 
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
-where u_x is the transversal word carrying the base to x.  The class of
-(base, y) is then the suborbit of y, class 0 is the diagonal, and counting
+where u_x is the transversal permutation carrying the base to x.  The class
+of (base, y) is then the suborbit of y, class 0 is the diagonal, and counting
 common neighbours gives the intersection numbers
 
     p[i][j][k] = #{z : (x, z) in class i, (z, y) in class j}
@@ -10,11 +10,21 @@ common neighbours gives the intersection numbers
 for any pair (x, y) in class k.  These are the structure constants of the
 convolution algebra of stabilizer-bi-invariant functions, so its dimension
 is the rank and its commutativity can be read off p directly.
+
+Reversing a pair maps its class through the pairing (Bannai-Ito, Algebraic
+Combinatorics I): label(z, y) = pairing[label(y, z)].  So with y_k the
+representative of class k and row_k = label(y_k, .), pairing[k] = row_k[base]
+and column k of p counts the pairs (block_of[z], pairing[row_k[z]]): r rows,
+O(r N) in all.  The N x N ``labels`` table is built only when read (DOT
+export, the dense oracle, tests).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -23,8 +33,6 @@ from .orbits import (SuborbitPartition, Transversal, orbit_transversal,
                      suborbits_from_transversal)
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation, inverse_perm
-
-DEFAULT_MATERIALIZE_CAP = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,51 +46,43 @@ class OrbitalScheme:
     pairing: tuple[int, ...]        # i -> class of the reversed pairs
     representatives: tuple[int, ...]  # y_k with (base, y_k) in class k
     p: np.ndarray                   # (r, r, r) intersection numbers, exact ints
-    labels: np.ndarray | None       # full (N, N) label table when materialized
     transversal: Transversal
 
     @property
     def level(self) -> int:
         return self.transversal.level
 
+    def label_row(self, x: int) -> np.ndarray:
+        """label(x, y) for every y."""
+        return self.block_of[inverse_perm(self.transversal.perms[x])]
+
     def label(self, x: int, y: int) -> int:
-        if self.labels is not None:
-            return int(self.labels[x, y])
-        t = int(np.nonzero(self.transversal.perms[x] == y)[0][0])
-        return int(self.block_of[t])
+        return int(self.label_row(x)[y])
 
     def label_column(self, y: int) -> np.ndarray:
         """label(x, y) for every x."""
-        if self.labels is not None:
-            return self.labels[:, y]
-        t = np.argmax(self.transversal.perms == y, axis=1)
-        return self.block_of[t]
+        return np.asarray(self.pairing)[self.label_row(y)]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The full (N, N) label table, built on first read."""
+        return self.block_of[inverse_perm(self.transversal.perms)]
 
 
 def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
-                 cap: int = DEFAULT_LEVEL_CAP,
-                 materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> OrbitalScheme:
+                 cap: int = DEFAULT_LEVEL_CAP) -> OrbitalScheme:
     tv = orbit_transversal(pres, n, ray, cap)
     partition = suborbits_from_transversal(pres, tv)
     size = len(tv)
     base_idx = tv.base.index()
     r = partition.rank
     block_of = partition.block_of_array(size)
-    valencies = np.bincount(block_of, minlength=r)
     reps = tuple(block[0] for block in partition.blocks)
 
-    labels = None
-    if size <= materialize_cap:
-        labels = block_of[inverse_perm(tv.perms)]
-
-    p = np.empty((r, r, r), dtype=np.int64)
-    for k, y_k in enumerate(reps):
-        if labels is not None:
-            col = labels[:, y_k]
-        else:
-            col = block_of[np.argmax(tv.perms == y_k, axis=1)]
-        counts = np.bincount(block_of * r + col, minlength=r * r).reshape(r, r)
-        p[:, :, k] = counts
+    rows = [block_of[inverse_perm(tv.perms[y])] for y in reps]  # label(y_k, .)
+    pairing = np.array([row[base_idx] for row in rows], dtype=np.int64)
+    p = np.stack([np.bincount(block_of * r + pairing[row], minlength=r * r).reshape(r, r)
+                  for row in rows], axis=2)
 
     scheme = OrbitalScheme(
         point_count=size,
@@ -90,11 +90,10 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
         base_index=base_idx,
         partition=partition,
         block_of=block_of,
-        valencies=valencies,
-        pairing=tuple(int(block_of[np.argmax(tv.perms[y] == base_idx)]) for y in reps),
+        valencies=np.bincount(block_of, minlength=r),
+        pairing=tuple(pairing.tolist()),
         representatives=reps,
         p=p,
-        labels=labels,
         transversal=tv,
     )
     violations = verify_scheme_axioms(scheme)
@@ -115,59 +114,46 @@ def hecke_dimension(scheme: OrbitalScheme) -> int:
 def axiom_violations(valencies: np.ndarray, p: np.ndarray, pairing: tuple[int, ...],
                      point_count: int, limit: int = 10) -> list[str]:
     """Check the association scheme axioms on raw data; empty list = pass."""
-    out: list[str] = []
+    return list(islice(_axiom_messages(valencies, p, pairing, point_count), limit))
+
+
+def _axiom_messages(valencies, p, pairing, point_count) -> Iterator[str]:
     r = len(valencies)
-
-    def note(msg: str) -> bool:
-        out.append(msg)
-        return len(out) >= limit
-
     if valencies[0] != 1:
-        if note(f"valency of the diagonal class is {valencies[0]}, expected 1"):
-            return out
+        yield f"valency of the diagonal class is {valencies[0]}, expected 1"
     if int(valencies.sum()) != point_count:
-        if note(f"valencies sum to {int(valencies.sum())}, expected {point_count}"):
-            return out
+        yield f"valencies sum to {int(valencies.sum())}, expected {point_count}"
     if p.shape != (r, r, r):
-        out.append(f"p has shape {p.shape}, expected {(r, r, r)}")
-        return out
+        yield f"p has shape {p.shape}, expected {(r, r, r)}"
+        return
     if len(pairing) != r or sorted(pairing) != list(range(r)):
-        out.append(f"pairing {pairing} is not a permutation of 0..{r - 1}")
-        return out
+        yield f"pairing {pairing} is not a permutation of 0..{r - 1}"
+        return
     if pairing[0] != 0:
-        if note("pairing does not fix the diagonal class"):
-            return out
+        yield "pairing does not fix the diagonal class"
     for i in range(r):
         if pairing[pairing[i]] != i:
-            if note(f"pairing is not an involution at class {i}"):
-                return out
+            yield f"pairing is not an involution at class {i}"
         if valencies[pairing[i]] != valencies[i]:
-            if note(f"class {i} and its pair {pairing[i]} have different valencies"):
-                return out
+            yield f"class {i} and its pair {pairing[i]} have different valencies"
     for i in range(r):
         for k in range(r):
             want = 1 if i == k else 0
             if p[i][0][k] != want:
-                if note(f"p[{i}][0][{k}] = {p[i][0][k]}, expected {want}"):
-                    return out
+                yield f"p[{i}][0][{k}] = {p[i][0][k]}, expected {want}"
             if p[0][i][k] != want:
-                if note(f"p[0][{i}][{k}] = {p[0][i][k]}, expected {want}"):
-                    return out
+                yield f"p[0][{i}][{k}] = {p[0][i][k]}, expected {want}"
     for i in range(r):
         for k in range(r):
             row = int(p[i, :, k].sum())
             if row != int(valencies[i]):
-                if note(f"sum_j p[{i}][j][{k}] = {row}, expected k_{i} = {int(valencies[i])}"):
-                    return out
+                yield f"sum_j p[{i}][j][{k}] = {row}, expected k_{i} = {int(valencies[i])}"
     for i in range(r):
         for j in range(r):
             total = int((p[i, j, :] * valencies).sum())
             want = int(valencies[i]) * int(valencies[j])
             if total != want:
-                if note(f"sum_k p[{i}][{j}][k] k_k = {total}, "
-                        f"expected k_{i} k_{j} = {want}"):
-                    return out
-    return out
+                yield f"sum_k p[{i}][{j}][k] k_k = {total}, expected k_{i} k_{j} = {want}"
 
 
 def verify_scheme_axioms(scheme: OrbitalScheme, limit: int = 10) -> list[str]:
@@ -178,12 +164,11 @@ def verify_scheme_axioms(scheme: OrbitalScheme, limit: int = 10) -> list[str]:
         return out[:limit]
     if scheme.block_of[scheme.base_index] != 0:
         out.append("base vertex is not in class 0")
-    if scheme.labels is not None:
-        if not np.array_equal(scheme.labels[scheme.base_index], scheme.block_of):
-            out.append("labels at the base row disagree with the suborbit classes")
-        diag = np.diagonal(scheme.labels)
-        if diag.any():
-            out.append("diagonal pairs are not all in class 0")
+    perms, points = scheme.transversal.perms, np.arange(scheme.point_count)
+    if not np.array_equal(perms[scheme.base_index], points):
+        out.append("u_base is not the identity, so the base label row is not the suborbits")
+    if not np.array_equal(perms[:, scheme.base_index], points):
+        out.append("some u_x does not carry the base to x, so a diagonal pair is not in class 0")
     for k, y in enumerate(scheme.representatives):
         if scheme.block_of[y] != k:
             out.append(f"representative of class {k} lies in class {int(scheme.block_of[y])}")

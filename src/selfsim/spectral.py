@@ -206,30 +206,32 @@ def degree_multiset(pres: WreathPresentation, n: int, ray: Ray,
     return degree_multiset_from_scheme(build_scheme(pres, n, ray, cap), seed)
 
 
+def degrees_embed(here: list[int], there: list[int]) -> bool:
+    """Whether the multiset ``here`` is contained in the multiset ``there``."""
+    return not Counter(here) - Counter(there)
+
+
 def tower_nesting_check(pres: WreathPresentation, n: int, ray: Ray,
                         seed: int = DEFAULT_SEED,
                         cap: int = DEFAULT_LEVEL_CAP) -> bool:
     """Whether the level-n degree multiset embeds in the level-(n+1) one."""
-    here = Counter(degree_multiset(pres, n, ray, seed, cap))
-    there = Counter(degree_multiset(pres, n + 1, ray, seed, cap))
-    return all(there[deg] >= count for deg, count in here.items())
+    return degrees_embed(degree_multiset(pres, n, ray, seed, cap),
+                         degree_multiset(pres, n + 1, ray, seed, cap))
 
 
-def dense_commutant_oracle(pres: WreathPresentation, n: int, ray: Ray,
-                           seed: int = DEFAULT_SEED,
+def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED,
                            rtol: float = EIG_CLUSTER_RTOL) -> list[int]:
     """Degree multiset via the full N x N class adjacency matrices.
 
     Independent of the intersection-number route: diagonalizes a random real
-    combination of the adjacency matrices and reads off sorted eigenvalue
-    cluster sizes.  Only for N <= 243.
+    combination of the adjacency matrices read off the full label table and
+    reads off sorted eigenvalue cluster sizes.  Only for N <= 243.
     """
-    size = pres.degree**n
+    size = scheme.point_count
     if size > DENSE_ORACLE_CAP:
         raise SizeCapError(
             f"dense oracle needs {size} points, cap is {DENSE_ORACLE_CAP}", size=size
         )
-    scheme = build_scheme(pres, n, ray)
     labels = scheme.labels
     A = np.stack([(labels == i).astype(float) for i in range(scheme.rank)])
     last_error = "no attempt made"

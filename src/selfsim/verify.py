@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import OrbitalScheme, build_scheme, is_commutative, verify_scheme_axioms
+from .scheme import build_scheme, is_commutative, verify_scheme_axioms
 from .spectral import DEFAULT_SEED, intersection_matrices, common_eigensystem, multiplicities
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
-from .wreath import (Word, WreathPresentation, act, inverse_perm, level_permutation,
-                     section)
+from .wreath import Word, WreathPresentation, act, level_permutation, section
 
 DEFAULT_CASES = 200
 _WORD_LEN = 10
@@ -111,12 +110,6 @@ def _label_invariance(pres, scheme, rng, cases):
     return _run_cases("label_invariance", cases, case)
 
 
-def _label_row(scheme: OrbitalScheme, x: int) -> np.ndarray:
-    if scheme.labels is not None:
-        return scheme.labels[x]
-    return scheme.block_of[inverse_perm(scheme.transversal.perms[x])]
-
-
 def _scheme_axioms(pres, scheme, rng, cases):
     violations = verify_scheme_axioms(scheme)
     if violations:
@@ -129,7 +122,7 @@ def _scheme_axioms(pres, scheme, rng, cases):
         i = int(rng.integers(r))
         j = int(rng.integers(r))
         k = scheme.label(x, y)
-        count = int(np.sum((_label_row(scheme, x) == i) &
+        count = int(np.sum((scheme.label_row(x) == i) &
                            (scheme.label_column(y) == j)))
         if count != int(scheme.p[i, j, k]):
             return (f"recount at pair ({x}, {y}) in class {k}: "

@@ -131,6 +131,9 @@ class WreathPresentation:
         for name in self.involutions:
             if name not in declared:
                 raise ValueError(f"involutions list names undeclared generator {name!r}")
+            if not _squares_to_identity(self.rule_map[name].root_perm):
+                raise ValueError(f"declared involution {name!r} has a root permutation "
+                                 "of order greater than 2")
 
     @cached_property
     def rule_map(self) -> dict[str, GeneratorRule]:
@@ -179,6 +182,11 @@ class WreathPresentation:
     @cached_property
     def _level_inv_cache(self) -> dict:
         return {}
+
+
+def _squares_to_identity(perm: tuple[int, ...]) -> bool:
+    """Whether a permutation of 1..d is an involution or the identity."""
+    return all(perm[perm[i] - 1] == i + 1 for i in range(len(perm)))
 
 
 def cycle_notation(perm: tuple[int, ...]) -> str:
@@ -372,7 +380,12 @@ def parse_presentation(text: str) -> WreathPresentation:
                       column=start + 1)
         cur.expect_literal("=", "'='")
         cur.expect_literal("perm", "'perm'")
+        cur.skip_ws()
+        start = cur.pos
         root_perm = _parse_cycles(cur, degree)
+        if name in (involutions or ()) and not _squares_to_identity(root_perm):
+            cur.error(f"declared involution {name!r} has a root permutation of order "
+                      "greater than 2", column=start + 1)
         cur.expect_literal("|", "'|' before the section words")
         sections = []
         while True:
@@ -510,7 +523,8 @@ def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
 
 def generator_level_perms(pres: WreathPresentation, n: int,
                           cap: int = DEFAULT_LEVEL_CAP) -> dict[str, np.ndarray]:
-    """Zero-based index permutation of level n for every generator."""
+    """Zero-based index permutation of level n for every generator; a declared
+    involution that does not square to the identity raises PresentationError."""
     check_level_size(pres.degree, n, cap)
     cache = pres._level_cache
     d = pres.degree
@@ -525,6 +539,9 @@ def generator_level_perms(pres: WreathPresentation, n: int,
             for i, target in enumerate(rule.root_perm):
                 sec = _compose_level(pres, rule.sections[i], k - 1)
                 img[i * m:(i + 1) * m] = (target - 1) * m + sec
+            if rule.name in pres.involutions and not np.array_equal(img[img], np.arange(m * d)):
+                raise PresentationError(f"declared involution {rule.name!r} does not "
+                                        f"square to the identity on level {k}")
             level[rule.name] = img
         cache[k] = level
     return cache[n]

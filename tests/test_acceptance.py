@@ -149,9 +149,9 @@ def test_independent_oracles():
         for n in range(1, 4):
             parts = stabilizer_suborbits(entry.presentation, n, entry.default_ray)
             assert oracle_suborbits(entry.presentation, n, entry.default_ray) == parts
-            assert (dense_commutant_oracle(entry.presentation, n, entry.default_ray)
-                    == degree_multiset_from_scheme(
-                        build_scheme(entry.presentation, n, entry.default_ray)))
+            scheme = build_scheme(entry.presentation, n, entry.default_ray)
+            assert (dense_commutant_oracle(scheme)
+                    == degree_multiset_from_scheme(scheme))
     for key in TERNARY:
         entry = builtin(key)
         # full-group enumeration is only feasible through level 2 here
@@ -159,9 +159,9 @@ def test_independent_oracles():
             parts = stabilizer_suborbits(entry.presentation, n, entry.default_ray)
             assert oracle_suborbits(entry.presentation, n, entry.default_ray) == parts
         for n in range(1, 6):
-            assert (dense_commutant_oracle(entry.presentation, n, entry.default_ray)
-                    == degree_multiset_from_scheme(
-                        build_scheme(entry.presentation, n, entry.default_ray)))
+            scheme = build_scheme(entry.presentation, n, entry.default_ray)
+            assert (dense_commutant_oracle(scheme)
+                    == degree_multiset_from_scheme(scheme))
     grig = builtin("grigorchuk").presentation
     assert [bfs_group_order(grig, n) for n in (1, 2, 3)] == [2, 8, 128]
     elapsed = time.perf_counter() - start

@@ -237,6 +237,43 @@ def test_parse_error_exits_one(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text,level,needle", [
+    ("degree: 3\ninvolutions: a\ngen a = perm (1 2 3) | e, e, e\n", 1, "line 3"),
+    ("degree: 3\ninvolutions: a\ngen a = perm (1 2) | b, e, e\n"
+     "gen b = perm (1 2 3) | e, e, e\n", 2, "level 2"),
+])
+def test_false_involution_exits_one(capsys, tmp_path, text, level, needle):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "order", "--file", str(path), "--word", "a",
+                       "--level", str(level))
+    assert code == 1
+    assert "involution" in err and needle in err
+
+
+def test_level_past_physical_memory_exits_two(capsys):
+    # 2^20 points pass the default --cap; the N x N tables would need 16 TiB
+    code, out, err = run(capsys, "orbits", "--group", "grigorchuk",
+                         "--level", "20", "--json")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "SizeCapError"
+    assert f"{16 << 40} bytes" in doc["message"]
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("selfsim.cli.stabilizer_suborbits", exhausted)
+    code, out, err = run(capsys, "orbits", "--group", "grigorchuk",
+                         "--level", "2", "--json")
+    assert code == 2
+    assert json.loads(err) == {"error": "MemoryError", "message": "out of memory"}
+
+
 def test_cache_round_trip(capsys, tmp_path):
     cache_dir = str(tmp_path / "cache")
     args = ("scheme", "--group", "grigorchuk", "--level", "3", "--json",

@@ -1,12 +1,17 @@
-"""Property tests: the Schreier-vector suborbit route against the group
-enumeration oracle, on random small presentations beyond the catalog."""
+"""Property tests on random small presentations beyond the catalog: the
+Schreier-vector suborbit route against the group enumeration oracle, and
+the scheme's row route against the full label table and the dense oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from label_table import table_route
 
 from selfsim.errors import NotTransitiveError, SizeCapError
 from selfsim.orbits import oracle_suborbits, stabilizer_suborbits
+from selfsim.scheme import build_scheme, is_commutative
+from selfsim.spectral import degree_multiset_from_scheme, dense_commutant_oracle
 from selfsim.tree import Ray, Vertex, ray_prefix
 from selfsim.wreath import GeneratorRule, Word, WreathPresentation, act
 
@@ -65,3 +70,20 @@ def test_suborbits_match_the_oracle(case):
         except SizeCapError:
             return
         assert stabilizer_suborbits(pres, n, ray) == expected, pres.to_text()
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_scheme_matches_the_label_table(case):
+    pres, ray = case
+    for n in range(4):
+        try:
+            scheme = build_scheme(pres, n, ray)
+        except NotTransitiveError:
+            return
+        p, pairing = table_route(scheme)
+        assert np.array_equal(scheme.p, p), pres.to_text()
+        assert scheme.pairing == pairing, pres.to_text()
+        if is_commutative(scheme):
+            assert (dense_commutant_oracle(scheme)
+                    == degree_multiset_from_scheme(scheme)), pres.to_text()

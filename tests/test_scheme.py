@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from label_table import table_route
 
 from selfsim.catalog import builtin
 from selfsim.scheme import (axiom_violations, build_scheme, hecke_dimension,
                             is_commutative, scheme_json_doc,
                             verify_scheme_axioms)
+from selfsim.spectral import degree_multiset_from_scheme, dense_commutant_oracle
 from selfsim.wreath import level_permutation
 
 ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
@@ -113,16 +117,39 @@ def test_representative_independence():
 
 
 def test_on_demand_labels_match_materialized():
-    e = builtin("gamma")
-    full = build_scheme(e.presentation, 2, e.default_ray)
-    lazy = build_scheme(e.presentation, 2, e.default_ray, materialize_cap=0)
-    assert lazy.labels is None
-    assert np.array_equal(full.p, lazy.p)
-    assert full.pairing == lazy.pairing
-    for x in range(9):
-        assert np.array_equal(full.labels[:, x], lazy.label_column(x))
+    s = _scheme("gamma", 2)
+    assert "labels" not in vars(s)  # the table is built only when read
+    on_demand = [(s.label_row(x), s.label_column(x)) for x in range(9)]
+    p, pairing = table_route(s)
+    assert np.array_equal(s.p, p)
+    assert s.pairing == pairing
+    for x, (row, column) in enumerate(on_demand):
+        assert np.array_equal(row, s.labels[x])
+        assert np.array_equal(column, s.labels[:, x])
         for y in range(9):
-            assert lazy.label(x, y) == int(full.labels[x, y])
+            assert s.label(x, y) == int(s.labels[x, y])
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_row_route_matches_the_label_table(key):
+    top = 6 if builtin(key).degree == 2 else 4
+    for n in range(top + 1):
+        s = _scheme(key, n)
+        p, pairing = table_route(s)
+        assert np.array_equal(s.p, p), (key, n)
+        assert s.pairing == pairing, (key, n)
+        assert dense_commutant_oracle(s) == degree_multiset_from_scheme(s), (key, n)
+
+
+def test_axioms_catch_a_broken_transversal():
+    s = _scheme("grigorchuk", 3)
+    perms = s.transversal.perms.copy()
+    x = (s.base_index + 1) % s.point_count
+    perms[[s.base_index, x]] = perms[[x, s.base_index]]  # u_base and u_x swapped
+    broken = replace(s, transversal=replace(s.transversal, perms=perms))
+    report = verify_scheme_axioms(broken)
+    assert any("label row" in line for line in report)
+    assert any("diagonal" in line for line in report)
 
 
 def test_json_doc_shape():

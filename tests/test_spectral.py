@@ -5,7 +5,8 @@ from selfsim.catalog import builtin
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
-                              degree_multiset, dense_commutant_oracle,
+                              degree_multiset, degrees_embed,
+                              dense_commutant_oracle,
                               intersection_matrices, multiplicities,
                               spectral_data, tower_nesting_check)
 
@@ -124,11 +125,15 @@ def test_tower_nesting_examples(key, n):
     ("grigorchuk", 1, [1, 1]),
 ])
 def test_dense_oracle_examples(key, n, want):
-    pres, ray = _group(key)
-    assert dense_commutant_oracle(pres, n, ray) == want
+    assert dense_commutant_oracle(_scheme(key, n)) == want
 
 
 def test_dense_oracle_cap():
-    pres, ray = _group("gamma")
     with pytest.raises(SizeCapError):
-        dense_commutant_oracle(pres, 6, ray)
+        dense_commutant_oracle(_scheme("gamma", 6))
+
+
+def test_degrees_embed():
+    assert degrees_embed([1, 1, 2], [1, 1, 2, 4])
+    assert not degrees_embed([1, 1, 2], [1, 2, 4])
+    assert degrees_embed([], [1])

@@ -4,10 +4,11 @@ import pytest
 from selfsim.catalog import builtin, source_text
 from selfsim.errors import PresentationError, SizeCapError
 from selfsim.tree import Vertex
-from selfsim.wreath import (Word, act, free_reduce, is_trivial_at_level,
-                            level_permutation, order_at_level,
-                            parse_presentation, portrait, section,
-                            cycle_notation)
+from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
+                            cycle_notation, free_reduce, generator_level_perms,
+                            is_trivial_at_level, level_permutation,
+                            order_at_level, parse_presentation, portrait,
+                            section)
 
 G = builtin("grigorchuk").presentation
 GAMMA = builtin("gamma").presentation
@@ -66,6 +67,7 @@ def test_undeclared_section_generator():
     ("degree: 2\ninvolutions: z\ngen a = perm (1 2) | e, e\n", "undeclared"),
     ("degree: 2\ngen e = perm (1 2) | e, e\n", "reserved"),
     ("degree: 2\ngen a = perm (1 2) | e, a e\n", "stand alone"),
+    ("degree: 3\ninvolutions: a\ngen a = perm (1 2 3) | e, e, e\n", "order greater than 2"),
 ])
 def test_parse_errors(text, needle):
     with pytest.raises(PresentationError) as exc:
@@ -78,6 +80,24 @@ def test_parse_error_location():
         parse_presentation("degree: 2\ngen a = perm (1 7) | e, e\n")
     assert exc.value.line == 2
     assert exc.value.column is not None
+
+
+def test_presentation_rejects_a_false_involution():
+    three_cycle = GeneratorRule("a", (2, 3, 1), (Word(),) * 3)
+    with pytest.raises(ValueError, match="order greater than 2"):
+        WreathPresentation(3, (three_cycle,), frozenset("a"))
+
+
+def test_declared_involution_sections_are_checked():
+    # a = (1 2)(b, e, e) squares to (b, b, e), which b of order 3 moves on level 2
+    pres = parse_presentation("degree: 3\ninvolutions: a\n"
+                              "gen a = perm (1 2) | b, e, e\n"
+                              "gen b = perm (1 2 3) | e, e, e\n")
+    assert order_at_level(pres, Word.parse("a"), 1) == 2
+    with pytest.raises(PresentationError, match="level 2"):
+        generator_level_perms(pres, 2)
+    with pytest.raises(PresentationError):  # the bad level is not cached
+        order_at_level(pres, Word.parse("a"), 3)
 
 
 def test_canonical_round_trip():
