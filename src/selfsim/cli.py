@@ -22,11 +22,11 @@ from .errors import (IntegrityError, NotTransitiveError, NumericalError,
                      PresentationError, SelfSimError, SizeCapError,
                      UnknownGroupError)
 from .orbits import stabilizer_suborbits
-from .render import export_dot
+from .render import check_orbital_graph_size, export_dot
 from .scheme import axiom_violations, build_scheme, is_commutative, scheme_json_doc
 from .spectral import (DEFAULT_SEED, degree_multiset_from_scheme, degrees_embed,
                        dense_commutant_oracle)
-from .tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, parse_ray
+from .tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, check_level_size, parse_ray
 from .verify import DEFAULT_CASES, run_verification
 from .wreath import (Word, cycle_notation, load_presentation, order_at_level,
                      portrait, section, act)
@@ -274,6 +274,7 @@ def _valid_scheme_payload(doc: dict, point_count: int) -> bool:
 def _cmd_scheme(args) -> int:
     pres, label, ray = _resolve(args)
     if args.dot:
+        check_orbital_graph_size(check_level_size(pres.degree, args.level, args.cap))
         scheme = build_scheme(pres, args.level, ray, args.cap)
         print(export_dot("orbital_graph", scheme), end="")
         return 0

@@ -54,6 +54,17 @@ def _portrait_walk(node: PortraitNode, path: tuple[int, ...], lines: list[str]):
         lines.append(f'  {_node_id(path)} -> {_node_id(child_path)} [label="{i}"];')
 
 
+def check_orbital_graph_size(point_count: int) -> None:
+    """Refuse an orbital graph export past the cap; callers that know the
+    level can check before they build the scheme."""
+    if point_count > ORBITAL_GRAPH_CAP:
+        raise SizeCapError(
+            "orbital graph export needs the materialized label table "
+            f"({point_count} points is past the cap)",
+            size=point_count,
+        )
+
+
 def orbital_graph_dot(scheme: OrbitalScheme) -> str:
     """Level vertices with one edge color per nontrivial class.
 
@@ -61,12 +72,7 @@ def orbital_graph_dot(scheme: OrbitalScheme) -> str:
     paired class only the x -> y direction is drawn, the reverse pair being
     implied by the pairing.
     """
-    if scheme.point_count > ORBITAL_GRAPH_CAP:
-        raise SizeCapError(
-            "orbital graph export needs the materialized label table "
-            f"({scheme.point_count} points is past the cap)",
-            size=scheme.point_count,
-        )
+    check_orbital_graph_size(scheme.point_count)
     degree = scheme.transversal.base.degree
     level = scheme.level
     size = scheme.point_count

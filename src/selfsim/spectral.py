@@ -36,39 +36,34 @@ def intersection_matrices(scheme: OrbitalScheme) -> np.ndarray:
     """Left-regular matrices B, B[i][k, j] = p[i][j][k]; verified to multiply
     like the classes they represent."""
     p = scheme.p
-    r = scheme.rank
-    B = np.stack([p[i].T.copy() for i in range(r)])
-    for i in range(r):
-        for j in range(r):
-            lhs = B[i] @ B[j]
-            rhs = np.tensordot(p[i, j, :], B, axes=(0, 0))
-            if not np.array_equal(lhs, rhs):
-                raise IntegrityError(
-                    f"left-regular matrices violate the product rule at ({i}, {j})"
-                )
+    B = p.transpose(0, 2, 1).copy()
+    for i in range(scheme.rank):
+        # row j compares B[i] B[j] with sum_k p[i][j][k] B[k]
+        bad = np.flatnonzero((B[i] @ B != np.tensordot(p[i], B, axes=(1, 0)))
+                             .any(axis=(1, 2)))
+        if bad.size:
+            raise IntegrityError(
+                f"left-regular matrices violate the product rule at ({i}, {bad[0]})"
+            )
     return B
 
 
 def _cluster_indices(values: np.ndarray, atol: float) -> list[list[int]]:
-    """Group indices whose values are chained within atol of each other."""
+    """Group indices whose values are chained within atol of each other,
+    ordered by smallest index, members ascending."""
     k = len(values)
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(values[a] - values[b]) <= atol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+    close = np.abs(values[:, None] - values[None, :]) <= atol
+    # each index takes the least index among its neighbours until stable:
+    # then it holds the least index of its chained component
+    least = np.arange(k)
+    while True:
+        step = np.minimum(least, np.where(close, least, k).min(axis=1))
+        if np.array_equal(step, least):
+            break
+        least = step
     groups: dict[int, list[int]] = {}
-    for a in range(k):
-        groups.setdefault(find(a), []).append(a)
+    for a, c in enumerate(least.tolist()):
+        groups.setdefault(c, []).append(a)
     return list(groups.values())
 
 
@@ -83,14 +78,15 @@ def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED,
     """
     B = np.asarray(matrices)
     r = B.shape[0]
-    for i in range(r):
-        for j in range(i + 1, r):
-            if not np.array_equal(B[i] @ B[j], B[j] @ B[i]):
-                raise IntegrityError(f"matrices {i} and {j} do not commute")
+    for i in range(r - 1):
+        rest = B[i + 1:]
+        bad = np.flatnonzero((B[i] @ rest != rest @ B[i]).any(axis=(1, 2)))
+        if bad.size:
+            raise IntegrityError(f"matrices {i} and {i + 1 + bad[0]} do not commute")
 
     valencies = B[:, 0, :].sum(axis=1)  # row sums are constant per matrix
     point_count = int(valencies.sum())
-    ones = np.ones(r)
+    scale = np.maximum(1.0, np.linalg.norm(B, axis=(1, 2)))
     last_error = "no attempt made"
     for attempt in range(MAX_SEED_TRIES):
         rng = np.random.default_rng(seed + attempt)
@@ -104,33 +100,29 @@ def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED,
                           f"of {r} joint eigenspaces")
             continue
 
-        P = np.empty((r, r), dtype=complex)
-        residual = 0.0
-        for row, (col,) in enumerate(clusters):
-            v = evecs[:, col]
-            nrm = float(np.vdot(v, v).real)
-            for i in range(r):
-                theta = np.vdot(v, B[i] @ v) / nrm
-                P[row, i] = theta
-                residual = max(residual, float(np.linalg.norm(B[i] @ v - theta * v)) /
-                               max(1.0, float(np.linalg.norm(B[i]))))
+        # column j of V spans the j-th joint eigenspace; BV[i] = B[i] V
+        V = evecs[:, [col for (col,) in clusters]]
+        BV = B @ V
+        norms2 = np.einsum("aj,aj->j", V.conj(), V).real
+        P = np.einsum("aj,iaj->ji", V.conj(), BV) / norms2[:, None]
+        defect = np.linalg.norm(BV - P.T[:, None, :] * V, axis=1)  # [i, j]
+        residual = float((defect / scale[:, None]).max())
         if residual > RESIDUAL_TOL:
             last_error = f"seed {seed + attempt} left eigenvector residual {residual:.2e}"
             continue
 
-        overlaps = [abs(np.vdot(evecs[:, cols[0]], ones)) /
-                    np.linalg.norm(evecs[:, cols[0]]) for cols in clusters]
+        overlaps = np.abs(V.conj().sum(axis=0)) / np.linalg.norm(V, axis=0)
         trivial = int(np.argmax(overlaps))
         if np.abs(P[trivial] - valencies).max() > INTEGER_TOL * max(1, point_count):
             last_error = f"seed {seed + attempt} misidentified the valency character"
             continue
 
         m = _raw_multiplicities(P, valencies, point_count).real
+        re = (np.round(P.real, 9) + 0.0).tolist()
+        im = (np.round(P.imag, 9) + 0.0).tolist()
         order = [trivial] + sorted(
             (j for j in range(r) if j != trivial),
-            key=lambda j: (round(float(m[j]), 9),
-                           tuple((round(x.real, 9) + 0.0, round(x.imag, 9) + 0.0)
-                                 for x in P[j])),
+            key=lambda j: (round(float(m[j]), 9), tuple(zip(re[j], im[j]))),
         )
         return P[order]
     raise NumericalError(f"common eigensystem did not resolve: {last_error}")
@@ -233,12 +225,11 @@ def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED,
             f"dense oracle needs {size} points, cap is {DENSE_ORACLE_CAP}", size=size
         )
     labels = scheme.labels
-    A = np.stack([(labels == i).astype(float) for i in range(scheme.rank)])
     last_error = "no attempt made"
     for attempt in range(MAX_SEED_TRIES):
         rng = np.random.default_rng(seed + attempt)
         coeffs = rng.uniform(1.0, 2.0, size=scheme.rank)
-        M = np.tensordot(coeffs, A, axes=(0, 0))
+        M = coeffs[labels]  # sum_i coeffs[i] * (labels == i), one term per entry
         evals = np.linalg.eigvals(M)
         atol = rtol * max(1.0, float(np.abs(evals).max()))
         clusters = _cluster_indices(evals, atol)

@@ -133,6 +133,23 @@ def test_scheme_dot(capsys):
     assert out.startswith("digraph")
 
 
+def test_scheme_dot_refused_before_the_build(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scheme was built")
+    monkeypatch.setattr("selfsim.cli.build_scheme", unreachable)
+    code, out, err = run(capsys, "scheme", "--dot", "--group", "grigorchuk",
+                         "--level", "13", "--json")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "SizeCapError",
+        "message": "orbital graph export needs the materialized label table "
+                   "(8192 points is past the cap)",
+    }
+
+
 def test_decompose(capsys):
     code, doc, _ = run_json(capsys, "decompose", "--group", "gupta-sidki",
                             "--level", "3")

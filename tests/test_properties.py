@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from eigen_reference import scalar_eigensystem
 from label_table import table_route
 
 from selfsim.errors import NotTransitiveError, SizeCapError
 from selfsim.orbits import oracle_suborbits, stabilizer_suborbits
 from selfsim.scheme import build_scheme, is_commutative
-from selfsim.spectral import degree_multiset_from_scheme, dense_commutant_oracle
+from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
+                              degree_multiset_from_scheme, dense_commutant_oracle,
+                              intersection_matrices, multiplicities)
 from selfsim.tree import Ray, Vertex, ray_prefix
 from selfsim.wreath import GeneratorRule, Word, WreathPresentation, act
 
@@ -87,3 +90,22 @@ def test_scheme_matches_the_label_table(case):
         if is_commutative(scheme):
             assert (dense_commutant_oracle(scheme)
                     == degree_multiset_from_scheme(scheme)), pres.to_text()
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_batched_eigensystem_matches_the_scalar_reference(case):
+    pres, ray = case
+    for n in range(4):
+        try:
+            scheme = build_scheme(pres, n, ray)
+        except NotTransitiveError:
+            return
+        if not is_commutative(scheme):
+            continue
+        B = intersection_matrices(scheme)
+        P = common_eigensystem(B, DEFAULT_SEED)
+        Q = scalar_eigensystem(B, DEFAULT_SEED)
+        assert np.allclose(P, Q, rtol=0, atol=1e-9), pres.to_text()
+        assert (multiplicities(P, scheme.valencies, scheme.point_count)
+                == multiplicities(Q, scheme.valencies, scheme.point_count)), pres.to_text()

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from eigen_reference import chained_clusters, scalar_eigensystem
 
-from selfsim.catalog import builtin
+from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
-from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
-                              degree_multiset, degrees_embed,
+from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _cluster_indices,
+                              common_eigensystem, degree_multiset, degrees_embed,
                               dense_commutant_oracle,
                               intersection_matrices, multiplicities,
                               spectral_data, tower_nesting_check)
@@ -64,6 +67,57 @@ def test_eigensystem_rejects_non_commuting():
     b = np.array([[1, 0], [0, 0]])
     with pytest.raises(IntegrityError):
         common_eigensystem(np.stack([a, b]))
+
+
+def test_eigensystem_names_the_first_non_commuting_pair():
+    swap = np.array([[0, 1], [1, 0]])
+    proj = np.array([[1, 0], [0, 0]])
+    with pytest.raises(IntegrityError, match="^matrices 1 and 2 do not commute$"):
+        common_eigensystem(np.stack([np.eye(2, dtype=np.int64), swap, proj]))
+
+
+def test_eigensystem_gives_up_after_the_seed_retries():
+    last = DEFAULT_SEED + MAX_SEED_TRIES - 1
+    with pytest.raises(NumericalError,
+                       match=f"seed {last} separated only 1 of 2 joint eigenspaces"):
+        common_eigensystem(np.stack([np.eye(2), np.eye(2)]))
+
+
+@pytest.mark.parametrize("entry,pair", [((2, 1, 2), (2, 1)), ((3, 3, 0), (1, 3))])
+def test_product_rule_names_the_first_failing_pair(entry, pair):
+    scheme = _scheme("grigorchuk", 3)
+    p = scheme.p.copy()
+    p[entry] += 1
+    with pytest.raises(IntegrityError,
+                       match=rf"product rule at \({pair[0]}, {pair[1]}\)$"):
+        intersection_matrices(dataclasses.replace(scheme, p=p))
+
+
+@pytest.mark.parametrize("values,atol,want", [
+    ([0.0, 0.3, 0.6, 5.0, 0.9], 0.35, [[0, 1, 2, 4], [3]]),
+    ([0.9, 0.6, 0.3, 0.0, 5.0], 0.35, [[0, 1, 2, 3], [4]]),  # chain met from its far end
+    ([1.0, np.nan, 1.0, np.nan], 0.1, [[0, 2], [1], [3]]),
+    ([1j, 2.0, 1j + 1e-9, 2.0 + 1e-9], 1e-8, [[0, 2], [1, 3]]),
+])
+def test_cluster_indices_chain_within_atol(values, atol, want):
+    values = np.asarray(values, dtype=complex)
+    assert _cluster_indices(values, atol) == want
+    assert chained_clusters(values, atol) == want
+
+
+@pytest.mark.parametrize("key", keys())
+def test_batched_eigensystem_matches_the_scalar_reference(key):
+    e = builtin(key)
+    top = 6 if e.presentation.degree == 2 else 4
+    for n in range(top + 1):
+        scheme = build_scheme(e.presentation, n, e.default_ray)
+        B = intersection_matrices(scheme)
+        for seed in (DEFAULT_SEED, *(1000 + i for i in range(4))):
+            P = common_eigensystem(B, seed)
+            Q = scalar_eigensystem(B, seed)
+            assert np.allclose(P, Q, rtol=0, atol=1e-9), (key, n, seed)
+            assert (multiplicities(P, scheme.valencies, scheme.point_count)
+                    == multiplicities(Q, scheme.valencies, scheme.point_count))
 
 
 def test_multiplicities_examples():
