@@ -10,7 +10,7 @@ from .errors import (IntegrityError, NotTransitiveError, NumericalError,
 from .orbits import (SuborbitPartition, Transversal, bfs_group_order,
                      oracle_suborbits, orbit_transversal, schreier_generators,
                      stabilizer_suborbits)
-from .render import export_dot
+from .render import orbital_graph_dot, portrait_dot
 from .scheme import (OrbitalScheme, build_scheme, hecke_dimension,
                      is_commutative, verify_scheme_axioms)
 from .spectral import (DEFAULT_SEED, SpectralData, common_eigensystem,

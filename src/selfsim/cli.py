@@ -22,7 +22,7 @@ from .errors import (IntegrityError, NotTransitiveError, NumericalError,
                      PresentationError, SelfSimError, SizeCapError,
                      UnknownGroupError)
 from .orbits import stabilizer_suborbits
-from .render import check_orbital_graph_size, export_dot
+from .render import check_orbital_graph_size, orbital_graph_dot, portrait_dot
 from .scheme import axiom_violations, build_scheme, is_commutative, scheme_json_doc
 from .spectral import (DEFAULT_SEED, degree_multiset_from_scheme, degrees_embed,
                        dense_commutant_oracle)
@@ -236,7 +236,7 @@ def _cmd_portrait(args) -> int:
     word = pres.parse_word(args.word)
     node = portrait(pres, word, args.depth)
     if args.dot:
-        print(export_dot("portrait", node), end="")
+        print(portrait_dot(node), end="")
         return 0
     payload = {"depth": args.depth, "portrait": _portrait_payload(node)}
     human = "\n".join(_portrait_text(node, "-", 0))
@@ -276,7 +276,7 @@ def _cmd_scheme(args) -> int:
     if args.dot:
         check_orbital_graph_size(check_level_size(pres.degree, args.level, args.cap))
         scheme = build_scheme(pres, args.level, ray, args.cap)
-        print(export_dot("orbital_graph", scheme), end="")
+        print(orbital_graph_dot(scheme), end="")
         return 0
     size = pres.degree**args.level
 

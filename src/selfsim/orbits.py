@@ -5,9 +5,10 @@ generators stores a Schreier vector (Seress, Permutation Group Algorithms,
 section 4.1): for every level vertex x, the vertex parent[x] it was reached
 from and the generator via[x] that reached it.  Following parents back to the
 base spells the transversal word u_x with act(u_x, base) = x; the sweep also
-keeps the level permutation of every u_x.  The stabilizer of the base is
-generated by the Schreier generators u_{s(x)}^-1 s u_x, and its orbits
-partition the level.
+keeps the level permutation of every u_x^-1, the orientation its readers
+use: the label of a pair (x, y) is the suborbit of u_x^-1(y).  The
+stabilizer of the base is generated by the Schreier generators
+u_{s(x)}^-1 s u_x, and its orbits partition the level.
 
 The suborbit partition needs only the permutations of those generators, so
 it never builds a word.  Words are spelled out on demand: the transversal
@@ -29,7 +30,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NotTransitiveError, SizeCapError
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size, ray_prefix
-from .wreath import Word, WreathPresentation, generator_level_perms, inverse_perm
+from .wreath import Word, WreathPresentation, generator_level_perms
 
 DEFAULT_GROUP_CAP = 1 << 20
 
@@ -49,7 +50,7 @@ class Transversal:
     level: int
     parent: tuple[int, ...]        # parent[x] -> vertex x was reached from
     via: tuple[str | None, ...]    # via[x] -> generator carrying parent[x] to x
-    perms: np.ndarray              # perms[x] = level permutation of u_x
+    perms: np.ndarray              # perms[x] = level permutation of u_x^-1
     order: tuple[int, ...]         # indices in breadth-first discovery order
 
     def __len__(self) -> int:
@@ -69,11 +70,11 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
     if ray.degree != pres.degree:
         raise ValueError("ray degree does not match the presentation")
     size = check_level_size(pres.degree, n, cap)
-    planned = 16 * size * size  # int64 perms, and its inverse in _schreier_pairs
+    planned = 8 * size * size  # the int64 perms table
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if planned > physical:
         raise SizeCapError(f"level {n} needs {planned} bytes for its N x N transversal "
-                           f"tables, more than the {physical} bytes of physical memory",
+                           f"table, more than the {physical} bytes of physical memory",
                            size=size)
     base = ray_prefix(ray, n)
     base_idx = base.index()
@@ -93,7 +94,7 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
             if parent[y] is None:
                 parent[y] = x
                 via[y] = name
-                perms[y] = gen_perms[name][perms[x]]
+                perms[y, gen_perms[name]] = perms[x]  # u_y^-1 = u_x^-1 s^-1
                 order.append(y)
                 queue.append(y)
     if len(order) != size:
@@ -112,16 +113,19 @@ def _schreier_pairs(pres: WreathPresentation,
 
     Generators come in declared order, vertices in discovery order.  Pairs
     on the breadth-first tree (u_y = s u_x) give the empty word and the
-    identity, so they are left out.
+    identity, so they are left out.  With perms[x] = u_x^-1, g maps
+    u_x^-1(i) to u_y^-1(s(i)): one scatter per pair.
     """
     gen_perms = generator_level_perms(pres, tv.level)
-    inv = inverse_perm(tv.perms)
+    perms = tv.perms
     for name in pres.generator_names:
         pg = gen_perms[name]
         for x in tv.order:
             y = int(pg[x])
             if tv.parent[y] != x or tv.via[y] != name:
-                yield name, x, y, inv[y][pg[tv.perms[x]]]
+                g = np.empty_like(pg)
+                g[perms[x]] = perms[y][pg]
+                yield name, x, y, g
 
 
 def schreier_generators(pres: WreathPresentation, n: int, ray: Ray,

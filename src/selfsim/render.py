@@ -14,18 +14,6 @@ _PALETTE = (
 ORBITAL_GRAPH_CAP = 4096  # the export reads the full N x N label table
 
 
-def export_dot(kind: str, data) -> str:
-    if kind == "portrait":
-        if not isinstance(data, PortraitNode):
-            raise ValueError("portrait export needs a PortraitNode")
-        return portrait_dot(data)
-    if kind == "orbital_graph":
-        if not isinstance(data, OrbitalScheme):
-            raise ValueError("orbital_graph export needs an OrbitalScheme")
-        return orbital_graph_dot(data)
-    raise ValueError(f"unknown DOT kind {kind!r}; use 'portrait' or 'orbital_graph'")
-
-
 def portrait_dot(root: PortraitNode) -> str:
     """The recursion tree with entirely trivial subtrees omitted."""
     lines = [

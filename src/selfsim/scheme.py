@@ -1,7 +1,8 @@
 """The orbital association scheme of a level action.
 
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
-where u_x is the transversal permutation carrying the base to x.  The class
+where u_x is the transversal permutation carrying the base to x; the
+transversal stores u_x^-1, so a label row is one gather.  The class
 of (base, y) is then the suborbit of y, class 0 is the diagonal, and counting
 common neighbours gives the intersection numbers
 
@@ -32,7 +33,7 @@ from .errors import IntegrityError
 from .orbits import (SuborbitPartition, Transversal, orbit_transversal,
                      suborbits_from_transversal)
 from .tree import DEFAULT_LEVEL_CAP, Ray
-from .wreath import WreathPresentation, inverse_perm
+from .wreath import WreathPresentation
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +55,7 @@ class OrbitalScheme:
 
     def label_row(self, x: int) -> np.ndarray:
         """label(x, y) for every y."""
-        return self.block_of[inverse_perm(self.transversal.perms[x])]
+        return self.block_of[self.transversal.perms[x]]
 
     def label(self, x: int, y: int) -> int:
         return int(self.label_row(x)[y])
@@ -66,7 +67,7 @@ class OrbitalScheme:
     @cached_property
     def labels(self) -> np.ndarray:
         """The full (N, N) label table, built on first read."""
-        return self.block_of[inverse_perm(self.transversal.perms)]
+        return self.block_of[self.transversal.perms]
 
 
 def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
@@ -79,7 +80,7 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
     block_of = partition.block_of_array(size)
     reps = tuple(block[0] for block in partition.blocks)
 
-    rows = [block_of[inverse_perm(tv.perms[y])] for y in reps]  # label(y_k, .)
+    rows = [block_of[tv.perms[y]] for y in reps]  # label(y_k, .)
     pairing = np.array([row[base_idx] for row in rows], dtype=np.int64)
     p = np.stack([np.bincount(block_of * r + pairing[row], minlength=r * r).reshape(r, r)
                   for row in rows], axis=2)
@@ -167,7 +168,7 @@ def verify_scheme_axioms(scheme: OrbitalScheme, limit: int = 10) -> list[str]:
     perms, points = scheme.transversal.perms, np.arange(scheme.point_count)
     if not np.array_equal(perms[scheme.base_index], points):
         out.append("u_base is not the identity, so the base label row is not the suborbits")
-    if not np.array_equal(perms[:, scheme.base_index], points):
+    if not np.all(np.diagonal(perms) == scheme.base_index):
         out.append("some u_x does not carry the base to x, so a diagonal pair is not in class 0")
     for k, y in enumerate(scheme.representatives):
         if scheme.block_of[y] != k:

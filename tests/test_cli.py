@@ -269,7 +269,7 @@ def test_false_involution_exits_one(capsys, tmp_path, text, level, needle):
 
 
 def test_level_past_physical_memory_exits_two(capsys):
-    # 2^20 points pass the default --cap; the N x N tables would need 16 TiB
+    # 2^20 points pass the default --cap; the N x N table would need 8 TiB
     code, out, err = run(capsys, "orbits", "--group", "grigorchuk",
                          "--level", "20", "--json")
     assert code == 2
@@ -278,7 +278,7 @@ def test_level_past_physical_memory_exits_two(capsys):
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["error"] == "SizeCapError"
-    assert f"{16 << 40} bytes" in doc["message"]
+    assert f"{8 << 40} bytes" in doc["message"]
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):

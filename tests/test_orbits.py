@@ -47,7 +47,7 @@ def test_transversal_moves_base(key, n):
     base = ray_prefix(ray, n)
     for idx, word in enumerate(tv.words):
         assert act(pres, word, base).index() == idx
-        assert int(tv.perms[idx][base.index()]) == idx
+        assert int(tv.perms[idx][idx]) == base.index()
 
 
 def test_transversal_perms_match_words():
@@ -55,7 +55,7 @@ def test_transversal_perms_match_words():
     tv = orbit_transversal(pres, 2, ray)
     for idx in (0, 4, 8):
         assert np.array_equal(tv.perms[idx],
-                              level_permutation(pres, tv.words[idx], 2))
+                              level_permutation(pres, tv.words[idx].inverse(), 2))
 
 
 def test_schreier_level_one_grigorchuk():
@@ -157,7 +157,8 @@ def test_schreier_vector_spells_the_words():
     for x in tv.order[1:]:
         assert tv.order.index(tv.parent[x]) < tv.order.index(x)
         assert tv.words[x] == Word.generator(tv.via[x]) * tv.words[tv.parent[x]]
-        assert np.array_equal(tv.perms[x], level_permutation(pres, tv.words[x], 3))
+        assert np.array_equal(tv.perms[x],
+                              level_permutation(pres, tv.words[x].inverse(), 3))
 
 
 # The exact word lists are output: their order and the rule that drops empty

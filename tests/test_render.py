@@ -1,14 +1,12 @@
-import pytest
-
 from selfsim.catalog import builtin
-from selfsim.render import export_dot
+from selfsim.render import orbital_graph_dot, portrait_dot
 from selfsim.scheme import build_scheme
 from selfsim.wreath import Word, portrait
 
 
 def test_portrait_dot_elides_trivial_subtrees():
     g = builtin("grigorchuk").presentation
-    dot = export_dot("portrait", portrait(g, Word.parse("d"), 1))
+    dot = portrait_dot(portrait(g, Word.parse("d"), 1))
     node_lines = [ln for ln in dot.splitlines() if "[label=" in ln and "->" not in ln]
     assert len(node_lines) == 2
     assert 'vroot [label="()"]' in dot
@@ -18,14 +16,14 @@ def test_portrait_dot_elides_trivial_subtrees():
 
 def test_portrait_dot_empty_word():
     g = builtin("grigorchuk").presentation
-    dot = export_dot("portrait", portrait(g, Word.parse("e"), 2))
+    dot = portrait_dot(portrait(g, Word.parse("e"), 2))
     node_lines = [ln for ln in dot.splitlines() if "[label=" in ln and "->" not in ln]
     assert len(node_lines) == 1  # everything below the root is trivial
 
 
 def test_orbital_dot_level_one():
     e = builtin("grigorchuk")
-    dot = export_dot("orbital_graph", build_scheme(e.presentation, 1, e.default_ray))
+    dot = orbital_graph_dot(build_scheme(e.presentation, 1, e.default_ray))
     assert dot.count("->") == 1
     assert "// class 1" in dot
     assert 'label="1"' in dot and 'label="2"' in dot
@@ -33,10 +31,5 @@ def test_orbital_dot_level_one():
 
 def test_orbital_dot_directed_pairs():
     e = builtin("gamma")
-    dot = export_dot("orbital_graph", build_scheme(e.presentation, 1, e.default_ray))
+    dot = orbital_graph_dot(build_scheme(e.presentation, 1, e.default_ray))
     assert "dir=none" not in dot  # the two classes are swapped by pairing
-
-
-def test_export_dot_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        export_dot("mystery", None)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,20 @@ def test_axioms_catch_a_broken_transversal():
     report = verify_scheme_axioms(broken)
     assert any("label row" in line for line in report)
     assert any("diagonal" in line for line in report)
+
+
+def test_build_scheme_holds_one_transversal_table():
+    # The N x N transversal table is the only quadratic allocation: nothing
+    # on the scheme path builds its inverse or a second table beside it.
+    e = builtin("grigorchuk")
+    size = 2**9
+    tracemalloc.start()
+    try:
+        build_scheme(e.presentation, 9, e.default_ray)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * size * size
 
 
 def test_json_doc_shape():
