@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or input errors, 2 computation errors
-(size caps, memory, intransitive actions, numerical failures), 3
+(size caps, memory, recursion depth, intransitive actions, numerical
+failures), 3
 verification failures.  With --json every document carries the envelope fields
 tool_version, seed, group and level, and errors go to stderr as a single
 JSON line.
@@ -41,11 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sp, ray: bool):
+def _add_common(sp, ray: bool, cap: bool = True):
     sp.add_argument("--group", help="catalog key (see 'selfsim catalog list')")
     sp.add_argument("--file", help="path to a presentation file")
-    sp.add_argument("--cap", type=int, default=DEFAULT_LEVEL_CAP,
-                    help="largest level size the run may touch")
+    if cap:
+        sp.add_argument("--cap", type=int, default=DEFAULT_LEVEL_CAP,
+                        help="largest level size the run may touch")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for the randomized numerics")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -68,12 +70,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = sub.add_parser("act", help="apply a word to a vertex")
-    _add_common(sp, ray=False)
+    _add_common(sp, ray=False, cap=False)
     sp.add_argument("--word", required=True)
     sp.add_argument("--vertex", required=True)
 
     sp = sub.add_parser("section", help="restriction of a word below a vertex")
-    _add_common(sp, ray=False)
+    _add_common(sp, ray=False, cap=False)
     sp.add_argument("--word", required=True)
     sp.add_argument("--vertex", required=True)
 
@@ -234,7 +236,7 @@ def _portrait_text(node, path: str, depth: int) -> list[str]:
 def _cmd_portrait(args) -> int:
     pres, label, _ = _resolve(args)
     word = pres.parse_word(args.word)
-    node = portrait(pres, word, args.depth)
+    node = portrait(pres, word, args.depth, args.cap)
     if args.dot:
         print(portrait_dot(node), end="")
         return 0
@@ -273,12 +275,12 @@ def _valid_scheme_payload(doc: dict, point_count: int) -> bool:
 
 def _cmd_scheme(args) -> int:
     pres, label, ray = _resolve(args)
+    size = check_level_size(pres.degree, args.level, args.cap)
     if args.dot:
-        check_orbital_graph_size(check_level_size(pres.degree, args.level, args.cap))
+        check_orbital_graph_size(size)
         scheme = build_scheme(pres, args.level, ray, args.cap)
         print(orbital_graph_dot(scheme), end="")
         return 0
-    size = pres.degree**args.level
 
     def compute() -> dict:
         return scheme_json_doc(build_scheme(pres, args.level, ray, args.cap))
@@ -309,7 +311,7 @@ def _valid_decompose_payload(doc: dict, level: int, point_count: int) -> bool:
 
 def _cmd_decompose(args) -> int:
     pres, label, ray = _resolve(args)
-    size = pres.degree**args.level
+    size = check_level_size(pres.degree, args.level, args.cap)
     kind = f"decompose:oracle={int(args.oracle)}:nesting={int(args.nesting)}"
     mismatch = False
 
@@ -427,6 +429,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         _fail(args, "MemoryError", str(exc) or "out of memory")
+        return 2
+    except RecursionError as exc:
+        _fail(args, "RecursionError", str(exc))
         return 2
     except SelfSimError as exc:
         _fail(args, type(exc).__name__, str(exc))

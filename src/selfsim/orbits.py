@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NotTransitiveError, SizeCapError
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size, ray_prefix
@@ -188,25 +186,46 @@ def _canonical_partition(labels: np.ndarray, base: Vertex, level: int,
     return SuborbitPartition(base, level, (base_block, *rest))
 
 
+def merge_components(rep: np.ndarray, tails: np.ndarray,
+                     heads: np.ndarray | None = None) -> np.ndarray:
+    """Join heads[e] to tails[e] for every edge e in a root-pointer forest.
+
+    On entry every rep[x] is a root with rep[x] <= x; heads defaults to every
+    vertex in order, so a permutation g is folded in as the edges x -- g(x).
+    Across each crossing edge the larger root hooks onto the smaller one, then
+    every pointer jumps to its root; this repeats until no edge crosses.  On
+    return rep[x] is the least member of x's component.  The input array is
+    not modified.
+    """
+    while True:
+        a = rep if heads is None else rep[heads]
+        b = rep[tails]
+        cross = a != b
+        if not cross.any():
+            return rep
+        a, b = a[cross], b[cross]
+        rep = rep.copy()
+        np.minimum.at(rep, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = rep[rep]
+            if np.array_equal(jumped, rep):
+                break
+            rep = jumped
+
+
 def _component_partition(perms: Iterable[np.ndarray], size: int, base: Vertex,
                          level: int, base_idx: int) -> SuborbitPartition:
     """Orbits of the group the permutations generate: the components of the
     graph joining x to g(x).
 
-    The permutations are folded in one at a time, each component tracked by
-    its smallest vertex.  A permutation that keeps every vertex inside its
-    component, such as a repeat, costs one gather and is never stored.
+    The permutations are folded in one at a time by ``merge_components``,
+    each component labelled by its smallest vertex.  A permutation that keeps
+    every vertex inside its component, such as a repeat, costs one gather and
+    is never stored.
     """
-    vertices = np.arange(size, dtype=np.int64)
-    rep = vertices
+    rep = np.arange(size, dtype=np.int64)
     for g in perms:
-        if np.array_equal(rep[g], rep):
-            continue
-        edges = (np.concatenate([vertices, vertices]), np.concatenate([rep, g]))
-        graph = coo_matrix((np.ones(2 * size, dtype=np.int8), edges), shape=(size, size))
-        _, comp = connected_components(graph, directed=False)
-        _, first = np.unique(comp, return_index=True)
-        rep = first[comp]
+        rep = merge_components(rep, g)
     return _canonical_partition(rep, base, level, base_idx)
 
 

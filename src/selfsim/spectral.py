@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError, NumericalError, SizeCapError
+from .orbits import merge_components
 from .scheme import OrbitalScheme, build_scheme
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation
@@ -50,17 +51,13 @@ def intersection_matrices(scheme: OrbitalScheme) -> np.ndarray:
 
 def _cluster_indices(values: np.ndarray, atol: float) -> list[list[int]]:
     """Group indices whose values are chained within atol of each other,
-    ordered by smallest index, members ascending."""
-    k = len(values)
+    ordered by smallest index, members ascending.
+
+    The pairs within atol are the edges of a graph on the indices; each
+    index is labelled by the least index of its component.
+    """
     close = np.abs(values[:, None] - values[None, :]) <= atol
-    # each index takes the least index among its neighbours until stable:
-    # then it holds the least index of its chained component
-    least = np.arange(k)
-    while True:
-        step = np.minimum(least, np.where(close, least, k).min(axis=1))
-        if np.array_equal(step, least):
-            break
-        least = step
+    least = merge_components(np.arange(len(values)), *np.nonzero(close))
     groups: dict[int, list[int]] = {}
     for a, c in enumerate(least.tolist()):
         groups.setdefault(c, []).append(a)
@@ -77,13 +74,18 @@ def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED,
     fails to separate the eigenspaces.
     """
     B = np.asarray(matrices)
-    r = B.shape[0]
-    for i in range(r - 1):
+    for i in range(B.shape[0] - 1):
         rest = B[i + 1:]
         bad = np.flatnonzero((B[i] @ rest != rest @ B[i]).any(axis=(1, 2)))
         if bad.size:
             raise IntegrityError(f"matrices {i} and {i + 1 + bad[0]} do not commute")
+    return _eigensystem(B, seed, rtol)
 
+
+def _eigensystem(B: np.ndarray, seed: int, rtol: float = EIG_CLUSTER_RTOL) -> np.ndarray:
+    """``common_eigensystem`` without the commutation check, for a caller that
+    has already run it on the same matrices."""
+    r = B.shape[0]
     valencies = B[:, 0, :].sum(axis=1)  # row sums are constant per matrix
     point_count = int(valencies.sum())
     scale = np.maximum(1.0, np.linalg.norm(B, axis=(1, 2)))

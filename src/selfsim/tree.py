@@ -8,6 +8,7 @@ in lexicographic order, which fixes the integer index used everywhere else.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import SizeCapError
@@ -15,17 +16,28 @@ from .errors import SizeCapError
 DEFAULT_LEVEL_CAP = 1 << 20
 
 
+_COUNT_DIGITS = 4300  # longest vertex count a refusal writes out in decimal
+
+
 def check_level_size(degree: int, level: int, cap: int = DEFAULT_LEVEL_CAP) -> int:
-    """Return d**n after checking it against the size cap."""
+    """Return d**n, for d >= 2, after checking it against the size cap.
+
+    A level no shorter than the cap's bit length is past the cap, so it is
+    refused without forming d**n; a count longer than _COUNT_DIGITS digits
+    is written as the power.
+    """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    size = degree**level
-    if size > cap:
-        raise SizeCapError(
-            f"level {level} of the {degree}-regular tree has {size} vertices, cap is {cap}",
-            size=size,
-        )
-    return size
+    if level < cap.bit_length():
+        size = degree**level
+        if size <= cap:
+            return size
+    size = degree**level if level * math.log10(degree) < _COUNT_DIGITS else None
+    count = f"{degree}^{level}" if size is None else size
+    raise SizeCapError(
+        f"level {level} of the {degree}-regular tree has {count} vertices, cap is {cap}",
+        size=size,
+    )
 
 
 @dataclass(frozen=True)

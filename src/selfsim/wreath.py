@@ -627,10 +627,15 @@ class PortraitNode:
         return all(c.is_trivial() for c in self.children)
 
 
-def portrait(pres: WreathPresentation, word: Word, depth: int) -> PortraitNode:
-    """Expand the recursion to the given depth; leaves keep their section words."""
+def portrait(pres: WreathPresentation, word: Word, depth: int,
+             cap: int = DEFAULT_LEVEL_CAP) -> PortraitNode:
+    """Expand the recursion to the given depth; leaves keep their section words.
+
+    The expansion visits every vertex down to that depth, so a depth whose
+    level size exceeds the cap is refused first."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    check_level_size(pres.degree, depth, cap)
     word = pres.reduce(word)
     return _portrait(pres, word, depth)
 

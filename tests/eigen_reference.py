@@ -1,5 +1,6 @@
 """The scalar route to the character table: one eigenvector and one matrix at
-a time, as a reference for the batched ``spectral.common_eigensystem``."""
+a time, as a reference for the batched ``spectral.common_eigensystem``; and
+the union-find components that ``orbits.merge_components`` must match."""
 
 import numpy as np
 
@@ -7,10 +8,10 @@ from selfsim.spectral import (EIG_CLUSTER_RTOL, INTEGER_TOL, MAX_SEED_TRIES,
                               RESIDUAL_TOL)
 
 
-def chained_clusters(values, atol):
-    """Union-find over every pair of indices whose values lie within atol."""
-    k = len(values)
-    parent = list(range(k))
+def least_members(size, edges):
+    """Union-find over the (a, b) edges: for each vertex the least vertex of
+    its component."""
+    parent = list(range(size))
 
     def find(a):
         while parent[a] != a:
@@ -18,15 +19,25 @@ def chained_clusters(values, atol):
             a = parent[a]
         return a
 
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(values[a] - values[b]) <= atol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    least = {}
+    for a in range(size):
+        least.setdefault(find(a), a)
+    return [least[find(a)] for a in range(size)]
+
+
+def chained_clusters(values, atol):
+    """Components of the graph joining every pair of indices whose values lie
+    within atol, ordered by least index, members ascending."""
+    k = len(values)
+    close = [(a, b) for a in range(k) for b in range(a + 1, k)
+             if abs(values[a] - values[b]) <= atol]
     groups = {}
-    for a in range(k):
-        groups.setdefault(find(a), []).append(a)
+    for a, c in enumerate(least_members(k, close)):
+        groups.setdefault(c, []).append(a)
     return list(groups.values())
 
 

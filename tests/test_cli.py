@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selfsim
 from selfsim import __version__, cache
 from selfsim.cli import main
 
@@ -86,6 +91,24 @@ def test_portrait_json(capsys):
     tree = doc["portrait"]
     assert tree["perm"] == "()"
     assert [c.get("word") for c in tree["children"]] == ["e", "b"]
+
+
+def test_portrait_depth_past_the_cap_exits_two(capsys):
+    argv = ("portrait", "--group", "grigorchuk", "--word", "d", "--depth", "3")
+    code, out, err = run(capsys, *argv, "--cap", "7", "--json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "SizeCapError", "message":
+                               "level 3 of the 2-regular tree has 8 vertices, cap is 7"}
+    assert run(capsys, *argv, "--cap", "8")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["act", "section"])
+def test_act_and_section_take_no_cap(capsys, command):
+    code, _, err = run(capsys, command, "--group", "grigorchuk",
+                       "--word", "b", "--vertex", "2", "--cap", "5")
+    assert code == 1
+    assert "unrecognized arguments: --cap 5" in err
 
 
 def test_orbits_json(capsys):
@@ -279,6 +302,43 @@ def test_level_past_physical_memory_exits_two(capsys):
     doc = json.loads(lines[0])
     assert doc["error"] == "SizeCapError"
     assert f"{8 << 40} bytes" in doc["message"]
+
+
+@pytest.mark.parametrize("command", ["orbits", "scheme", "decompose", "verify"])
+def test_huge_level_exits_two(capsys, command):
+    code, out, err = run(capsys, command, "--group", "gamma",
+                         "--level", str(10**9), "--json")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "SizeCapError",
+        "message": "level 1000000000 of the 3-regular tree has 3^1000000000 "
+                   "vertices, cap is 1048576",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "--word", "b", "--vertex", "2" * 3000),
+    ("section", "--word", "b", "--vertex", "2" * 3000),
+    ("portrait", "--word", "d", "--depth", "2000", "--cap", str(1 << 2000)),
+])
+def test_recursion_depth_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv, "--group", "grigorchuk", "--json")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "RecursionError"
+
+
+def test_cli_imports_without_scipy():
+    src = Path(selfsim.__file__).resolve().parents[1]
+    probe = "import sys, selfsim.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):

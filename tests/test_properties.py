@@ -1,16 +1,18 @@
 """Property tests on random small presentations beyond the catalog: the
 Schreier-vector suborbit route against the group enumeration oracle, and
-the scheme's row route against the full label table and the dense oracle."""
+the scheme's row route against the full label table and the dense oracle.
+The component routine both suborbit routes share is checked on its own
+against a union-find reference."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from eigen_reference import scalar_eigensystem
+from eigen_reference import least_members, scalar_eigensystem
 from label_table import table_route
 
 from selfsim.errors import NotTransitiveError, SizeCapError
-from selfsim.orbits import oracle_suborbits, stabilizer_suborbits
+from selfsim.orbits import merge_components, oracle_suborbits, stabilizer_suborbits
 from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_scheme, dense_commutant_oracle,
@@ -109,3 +111,55 @@ def test_batched_eigensystem_matches_the_scalar_reference(case):
         assert np.allclose(P, Q, rtol=0, atol=1e-9), pres.to_text()
         assert (multiplicities(P, scheme.valencies, scheme.point_count)
                 == multiplicities(Q, scheme.valencies, scheme.point_count)), pres.to_text()
+
+
+@st.composite
+def permutation_families(draw):
+    """A point count and a list of permutations of it, drawn from a few
+    distinct ones plus the identity, so repeats and the identity occur."""
+    size = draw(st.integers(1, 24))
+    distinct = draw(st.lists(st.permutations(range(size)), min_size=1, max_size=4))
+    pool = distinct + [list(range(size))]
+    return size, draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+@PROPERTY_SETTINGS
+@given(permutation_families())
+def test_permutation_fold_matches_union_find(case):
+    size, family = case
+    rep = np.arange(size)
+    edges = []
+    for g in family:
+        given_rep = rep.copy()
+        out = merge_components(rep, np.array(g))
+        assert np.array_equal(rep, given_rep)
+        edges += [(x, g[x]) for x in range(size)]
+        assert out.tolist() == least_members(size, edges), family
+        rep = out
+
+
+@st.composite
+def edge_lists(draw):
+    """A point count and two edge lists on it.  Random ends give self-loops
+    and repeated edges; the second list also draws the self-loops at the
+    first and last point."""
+    size = draw(st.integers(1, 30))
+    ends = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    return (size, draw(st.lists(ends, max_size=40)),
+            draw(st.lists(st.sampled_from([(0, 0), (size - 1, size - 1)]) | ends,
+                          max_size=40)))
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists())
+def test_edge_merge_matches_union_find(case):
+    size, first, second = case
+    rep = np.arange(size)
+    for edges, seen in ((first, first), (second, first + second)):
+        heads = np.array([a for a, _ in edges], dtype=np.int64)
+        tails = np.array([b for _, b in edges], dtype=np.int64)
+        given_rep = rep.copy()
+        out = merge_components(rep, tails, heads)
+        assert np.array_equal(rep, given_rep)
+        assert out.tolist() == least_members(size, seen), edges
+        rep = out

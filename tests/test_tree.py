@@ -1,8 +1,8 @@
 import pytest
 
 from selfsim.errors import SizeCapError
-from selfsim.tree import (Ray, Vertex, all_d_ray, parse_ray, ray_prefix,
-                          vertices_at_level)
+from selfsim.tree import (Ray, Vertex, all_d_ray, check_level_size, parse_ray,
+                          ray_prefix, vertices_at_level)
 
 
 def test_level_zero_is_root():
@@ -34,6 +34,33 @@ def test_size_cap_names_count():
         vertices_at_level(2, 21)
     assert str(2**21) in str(exc.value)
     assert exc.value.size == 2**21
+
+
+@pytest.mark.parametrize("d,n", [(2, 14284), (3, 9012), (9, 4506)])
+def test_size_cap_writes_out_a_count_of_up_to_4300_digits(d, n):
+    with pytest.raises(SizeCapError) as exc:
+        check_level_size(d, n)
+    assert f" has {d**n} vertices, cap is {1 << 20}" in str(exc.value)
+    assert exc.value.size == d**n
+
+
+@pytest.mark.parametrize("d,n", [(2, 14285), (3, 9013), (9, 4507), (3, 10**9)])
+def test_size_cap_writes_a_longer_count_as_a_power(d, n):
+    with pytest.raises(SizeCapError,
+                       match=rf"^level {n} of the {d}-regular tree has {d}\^{n} "
+                             rf"vertices, cap is {1 << 20}$") as exc:
+        check_level_size(d, n)
+    assert exc.value.size is None
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 1, 7, 8, 9, 1 << 20])
+def test_size_cap_boundary(cap):
+    for n in range(25):
+        if 2**n <= cap:
+            assert check_level_size(2, n, cap) == 2**n
+        else:
+            with pytest.raises(SizeCapError, match=rf" has {2**n} vertices, cap is {cap}$"):
+                check_level_size(2, n, cap)
 
 
 def test_small_cap_override():
