@@ -10,14 +10,18 @@ use: the label of a pair (x, y) is the suborbit of u_x^-1(y).  The
 stabilizer of the base is generated by the Schreier generators
 u_{s(x)}^-1 s u_x, and its orbits partition the level.
 
-The suborbit partition needs only the permutations of those generators, so
-it never builds a word.  Words are spelled out on demand: the transversal
-words when ``Transversal.words`` is first read, the reduced generator words
-only in ``schreier_generators``.
+The suborbit partition never builds a word, nor a generator's permutation:
+each Schreier pair is checked against the current component labels on two
+transversal rows, a block of pairs at a time, and pairs whose generators
+the others already give are skipped.  Words are spelled out on demand: the
+transversal words when ``Transversal.words`` is first read, the reduced
+generator words only in ``schreier_generators``, which builds each
+generator's permutation to drop repeats.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -31,6 +35,9 @@ from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size, ray_prefix
 from .wreath import Word, WreathPresentation, generator_level_perms
 
 DEFAULT_GROUP_CAP = 1 << 20
+# Label entries compared per block of the suborbit fold: the block's
+# temporaries stay small beside the N x N transversal table.
+_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +99,7 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
             if parent[y] is None:
                 parent[y] = x
                 via[y] = name
-                perms[y, gen_perms[name]] = perms[x]  # u_y^-1 = u_x^-1 s^-1
+                perms[y][gen_perms[name]] = perms[x]  # u_y^-1 = u_x^-1 s^-1
                 order.append(y)
                 queue.append(y)
     if len(order) != size:
@@ -216,7 +223,7 @@ def merge_components(rep: np.ndarray, tails: np.ndarray,
 def _component_partition(perms: Iterable[np.ndarray], size: int, base: Vertex,
                          level: int, base_idx: int) -> SuborbitPartition:
     """Orbits of the group the permutations generate: the components of the
-    graph joining x to g(x).
+    graph joining x to g(x).  The enumeration oracle's fold.
 
     The permutations are folded in one at a time by ``merge_components``,
     each component labelled by its smallest vertex.  A permutation that keeps
@@ -237,9 +244,55 @@ def stabilizer_suborbits(pres: WreathPresentation, n: int, ray: Ray,
 
 
 def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> SuborbitPartition:
-    """Orbits of the Schreier generators' permutations; no word is built."""
-    perms = (perm for *_, perm in _schreier_pairs(pres, tv))
-    return _component_partition(perms, len(tv), tv.base, tv.level, tv.base.index())
+    """Orbits of the Schreier generators, checked on label rows: no word and
+    no generator permutation is built.
+
+    With perms[x] = u_x^-1 and y = s(x), the generator u_y^-1 s u_x joins
+    perms[x][j] to perms[y][s(j)] for every j.  Under the current component
+    labels rep it crosses a component exactly where rep[perms[x]] differs
+    from rep[perms[y]][s]: label(x, .) against label(s x, s .).  Both sides
+    are gathered for a block of x at once, and only the differing label
+    pairs, roots already, go to ``merge_components``.
+
+    Two kinds of pair are skipped, because each generator they give lies in
+    the group the kept ones generate.  A pair on the breadth-first tree gives
+    the identity.  Along an s-cycle x, s x, ..., s^(l-1) x whose length l
+    satisfies s^l = 1 on the level, the l generators multiply to
+    u_x^-1 s^l u_x = 1, so any one off-tree pair of the cycle is dropped.  A
+    shorter cycle of s, such as a fixed point of a non-trivial s, keeps all
+    its pairs.
+    """
+    size = len(tv)
+    perms = tv.perms
+    gen_perms = generator_level_perms(pres, tv.level)
+    points = np.arange(size, dtype=np.int64)
+    # The tree pair reaching y is (via[y], parent[y]).
+    code = {name: k for k, name in enumerate(pres.generator_names)}
+    via = np.array([code.get(name, -1) for name in tv.via], dtype=np.int64)
+    parent = np.array(tv.parent, dtype=np.int64)
+    rows = max(1, _BLOCK_ENTRIES // size)
+    rep = points
+    for k, name in enumerate(pres.generator_names):
+        pg = gen_perms[name]
+        keep = np.ones(size, dtype=bool)
+        keep[parent[via == k]] = False
+        cycle = merge_components(points, pg)
+        length = np.bincount(cycle, minlength=size)
+        # Python ints: an int64 lcm can wrap and make a short cycle look full.
+        order = math.lcm(*set(length[length > 0].tolist()))
+        full = np.flatnonzero(keep & (length[cycle] == order))
+        dropped = np.full(size, -1, dtype=np.int64)
+        dropped[cycle[full]] = full  # one pair of each full cycle
+        keep[dropped[dropped >= 0]] = False
+        xs = np.flatnonzero(keep)
+        for start in range(0, len(xs), rows):
+            x = xs[start:start + rows]
+            left = rep.take(perms.take(x, axis=0))
+            right = rep.take(perms.take(pg[x], axis=0)).take(pg, axis=1)
+            cross = left != right
+            if cross.any():
+                rep = merge_components(rep, right[cross], left[cross])
+    return _canonical_partition(rep, tv.base, tv.level, tv.base.index())
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ Letter = tuple[str, int]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _CACHE_LIMIT = 1 << 20
+# Longest vertex the letter recursion walks in one call; act and section cut
+# longer vertices into chunks of this many letters.
+_VERTEX_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ class WreathPresentation:
     def rule_map(self) -> dict[str, GeneratorRule]:
         return {r.name: r for r in self.rules}
 
-    @property
+    @cached_property
     def generator_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.rules)
 
@@ -467,12 +470,13 @@ def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
     """Apply a word to a vertex, rightmost letter first."""
     if vertex.degree != pres.degree:
         raise ValueError("vertex degree does not match the presentation")
-    letters = vertex.letters
-    for name, sign in reversed(word.letters):
+    for name, _ in reversed(word.letters):
         if name not in pres.rule_map:
             raise ValueError(f"undeclared generator {name!r} in word")
+    head, word, letters = _walk_chunks(pres, word, vertex.letters)
+    for name, sign in reversed(word.letters):
         letters = _act_letter(pres, name, sign, letters)
-    return Vertex(letters, pres.degree)
+    return Vertex(head + letters, pres.degree)
 
 
 def _section_letter(pres: WreathPresentation, name: str, sign: int,
@@ -486,7 +490,7 @@ def _section_letter(pres: WreathPresentation, name: str, sign: int,
         return hit
     rule = pres.rule_map[name]
     if sign > 0:
-        out = _section_word(pres, rule.sections[letters[0] - 1], letters[1:])
+        out = _walk(pres, rule.sections[letters[0] - 1], letters[1:])[1]
     else:
         # (g^-1)|_v = (g|_{g^-1 v})^-1
         pre = _act_letter(pres, name, -1, letters)
@@ -497,14 +501,34 @@ def _section_letter(pres: WreathPresentation, name: str, sign: int,
     return out
 
 
-def _section_word(pres: WreathPresentation, word: Word, letters: tuple[int, ...]) -> Word:
+def _walk(pres: WreathPresentation, word: Word,
+          letters: tuple[int, ...]) -> tuple[tuple[int, ...], Word]:
+    """The image of a vertex under a word, and the word's section there."""
     parts = []
     cur = letters
     for name, sign in reversed(word.letters):
         parts.append(_section_letter(pres, name, sign, cur))
         cur = _act_letter(pres, name, sign, cur)
     total = tuple(ch for part in reversed(parts) for ch in part.letters)
-    return pres.reduce(Word(total))
+    return cur, pres.reduce(Word(total))
+
+
+def _walk_chunks(pres: WreathPresentation, word: Word, letters: tuple[int, ...]
+                 ) -> tuple[tuple[int, ...], Word, tuple[int, ...]]:
+    """Split a vertex uv so that v has at most _VERTEX_CHUNK letters; return
+    act(w, u), the section w|_u and v.
+
+    The letter recursion is one call deep per vertex letter, so a long u is
+    walked a chunk at a time: act(w, u1 u2) = act(w, u1) act(w|_u1, u2) and
+    w|_(u1 u2) = (w|_u1)|_u2.  The carried section is reduced like every
+    section, which relies on declared involutions being involutions.
+    """
+    head = ()
+    while len(letters) > _VERTEX_CHUNK:
+        image, word = _walk(pres, word, letters[:_VERTEX_CHUNK])
+        head += image
+        letters = letters[_VERTEX_CHUNK:]
+    return head, word, letters
 
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
@@ -514,7 +538,8 @@ def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     for name, _ in word.letters:
         if name not in pres.rule_map:
             raise ValueError(f"undeclared generator {name!r} in word")
-    return _section_word(pres, word, vertex.letters)
+    _, word, letters = _walk_chunks(pres, word, vertex.letters)
+    return _walk(pres, word, letters)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -319,11 +319,23 @@ def test_huge_level_exits_two(capsys, command):
     }
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("act", "image", "2" * 10**4),
+    ("section", "section", "c"),
+], ids=["act", "section"])
+def test_long_vertex_exits_zero(capsys, command, key, value):
+    # b, c and d follow the all-2 path and take turns there: b|_(2^n) is
+    # c for n = 1 mod 3.
+    code, doc, err = run_json(capsys, command, "--group", "grigorchuk",
+                              "--word", "b", "--vertex", "2" * 10**4)
+    assert code == 0
+    assert err == ""
+    assert doc[key] == value
+
+
 @pytest.mark.parametrize("argv", [
-    ("act", "--word", "b", "--vertex", "2" * 3000),
-    ("section", "--word", "b", "--vertex", "2" * 3000),
     ("portrait", "--word", "d", "--depth", "2000", "--cap", str(1 << 2000)),
-])
+], ids=["portrait"])
 def test_recursion_depth_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv, "--group", "grigorchuk", "--json")
     assert code == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from suborbit_reference import permutation_route
 
 from selfsim.catalog import builtin
 from selfsim.errors import NotTransitiveError, SizeCapError
@@ -8,7 +9,8 @@ from selfsim.orbits import (bfs_group_order, oracle_suborbits,
                             stabilizer_suborbits)
 from selfsim.scheme import build_scheme
 from selfsim.tree import all_d_ray, ray_prefix
-from selfsim.wreath import (Word, WreathPresentation, act, level_permutation,
+from selfsim.wreath import (Word, WreathPresentation, act,
+                            generator_level_perms, level_permutation,
                             parse_presentation)
 
 ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
@@ -98,6 +100,46 @@ def test_suborbits_level_zero():
     pres, ray = _entry("gamma")
     parts = stabilizer_suborbits(pres, 0, ray)
     assert parts.blocks == ((0,),)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_suborbits_match_the_permutation_route(key):
+    pres, ray = _entry(key)
+    for n in range(11 if pres.degree == 2 else 8):
+        assert stabilizer_suborbits(pres, n, ray) == \
+            permutation_route(pres, orbit_transversal(pres, n, ray)), n
+
+
+BASILICA = "degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | e, a\n"
+
+
+def _cycle_lengths(perm):
+    lengths, seen = set(), set()
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = int(perm[x]), length + 1
+        if length:
+            lengths.add(length)
+    return lengths
+
+
+def test_suborbits_keep_the_pairs_of_short_cycles():
+    # On level 3, b has cycles of lengths 2 and 4 and a has fixed points
+    # and 2-cycles.  Only a cycle whose length is the generator's order
+    # gives generators multiplying to 1; dropping a pair on a shorter cycle
+    # loses a stabilizer generator and merges too little here.
+    pres = parse_presentation(BASILICA)
+    ray = all_d_ray(2)
+    perms = generator_level_perms(pres, 3)
+    assert _cycle_lengths(perms["a"]) == {1, 2}
+    assert _cycle_lengths(perms["b"]) == {2, 4}
+    parts = stabilizer_suborbits(pres, 3, ray)
+    assert parts.blocks_as_vertices(2) == [
+        ["222"], ["221"], ["211", "212"], ["111", "112", "121", "122"]]
+    for n in range(5):
+        assert stabilizer_suborbits(pres, n, ray) == oracle_suborbits(pres, n, ray)
 
 
 def test_suborbits_canonical_order():

@@ -1,7 +1,8 @@
 """Property tests on random small presentations beyond the catalog: the
-Schreier-vector suborbit route against the group enumeration oracle, and
-the scheme's row route against the full label table and the dense oracle.
-The component routine both suborbit routes share is checked on its own
+Schreier-vector suborbit route against the group enumeration oracle and,
+at levels past the oracle's cap, against the permutation route; and the
+scheme's row route against the full label table and the dense oracle.
+The component routine the suborbit routes share is checked on its own
 against a union-find reference."""
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from eigen_reference import least_members, scalar_eigensystem
 from label_table import table_route
+from suborbit_reference import permutation_route
 
 from selfsim.errors import NotTransitiveError, SizeCapError
-from selfsim.orbits import merge_components, oracle_suborbits, stabilizer_suborbits
+from selfsim.orbits import (merge_components, oracle_suborbits, orbit_transversal,
+                            stabilizer_suborbits)
 from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_scheme, dense_commutant_oracle,
@@ -75,6 +78,20 @@ def test_suborbits_match_the_oracle(case):
         except SizeCapError:
             return
         assert stabilizer_suborbits(pres, n, ray) == expected, pres.to_text()
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_suborbits_match_the_permutation_route(case):
+    # Past the enumeration oracle's cap: levels up to 5 / 4.
+    pres, ray = case
+    for n in range(6 if pres.degree == 2 else 5):
+        try:
+            tv = orbit_transversal(pres, n, ray)
+        except NotTransitiveError:
+            return
+        assert stabilizer_suborbits(pres, n, ray) == permutation_route(pres, tv), \
+            pres.to_text()
 
 
 @PROPERTY_SETTINGS

@@ -209,6 +209,25 @@ def test_reduction_preserves_action():
         assert act(G, w, x) == act(G, r, x)
 
 
+@pytest.mark.parametrize("pres", [G, GUPTA_SIDKI, GAMMA])
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_chunked_walk_matches_the_recursion(monkeypatch, pres, chunk):
+    # Vertices up to 20 letters take the one-call recursion by default;
+    # with a short chunk the same calls split them.
+    rng = np.random.default_rng(17)
+    names, d = pres.generator_names, pres.degree
+    cases = []
+    for _ in range(30):
+        w = Word(tuple((names[rng.integers(len(names))], int(rng.choice((-1, 1))))
+                       for _ in range(rng.integers(0, 6))))
+        x = Vertex(tuple(int(i) for i in rng.integers(1, d + 1, rng.integers(0, 21))), d)
+        cases.append((w, x, act(pres, w, x), section(pres, w, x)))
+    monkeypatch.setattr("selfsim.wreath._VERTEX_CHUNK", chunk)
+    for w, x, image, sec in cases:
+        assert act(pres, w, x) == image
+        assert section(pres, w, x) == sec
+
+
 @pytest.mark.parametrize("word,n,expected", [
     ("d d", 5, True),
     ("d", 1, True),
