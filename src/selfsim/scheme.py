@@ -35,6 +35,9 @@ from .orbits import (SuborbitPartition, Transversal, orbit_transversal,
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation
 
+# Most axiom violations a check reports.
+_VIOLATION_LIMIT = 10
+
 
 @dataclass(frozen=True, eq=False)
 class OrbitalScheme:
@@ -113,9 +116,10 @@ def hecke_dimension(scheme: OrbitalScheme) -> int:
 
 
 def axiom_violations(valencies: np.ndarray, p: np.ndarray, pairing: tuple[int, ...],
-                     point_count: int, limit: int = 10) -> list[str]:
+                     point_count: int) -> list[str]:
     """Check the association scheme axioms on raw data; empty list = pass."""
-    return list(islice(_axiom_messages(valencies, p, pairing, point_count), limit))
+    return list(islice(_axiom_messages(valencies, p, pairing, point_count),
+                       _VIOLATION_LIMIT))
 
 
 def _axiom_messages(valencies, p, pairing, point_count) -> Iterator[str]:
@@ -157,12 +161,10 @@ def _axiom_messages(valencies, p, pairing, point_count) -> Iterator[str]:
                 yield f"sum_k p[{i}][{j}][k] k_k = {total}, expected k_{i} k_{j} = {want}"
 
 
-def verify_scheme_axioms(scheme: OrbitalScheme, limit: int = 10) -> list[str]:
+def verify_scheme_axioms(scheme: OrbitalScheme) -> list[str]:
     """Axioms plus label-level consistency; empty list = pass."""
     out = axiom_violations(scheme.valencies, scheme.p, scheme.pairing,
-                           scheme.point_count, limit)
-    if len(out) >= limit:
-        return out[:limit]
+                           scheme.point_count)
     if scheme.block_of[scheme.base_index] != 0:
         out.append("base vertex is not in class 0")
     perms, points = scheme.transversal.perms, np.arange(scheme.point_count)
@@ -174,7 +176,7 @@ def verify_scheme_axioms(scheme: OrbitalScheme, limit: int = 10) -> list[str]:
         if scheme.block_of[y] != k:
             out.append(f"representative of class {k} lies in class {int(scheme.block_of[y])}")
             break
-    return out[:limit]
+    return out[:_VIOLATION_LIMIT]
 
 
 def scheme_json_doc(scheme: OrbitalScheme) -> dict:

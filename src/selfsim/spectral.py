@@ -64,14 +64,14 @@ def _cluster_indices(values: np.ndarray, atol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED,
-                       rtol: float = EIG_CLUSTER_RTOL) -> np.ndarray:
+def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Character table P of a commuting family: P[j, i] is the eigenvalue of
     matrices[i] on the j-th joint eigenspace.
 
     Row 0 carries the valency character; the rest are sorted by multiplicity,
-    then lexicographically.  Seeds are retried when a random combination
-    fails to separate the eigenspaces.
+    then lexicographically.  Eigenvalues within EIG_CLUSTER_RTOL of the
+    largest modulus count as one; seeds are retried when a random
+    combination fails to separate the eigenspaces.
     """
     B = np.asarray(matrices)
     for i in range(B.shape[0] - 1):
@@ -79,10 +79,10 @@ def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED,
         bad = np.flatnonzero((B[i] @ rest != rest @ B[i]).any(axis=(1, 2)))
         if bad.size:
             raise IntegrityError(f"matrices {i} and {i + 1 + bad[0]} do not commute")
-    return _eigensystem(B, seed, rtol)
+    return _eigensystem(B, seed)
 
 
-def _eigensystem(B: np.ndarray, seed: int, rtol: float = EIG_CLUSTER_RTOL) -> np.ndarray:
+def _eigensystem(B: np.ndarray, seed: int) -> np.ndarray:
     """``common_eigensystem`` without the commutation check, for a caller that
     has already run it on the same matrices."""
     r = B.shape[0]
@@ -95,7 +95,7 @@ def _eigensystem(B: np.ndarray, seed: int, rtol: float = EIG_CLUSTER_RTOL) -> np
         coeffs = rng.uniform(1.0, 2.0, size=r)
         M = np.tensordot(coeffs, B, axes=(0, 0))
         evals, evecs = np.linalg.eig(M)
-        atol = rtol * max(1.0, float(np.abs(evals).max()))
+        atol = EIG_CLUSTER_RTOL * max(1.0, float(np.abs(evals).max()))
         clusters = _cluster_indices(evals, atol)
         if len(clusters) != r:
             last_error = (f"seed {seed + attempt} separated only {len(clusters)} "
@@ -119,7 +119,7 @@ def _eigensystem(B: np.ndarray, seed: int, rtol: float = EIG_CLUSTER_RTOL) -> np
             last_error = f"seed {seed + attempt} misidentified the valency character"
             continue
 
-        m = _raw_multiplicities(P, valencies, point_count).real
+        m = _raw_multiplicities(P, valencies, point_count)
         re = (np.round(P.real, 9) + 0.0).tolist()
         im = (np.round(P.imag, 9) + 0.0).tolist()
         order = [trivial] + sorted(
@@ -136,17 +136,17 @@ def _raw_multiplicities(P: np.ndarray, valencies: np.ndarray,
     return point_count / denom
 
 
-def multiplicities(P: np.ndarray, valencies: np.ndarray, point_count: int,
-                   tol: float = INTEGER_TOL) -> list[int]:
-    """Isotypic multiplicities from the character table; must round to
-    positive integers summing to the point count."""
+def multiplicities(P: np.ndarray, valencies: np.ndarray, point_count: int) -> list[int]:
+    """Isotypic multiplicities from the character table; each must lie within
+    INTEGER_TOL of a positive integer, and the integers must sum to the point
+    count."""
     raw = _raw_multiplicities(P, np.asarray(valencies), point_count)
     out = []
     for j, value in enumerate(raw):
-        nearest = round(float(value.real)) if np.iscomplexobj(raw) else round(float(value))
-        if abs(value - nearest) > tol or nearest < 1:
+        nearest = round(float(value))
+        if abs(value - nearest) > INTEGER_TOL or nearest < 1:
             raise NumericalError(
-                f"multiplicity {j} is {value!r}, not within {tol} of a positive integer"
+                f"multiplicity {j} is {value!r}, not within {INTEGER_TOL} of a positive integer"
             )
         out.append(int(nearest))
     if sum(out) != point_count:
@@ -213,13 +213,13 @@ def tower_nesting_check(pres: WreathPresentation, n: int, ray: Ray,
                          degree_multiset(pres, n + 1, ray, seed, cap))
 
 
-def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED,
-                           rtol: float = EIG_CLUSTER_RTOL) -> list[int]:
+def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED) -> list[int]:
     """Degree multiset via the full N x N class adjacency matrices.
 
     Independent of the intersection-number route: diagonalizes a random real
     combination of the adjacency matrices read off the full label table and
-    reads off sorted eigenvalue cluster sizes.  Only for N <= 243.
+    reads off sorted eigenvalue cluster sizes, clustered within
+    EIG_CLUSTER_RTOL as in ``common_eigensystem``.  Only for N <= 243.
     """
     size = scheme.point_count
     if size > DENSE_ORACLE_CAP:
@@ -233,7 +233,7 @@ def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED,
         coeffs = rng.uniform(1.0, 2.0, size=scheme.rank)
         M = coeffs[labels]  # sum_i coeffs[i] * (labels == i), one term per entry
         evals = np.linalg.eigvals(M)
-        atol = rtol * max(1.0, float(np.abs(evals).max()))
+        atol = EIG_CLUSTER_RTOL * max(1.0, float(np.abs(evals).max()))
         clusters = _cluster_indices(evals, atol)
         if len(clusters) == scheme.rank:
             return sorted(len(c) for c in clusters)

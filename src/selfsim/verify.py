@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import build_scheme, is_commutative, verify_scheme_axioms
+from .scheme import build_scheme, is_commutative
 from .spectral import (DEFAULT_SEED, _eigensystem, common_eigensystem,
                        intersection_matrices, multiplicities)
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
@@ -30,11 +30,10 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _random_word(rng: np.random.Generator, pres: WreathPresentation,
-                 max_len: int = _WORD_LEN) -> Word:
+def _random_word(rng: np.random.Generator, pres: WreathPresentation) -> Word:
     names = pres.generator_names
     letters = []
-    for _ in range(int(rng.integers(0, max_len + 1))):
+    for _ in range(int(rng.integers(0, _WORD_LEN + 1))):
         name = names[int(rng.integers(len(names)))]
         sign = 1 if name in pres.involutions or int(rng.integers(2)) == 0 else -1
         letters.append((name, sign))
@@ -111,10 +110,8 @@ def _label_invariance(pres, scheme, rng, cases):
     return _run_cases("label_invariance", cases, case)
 
 
-def _scheme_axioms(pres, scheme, rng, cases):
-    violations = verify_scheme_axioms(scheme)
-    if violations:
-        return SuiteResult("scheme_axioms", cases, len(violations), violations[0])
+def _scheme_axioms(scheme, rng, cases):
+    # build_scheme has already refused any axiom violation; recount p.
     size = scheme.point_count
     r = scheme.rank
     def case(_):
@@ -159,6 +156,6 @@ def run_verification(pres: WreathPresentation, n: int, ray: Ray,
         _cocycle_identity(pres, rng, cases),
         _inverse_identity(pres, rng, cases),
         _label_invariance(pres, scheme, rng, cases),
-        _scheme_axioms(pres, scheme, rng, cases),
+        _scheme_axioms(scheme, rng, cases),
         _multiplicity_seed_independence(scheme, rng, cases, seed),
     ]

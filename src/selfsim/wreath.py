@@ -182,10 +182,6 @@ class WreathPresentation:
     def _level_cache(self) -> dict:
         return {}
 
-    @cached_property
-    def _level_inv_cache(self) -> dict:
-        return {}
-
 
 def _squares_to_identity(perm: tuple[int, ...]) -> bool:
     """Whether a permutation of 1..d is an involution or the identity."""
@@ -572,27 +568,22 @@ def generator_level_perms(pres: WreathPresentation, n: int,
     return cache[n]
 
 
-def inverse_perm(perm: np.ndarray) -> np.ndarray:
-    """Inverse of an index permutation."""
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
-    return inv
-
-
-def _generator_inverse_perm(pres: WreathPresentation, name: str, n: int) -> np.ndarray:
-    cache = pres._level_inv_cache
-    key = (name, n)
-    if key not in cache:
-        cache[key] = inverse_perm(pres._level_cache[n][name])
-    return cache[key]
-
-
 def _compose_level(pres: WreathPresentation, word: Word, n: int) -> np.ndarray:
+    """The level-n permutation of a word, from the cached generator ones.
+
+    A letter with permutation p takes acc to acc[p]; its inverse takes acc to
+    acc[p^-1], which is one scatter, nxt[p] = acc, so no inverse is stored.
+    """
     perms = pres._level_cache[n]
     acc = np.arange(pres.degree**n, dtype=np.int64)
     for name, sign in word.letters:
-        p = perms[name] if sign > 0 else _generator_inverse_perm(pres, name, n)
-        acc = acc[p]
+        p = perms[name]
+        if sign > 0:
+            acc = acc[p]
+        else:
+            nxt = np.empty_like(acc)
+            nxt[p] = acc
+            acc = nxt
     return acc
 
 

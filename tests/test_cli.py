@@ -438,3 +438,67 @@ def test_decompose_oracle_skips_the_cache(capsys, tmp_path):
                             "--oracle", "--cache-dir", str(cache_dir))
     assert code == 0 and doc["oracle_degrees"] == doc["degrees"]
     assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "--word", "a", "--vertex", "12"),
+    ("section", "--word", "b", "--vertex", "2"),
+    ("order", "--word", "a b", "--level", "3"),
+    ("portrait", "--word", "d", "--depth", "1"),
+    ("orbits", "--level", "2"),
+    ("verify", "--level", "2", "--cases", "5"),
+], ids=lambda argv: argv[0])
+def test_cache_dir_only_on_cached_commands(capsys, tmp_path, argv):
+    cache_dir = tmp_path / "cache"
+    code, out, err = run(capsys, *argv, "--group", "grigorchuk",
+                         "--cache-dir", str(cache_dir))
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: --cache-dir {cache_dir}\n"
+    assert not cache_dir.exists()
+
+
+CACHED_RUNS = {
+    "scheme": ("scheme", "--group", "grigorchuk", "--level", "3"),
+    "decompose": ("decompose", "--group", "gamma", "--level", "2"),
+    "decompose-nesting": ("decompose", "--group", "gamma", "--level", "2", "--nesting"),
+}
+
+
+@pytest.mark.parametrize("command", CACHED_RUNS.values(), ids=CACHED_RUNS.keys())
+def test_valid_cache_entry_is_served(capsys, tmp_path, monkeypatch, command):
+    cache_dir = str(tmp_path / "cache")
+    first = run(capsys, *command, "--json", "--cache-dir", cache_dir)
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("a valid entry was recomputed")
+    monkeypatch.setattr("selfsim.cli.build_scheme", no_recompute)
+    assert run(capsys, *command, "--json", "--cache-dir", cache_dir) == first
+    assert run(capsys, *command, "--cache-dir", cache_dir)[0] == 0
+
+
+@pytest.mark.parametrize("command,tamper", [
+    (CACHED_RUNS["decompose-nesting"], {"nested_in_next": "garbage"}),
+    (CACHED_RUNS["decompose-nesting"], {"nested_in_next": None}),
+    (CACHED_RUNS["decompose"], {"nested_in_next": True}),
+    (CACHED_RUNS["decompose"], {"tool_version": "9.9", "seed": -1}),
+    (CACHED_RUNS["decompose"], {"gelfand": 1}),
+    (CACHED_RUNS["decompose"], {"degrees": [1, 1, 1, 3.0, 3]}),
+    (CACHED_RUNS["scheme"], {"tool_version": "9.9", "seed": -1}),
+    (CACHED_RUNS["scheme"], {"commutative": 1}),
+    (CACHED_RUNS["scheme"], {"rank": 4.0}),
+    (CACHED_RUNS["scheme"], {"valencies": [1.0, 1, 2, 4]}),
+], ids=["nested-garbage", "nested-none", "nested-unasked", "decompose-envelope",
+        "gelfand-int", "degree-float", "scheme-envelope", "commutative-int",
+        "rank-float", "valency-float"])
+def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, command, tamper):
+    uncached = [run(capsys, *command, *mode) for mode in ((), ("--json",))]
+    cache_dir = tmp_path / "cache"
+    run(capsys, *command, "--cache-dir", str(cache_dir))
+    path = next(cache_dir.glob("*.json"))
+    stored = json.loads(path.read_text())
+    assert tamper.keys() - {"tool_version", "seed"} <= stored.keys()
+    path.write_text(json.dumps(stored | tamper))
+    for mode, expected in zip(((), ("--json",)), uncached):
+        assert run(capsys, *command, *mode, "--cache-dir", str(cache_dir)) == expected
+        assert json.loads(path.read_text()) == stored  # rewritten by the recompute
+        path.write_text(json.dumps(stored | tamper))

@@ -1,6 +1,7 @@
 """Property tests on random small presentations beyond the catalog: the
 Schreier-vector suborbit route against the group enumeration oracle and,
-at levels past the oracle's cap, against the permutation route; and the
+at levels past the oracle's cap, against the permutation route, also on
+fixed automata whose generators have cycles of mixed lengths; and the
 scheme's row route against the full label table and the dense oracle.
 The component routine the suborbit routes share is checked on its own
 against a union-find reference."""
@@ -20,8 +21,9 @@ from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_scheme, dense_commutant_oracle,
                               intersection_matrices, multiplicities)
-from selfsim.tree import Ray, Vertex, ray_prefix
-from selfsim.wreath import GeneratorRule, Word, WreathPresentation, act
+from selfsim.tree import Ray, Vertex, all_d_ray, ray_prefix
+from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
+                            generator_level_perms, parse_presentation)
 
 NAMES = ("a", "b", "c")
 # The level-3 group of a degree-3 presentation can have ~10^10 elements;
@@ -80,11 +82,8 @@ def test_suborbits_match_the_oracle(case):
         assert stabilizer_suborbits(pres, n, ray) == expected, pres.to_text()
 
 
-@PROPERTY_SETTINGS
-@given(presentations())
-def test_suborbits_match_the_permutation_route(case):
+def _check_the_permutation_route(pres, ray):
     # Past the enumeration oracle's cap: levels up to 5 / 4.
-    pres, ray = case
     for n in range(6 if pres.degree == 2 else 5):
         try:
             tv = orbit_transversal(pres, n, ray)
@@ -92,6 +91,41 @@ def test_suborbits_match_the_permutation_route(case):
             return
         assert stabilizer_suborbits(pres, n, ray) == permutation_route(pres, tv), \
             pres.to_text()
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_suborbits_match_the_permutation_route(case):
+    _check_the_permutation_route(*case)
+
+
+# Automata in which a generator has cycles of two lengths, both at least 2,
+# on some level: the first on level 4 (b: 4 and 8), the fourth on level 2
+# (a: 3 and 6).  The suborbit fold may drop a pair only on a cycle whose
+# length is the generator's order; dropping one on the shorter cycles loses
+# a stabilizer generator in each of these.
+MIXED_CYCLES = (
+    "degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | a^-1, b^-1\n",
+    "degree: 2\ngen a = perm (1 2) | a, b\ngen b = perm () | e, a^-1\n",
+    "degree: 2\ngen a = perm (1 2) | e, b\ngen b = perm (1 2) | b^-1, a\n",
+    "degree: 3\ngen a = perm (1 2 3) | e, b, a\ngen b = perm (2 3) | e, b^-1, e\n",
+    "degree: 3\ngen a = perm () | e, b, e\ngen b = perm (1 3 2) | a^-1, a, a\n",
+)
+
+
+def _cycle_lengths(perm: np.ndarray) -> set[int]:
+    cycle = merge_components(np.arange(len(perm)), perm)
+    return set(np.bincount(cycle)[np.unique(cycle)].tolist())
+
+
+@pytest.mark.parametrize("text", MIXED_CYCLES,
+                         ids=[f"automaton{i}" for i in range(len(MIXED_CYCLES))])
+def test_suborbits_with_cycles_of_mixed_lengths(text):
+    pres = parse_presentation(text)
+    assert any(len(_cycle_lengths(perm) - {1}) > 1
+               for n in range(6 if pres.degree == 2 else 5)
+               for perm in generator_level_perms(pres, n).values())
+    _check_the_permutation_route(pres, all_d_ray(pres.degree))
 
 
 @PROPERTY_SETTINGS

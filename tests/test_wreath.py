@@ -186,6 +186,30 @@ def test_level_permutation_homomorphism():
         assert np.array_equal(puv, pu[pv])
 
 
+ADDING_MACHINE = "degree: 2\ngen a = perm (1 2) | e, a\n"
+BASILICA = "degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | e, a\n"
+
+
+@pytest.mark.parametrize("text", [ADDING_MACHINE, BASILICA],
+                         ids=["adding-machine", "basilica"])
+def test_inverse_word_inverts_the_level_permutation(text):
+    # Every catalog generator has order 2 or 3 on each level, where p^-1 is
+    # p or p^2.  Here the last generator has order 2^n (adding machine) or
+    # 2^ceil(n/2) (Basilica) on level n, so a wrong inverse shows.
+    pres = parse_presentation(text)
+    names = pres.generator_names
+    assert order_at_level(pres, Word.generator(names[-1]), 5) > 3
+    rng = np.random.default_rng(5)
+    for n in range(6):
+        identity = np.arange(2**n)
+        for _ in range(20):
+            w = Word(tuple((names[rng.integers(len(names))], int(rng.choice((-1, 1))))
+                           for _ in range(rng.integers(1, 6))))
+            p = level_permutation(pres, w, n)
+            q = level_permutation(pres, w.inverse(), n)
+            assert np.array_equal(p[q], identity) and np.array_equal(q[p], identity), (w, n)
+
+
 def test_level_permutation_block_consistency():
     rng = np.random.default_rng(11)
     names = GAMMA.generator_names
