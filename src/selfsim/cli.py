@@ -275,6 +275,8 @@ def _valid_scheme_payload(doc: dict, point_count: int) -> bool:
 
 
 def _cmd_scheme(args) -> int:
+    if args.dot and args.cache_dir:
+        raise _UsageError("--dot neither reads nor writes the cache; drop --cache-dir")
     pres, label, ray = _resolve(args)
     size = check_level_size(pres.degree, args.level, args.cap)
     if args.dot:

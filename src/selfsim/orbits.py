@@ -6,9 +6,11 @@ section 4.1): for every level vertex x, the vertex parent[x] it was reached
 from and the generator via[x] that reached it.  Following parents back to the
 base spells the transversal word u_x with act(u_x, base) = x; the sweep also
 keeps the level permutation of every u_x^-1, the orientation its readers
-use: the label of a pair (x, y) is the suborbit of u_x^-1(y).  The
-stabilizer of the base is generated by the Schreier generators
-u_{s(x)}^-1 s u_x, and its orbits partition the level.
+use: the label of a pair (x, y) is the suborbit of u_x^-1(y).  These rows
+are only ever used as indices, so they are stored in the smallest unsigned
+type that holds a vertex index.  The stabilizer of the base is generated by
+the Schreier generators u_{s(x)}^-1 s u_x, and its orbits partition the
+level.
 
 The suborbit partition never builds a word, nor a generator's permutation:
 each Schreier pair is checked against the current component labels on two
@@ -35,9 +37,15 @@ from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size, ray_prefix
 from .wreath import Word, WreathPresentation, generator_level_perms
 
 DEFAULT_GROUP_CAP = 1 << 20
-# Label entries compared per block of the suborbit fold: the block's
-# temporaries stay small beside the N x N transversal table.
+# Label entries compared per block of the suborbit fold.  Each int64
+# temporary of a block takes 64 KiB (one row of N entries once N > 2^13), no
+# more than the N x N transversal table from N = 256 on, where that table
+# takes 64 KiB of uint8.
 _BLOCK_ENTRIES = 1 << 13
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +63,8 @@ class Transversal:
     level: int
     parent: tuple[int, ...]        # parent[x] -> vertex x was reached from
     via: tuple[str | None, ...]    # via[x] -> generator carrying parent[x] to x
-    perms: np.ndarray              # perms[x] = level permutation of u_x^-1
+    perms: np.ndarray              # perms[x] = level permutation of u_x^-1, in the
+                                   # smallest unsigned type that holds N - 1
     order: tuple[int, ...]         # indices in breadth-first discovery order
 
     def __len__(self) -> int:
@@ -75,21 +84,26 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
     if ray.degree != pres.degree:
         raise ValueError("ray degree does not match the presentation")
     size = check_level_size(pres.degree, n, cap)
-    planned = 8 * size * size  # the int64 perms table
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if planned > physical:
+    # The perms table holds N^2 vertex indices of 1, 2 or 4 bytes.  It is the
+    # run's one quadratic allocation, so a table past half of physical memory
+    # leaves no room for the rest and is refused before anything is built.
+    # Physical memory, not free memory, keeps the verdict independent of load.
+    dtype = np.min_scalar_type(size - 1)
+    planned = dtype.itemsize * size * size
+    physical = _physical_memory()
+    if 2 * planned > physical:
         raise SizeCapError(f"level {n} needs {planned} bytes for its N x N transversal "
-                           f"table, more than the {physical} bytes of physical memory",
-                           size=size)
+                           f"table, more than half of the {physical} bytes of physical "
+                           f"memory", size=size)
     base = ray_prefix(ray, n)
     base_idx = base.index()
     gen_perms = generator_level_perms(pres, n, cap)
 
     parent: list[int | None] = [None] * size
     via: list[str | None] = [None] * size
-    perms = np.empty((size, size), dtype=np.int64)
+    perms = np.empty((size, size), dtype=dtype)
     parent[base_idx] = -1
-    perms[base_idx] = np.arange(size, dtype=np.int64)
+    perms[base_idx] = np.arange(size)
     order = [base_idx]
     queue = deque([base_idx])
     while queue:

@@ -292,7 +292,7 @@ def test_false_involution_exits_one(capsys, tmp_path, text, level, needle):
 
 
 def test_level_past_physical_memory_exits_two(capsys):
-    # 2^20 points pass the default --cap; the N x N table would need 8 TiB
+    # 2^20 points pass the default --cap; the N x N uint32 table would need 4 TiB
     code, out, err = run(capsys, "orbits", "--group", "grigorchuk",
                          "--level", "20", "--json")
     assert code == 2
@@ -301,7 +301,7 @@ def test_level_past_physical_memory_exits_two(capsys):
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["error"] == "SizeCapError"
-    assert f"{8 << 40} bytes" in doc["message"]
+    assert f"{4 << 40} bytes" in doc["message"]
 
 
 @pytest.mark.parametrize("command", ["orbits", "scheme", "decompose", "verify"])
@@ -438,6 +438,20 @@ def test_decompose_oracle_skips_the_cache(capsys, tmp_path):
                             "--oracle", "--cache-dir", str(cache_dir))
     assert code == 0 and doc["oracle_degrees"] == doc["degrees"]
     assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+def test_scheme_dot_skips_the_cache(capsys, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    argv = ("scheme", "--group", "gamma", "--level", "2", "--dot")
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == 1
+    assert out == ""
+    assert err == "error: --dot neither reads nor writes the cache; drop --cache-dir\n"
+    assert not cache_dir.exists()
+    monkeypatch.setenv("SELFSIM_CACHE_DIR", str(cache_dir))  # ambient: ignored
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("digraph") and err == ""
+    assert not cache_dir.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from label_table import table_route
 from suborbit_reference import permutation_route
 
 from selfsim.catalog import builtin
@@ -58,6 +61,56 @@ def test_transversal_perms_match_words():
     for idx in (0, 4, 8):
         assert np.array_equal(tv.perms[idx],
                               level_permutation(pres, tv.words[idx].inverse(), 2))
+
+
+@pytest.mark.parametrize("key,n,dtype", [
+    ("grigorchuk", 0, np.uint8),     # N = 1
+    ("grigorchuk", 8, np.uint8),     # N = 256
+    ("grigorchuk", 9, np.uint16),    # N = 512
+    ("gupta-sidki", 5, np.uint8),    # N = 243
+    ("gupta-sidki", 6, np.uint16),   # N = 729
+    ("gamma", 5, np.uint8),
+    ("gamma", 6, np.uint16),
+])
+def test_transversal_table_at_each_dtype_boundary(key, n, dtype):
+    pres, ray = _entry(key)
+    scheme = build_scheme(pres, n, ray)
+    tv = scheme.transversal
+    size = len(tv)
+    assert tv.perms.dtype == dtype
+    assert tv.perms.nbytes == np.dtype(dtype).itemsize * size * size
+    assert scheme.partition == permutation_route(pres, tv)
+    p, pairing = table_route(scheme)
+    assert np.array_equal(scheme.p, p)
+    assert scheme.pairing == pairing
+
+
+def test_refused_level_allocates_nothing(monkeypatch):
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 1 << 20)
+    pres, ray = _entry("grigorchuk")
+    table = 2 * 4**10  # N = 2^10 uint16 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=f"level 10 needs {table} bytes"):
+            orbit_transversal(pres, 10, ray)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table // 64
+
+
+@pytest.mark.parametrize("spare", [0, -1], ids=["half", "less-than-half"])
+def test_guard_plans_the_narrow_table(monkeypatch, spare):
+    # At N = 512 the uint16 table takes 2 N^2 bytes; planned as int64 (8 N^2)
+    # it would be refused at every memory size tried here.
+    table = 2 * 512 * 512
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 2 * table + spare)
+    pres, ray = _entry("grigorchuk")
+    if spare < 0:
+        with pytest.raises(SizeCapError, match=f"more than half of the {2 * table - 1} bytes"):
+            orbit_transversal(pres, 9, ray)
+    else:
+        assert orbit_transversal(pres, 9, ray).perms.nbytes == table
 
 
 def test_schreier_level_one_grigorchuk():

@@ -154,17 +154,22 @@ def test_axioms_catch_a_broken_transversal():
 
 
 def test_build_scheme_holds_one_transversal_table():
-    # The N x N transversal table is the only quadratic allocation: nothing
-    # on the scheme path builds its inverse or a second table beside it.
+    # The N x N transversal table, 2 bytes an entry at N = 512, is the only
+    # quadratic allocation: nothing on the scheme path widens it, builds its
+    # inverse or a second table beside it.  The allowance covers the suborbit
+    # fold's blocks of _BLOCK_ENTRIES int64 labels, 64 KiB each; an int64
+    # table (2 MiB) or a second uint16 one (0.5 MiB) does not fit in it.
     e = builtin("grigorchuk")
     size = 2**9
+    allowance = 1 << 20
     tracemalloc.start()
     try:
-        build_scheme(e.presentation, 9, e.default_ray)
+        scheme = build_scheme(e.presentation, 9, e.default_ray)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * size * size
+    assert scheme.transversal.perms.nbytes == 2 * size * size
+    assert peak < 2 * size * size + allowance
 
 
 def test_json_doc_shape():
