@@ -14,7 +14,7 @@ from .render import orbital_graph_dot, portrait_dot
 from .scheme import (OrbitalScheme, build_scheme, hecke_dimension,
                      is_commutative, verify_scheme_axioms)
 from .spectral import (DEFAULT_SEED, SpectralData, common_eigensystem,
-                       degree_multiset, degree_multiset_from_scheme,
+                       degree_multiset, degree_multiset_from_p,
                        dense_commutant_oracle, intersection_matrices,
                        multiplicities, spectral_data, tower_nesting_check)
 from .tree import (DEFAULT_LEVEL_CAP, Ray, Vertex, all_d_ray, parse_ray,

@@ -1,6 +1,7 @@
 """Advisory on-disk cache for computed JSON payloads.
 
-Entries are keyed by presentation fingerprint, level, ray and payload kind.
+One kind of entry, the scheme document of a level, keyed by presentation
+fingerprint, level and ray; ``scheme`` and ``decompose`` both read it.
 The cache is advisory both ways: anything missing, unreadable or failing
 revalidation is recomputed and overwritten, and a store that fails is
 dropped without failing the run.
@@ -25,8 +26,8 @@ def cache_dir_from_env() -> Path | None:
     return Path(value) if value else None
 
 
-def cache_key(pres: WreathPresentation, n: int, ray: Ray, kind: str) -> str:
-    blob = f"{pres.fingerprint()}|{n}|{ray}|{kind}".encode()
+def cache_key(pres: WreathPresentation, n: int, ray: Ray) -> str:
+    blob = f"{pres.fingerprint()}|{n}|{ray}|scheme".encode()
     return hashlib.sha256(blob).hexdigest()
 
 

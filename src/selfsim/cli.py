@@ -6,6 +6,12 @@ failures), 3
 verification failures.  With --json every document carries the envelope fields
 tool_version, seed, group and level, and errors go to stderr as a single
 JSON line.
+
+The cache of --cache-dir holds one kind of entry, the scheme document of a
+level, one per presentation, level and ray.  ``scheme`` prints it, and
+``decompose`` computes its degrees from its intersection numbers p on every
+run (``--nesting`` reads level n+1's entry the same way); ``decompose
+--oracle`` and ``scheme --dot`` build the scheme and touch no cache.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from .catalog import builtin, keys
 from .errors import PresentationError, SelfSimError, UnknownGroupError
 from .orbits import stabilizer_suborbits
 from .render import check_orbital_graph_size, orbital_graph_dot, portrait_dot
-from .scheme import axiom_violations, build_scheme, is_commutative, scheme_json_doc
-from .spectral import (DEFAULT_SEED, degree_multiset_from_scheme, degrees_embed,
+from .scheme import axiom_violations, build_scheme, scheme_json_doc
+from .spectral import (DEFAULT_SEED, degree_multiset_from_p, degrees_embed,
                        dense_commutant_oracle)
 from .tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, check_level_size, parse_ray
 from .verify import DEFAULT_CASES, run_verification
@@ -155,19 +161,6 @@ def _cache_dir(args) -> Path | None:
     return cache.cache_dir_from_env()
 
 
-def _cached_payload(args, pres, n, ray, kind, validate, compute) -> dict:
-    directory = _cache_dir(args)
-    if directory is None:
-        return compute()
-    key = cache.cache_key(pres, n, ray, kind)
-    doc = cache.load(directory, key)
-    if doc is not None and validate(doc):
-        return doc
-    payload = compute()
-    cache.store(directory, key, payload)
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -263,9 +256,7 @@ def _valid_scheme_payload(doc: dict, point_count: int) -> bool:
         valencies, pairing, p = (np.asarray(doc[key], dtype=np.int64)
                                  for key in ("valencies", "pairing", "p"))
         r = len(valencies)
-        rebuilt = {"rank": r, "valencies": valencies.tolist(), "pairing": pairing.tolist(),
-                   "commutative": bool(np.array_equal(p, p.transpose(1, 0, 2))),
-                   "p": p.tolist()}
+        rebuilt = scheme_json_doc(valencies, pairing, p)
     except (KeyError, TypeError, ValueError, OverflowError):
         return False
     if json.dumps(doc) != json.dumps(rebuilt):
@@ -274,22 +265,32 @@ def _valid_scheme_payload(doc: dict, point_count: int) -> bool:
             and not axiom_violations(valencies, p, tuple(rebuilt["pairing"]), point_count))
 
 
+def _scheme_doc(args, pres, n, ray, directory: Path | None) -> dict:
+    """Level n's scheme document, the one cache entry per presentation, level
+    and ray.  ``--cap`` is checked first; then an entry that passes
+    revalidation is served, or the scheme is built and its entry stored."""
+    size = check_level_size(pres.degree, n, args.cap)
+    if directory is not None:
+        key = cache.cache_key(pres, n, ray)
+        doc = cache.load(directory, key)
+        if doc is not None and _valid_scheme_payload(doc, size):
+            return doc
+    scheme = build_scheme(pres, n, ray, args.cap)
+    doc = scheme_json_doc(scheme.valencies, scheme.pairing, scheme.p)
+    if directory is not None:
+        cache.store(directory, key, doc)
+    return doc
+
+
 def _cmd_scheme(args) -> int:
     if args.dot and args.cache_dir:
         raise _UsageError("--dot neither reads nor writes the cache; drop --cache-dir")
     pres, label, ray = _resolve(args)
-    size = check_level_size(pres.degree, args.level, args.cap)
     if args.dot:
-        check_orbital_graph_size(size)
-        scheme = build_scheme(pres, args.level, ray, args.cap)
-        print(orbital_graph_dot(scheme), end="")
+        check_orbital_graph_size(check_level_size(pres.degree, args.level, args.cap))
+        sys.stdout.writelines(orbital_graph_dot(build_scheme(pres, args.level, ray, args.cap)))
         return 0
-
-    def compute() -> dict:
-        return scheme_json_doc(build_scheme(pres, args.level, ray, args.cap))
-
-    payload = _cached_payload(args, pres, args.level, ray, "scheme",
-                              lambda doc: _valid_scheme_payload(doc, size), compute)
+    payload = _scheme_doc(args, pres, args.level, ray, _cache_dir(args))
     human = "\n".join([
         f"rank {payload['rank']}, commutative: {payload['commutative']}",
         f"valencies: {payload['valencies']}",
@@ -299,64 +300,38 @@ def _cmd_scheme(args) -> int:
     return 0
 
 
-def _valid_decompose_payload(doc: dict, level: int, point_count: int,
-                             nesting: bool) -> bool:
-    """Whether a cached entry is what ``compute`` writes: sorted positive
-    degrees summing to the point count, ``nested_in_next`` a bool under
-    --nesting and None otherwise; a foreign key or a wrong type fails."""
-    try:
-        degrees = [int(x) for x in doc["degrees"]]
-        rebuilt = {"level": level, "rank": len(degrees), "degrees": sorted(degrees),
-                   "gelfand": bool(doc["gelfand"]),
-                   "nested_in_next": bool(doc["nested_in_next"]) if nesting else None}
-    except (KeyError, TypeError, ValueError):
-        return False
-    return (json.dumps(doc) == json.dumps(rebuilt) and min(degrees, default=0) >= 1
-            and sum(degrees) == point_count)
-
-
 def _cmd_decompose(args) -> int:
     pres, label, ray = _resolve(args)
-    size = check_level_size(pres.degree, args.level, args.cap)
-    kind = f"decompose:oracle={int(args.oracle)}:nesting={int(args.nesting)}"
-    mismatch = False
-
-    def compute() -> dict:
-        nonlocal mismatch
+    if args.oracle:  # a cached scheme would skip the dense cross-check
+        directory = None
         scheme = build_scheme(pres, args.level, ray, args.cap)
-        degrees = degree_multiset_from_scheme(scheme, args.seed)
-        doc = {
-            "level": args.level,
-            "rank": scheme.rank,
-            "degrees": degrees,
-            "gelfand": is_commutative(scheme),
-            "nested_in_next": None,
-        }
-        if args.nesting:
-            doc["nested_in_next"] = degrees_embed(degrees, degree_multiset_from_scheme(
-                build_scheme(pres, args.level + 1, ray, args.cap), args.seed))
-        if args.oracle:
-            doc["oracle_degrees"] = dense_commutant_oracle(scheme, args.seed)
-            mismatch = doc["oracle_degrees"] != degrees
-        return doc
-
-    if args.oracle:  # a cached oracle run would skip the cross-check
-        payload = compute()
+        doc = scheme_json_doc(scheme.valencies, scheme.pairing, scheme.p)
     else:
-        payload = _cached_payload(
-            args, pres, args.level, ray, kind,
-            lambda doc: _valid_decompose_payload(doc, args.level, size, args.nesting),
-            compute,
-        )
-    lines = [f"level {payload['level']}: rank {payload['rank']}, "
-             f"gelfand: {payload['gelfand']}",
-             f"degrees: {payload['degrees']}"]
-    if payload.get("nested_in_next") is not None:
+        directory = _cache_dir(args)
+        doc = _scheme_doc(args, pres, args.level, ray, directory)
+
+    def degrees_of(doc: dict) -> list[int]:
+        return degree_multiset_from_p(np.asarray(doc["p"], dtype=np.int64), args.seed)
+
+    degrees = degrees_of(doc)
+    payload = {
+        "level": args.level,
+        "rank": doc["rank"],
+        "degrees": degrees,
+        "gelfand": doc["commutative"],
+        "nested_in_next": None,
+    }
+    lines = [f"level {args.level}: rank {doc['rank']}, gelfand: {doc['commutative']}",
+             f"degrees: {degrees}"]
+    if args.nesting:
+        there = _scheme_doc(args, pres, args.level + 1, ray, directory)
+        payload["nested_in_next"] = degrees_embed(degrees, degrees_of(there))
         lines.append(f"nested in level {args.level + 1}: {payload['nested_in_next']}")
-    if "oracle_degrees" in payload:
+    if args.oracle:
+        payload["oracle_degrees"] = dense_commutant_oracle(scheme, args.seed)
         lines.append(f"oracle degrees: {payload['oracle_degrees']}")
     _emit(args, _envelope(args, label, args.level), payload, "\n".join(lines))
-    if mismatch:
+    if args.oracle and payload["oracle_degrees"] != degrees:
         _fail(args, "verification", "dense oracle disagrees with the "
                                     "intersection-number degrees")
         return 3

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .errors import SizeCapError
 from .scheme import OrbitalScheme
 from .tree import Vertex
@@ -11,7 +13,7 @@ _PALETTE = (
     "red", "blue", "forestgreen", "orange", "purple", "brown",
     "cadetblue", "magenta", "darkgoldenrod", "navy", "turquoise", "gray40",
 )
-ORBITAL_GRAPH_CAP = 4096  # the export reads the full N x N label table
+ORBITAL_GRAPH_CAP = 4096  # the export writes N (N - 1) / 2 edge lines
 
 
 def portrait_dot(root: PortraitNode) -> str:
@@ -53,8 +55,10 @@ def check_orbital_graph_size(point_count: int) -> None:
         )
 
 
-def orbital_graph_dot(scheme: OrbitalScheme) -> str:
-    """Level vertices with one edge color per nontrivial class.
+def orbital_graph_dot(scheme: OrbitalScheme) -> Iterator[str]:
+    """Level vertices with one edge color per nontrivial class, as chunks of
+    DOT text: the header and vertices, then the edges x -> y (y > x) of one
+    vertex x at a time, each read off one label row.
 
     Symmetric classes are drawn as a single undirected-style edge; for a
     paired class only the x -> y direction is drawn, the reverse pair being
@@ -65,19 +69,18 @@ def orbital_graph_dot(scheme: OrbitalScheme) -> str:
     level = scheme.level
     size = scheme.point_count
     lines = ["digraph orbital {", "  node [shape=circle];"]
+    attrs = [""]  # the tail of an edge line per class; x != y is never in class 0
     for i in range(1, scheme.rank):
         color = _PALETTE[(i - 1) % len(_PALETTE)]
         lines.append(f"  // class {i}: color={color}, valency={int(scheme.valencies[i])}, "
                      f"pair={scheme.pairing[i]}")
+        undirected = ", dir=none" if scheme.pairing[i] == i else ""
+        attrs.append(f" [color={color}{undirected}];\n")
     for x in range(size):
         lines.append(f'  x{x} [label="{Vertex.from_index(degree, level, x)}"];')
-    for x in range(size):
-        for y in range(x + 1, size):
-            lab = int(scheme.labels[x, y])
-            color = _PALETTE[(lab - 1) % len(_PALETTE)]
-            if scheme.pairing[lab] == lab:
-                lines.append(f"  x{x} -> x{y} [color={color}, dir=none];")
-            else:
-                lines.append(f"  x{x} -> x{y} [color={color}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    for x in range(size - 1):
+        row = scheme.label_row(x)[x + 1:].tolist()
+        yield "".join([f"  x{x} -> x{y}{attrs[lab]}"
+                       for y, lab in enumerate(row, start=x + 1)])
+    yield "}\n"

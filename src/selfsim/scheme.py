@@ -16,8 +16,8 @@ Reversing a pair maps its class through the pairing (Bannai-Ito, Algebraic
 Combinatorics I): label(z, y) = pairing[label(y, z)].  So with y_k the
 representative of class k and row_k = label(y_k, .), pairing[k] = row_k[base]
 and column k of p counts the pairs (block_of[z], pairing[row_k[z]]): r rows,
-O(r N) in all.  The N x N ``labels`` table is built only when read (DOT
-export, the dense oracle, tests).
+O(r N) in all.  The N x N ``labels`` table is built only when read (the
+dense oracle, tests).
 """
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
     return scheme
 
 
-def is_commutative(scheme: OrbitalScheme) -> bool:
-    """Whether the convolution algebra is commutative (p symmetric in i, j)."""
-    return bool(np.array_equal(scheme.p, scheme.p.transpose(1, 0, 2)))
+def is_commutative(p: np.ndarray) -> bool:
+    """Whether the convolution algebra with intersection numbers p is
+    commutative (p symmetric in i, j)."""
+    return bool(np.array_equal(p, p.transpose(1, 0, 2)))
 
 
 def hecke_dimension(scheme: OrbitalScheme) -> int:
@@ -179,11 +180,13 @@ def verify_scheme_axioms(scheme: OrbitalScheme) -> list[str]:
     return out[:_VIOLATION_LIMIT]
 
 
-def scheme_json_doc(scheme: OrbitalScheme) -> dict:
+def scheme_json_doc(valencies: np.ndarray, pairing, p: np.ndarray) -> dict:
+    """The scheme document that ``scheme`` prints and the cache stores; its
+    keys and types are written here only."""
     return {
-        "rank": scheme.rank,
-        "valencies": [int(v) for v in scheme.valencies],
-        "pairing": list(scheme.pairing),
-        "commutative": is_commutative(scheme),
-        "p": scheme.p.tolist(),
+        "rank": len(valencies),
+        "valencies": np.asarray(valencies).tolist(),
+        "pairing": np.asarray(pairing).tolist(),
+        "commutative": is_commutative(p),
+        "p": p.tolist(),
     }

@@ -1,6 +1,8 @@
 """Degrees of the irreducible components of a level quasi-regular action.
 
-The intersection numbers give the left-regular matrices of the convolution
+The intersection numbers p alone give everything here (Bannai-Ito,
+Algebraic Combinatorics I, II.3): the valencies k_i = sum_j p[i][j][0], the
+point count N = sum_i k_i, and the left-regular matrices of the convolution
 algebra.  When the algebra is commutative its joint eigensystem is a set of
 one-dimensional characters; the multiplicity attached to character row j,
 
@@ -8,8 +10,8 @@ one-dimensional characters; the multiplicity attached to character row j,
 
 is the dimension of the j-th isotypic component of the permutation module,
 i.e. an irreducible degree.  A dense cross-check diagonalizes a random
-combination of the N x N class adjacency matrices instead and reads the
-degrees off the eigenvalue cluster sizes.
+combination of the N x N class adjacency matrices of a built scheme instead
+and reads the degrees off the eigenvalue cluster sizes.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ MAX_SEED_TRIES = 5
 DENSE_ORACLE_CAP = 243
 
 
-def intersection_matrices(scheme: OrbitalScheme) -> np.ndarray:
+def intersection_matrices(p: np.ndarray) -> np.ndarray:
     """Left-regular matrices B, B[i][k, j] = p[i][j][k]; verified to multiply
     like the classes they represent."""
-    p = scheme.p
+    p = np.asarray(p)
     B = p.transpose(0, 2, 1).copy()
-    for i in range(scheme.rank):
+    for i in range(len(p)):
         # row j compares B[i] B[j] with sum_k p[i][j][k] B[k]
         bad = np.flatnonzero((B[i] @ B != np.tensordot(p[i], B, axes=(1, 0)))
                              .any(axis=(1, 2)))
@@ -158,12 +160,9 @@ def multiplicities(P: np.ndarray, valencies: np.ndarray, point_count: int) -> li
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    rank: int
-    point_count: int
     character_table: np.ndarray
     multiplicities: tuple[int, ...]
     seed: int
-    tolerance_used: float
 
 
 def _orthogonality_defect(P: np.ndarray, m: list[int], valencies: np.ndarray,
@@ -175,29 +174,31 @@ def _orthogonality_defect(P: np.ndarray, m: list[int], valencies: np.ndarray,
     return float(np.abs(gram - np.eye(len(m))).max())
 
 
-def spectral_data(scheme: OrbitalScheme, seed: int = DEFAULT_SEED) -> SpectralData:
-    B = intersection_matrices(scheme)
-    P = common_eigensystem(B, seed)
-    m = multiplicities(P, scheme.valencies, scheme.point_count)
+def spectral_data(p: np.ndarray, seed: int = DEFAULT_SEED) -> SpectralData:
+    """Character table and multiplicities of the scheme with intersection
+    numbers p."""
+    p = np.asarray(p)
+    valencies = p[:, :, 0].sum(axis=1)  # k_i = sum_j p[i][j][0]
+    point_count = int(valencies.sum())
+    P = common_eigensystem(intersection_matrices(p), seed)
+    m = multiplicities(P, valencies, point_count)
     if m[0] != 1:
         raise NumericalError(f"valency character has multiplicity {m[0]}, expected 1")
-    defect = _orthogonality_defect(P, m, scheme.valencies, scheme.point_count)
+    defect = _orthogonality_defect(P, m, valencies, point_count)
     if defect > INTEGER_TOL:
         raise NumericalError(f"character rows are not orthonormal: defect {defect:.2e}")
-    return SpectralData(scheme.rank, scheme.point_count, P, tuple(m), seed,
-                        tolerance_used=INTEGER_TOL)
+    return SpectralData(P, tuple(m), seed)
 
 
-def degree_multiset_from_scheme(scheme: OrbitalScheme,
-                                seed: int = DEFAULT_SEED) -> list[int]:
-    return sorted(spectral_data(scheme, seed).multiplicities)
+def degree_multiset_from_p(p: np.ndarray, seed: int = DEFAULT_SEED) -> list[int]:
+    return sorted(spectral_data(p, seed).multiplicities)
 
 
 def degree_multiset(pres: WreathPresentation, n: int, ray: Ray,
                     seed: int = DEFAULT_SEED,
                     cap: int = DEFAULT_LEVEL_CAP) -> list[int]:
     """Sorted degrees of the irreducible components on level n."""
-    return degree_multiset_from_scheme(build_scheme(pres, n, ray, cap), seed)
+    return degree_multiset_from_p(build_scheme(pres, n, ray, cap).p, seed)
 
 
 def degrees_embed(here: list[int], there: list[int]) -> bool:

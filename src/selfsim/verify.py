@@ -130,10 +130,10 @@ def _scheme_axioms(scheme, rng, cases):
 
 
 def _multiplicity_seed_independence(scheme, rng, cases, seed):
-    if not is_commutative(scheme):
+    if not is_commutative(scheme.p):
         return SuiteResult("multiplicity_seed_independence", 0, 0,
                            "skipped: scheme is not commutative")
-    B = intersection_matrices(scheme)
+    B = intersection_matrices(scheme.p)
     def degrees(P):
         return tuple(sorted(multiplicities(P, scheme.valencies, scheme.point_count)))
     baseline = degrees(common_eigensystem(B, seed))  # checks commutation once

@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 from selfsim import (bfs_group_order, build_scheme, builtin,
-                     degree_multiset_from_scheme, dense_commutant_oracle,
+                     degree_multiset_from_p, dense_commutant_oracle,
                      hecke_dimension, is_commutative, oracle_suborbits,
                      run_verification, stabilizer_suborbits,
                      tower_nesting_check)
@@ -102,7 +102,7 @@ def test_ternary_suborbit_structure():
 
 def test_gelfand_property(schemes):
     for (key, n), scheme in schemes.items():
-        assert is_commutative(scheme), (key, n)
+        assert is_commutative(scheme.p), (key, n)
     print(f"PASS gelfand property: all {len(schemes)} schemes commutative")
 
 
@@ -112,7 +112,7 @@ def test_component_degrees(schemes):
     for key in BINARY + TERNARY:
         degree = builtin(key).degree
         for n in range(1, DEGREE_LEVELS[degree] + 1):
-            got = degree_multiset_from_scheme(schemes[key, n])
+            got = degree_multiset_from_p(schemes[key, n].p)
             assert got == expected_degrees(degree, n), (key, n)
             assert sum(got) == degree ** n, (key, n)
             checked += 1
@@ -151,7 +151,7 @@ def test_independent_oracles():
             assert oracle_suborbits(entry.presentation, n, entry.default_ray) == parts
             scheme = build_scheme(entry.presentation, n, entry.default_ray)
             assert (dense_commutant_oracle(scheme)
-                    == degree_multiset_from_scheme(scheme))
+                    == degree_multiset_from_p(scheme.p))
     for key in TERNARY:
         entry = builtin(key)
         # full-group enumeration is only feasible through level 2 here
@@ -161,7 +161,7 @@ def test_independent_oracles():
         for n in range(1, 6):
             scheme = build_scheme(entry.presentation, n, entry.default_ray)
             assert (dense_commutant_oracle(scheme)
-                    == degree_multiset_from_scheme(scheme))
+                    == degree_multiset_from_p(scheme.p))
     grig = builtin("grigorchuk").presentation
     assert [bfs_group_order(grig, n) for n in (1, 2, 3)] == [2, 8, 128]
     elapsed = time.perf_counter() - start

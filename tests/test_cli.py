@@ -8,6 +8,7 @@ import pytest
 
 import selfsim
 from selfsim import __version__, cache
+from selfsim.catalog import builtin
 from selfsim.cli import main
 
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
@@ -477,42 +478,90 @@ CACHED_RUNS = {
     "decompose": ("decompose", "--group", "gamma", "--level", "2"),
     "decompose-nesting": ("decompose", "--group", "gamma", "--level", "2", "--nesting"),
 }
+GAMMA_SCHEMES = (("scheme", "--group", "gamma", "--level", "2"),
+                 ("scheme", "--group", "gamma", "--level", "3"))
 
 
-@pytest.mark.parametrize("command", CACHED_RUNS.values(), ids=CACHED_RUNS.keys())
-def test_valid_cache_entry_is_served(capsys, tmp_path, monkeypatch, command):
+def _no_recompute(*args, **kwargs):
+    raise AssertionError("a valid entry was recomputed")
+
+
+@pytest.mark.parametrize("warmup,command", [
+    ((CACHED_RUNS["scheme"],), CACHED_RUNS["scheme"]),
+    ((CACHED_RUNS["decompose"],), CACHED_RUNS["decompose"]),
+    ((CACHED_RUNS["decompose-nesting"],), CACHED_RUNS["decompose-nesting"]),
+    (GAMMA_SCHEMES, CACHED_RUNS["decompose-nesting"]),
+    ((CACHED_RUNS["decompose-nesting"],), GAMMA_SCHEMES[1]),
+], ids=["scheme", "decompose", "decompose-nesting", "decompose-nesting-after-scheme",
+        "scheme-after-decompose-nesting"])
+def test_valid_cache_entry_is_served(capsys, tmp_path, monkeypatch, warmup, command):
+    # scheme and decompose share one entry per level: whichever ran first,
+    # the other is served without building a scheme
+    uncached = [run(capsys, *command, *mode) for mode in ((), ("--json",))]
     cache_dir = str(tmp_path / "cache")
-    first = run(capsys, *command, "--json", "--cache-dir", cache_dir)
-    def no_recompute(*args, **kwargs):
-        raise AssertionError("a valid entry was recomputed")
-    monkeypatch.setattr("selfsim.cli.build_scheme", no_recompute)
-    assert run(capsys, *command, "--json", "--cache-dir", cache_dir) == first
-    assert run(capsys, *command, "--cache-dir", cache_dir)[0] == 0
+    for argv in warmup:
+        assert run(capsys, *argv, "--cache-dir", cache_dir)[0] == 0
+    monkeypatch.setattr("selfsim.cli.build_scheme", _no_recompute)
+    for mode, expected in zip(((), ("--json",)), uncached):
+        assert run(capsys, *command, *mode, "--cache-dir", cache_dir) == expected
 
 
-@pytest.mark.parametrize("command,tamper", [
-    (CACHED_RUNS["decompose-nesting"], {"nested_in_next": "garbage"}),
-    (CACHED_RUNS["decompose-nesting"], {"nested_in_next": None}),
-    (CACHED_RUNS["decompose"], {"nested_in_next": True}),
-    (CACHED_RUNS["decompose"], {"tool_version": "9.9", "seed": -1}),
-    (CACHED_RUNS["decompose"], {"gelfand": 1}),
-    (CACHED_RUNS["decompose"], {"degrees": [1, 1, 1, 3.0, 3]}),
-    (CACHED_RUNS["scheme"], {"tool_version": "9.9", "seed": -1}),
-    (CACHED_RUNS["scheme"], {"commutative": 1}),
-    (CACHED_RUNS["scheme"], {"rank": 4.0}),
-    (CACHED_RUNS["scheme"], {"valencies": [1.0, 1, 2, 4]}),
-], ids=["nested-garbage", "nested-none", "nested-unasked", "decompose-envelope",
-        "gelfand-int", "degree-float", "scheme-envelope", "commutative-int",
-        "rank-float", "valency-float"])
-def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, command, tamper):
+def test_warm_nesting_keeps_the_cap(capsys, tmp_path):
+    argv = ("decompose", "--group", "grigorchuk", "--level", "3", "--nesting", "--json",
+            "--cache-dir", str(tmp_path / "cache"))
+    refused = (2, "", json.dumps({"error": "SizeCapError", "message":
+                                  "level 4 of the 2-regular tree has 16 vertices, "
+                                  "cap is 8"}) + "\n")
+    assert run(capsys, *argv, "--cap", "8") == refused  # cold
+    assert run(capsys, *argv)[0] == 0  # stores levels 3 and 4
+    assert run(capsys, *argv, "--cap", "8") == refused  # warm
+
+
+def _bump_p(doc):
+    # p[1][1][1] keeps p symmetric, so only the axioms can catch it
+    p = json.loads(json.dumps(doc["p"]))
+    p[1][1][1] += 1
+    return doc | {"p": p}
+
+
+def _merge(tamper):
+    return lambda doc: doc | tamper
+
+
+def _entry_path(cache_dir, command, level):
+    entry = builtin(command[command.index("--group") + 1])
+    return cache_dir / f"{cache.cache_key(entry.presentation, level, entry.default_ray)}.json"
+
+
+@pytest.mark.parametrize("command,offset,tamper", [
+    (CACHED_RUNS["decompose"], 0, _bump_p),
+    (CACHED_RUNS["decompose"], 0, _merge({"commutative": 1})),
+    (CACHED_RUNS["decompose"], 0, _merge({"rank": 5.0})),
+    (CACHED_RUNS["decompose-nesting"], 1, _bump_p),
+    (CACHED_RUNS["decompose-nesting"], 1, _merge({"commutative": 1})),
+    (CACHED_RUNS["decompose-nesting"], 1, _merge({"rank": 7.0})),
+    (CACHED_RUNS["decompose"], 0, _merge({"tool_version": "9.9", "seed": -1})),
+    (CACHED_RUNS["scheme"], 0, _merge({"tool_version": "9.9", "seed": -1})),
+    (CACHED_RUNS["scheme"], 0, _merge({"commutative": 1})),
+    (CACHED_RUNS["scheme"], 0, _merge({"rank": 4.0})),
+    (CACHED_RUNS["scheme"], 0, _merge({"valencies": [1.0, 1, 2, 4]})),
+], ids=["decompose-p-entry", "decompose-commutative-int", "decompose-rank-float",
+        "nesting-p-entry", "nesting-commutative-int", "nesting-rank-float",
+        "decompose-envelope", "scheme-envelope", "commutative-int", "rank-float",
+        "valency-float"])
+def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, command, offset, tamper):
+    # offset 1 tampers with level n+1's entry, which --nesting reads
     uncached = [run(capsys, *command, *mode) for mode in ((), ("--json",))]
     cache_dir = tmp_path / "cache"
     run(capsys, *command, "--cache-dir", str(cache_dir))
-    path = next(cache_dir.glob("*.json"))
+    level = int(command[command.index("--level") + 1]) + offset
+    path = _entry_path(cache_dir, command, level)
     stored = json.loads(path.read_text())
-    assert tamper.keys() - {"tool_version", "seed"} <= stored.keys()
-    path.write_text(json.dumps(stored | tamper))
+    tampered = tamper(stored)
+    assert json.dumps(tampered) != json.dumps(stored)
+    assert tampered.keys() - {"tool_version", "seed"} <= stored.keys()
+    path.write_text(json.dumps(tampered))
     for mode, expected in zip(((), ("--json",)), uncached):
         assert run(capsys, *command, *mode, "--cache-dir", str(cache_dir)) == expected
         assert json.loads(path.read_text()) == stored  # rewritten by the recompute
-        path.write_text(json.dumps(stored | tamper))
+        path.write_text(json.dumps(tampered))

@@ -19,7 +19,7 @@ from selfsim.orbits import (merge_components, oracle_suborbits, orbit_transversa
                             stabilizer_suborbits)
 from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
-                              degree_multiset_from_scheme, dense_commutant_oracle,
+                              degree_multiset_from_p, dense_commutant_oracle,
                               intersection_matrices, multiplicities)
 from selfsim.tree import Ray, Vertex, all_d_ray, ray_prefix
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
@@ -140,9 +140,9 @@ def test_scheme_matches_the_label_table(case):
         p, pairing = table_route(scheme)
         assert np.array_equal(scheme.p, p), pres.to_text()
         assert scheme.pairing == pairing, pres.to_text()
-        if is_commutative(scheme):
+        if is_commutative(scheme.p):
             assert (dense_commutant_oracle(scheme)
-                    == degree_multiset_from_scheme(scheme)), pres.to_text()
+                    == degree_multiset_from_p(scheme.p)), pres.to_text()
 
 
 @PROPERTY_SETTINGS
@@ -154,9 +154,9 @@ def test_batched_eigensystem_matches_the_scalar_reference(case):
             scheme = build_scheme(pres, n, ray)
         except NotTransitiveError:
             return
-        if not is_commutative(scheme):
+        if not is_commutative(scheme.p):
             continue
-        B = intersection_matrices(scheme)
+        B = intersection_matrices(scheme.p)
         P = common_eigensystem(B, DEFAULT_SEED)
         Q = scalar_eigensystem(B, DEFAULT_SEED)
         assert np.allclose(P, Q, rtol=0, atol=1e-9), pres.to_text()
