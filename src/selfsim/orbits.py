@@ -180,9 +180,6 @@ class SuborbitPartition:
     def rank(self) -> int:
         return len(self.blocks)
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
     def block_of_array(self, size: int) -> np.ndarray:
         out = np.empty(size, dtype=np.int64)
         for k, block in enumerate(self.blocks):

@@ -49,8 +49,8 @@ def check_orbital_graph_size(point_count: int) -> None:
     level can check before they build the scheme."""
     if point_count > ORBITAL_GRAPH_CAP:
         raise SizeCapError(
-            "orbital graph export needs the materialized label table "
-            f"({point_count} points is past the cap)",
+            "orbital graph export writes N (N - 1) / 2 edge lines, too many at "
+            f"{point_count} points (the cap is {ORBITAL_GRAPH_CAP})",
             size=point_count,
         )
 
@@ -58,14 +58,14 @@ def check_orbital_graph_size(point_count: int) -> None:
 def orbital_graph_dot(scheme: OrbitalScheme) -> Iterator[str]:
     """Level vertices with one edge color per nontrivial class, as chunks of
     DOT text: the header and vertices, then the edges x -> y (y > x) of one
-    vertex x at a time, each read off one label row.
+    vertex x at a time, each read off ``scheme.label_row(x)``.
 
     Symmetric classes are drawn as a single undirected-style edge; for a
     paired class only the x -> y direction is drawn, the reverse pair being
     implied by the pairing.
     """
     check_orbital_graph_size(scheme.point_count)
-    degree = scheme.transversal.base.degree
+    degree = scheme.degree
     level = scheme.level
     size = scheme.point_count
     lines = ["digraph orbital {", "  node [shape=circle];"]

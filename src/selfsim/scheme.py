@@ -1,10 +1,11 @@
 """The orbital association scheme of a level action.
 
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
-where u_x is the transversal permutation carrying the base to x; the
-transversal stores u_x^-1, so a label row is one gather.  The class
-of (base, y) is then the suborbit of y, class 0 is the diagonal, and counting
-common neighbours gives the intersection numbers
+where u_x is the transversal permutation carrying the base to x.  The scheme
+reads every label through ``label_row(x)`` = label(x, .), here one gather on
+the table of u_x^-1 rows; no other part of the transversal is kept.  The
+class of (base, y) is then the suborbit of y, class 0 is the diagonal, and
+counting common neighbours gives the intersection numbers
 
     p[i][j][k] = #{z : (x, z) in class i, (z, y) in class j}
 
@@ -16,13 +17,13 @@ Reversing a pair maps its class through the pairing (Bannai-Ito, Algebraic
 Combinatorics I): label(z, y) = pairing[label(y, z)].  So with y_k the
 representative of class k and row_k = label(y_k, .), pairing[k] = row_k[base]
 and column k of p counts the pairs (block_of[z], pairing[row_k[z]]): r rows,
-O(r N) in all.  The N x N ``labels`` table is built only when read (the
-dense oracle, tests).
+O(r N) in all.  The N x N ``labels`` table is built from N row reads, and
+only when read (the dense oracle, tests).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -30,8 +31,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import IntegrityError
-from .orbits import (SuborbitPartition, Transversal, orbit_transversal,
-                     suborbits_from_transversal)
+from .orbits import SuborbitPartition, orbit_transversal, suborbits_from_transversal
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation
 
@@ -50,15 +50,15 @@ class OrbitalScheme:
     pairing: tuple[int, ...]        # i -> class of the reversed pairs
     representatives: tuple[int, ...]  # y_k with (base, y_k) in class k
     p: np.ndarray                   # (r, r, r) intersection numbers, exact ints
-    transversal: Transversal
+    label_row: Callable[[int], np.ndarray]  # x -> label(x, y) for every y
 
     @property
     def level(self) -> int:
-        return self.transversal.level
+        return self.partition.level
 
-    def label_row(self, x: int) -> np.ndarray:
-        """label(x, y) for every y."""
-        return self.block_of[self.transversal.perms[x]]
+    @property
+    def degree(self) -> int:
+        return self.partition.base.degree
 
     def label(self, x: int, y: int) -> int:
         return int(self.label_row(x)[y])
@@ -69,21 +69,30 @@ class OrbitalScheme:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """The full (N, N) label table, built on first read."""
-        return self.block_of[self.transversal.perms]
+        """The full (N, N) label table, built on first read, a row at a time."""
+        size = self.point_count
+        return np.fromiter(map(self.label_row, range(size)), (np.int64, (size,)), size)
 
 
 def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
                  cap: int = DEFAULT_LEVEL_CAP) -> OrbitalScheme:
     tv = orbit_transversal(pres, n, ray, cap)
+    perms, size, base_idx = tv.perms, len(tv), tv.base.index()
+    broken = []  # the label rows below need u_base = 1 and u_x(base) = x
+    if not np.array_equal(perms[base_idx], np.arange(size)):
+        broken.append("u_base is not the identity, so the base label row is not the suborbits")
+    if not np.all(np.diagonal(perms) == base_idx):
+        broken.append("some u_x does not carry the base to x, so a diagonal pair is not in class 0")
+    if broken:
+        raise IntegrityError("transversal checks failed:\n" + "\n".join(broken))
     partition = suborbits_from_transversal(pres, tv)
-    size = len(tv)
-    base_idx = tv.base.index()
     r = partition.rank
     block_of = partition.block_of_array(size)
     reps = tuple(block[0] for block in partition.blocks)
 
-    rows = [block_of[tv.perms[y]] for y in reps]  # label(y_k, .)
+    def label_row(x: int) -> np.ndarray:  # keeps the table, not the transversal
+        return block_of[perms[x]]
+    rows = [label_row(y) for y in reps]  # label(y_k, .)
     pairing = np.array([row[base_idx] for row in rows], dtype=np.int64)
     p = np.stack([np.bincount(block_of * r + pairing[row], minlength=r * r).reshape(r, r)
                   for row in rows], axis=2)
@@ -98,7 +107,7 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
         pairing=tuple(pairing.tolist()),
         representatives=reps,
         p=p,
-        transversal=tv,
+        label_row=label_row,
     )
     violations = verify_scheme_axioms(scheme)
     if violations:
@@ -163,16 +172,11 @@ def _axiom_messages(valencies, p, pairing, point_count) -> Iterator[str]:
 
 
 def verify_scheme_axioms(scheme: OrbitalScheme) -> list[str]:
-    """Axioms plus label-level consistency; empty list = pass."""
+    """Axioms plus the class checks any label source must pass; empty list = pass."""
     out = axiom_violations(scheme.valencies, scheme.p, scheme.pairing,
                            scheme.point_count)
     if scheme.block_of[scheme.base_index] != 0:
         out.append("base vertex is not in class 0")
-    perms, points = scheme.transversal.perms, np.arange(scheme.point_count)
-    if not np.array_equal(perms[scheme.base_index], points):
-        out.append("u_base is not the identity, so the base label row is not the suborbits")
-    if not np.all(np.diagonal(perms) == scheme.base_index):
-        out.append("some u_x does not carry the base to x, so a diagonal pair is not in class 0")
     for k, y in enumerate(scheme.representatives):
         if scheme.block_of[y] != k:
             out.append(f"representative of class {k} lies in class {int(scheme.block_of[y])}")

@@ -169,8 +169,8 @@ def test_scheme_dot_refused_before_the_build(capsys, monkeypatch):
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
         "error": "SizeCapError",
-        "message": "orbital graph export needs the materialized label table "
-                   "(8192 points is past the cap)",
+        "message": "orbital graph export writes N (N - 1) / 2 edge lines, too many "
+                   "at 8192 points (the cap is 4096)",
     }
 
 

@@ -1,5 +1,7 @@
+import gc
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,14 @@ import pytest
 from label_table import table_route
 
 from selfsim.catalog import builtin
+from selfsim.errors import IntegrityError
+from selfsim.orbits import orbit_transversal
+from selfsim.render import orbital_graph_dot
 from selfsim.scheme import (axiom_violations, build_scheme, hecke_dimension,
                             is_commutative, scheme_json_doc,
                             verify_scheme_axioms)
 from selfsim.spectral import degree_multiset_from_p, dense_commutant_oracle
+from selfsim.verify import _label_invariance, _scheme_axioms
 from selfsim.wreath import level_permutation
 
 ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
@@ -143,15 +149,76 @@ def test_row_route_matches_the_label_table(key):
         assert dense_commutant_oracle(s) == degree_multiset_from_p(s.p), (key, n)
 
 
-def test_axioms_catch_a_broken_transversal():
-    s = _scheme("grigorchuk", 3)
-    perms = s.transversal.perms.copy()
-    x = (s.base_index + 1) % s.point_count
-    perms[[s.base_index, x]] = perms[[x, s.base_index]]  # u_base and u_x swapped
-    broken = replace(s, transversal=replace(s.transversal, perms=perms))
-    report = verify_scheme_axioms(broken)
-    assert any("label row" in line for line in report)
-    assert any("diagonal" in line for line in report)
+def test_axioms_catch_a_broken_transversal(monkeypatch):
+    # The swap also collapses the suborbits the table gives into one block,
+    # which the axioms refuse without naming the cause; the table checks do.
+    e = builtin("grigorchuk")
+    tv = orbit_transversal(e.presentation, 3, e.default_ray)
+    perms = tv.perms.copy()
+    base = tv.base.index()
+    x = (base + 1) % len(tv)
+    perms[[base, x]] = perms[[x, base]]  # u_base and u_x swapped
+    monkeypatch.setattr("selfsim.scheme.orbit_transversal",
+                        lambda *_: replace(tv, perms=perms))
+    with pytest.raises(IntegrityError) as caught:
+        build_scheme(e.presentation, 3, e.default_ray)
+    assert "label row" in str(caught.value)
+    assert "diagonal" in str(caught.value)
+
+
+def test_scheme_keeps_no_transversal(monkeypatch):
+    made = []
+
+    def recorded(*args):
+        tv = orbit_transversal(*args)
+        made.append(weakref.ref(tv))
+        return tv
+
+    monkeypatch.setattr("selfsim.scheme.orbit_transversal", recorded)
+    s = _scheme("grigorchuk", 4)
+    gc.collect()
+    assert len(made) == 1
+    assert made[0]() is None
+    assert not hasattr(s, "transversal")
+    assert s.label(s.base_index, s.base_index) == 0  # the scheme still reads labels
+
+
+def _label_readings(pres, s):
+    """Everything the library reads off a scheme's label rows."""
+    size = s.point_count
+    return (
+        [[s.label(x, y) for y in range(size)] for x in range(size)],
+        [s.label_column(y).tolist() for y in range(size)],
+        s.labels.tolist(),
+        list(orbital_graph_dot(s)),
+        dense_commutant_oracle(s),
+        _label_invariance(pres, s, np.random.default_rng(3), 50),
+        _scheme_axioms(s, np.random.default_rng(4), 50),
+    )
+
+
+@pytest.mark.parametrize("key,n", [("gamma", 2), ("grigorchuk", 4)])
+def test_a_foreign_label_source_reads_the_same(key, n):
+    # The scheme reads labels only through label_row: a source that is not
+    # the transversal gives the same readings, and one that fails fails them.
+    s = _scheme(key, n)
+    pres = builtin(key).presentation
+    table = s.labels.copy()
+    foreign = replace(s, label_row=lambda x: table[x])
+    assert _label_readings(pres, foreign) == _label_readings(pres, s)
+
+    def refused(x):
+        raise LookupError(f"no label row {x}")
+
+    failing = replace(s, label_row=refused)
+    readers = [lambda: failing.label(0, 1), lambda: failing.label_column(1),
+               lambda: failing.labels, lambda: list(orbital_graph_dot(failing)),
+               lambda: dense_commutant_oracle(failing),
+               lambda: _label_invariance(pres, failing, np.random.default_rng(3), 5),
+               lambda: _scheme_axioms(failing, np.random.default_rng(4), 5)]
+    for read in readers:
+        with pytest.raises(LookupError):
+            read()
 
 
 def test_build_scheme_holds_one_transversal_table():
@@ -165,11 +232,11 @@ def test_build_scheme_holds_one_transversal_table():
     allowance = 1 << 20
     tracemalloc.start()
     try:
-        scheme = build_scheme(e.presentation, 9, e.default_ray)
+        build_scheme(e.presentation, 9, e.default_ray)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert scheme.transversal.perms.nbytes == 2 * size * size
+    assert orbit_transversal(e.presentation, 9, e.default_ray).perms.nbytes == 2 * size * size
     assert peak < 2 * size * size + allowance
 
 
