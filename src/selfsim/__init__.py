@@ -18,7 +18,7 @@ from .spectral import (DEFAULT_SEED, SpectralData, common_eigensystem,
                        dense_commutant_oracle, intersection_matrices,
                        multiplicities, spectral_data, tower_nesting_check)
 from .tree import (DEFAULT_LEVEL_CAP, Ray, Vertex, all_d_ray, parse_ray,
-                   ray_prefix, vertices_at_level)
+                   vertices_at_level)
 from .verify import SuiteResult, run_verification
 from .wreath import (GeneratorRule, PortraitNode, Word, WreathPresentation,
                      act, cycle_notation, free_reduce, is_trivial_at_level,

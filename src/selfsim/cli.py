@@ -241,7 +241,7 @@ def _cmd_portrait(args) -> int:
 def _cmd_orbits(args) -> int:
     pres, label, ray = _resolve(args)
     parts = stabilizer_suborbits(pres, args.level, ray, args.cap)
-    blocks = parts.blocks_as_vertices(pres.degree)
+    blocks = parts.blocks_as_vertices()
     payload = {"level": args.level, "base": str(parts.base), "blocks": blocks}
     lines = [f"base {parts.base}: {parts.rank} suborbits"]
     lines += [f"  [{len(block)}] " + " ".join(block) for block in blocks]

@@ -19,6 +19,10 @@ the others already give are skipped.  Words are spelled out on demand: the
 transversal words when ``Transversal.words`` is first read, the reduced
 generator words only in ``schreier_generators``, which builds each
 generator's permutation to drop repeats.
+
+This fold and the enumeration oracle's both end in a forest, rep[x] the
+least member of x's block, which ``_canonical_partition`` numbers into
+``SuborbitPartition.block_of``, the one array every later step reads.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotTransitiveError, SizeCapError
-from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size, ray_prefix
+from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size
 from .wreath import Word, WreathPresentation, generator_level_perms
 
 DEFAULT_GROUP_CAP = 1 << 20
@@ -60,7 +64,6 @@ class Transversal:
     """
 
     base: Vertex
-    level: int
     parent: tuple[int, ...]        # parent[x] -> vertex x was reached from
     via: tuple[str | None, ...]    # via[x] -> generator carrying parent[x] to x
     perms: np.ndarray              # perms[x] = level permutation of u_x^-1, in the
@@ -95,7 +98,7 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
         raise SizeCapError(f"level {n} needs {planned} bytes for its N x N transversal "
                            f"table, more than half of the {physical} bytes of physical "
                            f"memory", size=size)
-    base = ray_prefix(ray, n)
+    base = ray.prefix(n)
     base_idx = base.index()
     gen_perms = generator_level_perms(pres, n, cap)
 
@@ -122,7 +125,7 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
             f"{len(order)} of {size} vertices",
             orbit_size=len(order),
         )
-    return Transversal(base, n, tuple(parent), tuple(via), perms, tuple(order))
+    return Transversal(base, tuple(parent), tuple(via), perms, tuple(order))
 
 
 def _schreier_pairs(pres: WreathPresentation,
@@ -135,7 +138,7 @@ def _schreier_pairs(pres: WreathPresentation,
     identity, so they are left out.  With perms[x] = u_x^-1, g maps
     u_x^-1(i) to u_y^-1(s(i)): one scatter per pair.
     """
-    gen_perms = generator_level_perms(pres, tv.level)
+    gen_perms = generator_level_perms(pres, tv.base.level)
     perms = tv.perms
     for name in pres.generator_names:
         pg = gen_perms[name]
@@ -167,41 +170,42 @@ def schreier_generators(pres: WreathPresentation, n: int, ray: Ray,
     return list(kept.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuborbitPartition:
-    """Orbits of the base-point stabilizer on a level, in canonical order:
-    the base's own block first, the rest by (size, smallest vertex index)."""
+    """Orbits of the base-point stabilizer on a level, as one array:
+    block_of[x] is the block of level vertex x, numbered canonically, the
+    base's own block 0 and the rest by (size, smallest vertex index).  Two
+    partitions are equal when their bases and their arrays are."""
 
     base: Vertex
-    level: int
-    blocks: tuple[tuple[int, ...], ...]
+    block_of: np.ndarray  # int64, one entry per level vertex
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SuborbitPartition) and self.base == other.base
+                and np.array_equal(self.block_of, other.block_of))
 
     @property
     def rank(self) -> int:
-        return len(self.blocks)
+        return int(self.block_of.max()) + 1
 
-    def block_of_array(self, size: int) -> np.ndarray:
-        out = np.empty(size, dtype=np.int64)
-        for k, block in enumerate(self.blocks):
-            out[list(block)] = k
-        return out
-
-    def blocks_as_vertices(self, degree: int) -> list[list[str]]:
-        return [
-            [str(Vertex.from_index(degree, self.level, i)) for i in block]
-            for block in self.blocks
-        ]
+    def blocks_as_vertices(self) -> list[list[str]]:
+        blocks: list[list[str]] = [[] for _ in range(self.rank)]
+        for i, k in enumerate(self.block_of.tolist()):  # each block in index order
+            blocks[k].append(str(Vertex.from_index(self.base.degree, self.base.level, i)))
+        return blocks
 
 
-def _canonical_partition(labels: np.ndarray, base: Vertex, level: int,
-                         base_idx: int) -> SuborbitPartition:
-    groups: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(idx)
-    blocks = [tuple(b) for b in groups.values()]
-    base_block = next(b for b in blocks if base_idx in b)
-    rest = sorted((b for b in blocks if b is not base_block), key=lambda b: (len(b), b[0]))
-    return SuborbitPartition(base, level, (base_block, *rest))
+def _canonical_partition(rep: np.ndarray, base: Vertex) -> SuborbitPartition:
+    """Number the forest rep canonically: array passes over the vertices and
+    a Python sort of the r roots (rep[x] = x) only."""
+    sizes = np.bincount(rep)
+    roots = np.flatnonzero(sizes)
+    base_root = int(rep[base.index()])
+    rest = sorted(zip(sizes[roots].tolist(), roots.tolist()))
+    order = [base_root] + [root for _, root in rest if root != base_root]
+    number = sizes  # reused: root -> block number
+    number[order] = np.arange(len(order))
+    return SuborbitPartition(base, number[rep])
 
 
 def merge_components(rep: np.ndarray, tails: np.ndarray,
@@ -231,8 +235,8 @@ def merge_components(rep: np.ndarray, tails: np.ndarray,
             rep = jumped
 
 
-def _component_partition(perms: Iterable[np.ndarray], size: int, base: Vertex,
-                         level: int, base_idx: int) -> SuborbitPartition:
+def _component_partition(perms: Iterable[np.ndarray], size: int,
+                         base: Vertex) -> SuborbitPartition:
     """Orbits of the group the permutations generate: the components of the
     graph joining x to g(x).  The enumeration oracle's fold.
 
@@ -244,7 +248,7 @@ def _component_partition(perms: Iterable[np.ndarray], size: int, base: Vertex,
     rep = np.arange(size, dtype=np.int64)
     for g in perms:
         rep = merge_components(rep, g)
-    return _canonical_partition(rep, base, level, base_idx)
+    return _canonical_partition(rep, base)
 
 
 def stabilizer_suborbits(pres: WreathPresentation, n: int, ray: Ray,
@@ -275,7 +279,7 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
     """
     size = len(tv)
     perms = tv.perms
-    gen_perms = generator_level_perms(pres, tv.level)
+    gen_perms = generator_level_perms(pres, tv.base.level)
     points = np.arange(size, dtype=np.int64)
     # The tree pair reaching y is (via[y], parent[y]).
     code = {name: k for k, name in enumerate(pres.generator_names)}
@@ -303,7 +307,7 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
             cross = left != right
             if cross.any():
                 rep = merge_components(rep, right[cross], left[cross])
-    return _canonical_partition(rep, tv.base, tv.level, tv.base.index())
+    return _canonical_partition(rep, tv.base)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +351,7 @@ def oracle_suborbits(pres: WreathPresentation, n: int, ray: Ray,
     """Suborbits computed from the full level group; exponential, small n only."""
     if ray.degree != pres.degree:
         raise ValueError("ray degree does not match the presentation")
-    base = ray_prefix(ray, n)
+    base = ray.prefix(n)
     base_idx = base.index()
     size = pres.degree**n
     elements = _level_group_elements(pres, n, cap)
@@ -359,4 +363,4 @@ def oracle_suborbits(pres: WreathPresentation, n: int, ray: Ray,
             orbit_size=len(orbit),
         )
     stab = [p for p in elements if int(p[base_idx]) == base_idx]
-    return _component_partition(stab, size, base, n, base_idx)
+    return _component_partition(stab, size, base)

@@ -45,7 +45,7 @@ class OrbitalScheme:
     rank: int
     base_index: int
     partition: SuborbitPartition
-    block_of: np.ndarray            # suborbit (= class of (base, y)) per vertex
+    block_of: np.ndarray            # partition.block_of: class of (base, y) per y
     valencies: np.ndarray           # class sizes k_i; k_0 = 1
     pairing: tuple[int, ...]        # i -> class of the reversed pairs
     representatives: tuple[int, ...]  # y_k with (base, y_k) in class k
@@ -54,7 +54,7 @@ class OrbitalScheme:
 
     @property
     def level(self) -> int:
-        return self.partition.level
+        return self.partition.base.level
 
     @property
     def degree(self) -> int:
@@ -86,9 +86,9 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
     if broken:
         raise IntegrityError("transversal checks failed:\n" + "\n".join(broken))
     partition = suborbits_from_transversal(pres, tv)
-    r = partition.rank
-    block_of = partition.block_of_array(size)
-    reps = tuple(block[0] for block in partition.blocks)
+    r, block_of = partition.rank, partition.block_of
+    reps = np.full(r, size, dtype=np.int64)  # the least vertex of each block
+    np.minimum.at(reps, block_of, np.arange(size))
 
     def label_row(x: int) -> np.ndarray:  # keeps the table, not the transversal
         return block_of[perms[x]]
@@ -105,7 +105,7 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
         block_of=block_of,
         valencies=np.bincount(block_of, minlength=r),
         pairing=tuple(pairing.tolist()),
-        representatives=reps,
+        representatives=tuple(reps.tolist()),
         p=p,
         label_row=label_row,
     )

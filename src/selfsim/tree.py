@@ -137,6 +137,9 @@ class Ray:
         return self.head.degree
 
     def prefix(self, n: int) -> Vertex:
+        """The level-n vertex this ray passes through."""
+        if n < 0:
+            raise ValueError(f"level must be >= 0, got {n}")
         letters = list(self.head.letters[:n])
         tail = itertools.cycle(self.periodic_tail)
         while len(letters) < n:
@@ -147,13 +150,6 @@ class Ray:
         head = "".join(str(c) for c in self.head.letters)
         tail = "".join(str(c) for c in self.periodic_tail)
         return f"{head}({tail})*"
-
-
-def ray_prefix(ray: Ray, n: int) -> Vertex:
-    """The level-n vertex this ray passes through."""
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    return ray.prefix(n)
 
 
 def all_d_ray(degree: int) -> Ray:

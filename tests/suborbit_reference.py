@@ -9,4 +9,4 @@ from selfsim.orbits import _component_partition, _schreier_pairs
 def permutation_route(pres, tv):
     """Suborbit partition from the Schreier generators' permutations."""
     perms = (perm for *_, perm in _schreier_pairs(pres, tv))
-    return _component_partition(perms, len(tv), tv.base, tv.level, tv.base.index())
+    return _component_partition(perms, len(tv), tv.base)

@@ -74,7 +74,7 @@ def test_binary_suborbit_structure():
         entry = builtin(key)
         for n in range(1, BINARY_MAX + 1):
             parts = stabilizer_suborbits(entry.presentation, n, entry.default_ray)
-            got = [frozenset(b) for b in parts.blocks_as_vertices(2)]
+            got = [frozenset(b) for b in parts.blocks_as_vertices()]
             assert len(got) == n + 1, (key, n)
             assert got == expected_binary_blocks(n), (key, n)
     elapsed = time.perf_counter() - start
@@ -90,7 +90,7 @@ def test_ternary_suborbit_structure():
         entry = builtin(key)
         for n in range(1, TERNARY_MAX + 1):
             parts = stabilizer_suborbits(entry.presentation, n, entry.default_ray)
-            got = [frozenset(b) for b in parts.blocks_as_vertices(3)]
+            got = [frozenset(b) for b in parts.blocks_as_vertices()]
             assert len(got) == 2 * n + 1, (key, n)
             assert got == expected_ternary_blocks(n), (key, n)
         elapsed = time.perf_counter() - start

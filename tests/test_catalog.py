@@ -3,7 +3,6 @@ import pytest
 
 from selfsim.catalog import builtin, keys, source_text
 from selfsim.errors import UnknownGroupError
-from selfsim.tree import ray_prefix
 from selfsim.wreath import Word, level_permutation, parse_presentation
 
 ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
@@ -50,7 +49,7 @@ def test_involution_declarations(key):
 def test_default_ray_is_all_d(key):
     entry = builtin(key)
     d = entry.degree
-    assert str(ray_prefix(entry.default_ray, 3)) == str(d) * 3
+    assert str(entry.default_ray.prefix(3)) == str(d) * 3
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)

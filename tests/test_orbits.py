@@ -7,11 +7,12 @@ from suborbit_reference import permutation_route
 
 from selfsim.catalog import builtin
 from selfsim.errors import NotTransitiveError, SizeCapError
-from selfsim.orbits import (bfs_group_order, oracle_suborbits,
+from selfsim.orbits import (SuborbitPartition, _canonical_partition,
+                            bfs_group_order, oracle_suborbits,
                             orbit_transversal, schreier_generators,
                             stabilizer_suborbits)
 from selfsim.scheme import build_scheme
-from selfsim.tree import all_d_ray, ray_prefix
+from selfsim.tree import Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (Word, WreathPresentation, act,
                             generator_level_perms, level_permutation,
                             parse_presentation)
@@ -49,7 +50,7 @@ def test_transversal_gamma_level_one():
 def test_transversal_moves_base(key, n):
     pres, ray = _entry(key)
     tv = orbit_transversal(pres, n, ray)
-    base = ray_prefix(ray, n)
+    base = ray.prefix(n)
     for idx, word in enumerate(tv.words):
         assert act(pres, word, base).index() == idx
         assert int(tv.perms[idx][idx]) == base.index()
@@ -122,7 +123,7 @@ def test_schreier_level_one_grigorchuk():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_schreier_words_fix_base(key, n):
     pres, ray = _entry(key)
-    base = ray_prefix(ray, n)
+    base = ray.prefix(n)
     words = schreier_generators(pres, n, ray)
     assert words, "stabilizer generators expected at positive levels"
     for w in words:
@@ -140,19 +141,19 @@ def test_schreier_distinct_permutations():
 def test_suborbits_grigorchuk_level_two():
     pres, ray = _entry("grigorchuk")
     parts = stabilizer_suborbits(pres, 2, ray)
-    assert parts.blocks_as_vertices(2) == [["22"], ["21"], ["11", "12"]]
+    assert parts.blocks_as_vertices() == [["22"], ["21"], ["11", "12"]]
 
 
 def test_suborbits_gupta_sidki_level_one():
     pres, ray = _entry("gupta-sidki")
     parts = stabilizer_suborbits(pres, 1, ray)
-    assert parts.blocks_as_vertices(3) == [["3"], ["1"], ["2"]]
+    assert parts.blocks_as_vertices() == [["3"], ["1"], ["2"]]
 
 
 def test_suborbits_level_zero():
     pres, ray = _entry("gamma")
     parts = stabilizer_suborbits(pres, 0, ray)
-    assert parts.blocks == ((0,),)
+    assert parts.block_of.tolist() == [0]
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -189,7 +190,7 @@ def test_suborbits_keep_the_pairs_of_short_cycles():
     assert _cycle_lengths(perms["a"]) == {1, 2}
     assert _cycle_lengths(perms["b"]) == {2, 4}
     parts = stabilizer_suborbits(pres, 3, ray)
-    assert parts.blocks_as_vertices(2) == [
+    assert parts.blocks_as_vertices() == [
         ["222"], ["221"], ["211", "212"], ["111", "112", "121", "122"]]
     for n in range(5):
         assert stabilizer_suborbits(pres, n, ray) == oracle_suborbits(pres, n, ray)
@@ -198,9 +199,64 @@ def test_suborbits_keep_the_pairs_of_short_cycles():
 def test_suborbits_canonical_order():
     pres, ray = _entry("grigorchuk")
     parts = stabilizer_suborbits(pres, 4, ray)
-    sizes = [len(b) for b in parts.blocks]
+    sizes = np.bincount(parts.block_of).tolist()
     assert sizes[0] == 1
     assert sizes[1:] == sorted(sizes[1:])
+
+
+# Level 3 of the binary tree: the base 221 (index 6) is not the least member
+# of its block {4, 6}; {2} and {3} tie on size, as do {0, 7} and {1, 5}, and
+# each tie goes to the smaller least member.  Level 0 has one block.
+FORESTS = {
+    "ties": ([0, 1, 2, 3, 4, 1, 4, 0], Vertex.from_index(2, 3, 6), [3, 4, 1, 2, 0, 4, 0, 3],
+             [["211", "221"], ["121"], ["122"], ["111", "222"], ["112", "212"]]),
+    "level-0": ([0], Vertex.root(3), [0], [["-"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORESTS))
+def test_canonical_numbering_of_a_forest(name):
+    forest, base, block_of, vertices = FORESTS[name]
+    rep = np.array(forest, dtype=np.int64)
+    parts = _canonical_partition(rep, base)
+    assert rep.tolist() == forest
+    assert parts.block_of.dtype == np.int64
+    assert parts.block_of.tolist() == block_of
+    assert parts.rank == len(vertices)
+    assert parts.blocks_as_vertices() == vertices
+
+
+def test_canonical_numbering_takes_array_passes():
+    # 64 interleaved blocks on 2^18 points, the last point a block of its
+    # own, so a root lies at N - 1.  The output array alone takes 8 N bytes;
+    # the bound leaves room for one more N-entry array, not for a Python
+    # object per vertex.
+    size = 1 << 18
+    labels = np.random.default_rng(3).integers(0, 63, size)
+    labels[-1] = 63
+    least = np.full(64, size)
+    np.minimum.at(least, labels, np.arange(size))
+    rep = least[labels]
+    tracemalloc.start()
+    try:
+        parts = _canonical_partition(rep, Vertex.from_index(2, 18, 12345))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parts.rank == 64
+    assert peak < 3 * 8 * size
+
+
+def test_partitions_compare_bases_and_blocks():
+    pres, ray = _entry("grigorchuk")
+    parts = stabilizer_suborbits(pres, 3, ray)
+    assert parts == oracle_suborbits(pres, 3, ray)
+    assert parts == SuborbitPartition(parts.base, parts.block_of.copy())
+    # Level 3 seen from 111: the same block sizes, another base.
+    other = stabilizer_suborbits(pres, 3, parse_ray("1", 2))
+    assert SuborbitPartition(other.base, parts.block_of) != parts
+    assert SuborbitPartition(parts.base, other.block_of) != parts
+    assert parts != parts.block_of.tolist()
 
 
 def test_not_transitive():
@@ -237,16 +293,16 @@ def test_bfs_group_order_cap():
 
 def test_oracle_suborbits_examples():
     pres, ray = _entry("grigorchuk")
-    assert oracle_suborbits(pres, 1, ray).blocks == (((1,), (0,)))
+    assert oracle_suborbits(pres, 1, ray).block_of.tolist() == [1, 0]
     assert oracle_suborbits(pres, 2, ray) == stabilizer_suborbits(pres, 2, ray)
     pres, ray = _entry("gamma")
-    assert oracle_suborbits(pres, 1, ray).blocks_as_vertices(3) == [["3"], ["1"], ["2"]]
+    assert oracle_suborbits(pres, 1, ray).blocks_as_vertices() == [["3"], ["1"], ["2"]]
 
 
 def test_schreier_vector_spells_the_words():
     pres, ray = _entry("gupta-sidki")
     tv = orbit_transversal(pres, 3, ray)
-    base_idx = ray_prefix(ray, 3).index()
+    base_idx = ray.prefix(3).index()
     assert tv.order[0] == base_idx
     assert (tv.parent[base_idx], tv.via[base_idx]) == (-1, None)
     for x in tv.order[1:]:

@@ -1,8 +1,9 @@
 """Property tests on random small presentations beyond the catalog: the
 Schreier-vector suborbit route against the group enumeration oracle and,
 at levels past the oracle's cap, against the permutation route, also on
-fixed automata whose generators have cycles of mixed lengths; and the
-scheme's row route against the full label table and the dense oracle.
+fixed automata whose generators have cycles of mixed lengths and on two
+more fixed inputs; and the scheme's row route against the full label table
+and the dense oracle.
 The component routine the suborbit routes share is checked on its own
 against a union-find reference."""
 
@@ -21,7 +22,7 @@ from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_p, dense_commutant_oracle,
                               intersection_matrices, multiplicities)
-from selfsim.tree import Ray, Vertex, all_d_ray, ray_prefix
+from selfsim.tree import Ray, Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             generator_level_perms, parse_presentation)
 
@@ -71,7 +72,7 @@ def _orbit_size(pres: WreathPresentation, base: Vertex) -> int:
 def test_suborbits_match_the_oracle(case):
     pres, ray = case
     for n in range(4):
-        if _orbit_size(pres, ray_prefix(ray, n)) < pres.degree**n:
+        if _orbit_size(pres, ray.prefix(n)) < pres.degree**n:
             with pytest.raises(NotTransitiveError):
                 stabilizer_suborbits(pres, n, ray)
             return
@@ -126,6 +127,42 @@ def test_suborbits_with_cycles_of_mixed_lengths(text):
                for n in range(6 if pres.degree == 2 else 5)
                for perm in generator_level_perms(pres, n).values())
     _check_the_permutation_route(pres, all_d_ray(pres.degree))
+
+
+# A degree-3 input whose suborbits are much finer than the bound that keeps
+# the prefix shared with the base and the stabilizer orbit of the next
+# letter: rank 15 at level 4, where that bound has rank 5.  A check of
+# self-replication that counts section letters by name, not by occurrence,
+# passes it and gives wrong blocks.
+FINER_THAN_CONES = ("degree: 3\ngen a = perm (2 3) | e, b a, a^-1\n"
+                    "gen b = perm (1 3) | a a^-1, b, e\n")
+
+
+def test_suborbits_finer_than_the_cones():
+    pres, ray = parse_presentation(FINER_THAN_CONES), parse_ray("3", 3)
+    for n, rank in enumerate((2, 3, 6, 15), start=1):
+        parts = stabilizer_suborbits(pres, n, ray)
+        assert parts.rank == rank, n
+        assert parts == oracle_suborbits(pres, n, ray), n
+    parts = stabilizer_suborbits(pres, 5, ray)  # past the oracle's cap
+    assert parts.rank == 42
+    assert parts == permutation_route(pres, orbit_transversal(pres, 5, ray))
+
+
+# A binary input whose scheme is not commutative from level 3 on; no
+# catalog group has one.
+NON_COMMUTATIVE = ("degree: 2\ngen a = perm (1 2) | c, c^-1 b^-1 c^-1\n"
+                   "gen b = perm (1 2) | e, c^-1 a\ngen c = perm (1 2) | e, a c\n")
+
+
+def test_suborbits_of_a_non_commutative_scheme():
+    pres, ray = parse_presentation(NON_COMMUTATIVE), parse_ray("2", 2)
+    for n, rank in enumerate((2, 4, 8, 12, 16, 20), start=1):
+        scheme = build_scheme(pres, n, ray)
+        assert scheme.rank == rank, n
+        assert scheme.partition == oracle_suborbits(pres, n, ray), n
+        assert scheme.partition == permutation_route(pres, orbit_transversal(pres, n, ray)), n
+        assert is_commutative(scheme.p) == (n < 3), n
 
 
 @PROPERTY_SETTINGS

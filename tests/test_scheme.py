@@ -113,7 +113,8 @@ def test_label_invariance_spot():
 
 def test_representative_independence():
     s = _scheme("grigorchuk", 3)
-    for k, block in enumerate(s.partition.blocks):
+    for k in range(s.rank):
+        block = np.flatnonzero(s.partition.block_of == k)
         if len(block) < 2:
             continue
         other = block[1]
@@ -181,6 +182,15 @@ def test_scheme_keeps_no_transversal(monkeypatch):
     assert made[0]() is None
     assert not hasattr(s, "transversal")
     assert s.label(s.base_index, s.base_index) == 0  # the scheme still reads labels
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_scheme_reads_the_partition_array(key):
+    for n in range(5 if key.startswith("grigorchuk") else 4):
+        s = _scheme(key, n)
+        assert s.block_of is s.partition.block_of
+        least = [int(np.flatnonzero(s.block_of == k)[0]) for k in range(s.rank)]
+        assert s.representatives == tuple(least), (key, n)
 
 
 def _label_readings(pres, s):

@@ -2,7 +2,7 @@ import pytest
 
 from selfsim.errors import SizeCapError
 from selfsim.tree import (Ray, Vertex, all_d_ray, check_level_size, parse_ray,
-                          ray_prefix, vertices_at_level)
+                          vertices_at_level)
 
 
 def test_level_zero_is_root():
@@ -90,28 +90,35 @@ def test_vertex_child_concat():
 
 def test_ray_prefix_constant_tail():
     ray = Ray(Vertex.root(2), (2,))
-    assert str(ray_prefix(ray, 3)) == "222"
-    assert str(ray_prefix(ray, 0)) == "-"
+    assert str(ray.prefix(3)) == "222"
+    assert str(ray.prefix(0)) == "-"
 
 
 def test_ray_prefix_with_head():
     ray = Ray(Vertex.parse("13", 3), (2,))
-    assert str(ray_prefix(ray, 4)) == "1322"
-    assert str(ray_prefix(ray, 1)) == "1"
+    assert str(ray.prefix(4)) == "1322"
+    assert str(ray.prefix(1)) == "1"
+
+
+@pytest.mark.parametrize("ray,n", [(Ray(Vertex.parse("13", 3), (2,)), -1),
+                                   (all_d_ray(2), -3)], ids=["head", "all-d"])
+def test_ray_prefix_refuses_a_negative_level(ray, n):
+    with pytest.raises(ValueError, match=f"level must be >= 0, got {n}"):
+        ray.prefix(n)
 
 
 def test_ray_periodic_tail():
     ray = Ray(Vertex.root(2), (1, 2))
-    assert str(ray_prefix(ray, 5)) == "12121"
+    assert str(ray.prefix(5)) == "12121"
 
 
 def test_all_d_ray():
-    assert str(ray_prefix(all_d_ray(3), 4)) == "3333"
+    assert str(all_d_ray(3).prefix(4)) == "3333"
 
 
 def test_parse_ray():
-    assert str(ray_prefix(parse_ray("dinf", 2), 3)) == "222"
-    assert str(ray_prefix(parse_ray("13", 3), 4)) == "1313"
+    assert str(parse_ray("dinf", 2).prefix(3)) == "222"
+    assert str(parse_ray("13", 3).prefix(4)) == "1313"
     with pytest.raises(ValueError):
         parse_ray("14", 3)
     with pytest.raises(ValueError):
