@@ -316,18 +316,19 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
 
 def _level_group_elements(pres: WreathPresentation, n: int,
                           cap: int) -> list[np.ndarray]:
-    """Every permutation of level n induced by the group, by closure sweep."""
-    gen_perms = generator_level_perms(pres, n)
+    """Every permutation of level n induced by the group, by closure sweep;
+    each is kept once, as bytes in the narrowest unsigned type, and viewed."""
     size = pres.degree**n
-    gens = [gen_perms[name] for name in pres.generator_names]
-    identity = np.arange(size, dtype=np.int64)
-    elements = {identity.tobytes(): identity}
+    dtype = np.min_scalar_type(size - 1)
+    gen_perms = generator_level_perms(pres, n)
+    gens = [gen_perms[name].astype(dtype) for name in pres.generator_names]
+    identity = np.arange(size, dtype=dtype).tobytes()
+    elements = dict.fromkeys([identity])  # insertion-ordered set
     queue = deque([identity])
     while queue:
-        p = queue.popleft()
+        p = np.frombuffer(queue.popleft(), dtype)
         for g in gens:
-            q = g[p]
-            key = q.tobytes()
+            key = g[p].tobytes()
             if key not in elements:
                 if len(elements) >= cap:
                     raise SizeCapError(
@@ -335,9 +336,9 @@ def _level_group_elements(pres: WreathPresentation, n: int,
                         f"(found {len(elements)} elements so far)",
                         size=len(elements),
                     )
-                elements[key] = q
-                queue.append(q)
-    return list(elements.values())
+                elements[key] = None
+                queue.append(key)
+    return [np.frombuffer(key, dtype) for key in elements]
 
 
 def bfs_group_order(pres: WreathPresentation, n: int,

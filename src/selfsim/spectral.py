@@ -3,8 +3,10 @@
 The intersection numbers p alone give everything here (Bannai-Ito,
 Algebraic Combinatorics I, II.3): the valencies k_i = sum_j p[i][j][0], the
 point count N = sum_i k_i, and the left-regular matrices of the convolution
-algebra.  When the algebra is commutative its joint eigensystem is a set of
-one-dimensional characters; the multiplicity attached to character row j,
+algebra.  ``spectral_data`` refuses a p that is not commutative
+(``scheme.is_commutative``), naming the first pair of matrices that do not
+commute; a commutative algebra's joint eigensystem is a set of
+one-dimensional characters, and the multiplicity of character row j,
 
     m_j = N / sum_i |P[j, i]|^2 / k_i,
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import IntegrityError, NumericalError, SizeCapError
 from .orbits import merge_components
-from .scheme import OrbitalScheme, build_scheme
+from .scheme import OrbitalScheme, build_scheme, is_commutative
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation
 
@@ -73,20 +75,11 @@ def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED) -> np.nda
     Row 0 carries the valency character; the rest are sorted by multiplicity,
     then lexicographically.  Eigenvalues within EIG_CLUSTER_RTOL of the
     largest modulus count as one; seeds are retried when a random
-    combination fails to separate the eigenspaces.
+    combination fails to separate the eigenspaces.  The family must commute
+    (``spectral_data`` reads that off p): one that does not has no r
+    independent joint eigenvectors, so every seed fails these tests.
     """
     B = np.asarray(matrices)
-    for i in range(B.shape[0] - 1):
-        rest = B[i + 1:]
-        bad = np.flatnonzero((B[i] @ rest != rest @ B[i]).any(axis=(1, 2)))
-        if bad.size:
-            raise IntegrityError(f"matrices {i} and {i + 1 + bad[0]} do not commute")
-    return _eigensystem(B, seed)
-
-
-def _eigensystem(B: np.ndarray, seed: int) -> np.ndarray:
-    """``common_eigensystem`` without the commutation check, for a caller that
-    has already run it on the same matrices."""
     r = B.shape[0]
     valencies = B[:, 0, :].sum(axis=1)  # row sums are constant per matrix
     point_count = int(valencies.sum())
@@ -180,7 +173,12 @@ def spectral_data(p: np.ndarray, seed: int = DEFAULT_SEED) -> SpectralData:
     p = np.asarray(p)
     valencies = p[:, :, 0].sum(axis=1)  # k_i = sum_j p[i][j][0]
     point_count = int(valencies.sum())
-    P = common_eigensystem(intersection_matrices(p), seed)
+    B = intersection_matrices(p)
+    if not is_commutative(p):
+        # [B_i, B_j] = sum_k (p[i][j][k] - p[j][i][k]) B_k; the B_k are independent
+        i, j = np.argwhere((p != p.transpose(1, 0, 2)).any(axis=2))[0]
+        raise IntegrityError(f"matrices {i} and {j} do not commute")
+    P = common_eigensystem(B, seed)
     m = multiplicities(P, valencies, point_count)
     if m[0] != 1:
         raise NumericalError(f"valency character has multiplicity {m[0]}, expected 1")

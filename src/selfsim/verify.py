@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheme import build_scheme, is_commutative
-from .spectral import (DEFAULT_SEED, _eigensystem, common_eigensystem,
-                       intersection_matrices, multiplicities)
+from .spectral import (DEFAULT_SEED, common_eigensystem, intersection_matrices,
+                       multiplicities)
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
 from .wreath import Word, WreathPresentation, act, level_permutation, section
 
@@ -136,9 +136,9 @@ def _multiplicity_seed_independence(scheme, rng, cases, seed):
     B = intersection_matrices(scheme.p)
     def degrees(P):
         return tuple(sorted(multiplicities(P, scheme.valencies, scheme.point_count)))
-    baseline = degrees(common_eigensystem(B, seed))  # checks commutation once
+    baseline = degrees(common_eigensystem(B, seed))
     def case(i):
-        other = degrees(_eigensystem(B, seed + 1000 + i))
+        other = degrees(common_eigensystem(B, seed + 1000 + i))
         if other != baseline:
             return f"seed {seed + 1000 + i} gave {other}, baseline {baseline}"
         return ""

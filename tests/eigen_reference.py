@@ -1,5 +1,6 @@
 """The scalar route to the character table: one eigenvector and one matrix at
-a time, as a reference for the batched ``spectral.common_eigensystem``; and
+a time, as a reference for the batched ``spectral.common_eigensystem``; the
+exact products that name the pair ``spectral.spectral_data`` refuses; and
 the union-find components that ``orbits.merge_components`` must match."""
 
 import numpy as np
@@ -81,4 +82,15 @@ def scalar_eigensystem(B, seed, rtol=EIG_CLUSTER_RTOL):
                                  for x in P[j])),
         )
         return P[order]
+    return None
+
+
+def first_non_commuting_pair(B):
+    """The first (i, j), i < j in row-major order, with B[i] B[j] != B[j] B[i]
+    as exact products; None when the family commutes."""
+    for i in range(B.shape[0] - 1):
+        rest = B[i + 1:]
+        bad = np.flatnonzero((B[i] @ rest != rest @ B[i]).any(axis=(1, 2)))
+        if bad.size:
+            return i, i + 1 + int(bad[0])
     return None

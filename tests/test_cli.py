@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_properties import NON_COMMUTATIVE
 
 import selfsim
 from selfsim import __version__, cache
@@ -267,6 +268,33 @@ def test_intransitive_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "orbits", "--file", str(path), "--level", "1")
     assert code == 2
     assert "not transitive" in err
+
+
+REFUSAL = '{"error": "IntegrityError", "message": "matrices 1 and 3 do not commute"}\n'
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["decompose", "--level", "3"], "error: matrices 1 and 3 do not commute\n"),
+    (["decompose", "--level", "3", "--json"], REFUSAL),
+    (["decompose", "--level", "2", "--nesting", "--json"], REFUSAL),  # level 3's p
+])
+def test_non_gelfand_decompose_exits_two(capsys, tmp_path, argv, err):
+    path = tmp_path / "p.txt"
+    path.write_text(NON_COMMUTATIVE)
+    code, out, got = run(capsys, *argv, "--file", str(path), "--ray", "2")
+    assert (code, out, got) == (2, "", err)
+
+
+def test_non_gelfand_scheme_and_verify_exit_zero(capsys, tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text(NON_COMMUTATIVE)
+    source = ("--file", str(path), "--ray", "2", "--level", "3")
+    code, doc, _ = run_json(capsys, "scheme", *source)
+    assert code == 0 and doc["commutative"] is False
+    code, out, _ = run(capsys, "verify", *source, "--cases", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == ("PASS multiplicity_seed_independence: 0 cases "
+                                    "(skipped: scheme is not commutative)")
 
 
 def test_parse_error_exits_one(capsys, tmp_path):

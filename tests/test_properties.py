@@ -2,26 +2,30 @@
 Schreier-vector suborbit route against the group enumeration oracle and,
 at levels past the oracle's cap, against the permutation route, also on
 fixed automata whose generators have cycles of mixed lengths and on two
-more fixed inputs; and the scheme's row route against the full label table
-and the dense oracle.
+more fixed inputs; the scheme's row route against the full label table
+and the dense oracle; and the Gelfand verdict spectral_data reads off p
+against exact products of the left-regular matrices.
 The component routine the suborbit routes share is checked on its own
 against a union-find reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from eigen_reference import least_members, scalar_eigensystem
+from eigen_reference import first_non_commuting_pair, least_members, scalar_eigensystem
 from label_table import table_route
 from suborbit_reference import permutation_route
 
-from selfsim.errors import NotTransitiveError, SizeCapError
+from selfsim.catalog import builtin, keys
+from selfsim.errors import IntegrityError, NotTransitiveError, SizeCapError
 from selfsim.orbits import (merge_components, oracle_suborbits, orbit_transversal,
                             stabilizer_suborbits)
 from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_p, dense_commutant_oracle,
-                              intersection_matrices, multiplicities)
+                              intersection_matrices, multiplicities, spectral_data)
 from selfsim.tree import Ray, Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             generator_level_perms, parse_presentation)
@@ -149,6 +153,42 @@ def test_suborbits_finer_than_the_cones():
     assert parts == permutation_route(pres, orbit_transversal(pres, 5, ray))
 
 
+def test_oracle_keeps_each_group_element_once():
+    # Level 5 of FINER_THAN_CONES has more than 2^12 elements.  Each is kept
+    # as its 243 bytes: about 1.3 MB at the refusal, where an int64 copy
+    # beside its bytes key takes about 16.7 MB.
+    pres, ray = parse_presentation(FINER_THAN_CONES), parse_ray("3", 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=r"^group on level 5 exceeds cap 4096 "):
+            oracle_suborbits(pres, 5, ray, cap=2**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def _check_the_gelfand_verdict(p):
+    # spectral_data reads commutativity off p; the exact products of the
+    # left-regular matrices must name the same pair, or none.
+    pair = first_non_commuting_pair(intersection_matrices(p))
+    if pair is None:
+        spectral_data(p)
+    else:
+        with pytest.raises(IntegrityError,
+                           match=f"^matrices {pair[0]} and {pair[1]} do not commute$"):
+            spectral_data(p)
+    return pair
+
+
+@pytest.mark.parametrize("key", keys())
+def test_gelfand_verdict_matches_the_products_on_the_catalog(key):
+    e = builtin(key)
+    for n in range(7 if e.presentation.degree == 2 else 5):
+        scheme = build_scheme(e.presentation, n, e.default_ray)
+        assert _check_the_gelfand_verdict(scheme.p) is None, n
+
+
 # A binary input whose scheme is not commutative from level 3 on; no
 # catalog group has one.
 NON_COMMUTATIVE = ("degree: 2\ngen a = perm (1 2) | c, c^-1 b^-1 c^-1\n"
@@ -163,6 +203,7 @@ def test_suborbits_of_a_non_commutative_scheme():
         assert scheme.partition == oracle_suborbits(pres, n, ray), n
         assert scheme.partition == permutation_route(pres, orbit_transversal(pres, n, ray)), n
         assert is_commutative(scheme.p) == (n < 3), n
+        assert _check_the_gelfand_verdict(scheme.p) == (None if n < 3 else (1, 3)), n
 
 
 @PROPERTY_SETTINGS
@@ -199,6 +240,18 @@ def test_batched_eigensystem_matches_the_scalar_reference(case):
         assert np.allclose(P, Q, rtol=0, atol=1e-9), pres.to_text()
         assert (multiplicities(P, scheme.valencies, scheme.point_count)
                 == multiplicities(Q, scheme.valencies, scheme.point_count)), pres.to_text()
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_gelfand_verdict_matches_the_products(case):
+    pres, ray = case
+    for n in range(4):
+        try:
+            scheme = build_scheme(pres, n, ray)
+        except NotTransitiveError:
+            return
+        _check_the_gelfand_verdict(scheme.p)
 
 
 @st.composite

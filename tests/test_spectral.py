@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from eigen_reference import chained_clusters, scalar_eigensystem
+from test_properties import NON_COMMUTATIVE
 
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
@@ -10,6 +11,8 @@ from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _cluster_indices,
                               dense_commutant_oracle,
                               intersection_matrices, multiplicities,
                               spectral_data, tower_nesting_check)
+from selfsim.tree import parse_ray
+from selfsim.wreath import parse_presentation
 
 
 def _scheme(key, n):
@@ -61,17 +64,21 @@ def test_eigensystem_rank_one():
 
 
 def test_eigensystem_rejects_non_commuting():
+    # No commutation check: a swap and a projection share no eigenbasis, so
+    # every seed leaves a residual.
     a = np.array([[0, 1], [1, 0]])
     b = np.array([[1, 0], [0, 0]])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(NumericalError, match="left eigenvector residual"):
         common_eigensystem(np.stack([a, b]))
 
 
 def test_eigensystem_names_the_first_non_commuting_pair():
-    swap = np.array([[0, 1], [1, 0]])
-    proj = np.array([[1, 0], [0, 0]])
-    with pytest.raises(IntegrityError, match="^matrices 1 and 2 do not commute$"):
-        common_eigensystem(np.stack([np.eye(2, dtype=np.int64), swap, proj]))
+    # The refusal is spectral_data's, read off p; NON_COMMUTATIVE's scheme
+    # stops commuting at level 3.
+    pres, ray = parse_presentation(NON_COMMUTATIVE), parse_ray("2", 2)
+    for n in range(3, 7):
+        with pytest.raises(IntegrityError, match="^matrices 1 and 3 do not commute$"):
+            spectral_data(build_scheme(pres, n, ray).p)
 
 
 def test_eigensystem_gives_up_after_the_seed_retries():

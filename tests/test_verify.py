@@ -25,12 +25,17 @@ def test_case_count_respected():
 
 
 def test_seed_independence_checks_commutation_once(monkeypatch):
+    # Commutativity is read off p once; every solve, the baseline's and each
+    # case's, goes through common_eigensystem.
     e = builtin("grigorchuk")
-    seeds = []
-    checked = verify.common_eigensystem
+    seeds, verdicts = [], []
+    solve, commutative = verify.common_eigensystem, verify.is_commutative
     monkeypatch.setattr(verify, "common_eigensystem",
-                        lambda B, seed: seeds.append(seed) or checked(B, seed))
+                        lambda B, seed: seeds.append(seed) or solve(B, seed))
+    monkeypatch.setattr(verify, "is_commutative",
+                        lambda p: verdicts.append(p) or commutative(p))
     results = run_verification(e.presentation, 3, e.default_ray, seed=5, cases=4)
     assert results[-1].name == "multiplicity_seed_independence"
     assert results[-1].passed and results[-1].cases == 4
-    assert seeds == [5]
+    assert seeds == [5, 1005, 1006, 1007, 1008]
+    assert len(verdicts) == 1
