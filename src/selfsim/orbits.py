@@ -2,15 +2,17 @@
 
 Fix a base vertex on level n (a ray prefix).  A breadth-first sweep over the
 generators stores a Schreier vector (Seress, Permutation Group Algorithms,
-section 4.1): for every level vertex x, the vertex parent[x] it was reached
-from and the generator via[x] that reached it.  Following parents back to the
-base spells the transversal word u_x with act(u_x, base) = x; the sweep also
-keeps the level permutation of every u_x^-1, the orientation its readers
-use: the label of a pair (x, y) is the suborbit of u_x^-1(y).  These rows
-are only ever used as indices, so they are stored in the smallest unsigned
-type that holds a vertex index.  The stabilizer of the base is generated by
-the Schreier generators u_{s(x)}^-1 s u_x, and its orbits partition the
-level.
+section 4.1) as int64 arrays: for every level vertex x, the vertex parent[x]
+it was reached from and the index via[x] of the generator that reached it.
+Each generator s_k permutes the level, so (s_k, x) is a pair on the
+breadth-first tree exactly when via[s_k(x)] == k; every reader finds the tree
+pairs by this one rule.  Following parents back to the base spells the
+transversal word u_x with act(u_x, base) = x; the sweep also keeps the level
+permutation of every u_x^-1, the orientation its readers use: the label of a
+pair (x, y) is the suborbit of u_x^-1(y).  These rows are only ever used as
+indices, so they are stored in the smallest unsigned type that holds a vertex
+index.  The stabilizer of the base is generated by the Schreier generators
+u_{s(x)}^-1 s u_x, and its orbits partition the level.
 
 The suborbit partition never builds a word, nor a generator's permutation:
 each Schreier pair is checked against the current component labels on two
@@ -57,18 +59,20 @@ class Transversal:
     """Coset representatives for the base-point stabilizer on one level,
     stored as a Schreier vector.
 
-    Vertex x was first reached from parent[x] by generator via[x], so its
-    transversal word is u_x = via[x] u_{parent[x]}; the base has parent -1,
-    no generator and the empty word.  ``words`` spells every u_x out on first
+    Vertex x was first reached from parent[x] by generators[via[x]], so its
+    transversal word is u_x = generators[via[x]] u_{parent[x]}; the base has
+    parent and via -1 and the empty word.  (generators[k], x) is a tree pair
+    iff via[y] == k for its image y.  ``words`` spells every u_x out on first
     access and keeps the result.
     """
 
     base: Vertex
-    parent: tuple[int, ...]        # parent[x] -> vertex x was reached from
-    via: tuple[str | None, ...]    # via[x] -> generator carrying parent[x] to x
-    perms: np.ndarray              # perms[x] = level permutation of u_x^-1, in the
-                                   # smallest unsigned type that holds N - 1
-    order: tuple[int, ...]         # indices in breadth-first discovery order
+    generators: tuple[str, ...]  # the generator names via indexes
+    parent: np.ndarray           # int64; parent[x] -> vertex x was reached from
+    via: np.ndarray              # int64; via[x] -> index of the generator carrying parent[x] to x
+    order: np.ndarray            # int64; indices in breadth-first discovery order
+    perms: np.ndarray            # perms[x] = level permutation of u_x^-1, in the
+                                 # smallest unsigned type that holds N - 1
 
     def __len__(self) -> int:
         return len(self.order)
@@ -76,9 +80,11 @@ class Transversal:
     @cached_property
     def words(self) -> tuple[Word, ...]:
         """Index x -> word u_x with act(u_x, base) = x."""
+        letters = [Word.generator(name) for name in self.generators]
+        parent, via = self.parent.tolist(), self.via.tolist()
         words = [Word()] * len(self.order)
-        for x in self.order[1:]:
-            words[x] = Word.generator(self.via[x]) * words[self.parent[x]]
+        for x in self.order[1:].tolist():
+            words[x] = letters[via[x]] * words[parent[x]]
         return tuple(words)
 
 
@@ -101,31 +107,29 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
     base = ray.prefix(n)
     base_idx = base.index()
     gen_perms = generator_level_perms(pres, n, cap)
+    gens = [gen_perms[name] for name in pres.generator_names]
 
-    parent: list[int | None] = [None] * size
-    via: list[str | None] = [None] * size
+    parent = np.full(size, -1, dtype=np.int64)
+    via = np.full(size, -1, dtype=np.int64)
     perms = np.empty((size, size), dtype=dtype)
-    parent[base_idx] = -1
     perms[base_idx] = np.arange(size)
     order = [base_idx]
-    queue = deque([base_idx])
-    while queue:
-        x = queue.popleft()
-        for name in pres.generator_names:
-            y = int(gen_perms[name][x])
-            if parent[y] is None:
+    for x in order:  # the sweep appends to order as it goes
+        for k, pg in enumerate(gens):
+            y = int(pg[x])
+            if via[y] < 0 and y != base_idx:
                 parent[y] = x
-                via[y] = name
-                perms[y][gen_perms[name]] = perms[x]  # u_y^-1 = u_x^-1 s^-1
+                via[y] = k
+                perms[y][pg] = perms[x]  # u_y^-1 = u_x^-1 s^-1
                 order.append(y)
-                queue.append(y)
     if len(order) != size:
         raise NotTransitiveError(
             f"action on level {n} is not transitive: orbit of {base} has "
             f"{len(order)} of {size} vertices",
             orbit_size=len(order),
         )
-    return Transversal(base, tuple(parent), tuple(via), perms, tuple(order))
+    return Transversal(base, pres.generator_names, parent, via,
+                       np.array(order, dtype=np.int64), perms)
 
 
 def _schreier_pairs(pres: WreathPresentation,
@@ -134,20 +138,19 @@ def _schreier_pairs(pres: WreathPresentation,
     (generator s, vertex x) pair, y = s(x), with perm its level permutation.
 
     Generators come in declared order, vertices in discovery order.  Pairs
-    on the breadth-first tree (u_y = s u_x) give the empty word and the
-    identity, so they are left out.  With perms[x] = u_x^-1, g maps
+    on the breadth-first tree (via[y] is s's index) give the empty word and
+    the identity, so they are left out.  With perms[x] = u_x^-1, g maps
     u_x^-1(i) to u_y^-1(s(i)): one scatter per pair.
     """
     gen_perms = generator_level_perms(pres, tv.base.level)
     perms = tv.perms
-    for name in pres.generator_names:
+    for k, name in enumerate(tv.generators):
         pg = gen_perms[name]
-        for x in tv.order:
+        for x in tv.order[tv.via[pg[tv.order]] != k].tolist():
             y = int(pg[x])
-            if tv.parent[y] != x or tv.via[y] != name:
-                g = np.empty_like(pg)
-                g[perms[x]] = perms[y][pg]
-                yield name, x, y, g
+            g = np.empty_like(pg)
+            g[perms[x]] = perms[y][pg]
+            yield name, x, y, g
 
 
 def schreier_generators(pres: WreathPresentation, n: int, ray: Ray,
@@ -281,16 +284,11 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
     perms = tv.perms
     gen_perms = generator_level_perms(pres, tv.base.level)
     points = np.arange(size, dtype=np.int64)
-    # The tree pair reaching y is (via[y], parent[y]).
-    code = {name: k for k, name in enumerate(pres.generator_names)}
-    via = np.array([code.get(name, -1) for name in tv.via], dtype=np.int64)
-    parent = np.array(tv.parent, dtype=np.int64)
     rows = max(1, _BLOCK_ENTRIES // size)
     rep = points
-    for k, name in enumerate(pres.generator_names):
+    for k, name in enumerate(tv.generators):
         pg = gen_perms[name]
-        keep = np.ones(size, dtype=bool)
-        keep[parent[via == k]] = False
+        keep = tv.via[pg] != k  # off the tree: s(x) was not first reached by s
         cycle = merge_components(points, pg)
         length = np.bincount(cycle, minlength=size)
         # Python ints: an int64 lcm can wrap and make a short cycle look full.

@@ -121,19 +121,15 @@ class WreathPresentation:
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
-        declared = set(names)
         for r in self.rules:
             if sorted(r.root_perm) != list(range(1, d + 1)):
                 raise ValueError(f"root permutation of {r.name!r} is not a bijection of 1..{d}")
             if len(r.sections) != d:
                 raise ValueError(f"generator {r.name!r} needs exactly {d} section words")
-            for w in r.sections:
-                for name, _ in w.letters:
-                    if name not in declared:
-                        raise ValueError(f"section of {r.name!r} uses undeclared generator {name!r}")
-        for name in self.involutions:
-            if name not in declared:
-                raise ValueError(f"involutions list names undeclared generator {name!r}")
+        # Sorted, so that a set's iteration order never picks the message.
+        for message, _ in _undeclared(self.rules, sorted(self.involutions)):
+            raise ValueError(message)
+        for name in sorted(self.involutions):
             if not _squares_to_identity(self.rule_map[name].root_perm):
                 raise ValueError(f"declared involution {name!r} has a root permutation "
                                  "of order greater than 2")
@@ -151,9 +147,7 @@ class WreathPresentation:
 
     def parse_word(self, text: str) -> Word:
         word = Word.parse(text)
-        for name, _ in word.letters:
-            if name not in self.rule_map:
-                raise ValueError(f"undeclared generator {name!r} in word")
+        _check_word(self, word)
         return word
 
     def to_text(self) -> str:
@@ -181,6 +175,27 @@ class WreathPresentation:
     @cached_property
     def _level_cache(self) -> dict:
         return {}
+
+
+def _undeclared(rules, involutions):
+    """Yield (message, rule name or None) for every undeclared generator that
+    a section word names, rules in the order given, then for every one that
+    the involutions name, in the order given."""
+    declared = {r.name for r in rules}
+    for r in rules:
+        for w in r.sections:
+            for name, _ in w.letters:
+                if name not in declared:
+                    yield f"section of {r.name!r} uses undeclared generator {name!r}", r.name
+    for name in involutions:
+        if name not in declared:
+            yield f"involutions list names undeclared generator {name!r}", None
+
+
+def _check_word(pres: WreathPresentation, word: Word):
+    for name, _ in word.letters:
+        if name not in pres.rule_map:
+            raise ValueError(f"undeclared generator {name!r} in word")
 
 
 def _squares_to_identity(perm: tuple[int, ...]) -> bool:
@@ -402,20 +417,8 @@ def parse_presentation(text: str) -> WreathPresentation:
     if not rules:
         raise PresentationError("presentation declares no generators")
 
-    declared = set(rule_lines)
-    for rule in rules:
-        for w in rule.sections:
-            for ref, _ in w.letters:
-                if ref not in declared:
-                    raise PresentationError(
-                        f"section of {rule.name!r} uses undeclared generator {ref!r}",
-                        line=rule_lines[rule.name],
-                    )
-    for name in involutions or ():
-        if name not in declared:
-            raise PresentationError(
-                f"involutions list names undeclared generator {name!r}", line=inv_line
-            )
+    for message, name in _undeclared(rules, involutions or ()):
+        raise PresentationError(message, line=inv_line if name is None else rule_lines[name])
 
     return WreathPresentation(degree, tuple(rules), frozenset(involutions or ()))
 
@@ -464,12 +467,7 @@ def _act_letter(pres: WreathPresentation, name: str, sign: int,
 
 def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
     """Apply a word to a vertex, rightmost letter first."""
-    if vertex.degree != pres.degree:
-        raise ValueError("vertex degree does not match the presentation")
-    for name, _ in reversed(word.letters):
-        if name not in pres.rule_map:
-            raise ValueError(f"undeclared generator {name!r} in word")
-    head, word, letters = _walk_chunks(pres, word, vertex.letters)
+    head, word, letters = _walk_chunks(pres, word, vertex)
     for name, sign in reversed(word.letters):
         letters = _act_letter(pres, name, sign, letters)
     return Vertex(head + letters, pres.degree)
@@ -509,16 +507,21 @@ def _walk(pres: WreathPresentation, word: Word,
     return cur, pres.reduce(Word(total))
 
 
-def _walk_chunks(pres: WreathPresentation, word: Word, letters: tuple[int, ...]
+def _walk_chunks(pres: WreathPresentation, word: Word, vertex: Vertex
                  ) -> tuple[tuple[int, ...], Word, tuple[int, ...]]:
     """Split a vertex uv so that v has at most _VERTEX_CHUNK letters; return
-    act(w, u), the section w|_u and v.
+    act(w, u), the section w|_u and v.  A vertex of another degree or a word
+    with an undeclared generator is refused first.
 
     The letter recursion is one call deep per vertex letter, so a long u is
     walked a chunk at a time: act(w, u1 u2) = act(w, u1) act(w|_u1, u2) and
     w|_(u1 u2) = (w|_u1)|_u2.  The carried section is reduced like every
     section, which relies on declared involutions being involutions.
     """
+    if vertex.degree != pres.degree:
+        raise ValueError("vertex degree does not match the presentation")
+    _check_word(pres, word)
+    letters = vertex.letters
     head = ()
     while len(letters) > _VERTEX_CHUNK:
         image, word = _walk(pres, word, letters[:_VERTEX_CHUNK])
@@ -529,12 +532,7 @@ def _walk_chunks(pres: WreathPresentation, word: Word, letters: tuple[int, ...]
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     """The word acting inside the subtree rooted at vertex; freely reduced."""
-    if vertex.degree != pres.degree:
-        raise ValueError("vertex degree does not match the presentation")
-    for name, _ in word.letters:
-        if name not in pres.rule_map:
-            raise ValueError(f"undeclared generator {name!r} in word")
-    _, word, letters = _walk_chunks(pres, word, vertex.letters)
+    _, word, letters = _walk_chunks(pres, word, vertex)
     return _walk(pres, word, letters)[1]
 
 
@@ -590,9 +588,7 @@ def _compose_level(pres: WreathPresentation, word: Word, n: int) -> np.ndarray:
 def level_permutation(pres: WreathPresentation, word: Word, n: int,
                       cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray:
     """The permutation a word induces on level-n vertex indices."""
-    for name, _ in word.letters:
-        if name not in pres.rule_map:
-            raise ValueError(f"undeclared generator {name!r} in word")
+    _check_word(pres, word)
     generator_level_perms(pres, n, cap)
     return _compose_level(pres, word, n)
 

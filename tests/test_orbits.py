@@ -303,11 +303,16 @@ def test_schreier_vector_spells_the_words():
     pres, ray = _entry("gupta-sidki")
     tv = orbit_transversal(pres, 3, ray)
     base_idx = ray.prefix(3).index()
+    assert [a.dtype for a in (tv.parent, tv.via, tv.order)] == [np.int64] * 3
+    assert tv.generators == pres.generator_names
     assert tv.order[0] == base_idx
-    assert (tv.parent[base_idx], tv.via[base_idx]) == (-1, None)
-    for x in tv.order[1:]:
-        assert tv.order.index(tv.parent[x]) < tv.order.index(x)
-        assert tv.words[x] == Word.generator(tv.via[x]) * tv.words[tv.parent[x]]
+    assert (tv.parent[base_idx], tv.via[base_idx]) == (-1, -1)
+    rank = np.empty(len(tv), dtype=np.int64)  # rank[x]: x's place in discovery order
+    rank[tv.order] = np.arange(len(tv))
+    for x in tv.order[1:].tolist():
+        assert rank[tv.parent[x]] < rank[x]
+        name = tv.generators[tv.via[x]]
+        assert tv.words[x] == Word.generator(name) * tv.words[tv.parent[x]]
         assert np.array_equal(tv.perms[x],
                               level_permutation(pres, tv.words[x].inverse(), 3))
 

@@ -2,11 +2,12 @@
 Schreier-vector suborbit route against the group enumeration oracle and,
 at levels past the oracle's cap, against the permutation route, also on
 fixed automata whose generators have cycles of mixed lengths and on two
-more fixed inputs; the scheme's row route against the full label table
-and the dense oracle; and the Gelfand verdict spectral_data reads off p
-against exact products of the left-regular matrices.
-The component routine the suborbit routes share is checked on its own
-against a union-find reference."""
+more fixed inputs; the rule that finds the breadth-first tree pairs, on
+the catalog and those fixed inputs; the scheme's row route against the
+full label table and the dense oracle; and the Gelfand verdict
+spectral_data reads off p against exact products of the left-regular
+matrices.  The component routine the suborbit routes share is checked on
+its own against a union-find reference."""
 
 import tracemalloc
 
@@ -20,8 +21,8 @@ from suborbit_reference import permutation_route
 
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NotTransitiveError, SizeCapError
-from selfsim.orbits import (merge_components, oracle_suborbits, orbit_transversal,
-                            stabilizer_suborbits)
+from selfsim.orbits import (_schreier_pairs, merge_components, oracle_suborbits,
+                            orbit_transversal, stabilizer_suborbits)
 from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_p, dense_commutant_oracle,
@@ -204,6 +205,36 @@ def test_suborbits_of_a_non_commutative_scheme():
         assert scheme.partition == permutation_route(pres, orbit_transversal(pres, n, ray)), n
         assert is_commutative(scheme.p) == (n < 3), n
         assert _check_the_gelfand_verdict(scheme.p) == (None if n < 3 else (1, 3)), n
+
+
+# The catalog groups and the fixed inputs above, each with its ray.
+TREE_PAIR_CASES = {
+    **{key: (builtin(key).presentation, builtin(key).default_ray) for key in keys()},
+    **{f"automaton{i}": (pres, all_d_ray(pres.degree))
+       for i, pres in enumerate(map(parse_presentation, MIXED_CYCLES))},
+    "finer-than-cones": (parse_presentation(FINER_THAN_CONES), parse_ray("3", 3)),
+    "non-commutative": (parse_presentation(NON_COMMUTATIVE), parse_ray("2", 2)),
+}
+
+
+@pytest.mark.parametrize("name", TREE_PAIR_CASES)
+def test_schreier_pairs_leave_out_exactly_the_tree_pairs(name):
+    # (s_k, x) is on the breadth-first tree iff via[s_k(x)] == k.  Each vertex
+    # but the base has one tree pair, and its Schreier generator is the
+    # identity: u_y^-1 s_k = u_x^-1 for y = s_k(x).
+    pres, ray = TREE_PAIR_CASES[name]
+    for n in range(6 if pres.degree == 2 else 5):
+        tv = orbit_transversal(pres, n, ray)
+        size = len(tv)
+        skipped = {(s, x) for s in tv.generators for x in range(size)}
+        for s, x, *_ in _schreier_pairs(pres, tv):
+            skipped.remove((s, x))
+        assert len(skipped) == size - 1, n
+        for k, s in enumerate(tv.generators):
+            perm = generator_level_perms(pres, n)[s]
+            x = np.array(sorted(x for t, x in skipped if t == s), dtype=np.int64)
+            assert np.array_equal(x, np.flatnonzero(tv.via[perm] == k)), n
+            assert np.array_equal(tv.perms[perm[x]][:, perm], tv.perms[x]), n
 
 
 @PROPERTY_SETTINGS

@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import selfsim
 from selfsim.catalog import builtin, source_text
 from selfsim.errors import PresentationError, SizeCapError
 from selfsim.tree import Vertex
@@ -86,6 +93,62 @@ def test_presentation_rejects_a_false_involution():
     three_cycle = GeneratorRule("a", (2, 3, 1), (Word(),) * 3)
     with pytest.raises(ValueError, match="order greater than 2"):
         WreathPresentation(3, (three_cycle,), frozenset("a"))
+
+
+def _rule(name, root_perm, *sections):
+    return GeneratorRule(name, root_perm, tuple(map(Word.parse, sections)))
+
+
+SWAP = _rule("a", (2, 1), "e", "e")
+
+
+@pytest.mark.parametrize("refuse,needle", [
+    (lambda: WreathPresentation(1, (SWAP,)), "degree must be >= 2"),
+    (lambda: WreathPresentation(2, ()), "at least one generator"),
+    (lambda: WreathPresentation(2, (SWAP, SWAP)), "duplicate generator names"),
+    (lambda: WreathPresentation(2, (_rule("a", (1, 1), "e", "e"),)), "not a bijection"),
+    (lambda: WreathPresentation(2, (_rule("a", (2, 1), "e"),)), "exactly 2 section words"),
+    (lambda: WreathPresentation(2, (_rule("a", (2, 1), "e", "b"),)),
+     "section of 'a' uses undeclared generator 'b'"),
+    (lambda: WreathPresentation(2, (SWAP,), frozenset("z")),
+     "involutions list names undeclared generator 'z'"),
+    (lambda: G.parse_word("a y z"), "undeclared generator 'y' in word"),
+    (lambda: act(G, Word.parse("a y z"), v2("1")), "undeclared generator 'y' in word"),
+    (lambda: section(G, Word.parse("a y z"), v2("1")), "undeclared generator 'y' in word"),
+    (lambda: level_permutation(G, Word.parse("a y z"), 2), "undeclared generator 'y' in word"),
+    (lambda: section(G, Word.parse("a"), v3("1")), "vertex degree does not match"),
+], ids=["degree", "no-rules", "duplicate", "root-perm", "section-count", "section-name",
+        "involution-name", "parse-word", "act", "section", "level-permutation",
+        "section-degree"])
+def test_refusals(refuse, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        refuse()
+
+
+# Two presentations the constructor refuses for more than one generator:
+# three undeclared involutions, and two declared involutions of order 3.
+HASH_SEED_PROBE = """
+from selfsim.wreath import GeneratorRule, Word, WreathPresentation
+e = (Word(),) * 3
+for rules, involutions in [((GeneratorRule("s", (1, 2, 3), e),), "pqr"),
+                           ((GeneratorRule("a", (2, 3, 1), e),
+                             GeneratorRule("b", (3, 1, 2), e)), "ab")]:
+    try:
+        WreathPresentation(3, rules, frozenset(involutions))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_refusals_do_not_depend_on_the_hash_seed():
+    src = Path(selfsim.__file__).resolve().parents[1]
+    outputs = [subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+                              ).stdout for seed in ("1", "2")]
+    assert outputs == 2 * ["involutions list names undeclared generator 'p'\n"
+                           "declared involution 'a' has a root permutation of order "
+                           "greater than 2\n"]
 
 
 def test_declared_involution_sections_are_checked():
