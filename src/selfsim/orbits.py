@@ -22,9 +22,17 @@ transversal words when ``Transversal.words`` is first read, the reduced
 generator words only in ``schreier_generators``, which builds each
 generator's permutation to drop repeats.
 
-This fold and the enumeration oracle's both end in a forest, rep[x] the
-least member of x's block, which ``_canonical_partition`` numbers into
-``SuborbitPartition.block_of``, the one array every later step reads.
+For the paper's groups the suborbits are cones, and ``cone_suborbits``
+proves it for a given input with checks that build no N x N array: the
+root permutations act transitively, the stabilizer of each base letter
+restricts onto the whole group (read off section words), and the Schreier
+generators of a few breadth-first vertices join each cross block of a level.
+Where a check fails it returns None, and ``stabilizer_suborbits`` falls back
+to the fold, which stays as the cross-check of the route.
+
+The fold, the cone route and the enumeration oracle all end in a forest,
+rep[x] the least member of x's block, which ``_canonical_partition`` numbers
+into ``SuborbitPartition.block_of``, the one array every later step reads.
 """
 
 from __future__ import annotations
@@ -88,22 +96,30 @@ class Transversal:
         return tuple(words)
 
 
-def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
-                      cap: int = DEFAULT_LEVEL_CAP) -> Transversal:
-    if ray.degree != pres.degree:
-        raise ValueError("ray degree does not match the presentation")
-    size = check_level_size(pres.degree, n, cap)
-    # The perms table holds N^2 vertex indices of 1, 2 or 4 bytes.  It is the
-    # run's one quadratic allocation, so a table past half of physical memory
-    # leaves no room for the rest and is refused before anything is built.
-    # Physical memory, not free memory, keeps the verdict independent of load.
-    dtype = np.min_scalar_type(size - 1)
-    planned = dtype.itemsize * size * size
+def check_memory(subject: str, planned: int, purpose: str, size: int) -> None:
+    """Refuse, before it is made, an allocation of planned bytes past half of
+    physical memory: it would leave no room for the rest of the run.
+    Physical memory, not free memory, keeps the verdict independent of load."""
     physical = _physical_memory()
     if 2 * planned > physical:
-        raise SizeCapError(f"level {n} needs {planned} bytes for its N x N transversal "
-                           f"table, more than half of the {physical} bytes of physical "
-                           f"memory", size=size)
+        raise SizeCapError(f"{subject} needs {planned} bytes for {purpose}, more than "
+                           f"half of the {physical} bytes of physical memory", size=size)
+
+
+def _check_ray(pres: WreathPresentation, ray: Ray) -> None:
+    if ray.degree != pres.degree:
+        raise ValueError("ray degree does not match the presentation")
+
+
+def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
+                      cap: int = DEFAULT_LEVEL_CAP) -> Transversal:
+    _check_ray(pres, ray)
+    size = check_level_size(pres.degree, n, cap)
+    # The perms table holds N^2 vertex indices of 1, 2 or 4 bytes, the fold's
+    # one quadratic allocation.
+    dtype = np.min_scalar_type(size - 1)
+    check_memory(f"level {n}", dtype.itemsize * size * size,
+                 "its N x N transversal table", size)
     base = ray.prefix(n)
     base_idx = base.index()
     gen_perms = generator_level_perms(pres, n, cap)
@@ -256,9 +272,12 @@ def _component_partition(perms: Iterable[np.ndarray], size: int,
 
 def stabilizer_suborbits(pres: WreathPresentation, n: int, ray: Ray,
                          cap: int = DEFAULT_LEVEL_CAP) -> SuborbitPartition:
-    """Orbits on level n of the stabilizer of the ray's level-n prefix."""
-    tv = orbit_transversal(pres, n, ray, cap)
-    return suborbits_from_transversal(pres, tv)
+    """Orbits on level n of the stabilizer of the ray's level-n prefix: the
+    cone route's where its certificate holds, else the fold's."""
+    parts = cone_suborbits(pres, n, ray, cap)
+    if parts is None:
+        parts = suborbits_from_transversal(pres, orbit_transversal(pres, n, ray, cap))
+    return parts
 
 
 def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> SuborbitPartition:
@@ -309,6 +328,201 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
 
 
 # ---------------------------------------------------------------------------
+# the cone route
+
+# Breadth-first vertices of a level after which the cone route folds the
+# Schreier generators gathered so far and checks the cross blocks; past the
+# last it gives up.  The catalog groups need 4 (binary) or 5 (ternary).
+_CONE_CHECKS = (5, 10, 20)
+# Label entries gathered before a fold on a large level, whatever the count.
+_CONE_ENTRIES = 1 << 21
+
+
+def letter_orbitals(pres: WreathPresentation) -> np.ndarray:
+    """The orbits on pairs of letters of G_1, the group the root permutations
+    generate: entry [a, c] (letters 0-based) is the least index a' d + c' of
+    the orbit of (a, c).  Row b numbers the orbits of the stabilizer of b."""
+    d = pres.degree
+    gens = [pg.tolist() for pg in generator_level_perms(pres, 1).values()]
+    orbital = [-1] * (d * d)
+    for start in range(d * d):  # a sweep from each pair not yet reached
+        if orbital[start] < 0:
+            orbital[start] = start
+            stack = [start]
+            while stack:
+                a, c = divmod(stack.pop(), d)
+                for g in gens:
+                    pair = g[a] * d + g[c]
+                    if orbital[pair] < 0:
+                        orbital[pair] = start
+                        stack.append(pair)
+    return np.array(orbital, dtype=np.int64).reshape(d, d)
+
+
+def _least_in_orbit(orbital: np.ndarray) -> np.ndarray:
+    """Entry [b, c]: the least letter of c's orbit under the stabilizer of b."""
+    return np.argmax(orbital[:, :, None] == orbital[:, None, :], axis=2)
+
+
+def _section_names(pres: WreathPresentation, letters: list[tuple[str, int]],
+                   point: int) -> list[str]:
+    """The generator names, one per occurrence, of the section at a letter
+    (0-based) of a word fixing it, spelled straight from the rules: nothing
+    is reduced, so no declared involution is relied on."""
+    names = []
+    for name, sign in reversed(letters):
+        rule = pres.rule_map[name]
+        if sign < 0:  # (g^-1)|_x = (g|_j)^-1 for the j that g sends to x
+            point = rule.root_perm.index(point + 1)
+        names += [nm for nm, _ in rule.sections[point].letters]
+        if sign > 0:
+            point = rule.root_perm[point] - 1
+    return names
+
+
+def _self_replicating(pres: WreathPresentation, letter: int) -> bool:
+    """A sufficient test that restriction to the subtree below a letter
+    (0-based) maps the letter's stabilizer in G onto G.
+
+    The level-1 Schreier generators u_{s(x)}^-1 s u_x generate that
+    stabilizer, and restriction is a homomorphism on it, so their sections
+    at the letter generate its image.  A section in which exactly one
+    occurrence is of a generator not yet known to lie in the image puts
+    that generator there; the image is G once every generator is in it.
+    Counting by name instead would take x b x for x.
+    """
+    perms = generator_level_perms(pres, 1)
+    names = pres.generator_names
+    order = [letter]
+    words = {letter: []}  # x -> the letters of u_x, as in Transversal.words
+    for x in order:  # the sweep appends to order as it goes
+        for name in names:
+            y = int(perms[name][x])
+            if y not in words:
+                words[y] = [(name, 1)] + words[x]
+                order.append(y)
+    sections = [_section_names(pres, [(nm, -sg) for nm, sg in reversed(words[int(perms[s][x])])]
+                               + [(s, 1)] + words[x], letter)
+                for x in order for s in names]
+    reached: set[str] = set()
+    while True:
+        fresh = {unknown[0] for section in sections
+                 if len(unknown := [nm for nm in section if nm not in reached]) == 1}
+        if not fresh:
+            return len(reached) == len(names)
+        reached |= fresh
+
+
+def _cross_blocks_whole(pres: WreathPresentation, base: Vertex,
+                        orbital: np.ndarray) -> bool:
+    """Whether Schreier generators of the first breadth-first vertices of the
+    base's level join every cross block {y : y_1 in O}, O an orbit other than
+    {v_1} of the stabilizer of the base's first letter v_1, into one component.
+
+    Rows of u_x^-1 are made by scatter, as in ``orbit_transversal``, for the
+    vertices reached only.  The generator u_y^-1 s u_x of an off-tree pair
+    joins u_x^-1(j) to u_y^-1(s(j)) for every j.  The components only grow
+    and stay inside the stabilizer's orbits, so a cross block that is one
+    component is one suborbit.
+    """
+    m, d = base.level, base.degree
+    size = d**m
+    span = size // d
+    top = base.letters[0] - 1
+    least = _least_in_orbit(orbital)[top] * span  # least vertex of each cross block
+    cross = np.arange(d) != top
+    gens = list(generator_level_perms(pres, m).values())
+    base_idx = base.index()
+    rows = {base_idx: np.arange(size, dtype=np.min_scalar_type(size - 1))}
+    order = [base_idx]
+    rep = np.arange(size, dtype=np.int64)
+    heads, tails = [], []
+    for count, x in enumerate(order, start=1):  # the sweep appends to order
+        for pg in gens:
+            y = int(pg[x])
+            if y not in rows:  # a tree pair gives the identity
+                rows[y] = np.empty_like(rows[x])
+                rows[y][pg] = rows[x]  # u_y^-1 = u_x^-1 s^-1
+                order.append(y)
+                continue
+            heads.append(rows[x])
+            tails.append(rows[y][pg])
+        last = count == len(order) or count == _CONE_CHECKS[-1]
+        if count in _CONE_CHECKS or last or len(heads) * size >= _CONE_ENTRIES:
+            if heads:
+                rep = merge_components(rep, np.concatenate(tails), np.concatenate(heads))
+                heads, tails = [], []
+            if (rep.reshape(d, span)[cross] == least[cross, None]).all():
+                return True
+            if last:
+                break
+    return False
+
+
+def _cone_forest(base: Vertex, orbital: np.ndarray) -> np.ndarray:
+    """rep[y] = the least vertex of y's cone block: the blocks fixed by the
+    number k of letters y shares with the base and by the orbit of y_{k+1}
+    under the stabilizer of v_{k+1}.  Each cone is filled, then the cone of
+    the base's next letter overwritten: O(N) writes."""
+    n, d = base.level, base.degree
+    least = _least_in_orbit(orbital)
+    rep = np.empty(d**n, dtype=np.int64)
+    start = 0  # first vertex of the cone of the base's first k letters
+    for k, letter in enumerate(base.letters):
+        span = d ** (n - k - 1)
+        rep[start:start + d * span].reshape(d, span)[:] = (start + least[letter - 1] * span)[:, None]
+        start += (letter - 1) * span
+    return rep
+
+
+def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
+                   cap: int = DEFAULT_LEVEL_CAP) -> SuborbitPartition | None:
+    """The suborbits of level n as cones, or None where the certificate fails.
+
+    With v = v_1...v_n the base and H its stabilizer, g in H keeps the k
+    letters y shares with v and sends y_{k+1} into its orbit under the
+    stabilizer of v_{k+1} in G_1, the group of the root permutations (the
+    section of g there fixes v_{k+1}).  So the suborbits refine the cone
+    blocks of ``_cone_forest``.  They equal them when (Bartholdi-Grigorchuk,
+    parabolic subgroups of fractal groups):
+
+    1. G_1 is transitive on the letters;
+    2. restriction maps the stabilizer of each of v_1...v_{n-1} onto G
+       (``_self_replicating``), so the suborbits inside the cone of v_1 are
+       v_1 times those of level n-1 seen from v_2...v_n;
+    3. on each level m >= 2, seen from w = v_{n-m+1}...v_n, every cross
+       block outside the cone of w_1 is one suborbit (``_cross_blocks_whole``).
+
+    An element of G fixing w fixes w's prefixes, and a cross block's image
+    on the level above is the cross block of the same orbit there; so check
+    3 is passed wherever it passed for a longer base that starts with w, and
+    a ray of period p needs it p times at most.  Checks 1 and 2 do not
+    depend on the level and come before any level-n array; level 0 is left
+    to the fold.  Nothing here is quadratic in N.
+    """
+    _check_ray(pres, ray)
+    check_level_size(pres.degree, n, cap)
+    if n == 0:
+        return None
+    orbital = letter_orbitals(pres)
+    if orbital.diagonal().any():  # (a, a) and (0, 0) lie in one orbit iff G_1 is transitive
+        return None
+    base = ray.prefix(n)
+    if not all(_self_replicating(pres, letter - 1)
+               for letter in sorted(set(base.letters[:-1]))):
+        return None
+    checked: list[tuple[int, ...]] = []
+    for k in range(n - 1):
+        w = base.letters[k:]
+        if any(longer[:len(w)] == w for longer in checked):
+            continue
+        if not _cross_blocks_whole(pres, Vertex(w, base.degree), orbital):
+            return None
+        checked.append(w)
+    return _canonical_partition(_cone_forest(base, orbital), base)
+
+
+# ---------------------------------------------------------------------------
 # brute-force oracles
 
 
@@ -348,8 +562,7 @@ def bfs_group_order(pres: WreathPresentation, n: int,
 def oracle_suborbits(pres: WreathPresentation, n: int, ray: Ray,
                      cap: int = DEFAULT_GROUP_CAP) -> SuborbitPartition:
     """Suborbits computed from the full level group; exponential, small n only."""
-    if ray.degree != pres.degree:
-        raise ValueError("ray degree does not match the presentation")
+    _check_ray(pres, ray)
     base = ray.prefix(n)
     base_idx = base.index()
     size = pres.degree**n

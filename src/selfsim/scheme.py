@@ -1,11 +1,15 @@
 """The orbital association scheme of a level action.
 
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
-where u_x is the transversal permutation carrying the base to x.  The scheme
-reads every label through ``label_row(x)`` = label(x, .), here one gather on
-the table of u_x^-1 rows; no other part of the transversal is kept.  The
-class of (base, y) is then the suborbit of y, class 0 is the diagonal, and
-counting common neighbours gives the intersection numbers
+where u_x is any group element carrying the base to x.  The scheme reads
+every label through ``label_row(x)`` = label(x, .), from one of two sources.
+Where the cone route (``orbits.cone_suborbits``) certifies the suborbits, a
+row is read off tree digits: the letters x and y share and the orbit of the
+next letter pair under the root permutations.  Elsewhere ``fold_scheme``
+makes it one gather on the transversal table of u_x^-1 rows and keeps no
+other part of the transversal.  The class of (base, y) is then the suborbit
+of y, class 0 is the diagonal, and counting common neighbours gives the
+intersection numbers
 
     p[i][j][k] = #{z : (x, z) in class i, (z, y) in class j}
 
@@ -17,8 +21,10 @@ Reversing a pair maps its class through the pairing (Bannai-Ito, Algebraic
 Combinatorics I): label(z, y) = pairing[label(y, z)].  So with y_k the
 representative of class k and row_k = label(y_k, .), pairing[k] = row_k[base]
 and column k of p counts the pairs (block_of[z], pairing[row_k[z]]): r rows,
-O(r N) in all.  The N x N ``labels`` table is built from N row reads, and
-only when read (the dense oracle, tests).
+O(r N) in all, and one (r, r, r) array for p, refused like the transversal
+table when it would take more than half of physical memory.  The N x N
+``labels`` table is built from N row reads, and only when read (the dense
+oracle, tests).
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import IntegrityError
-from .orbits import SuborbitPartition, orbit_transversal, suborbits_from_transversal
+from .orbits import (SuborbitPartition, check_memory, cone_suborbits, letter_orbitals,
+                     orbit_transversal, suborbits_from_transversal)
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation
 
@@ -76,6 +83,18 @@ class OrbitalScheme:
 
 def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
                  cap: int = DEFAULT_LEVEL_CAP) -> OrbitalScheme:
+    """The orbital scheme of level n: labels read off tree digits where the
+    cone route's certificate holds, else off the transversal table."""
+    partition = cone_suborbits(pres, n, ray, cap)
+    if partition is None:
+        return fold_scheme(pres, n, ray, cap)
+    return _scheme_from_rows(partition, _digit_label_row(pres, partition))
+
+
+def fold_scheme(pres: WreathPresentation, n: int, ray: Ray,
+                cap: int = DEFAULT_LEVEL_CAP) -> OrbitalScheme:
+    """The scheme from the transversal table and the suborbit fold, for any
+    input: ``build_scheme``'s fallback and the cone route's cross-check."""
     tv = orbit_transversal(pres, n, ray, cap)
     perms, size, base_idx = tv.perms, len(tv), tv.base.index()
     broken = []  # the label rows below need u_base = 1 and u_x(base) = x
@@ -86,16 +105,82 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
     if broken:
         raise IntegrityError("transversal checks failed:\n" + "\n".join(broken))
     partition = suborbits_from_transversal(pres, tv)
-    r, block_of = partition.rank, partition.block_of
-    reps = np.full(r, size, dtype=np.int64)  # the least vertex of each block
-    np.minimum.at(reps, block_of, np.arange(size))
+    block_of = partition.block_of
 
     def label_row(x: int) -> np.ndarray:  # keeps the table, not the transversal
         return block_of[perms[x]]
+    return _scheme_from_rows(partition, label_row)
+
+
+def _pair_table(tables: list[np.ndarray], degree: int) -> np.ndarray:
+    """The labels of all pairs of m-letter words, as a (d^m, d^m) array, from
+    tables[k][a, c], the label of a pair whose first k letters agree and
+    whose next are a != c; a pair of equal words gets 0."""
+    if not tables:
+        return np.zeros((1, 1), dtype=np.int64)
+    sub = _pair_table(tables[1:], degree)
+    m = len(sub)
+    out = np.empty((degree, m, degree, m), dtype=np.int64)
+    out[:] = tables[0][:, None, :, None]
+    for a in range(degree):
+        out[a, :, a, :] = sub
+    return out.reshape(degree * m, degree * m)
+
+
+def _digit_label_row(pres: WreathPresentation,
+                     partition: SuborbitPartition) -> Callable[[int], np.ndarray]:
+    """label_row for a partition that the cone route certified.
+
+    The class of a pair (x, y) is then fixed by the number k of letters x
+    and y share and by the G_1-orbit of the letter pair (x_{k+1}, y_{k+1}).
+    That partition of pairs is G-invariant and coarser than the orbitals,
+    and it meets the base row in the cone blocks, which are the suborbits;
+    so each class is one orbital, labelled by the block of any y' with
+    (base, y') in it.  A row broadcasts the labels of x's first h letters
+    against every h-letter word, then overwrites the y that share them with
+    the labels of x's last n - h letters: two tables of at most d N
+    entries, and O(N) per row.
+    """
+    base, block_of = partition.base, partition.block_of
+    n, d = base.level, base.degree
+    orbital = letter_orbitals(pres)
+    tables = []
+    start = 0  # first vertex of the cone of the base's first k letters
+    for k, letter in enumerate(base.letters):
+        span = d ** (n - k - 1)
+        meet = np.empty(d * d, dtype=np.int64)  # orbit of pairs -> c with (v_{k+1}, c) in it
+        meet[orbital[letter - 1]] = np.arange(d)
+        tables.append(block_of[start + meet[orbital] * span])
+        start += (letter - 1) * span
+    high, low = _pair_table(tables[:n // 2], d), _pair_table(tables[n // 2:], d)
+    width = len(low)
+
+    def label_row(x: int) -> np.ndarray:
+        top, rest = divmod(x, width)
+        row = np.empty((len(high), width), dtype=np.int64)
+        row[:] = high[top][:, None]
+        row[top] = low[rest]
+        return row.reshape(-1)
+    if not np.array_equal(label_row(base.index()), block_of):
+        raise IntegrityError("the digit labels of the base row are not the suborbits")
+    return label_row
+
+
+def _scheme_from_rows(partition: SuborbitPartition,
+                      label_row: Callable[[int], np.ndarray]) -> OrbitalScheme:
+    """Pairing, p and the axioms from r label rows, whichever source gives
+    them.  p takes 8 r^3 bytes, so a rank past half of physical memory is
+    refused before p is made."""
+    block_of = partition.block_of
+    r, size, base_idx = partition.rank, len(block_of), partition.base.index()
+    check_memory(f"rank {r}", 8 * r**3, "its intersection numbers p", r)
+    reps = np.full(r, size, dtype=np.int64)  # the least vertex of each block
+    np.minimum.at(reps, block_of, np.arange(size))
     rows = [label_row(y) for y in reps]  # label(y_k, .)
     pairing = np.array([row[base_idx] for row in rows], dtype=np.int64)
-    p = np.stack([np.bincount(block_of * r + pairing[row], minlength=r * r).reshape(r, r)
-                  for row in rows], axis=2)
+    p = np.empty((r, r, r), dtype=np.int64)
+    for k, row in enumerate(rows):
+        p[:, :, k] = np.bincount(block_of * r + pairing[row], minlength=r * r).reshape(r, r)
 
     scheme = OrbitalScheme(
         point_count=size,

@@ -270,6 +270,18 @@ def test_intransitive_exits_two(capsys, tmp_path):
     assert "not transitive" in err
 
 
+@pytest.mark.parametrize("command", ["orbits", "scheme", "decompose"])
+def test_intransitive_root_group_keeps_its_message(capsys, tmp_path, command):
+    # The cone route declines an input whose root permutations are not
+    # transitive; the refusal is the fold's, word for word.
+    path = tmp_path / "p.txt"
+    path.write_text(INTRANSITIVE)
+    code, out, err = run(capsys, command, "--file", str(path), "--level", "1", "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "NotTransitiveError", "message":
+                               "action on level 1 is not transitive: orbit of 2 has 1 of 2 vertices"}
+
+
 REFUSAL = '{"error": "IntegrityError", "message": "matrices 1 and 3 do not commute"}\n'
 
 
@@ -320,9 +332,12 @@ def test_false_involution_exits_one(capsys, tmp_path, text, level, needle):
     assert "involution" in err and needle in err
 
 
-def test_level_past_physical_memory_exits_two(capsys):
-    # 2^20 points pass the default --cap; the N x N uint32 table would need 4 TiB
-    code, out, err = run(capsys, "orbits", "--group", "grigorchuk",
+def test_level_past_physical_memory_exits_two(capsys, tmp_path):
+    # 2^20 points pass the default --cap; the cone route declines this input,
+    # and the N x N uint32 table of the fold would need 4 TiB
+    path = tmp_path / "p.txt"
+    path.write_text(NON_COMMUTATIVE)
+    code, out, err = run(capsys, "orbits", "--file", str(path), "--ray", "2",
                          "--level", "20", "--json")
     assert code == 2
     assert out == ""
@@ -331,6 +346,27 @@ def test_level_past_physical_memory_exits_two(capsys):
     doc = json.loads(lines[0])
     assert doc["error"] == "SizeCapError"
     assert f"{4 << 40} bytes" in doc["message"]
+
+
+def test_level_past_the_table_finishes_on_the_cone_route(capsys):
+    # gupta-sidki 10 (N = 59049) was refused while every level built its
+    # 6.97 GB table; its suborbits are cones, so no table is made.
+    code, doc, err = run_json(capsys, "decompose", "--group", "gupta-sidki", "--level", "10")
+    assert (code, err) == (0, "")
+    assert doc["rank"] == 21
+    assert doc["degrees"] == builtin("gupta-sidki").expected_degrees(10)
+
+
+def test_decompose_loads_no_lazy_numpy_module():
+    # numpy.ma is imported on first use by some numpy functions (np.unique in
+    # numpy 2); in a cold process that import costs more than the whole job.
+    src = Path(selfsim.__file__).resolve().parents[1]
+    probe = ("import sys, selfsim.cli\n"
+             "selfsim.cli.main(['decompose', '--group', 'gupta-sidki', '--level', '5', '--json'])\n"
+             "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["orbits", "scheme", "decompose", "verify"])

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from label_table import table_route
 from suborbit_reference import permutation_route
+from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim.catalog import builtin
 from selfsim.errors import NotTransitiveError, SizeCapError
 from selfsim.orbits import (SuborbitPartition, _canonical_partition,
-                            bfs_group_order, oracle_suborbits,
-                            orbit_transversal, schreier_generators,
-                            stabilizer_suborbits)
+                            _cross_blocks_whole, _self_replicating,
+                            bfs_group_order, cone_suborbits, letter_orbitals,
+                            oracle_suborbits, orbit_transversal,
+                            schreier_generators, stabilizer_suborbits,
+                            suborbits_from_transversal)
 from selfsim.scheme import build_scheme
 from selfsim.tree import Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (Word, WreathPresentation, act,
@@ -363,3 +366,62 @@ def test_suborbits_build_no_words(monkeypatch):
     monkeypatch.setattr(Word, "inverse", no_words)
     scheme = build_scheme(pres, 5, ray)
     assert scheme.partition == expected
+
+
+@pytest.mark.parametrize("text,ray", [(FINER_THAN_CONES, "3"), (NON_COMMUTATIVE, "2")],
+                         ids=["finer-than-cones", "non-commutative"])
+def test_cone_route_declines_at_self_replication(text, ray):
+    # Both fail check 2 at the ray's letter; their suborbits at levels 2-5
+    # come from the fold.
+    pres = parse_presentation(text)
+    ray = parse_ray(ray, pres.degree)
+    assert not _self_replicating(pres, ray.prefix(1).letters[0] - 1)
+    for n in range(2, 6):
+        assert cone_suborbits(pres, n, ray) is None, n
+        assert stabilizer_suborbits(pres, n, ray) == \
+            suborbits_from_transversal(pres, orbit_transversal(pres, n, ray)), n
+
+
+def test_cone_route_declines_an_intransitive_root_group():
+    # G_1 fixes both letters: the route declines before any level array, and
+    # the fold refuses the level with the message it always gave.
+    pres = parse_presentation("degree: 2\ngen a = perm () | e, e\n")
+    ray = all_d_ray(2)
+    for n in range(4):
+        assert cone_suborbits(pres, n, ray) is None, n
+    with pytest.raises(NotTransitiveError, match=r"^action on level 1 is not transitive: "
+                                                 r"orbit of 2 has 1 of 2 vertices$"):
+        stabilizer_suborbits(pres, 1, ray)
+
+
+# The binary adding machine: self-replicating, so check 2 passes, but its
+# stabilizers fix every vertex of a level, so no cross block is ever whole.
+ADDING_MACHINE = "degree: 2\ngen a = perm (1 2) | e, a\n"
+
+
+def test_cone_route_falls_back_after_its_budget():
+    pres, ray = parse_presentation(ADDING_MACHINE), all_d_ray(2)
+    assert _self_replicating(pres, 1)
+    for n in (5, 6):  # more vertices than the budget of breadth-first vertices
+        assert not _cross_blocks_whole(pres, ray.prefix(n), letter_orbitals(pres)), n
+        assert cone_suborbits(pres, n, ray) is None, n
+        parts = stabilizer_suborbits(pres, n, ray)
+        assert parts.rank == 2**n
+        assert parts == oracle_suborbits(pres, n, ray)
+
+
+def test_cone_route_checks_every_shifted_base():
+    # Seen from 1313 on level 4, check 3 passes; seen from 313, the base of
+    # level 3 one step down the recursion, it does not within the budget,
+    # and 313 begins no longer base that passed.  So the route declines
+    # level 4 rather than certify it from the top level alone.
+    pres = parse_presentation("degree: 3\ngen a = perm (1 3 2) | e, b^-1 b^-1 b, a^-1\n"
+                              "gen b = perm (1 2) | e, e, b^-1\n")
+    ray = parse_ray("13", 3)
+    orbital = letter_orbitals(pres)
+    assert _cross_blocks_whole(pres, ray.prefix(4), orbital)
+    assert not _cross_blocks_whole(pres, Vertex((3, 1, 3), 3), orbital)
+    assert cone_suborbits(pres, 3, ray) is not None
+    assert cone_suborbits(pres, 4, ray) is None
+    assert stabilizer_suborbits(pres, 4, ray) == \
+        permutation_route(pres, orbit_transversal(pres, 4, ray))

@@ -1,13 +1,14 @@
 """Property tests on random small presentations beyond the catalog: the
-Schreier-vector suborbit route against the group enumeration oracle and,
-at levels past the oracle's cap, against the permutation route, also on
-fixed automata whose generators have cycles of mixed lengths and on two
-more fixed inputs; the rule that finds the breadth-first tree pairs, on
-the catalog and those fixed inputs; the scheme's row route against the
-full label table and the dense oracle; and the Gelfand verdict
-spectral_data reads off p against exact products of the left-regular
-matrices.  The component routine the suborbit routes share is checked on
-its own against a union-find reference."""
+suborbits (the cone route's where it passes, the fold's elsewhere) against
+the group enumeration oracle and, at levels past the oracle's cap, against
+the permutation route, also on fixed automata whose generators have cycles
+of mixed lengths and on two more fixed inputs; the cone route's scheme
+against the fold's wherever the route passes; the rule that finds the
+breadth-first tree pairs, on the catalog and those fixed inputs; the
+scheme's row route against the full label table and the dense oracle; and
+the Gelfand verdict spectral_data reads off p against exact products of the
+left-regular matrices.  The component routine the suborbit routes share is
+checked on its own against a union-find reference."""
 
 import tracemalloc
 
@@ -21,9 +22,9 @@ from suborbit_reference import permutation_route
 
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NotTransitiveError, SizeCapError
-from selfsim.orbits import (_schreier_pairs, merge_components, oracle_suborbits,
-                            orbit_transversal, stabilizer_suborbits)
-from selfsim.scheme import build_scheme, is_commutative
+from selfsim.orbits import (_schreier_pairs, cone_suborbits, merge_components,
+                            oracle_suborbits, orbit_transversal, stabilizer_suborbits)
+from selfsim.scheme import build_scheme, fold_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_p, dense_commutant_oracle,
                               intersection_matrices, multiplicities, spectral_data)
@@ -103,6 +104,61 @@ def _check_the_permutation_route(pres, ray):
 @given(presentations())
 def test_suborbits_match_the_permutation_route(case):
     _check_the_permutation_route(*case)
+
+
+def _check_the_cone_route(pres, ray, top):
+    """The cone route's scheme against the fold's on levels 1..top, wherever
+    the route passes; returns the levels where it did."""
+    passed = []
+    for n in range(1, top + 1):
+        try:
+            fold = fold_scheme(pres, n, ray)
+        except NotTransitiveError:
+            assert cone_suborbits(pres, n, ray) is None, pres.to_text()
+            break
+        if cone_suborbits(pres, n, ray) is None:
+            continue
+        route = build_scheme(pres, n, ray)
+        assert route.partition == fold.partition, pres.to_text()
+        assert route.representatives == fold.representatives, pres.to_text()
+        assert route.pairing == fold.pairing, pres.to_text()
+        assert np.array_equal(route.p, fold.p), pres.to_text()
+        passed.append(n)
+    return passed
+
+
+@PROPERTY_SETTINGS
+@given(presentations())
+def test_cone_route_matches_the_fold(case):
+    pres, ray = case
+    _check_the_cone_route(pres, ray, 5 if pres.degree == 2 else 4)
+
+
+# Drawn inputs the cone route passes at every level, beyond the catalog:
+# rays of period 2, and G_1 = S_3, whose point stabilizers join two letters
+# into one cross block.
+CONE_CASES = {
+    "binary-ray-21": ("degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | a, e\n", "21"),
+    "binary-ray-12": ("degree: 2\ngen a = perm (1 2) | e, a\n"
+                      "gen b = perm (1 2) | a^-1, a^-1 b^-1 a^-1\n", "12"),
+    "ternary-ray-21": ("degree: 3\ngen a = perm (1 3 2) | e, e, e\n"
+                       "gen b = perm (1 2 3) | e, b^-1, a b^-1 a^-1\n"
+                       "gen c = perm () | b b b^-1, c^-1 a b^-1, c b\n", "21"),
+    "s3-ray-3": ("degree: 3\ngen a = perm (2 3) | a^-1, b, e\n"
+                 "gen b = perm (1 2 3) | b, b^-1, a^-1 b^-1 b^-1\n", "3"),
+    "s3-ray-31": ("degree: 3\ngen a = perm (1 2) | e, b, e\n"
+                  "gen b = perm (1 2) | c^-1 a^-1, a a c, b^-1\n"
+                  "gen c = perm (1 2 3) | b, e, a\n", "31"),
+}
+
+
+@pytest.mark.parametrize("name", CONE_CASES)
+def test_cone_route_matches_the_fold_on_fixed_inputs(name):
+    text, ray = CONE_CASES[name]
+    pres = parse_presentation(text)
+    top = 6 if pres.degree == 2 else 5
+    assert _check_the_cone_route(pres, parse_ray(ray, pres.degree), top) == \
+        list(range(1, top + 1))
 
 
 # Automata in which a generator has cycles of two lengths, both at least 2,

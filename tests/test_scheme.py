@@ -7,17 +7,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from label_table import table_route
+from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
-from selfsim.catalog import builtin
+from selfsim.catalog import builtin, source_text
+from selfsim.cli import main
 from selfsim.errors import IntegrityError
-from selfsim.orbits import orbit_transversal
+from selfsim.orbits import cone_suborbits, orbit_transversal
 from selfsim.render import orbital_graph_dot
-from selfsim.scheme import (axiom_violations, build_scheme, hecke_dimension,
-                            is_commutative, scheme_json_doc,
+from selfsim.scheme import (axiom_violations, build_scheme, fold_scheme,
+                            hecke_dimension, is_commutative, scheme_json_doc,
                             verify_scheme_axioms)
 from selfsim.spectral import degree_multiset_from_p, dense_commutant_oracle
+from selfsim.tree import parse_ray
 from selfsim.verify import _label_invariance, _scheme_axioms
-from selfsim.wreath import level_permutation
+from selfsim.wreath import level_permutation, parse_presentation
 
 ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
 
@@ -150,11 +153,17 @@ def test_row_route_matches_the_label_table(key):
         assert dense_commutant_oracle(s) == degree_multiset_from_p(s.p), (key, n)
 
 
+def _declined():
+    """A presentation and ray that the cone route declines, so that
+    build_scheme reads the transversal table."""
+    return parse_presentation(NON_COMMUTATIVE), parse_ray("2", 2)
+
+
 def test_axioms_catch_a_broken_transversal(monkeypatch):
-    # The swap also collapses the suborbits the table gives into one block,
-    # which the axioms refuse without naming the cause; the table checks do.
-    e = builtin("grigorchuk")
-    tv = orbit_transversal(e.presentation, 3, e.default_ray)
+    # The swap also collapses the suborbits the table gives, which the
+    # axioms refuse without naming the cause; the table checks do.
+    pres, ray = _declined()
+    tv = orbit_transversal(pres, 3, ray)
     perms = tv.perms.copy()
     base = tv.base.index()
     x = (base + 1) % len(tv)
@@ -162,7 +171,7 @@ def test_axioms_catch_a_broken_transversal(monkeypatch):
     monkeypatch.setattr("selfsim.scheme.orbit_transversal",
                         lambda *_: replace(tv, perms=perms))
     with pytest.raises(IntegrityError) as caught:
-        build_scheme(e.presentation, 3, e.default_ray)
+        build_scheme(pres, 3, ray)
     assert "label row" in str(caught.value)
     assert "diagonal" in str(caught.value)
 
@@ -176,7 +185,8 @@ def test_scheme_keeps_no_transversal(monkeypatch):
         return tv
 
     monkeypatch.setattr("selfsim.scheme.orbit_transversal", recorded)
-    s = _scheme("grigorchuk", 4)
+    pres, ray = _declined()
+    s = build_scheme(pres, 4, ray)
     gc.collect()
     assert len(made) == 1
     assert made[0]() is None
@@ -232,22 +242,75 @@ def test_a_foreign_label_source_reads_the_same(key, n):
 
 
 def test_build_scheme_holds_one_transversal_table():
-    # The N x N transversal table, 2 bytes an entry at N = 512, is the only
-    # quadratic allocation: nothing on the scheme path widens it, builds its
-    # inverse or a second table beside it.  The allowance covers the suborbit
-    # fold's blocks of _BLOCK_ENTRIES int64 labels, 64 KiB each; an int64
-    # table (2 MiB) or a second uint16 one (0.5 MiB) does not fit in it.
-    e = builtin("grigorchuk")
+    # On an input the cone route declines, the N x N transversal table, 2
+    # bytes an entry at N = 512, is the only quadratic allocation: nothing on
+    # the scheme path widens it, builds its inverse or a second table beside
+    # it.  The allowance covers the suborbit fold's blocks of _BLOCK_ENTRIES
+    # int64 labels, 64 KiB each; an int64 table (2 MiB) or a second uint16
+    # one (0.5 MiB) does not fit in it.
+    pres, ray = _declined()
     size = 2**9
     allowance = 1 << 20
+    assert cone_suborbits(pres, 9, ray) is None
     tracemalloc.start()
     try:
-        build_scheme(e.presentation, 9, e.default_ray)
+        build_scheme(pres, 9, ray)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert orbit_transversal(e.presentation, 9, e.default_ray).perms.nbytes == 2 * size * size
+    assert orbit_transversal(pres, 9, ray).perms.nbytes == 2 * size * size
     assert peak < 2 * size * size + allowance
+
+
+def test_the_cone_route_allocates_nothing_quadratic():
+    # gupta-sidki level 8 (N = 6561): its transversal table alone would take
+    # 86 MB; the route's largest arrays hold a few N entries.
+    pres, ray = parse_presentation(source_text("gupta-sidki")), builtin("gupta-sidki").default_ray
+    tracemalloc.start()
+    try:
+        scheme = build_scheme(pres, 8, ray)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scheme.rank == 17
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_cone_route_matches_the_fold(key):
+    # The digit labels and the transversal table give the same scheme, and
+    # the same label rows where every row is compared.
+    pres, ray = builtin(key).presentation, builtin(key).default_ray
+    for n in range(11 if pres.degree == 2 else 8):
+        assert (n == 0) == (cone_suborbits(pres, n, ray) is None), n
+        route, fold = build_scheme(pres, n, ray), fold_scheme(pres, n, ray)
+        assert route.partition == fold.partition, n
+        assert route.representatives == fold.representatives, n
+        assert route.pairing == fold.pairing, n
+        assert np.array_equal(route.p, fold.p), n
+        if n <= 5:
+            assert np.array_equal(route.labels, fold.labels), n
+
+
+def test_p_past_physical_memory_exits_two(capsys, monkeypatch, tmp_path):
+    # Level 7 of this input goes through the fold (a 9.6 MB table) to rank
+    # 366, whose p would take 8 r^3 bytes: refused before p is made.
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 256 << 20)
+    path = tmp_path / "p.txt"
+    path.write_text(FINER_THAN_CONES)
+    tracemalloc.start()
+    try:
+        code = main(["decompose", "--file", str(path), "--ray", "3", "--level", "7", "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert json.loads(out.err) == {
+        "error": "SizeCapError",
+        "message": f"rank 366 needs {8 * 366**3} bytes for its intersection numbers p, "
+                   f"more than half of the {256 << 20} bytes of physical memory"}
+    assert peak < 64 << 20
 
 
 def test_json_doc_shape():
