@@ -8,10 +8,10 @@ from .errors import (IntegrityError, NotTransitiveError, NumericalError,
                      PresentationError, SelfSimError, SizeCapError,
                      UnknownGroupError)
 from .orbits import (SuborbitPartition, Transversal, bfs_group_order,
-                     cone_suborbits, oracle_suborbits, orbit_transversal,
-                     schreier_generators, stabilizer_suborbits)
+                     oracle_suborbits, orbit_transversal, schreier_generators,
+                     stabilizer_suborbits)
 from .render import orbital_graph_dot, portrait_dot
-from .scheme import (OrbitalScheme, build_scheme, fold_scheme, hecke_dimension,
+from .scheme import (OrbitalScheme, build_scheme, hecke_dimension,
                      is_commutative, verify_scheme_axioms)
 from .spectral import (DEFAULT_SEED, SpectralData, common_eigensystem,
                        degree_multiset, degree_multiset_from_p,

@@ -198,6 +198,11 @@ class SuborbitPartition:
 
     base: Vertex
     block_of: np.ndarray  # int64, one entry per level vertex
+    # Where the cone route certified the blocks, cones[k][a, c] (letters
+    # 0-based) is the least vertex sharing its first k letters with the base
+    # whose next letter c' puts (v_{k+1}, c') in the G_1-orbit of (a, c),
+    # shape (n, d, d); None where the fold or the oracle made the blocks.
+    cones: np.ndarray | None = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SuborbitPartition) and self.base == other.base
@@ -214,7 +219,8 @@ class SuborbitPartition:
         return blocks
 
 
-def _canonical_partition(rep: np.ndarray, base: Vertex) -> SuborbitPartition:
+def _canonical_partition(rep: np.ndarray, base: Vertex,
+                         cones: np.ndarray | None = None) -> SuborbitPartition:
     """Number the forest rep canonically: array passes over the vertices and
     a Python sort of the r roots (rep[x] = x) only."""
     sizes = np.bincount(rep)
@@ -224,7 +230,7 @@ def _canonical_partition(rep: np.ndarray, base: Vertex) -> SuborbitPartition:
     order = [base_root] + [root for _, root in rest if root != base_root]
     number = sizes  # reused: root -> block number
     number[order] = np.arange(len(order))
-    return SuborbitPartition(base, number[rep])
+    return SuborbitPartition(base, number[rep], cones)
 
 
 def merge_components(rep: np.ndarray, tails: np.ndarray,
@@ -332,13 +338,15 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
 
 # Breadth-first vertices of a level after which the cone route folds the
 # Schreier generators gathered so far and checks the cross blocks; past the
-# last it gives up.  The catalog groups need 4 (binary) or 5 (ternary).
+# last it gives up.  The catalog groups need 4 (binary) or 5 (ternary); of
+# the checks that pass on the property tests' drawn presentations, about one
+# in eleven needs 6 to 17.
 _CONE_CHECKS = (5, 10, 20)
 # Label entries gathered before a fold on a large level, whatever the count.
 _CONE_ENTRIES = 1 << 21
 
 
-def letter_orbitals(pres: WreathPresentation) -> np.ndarray:
+def _letter_orbitals(pres: WreathPresentation) -> np.ndarray:
     """The orbits on pairs of letters of G_1, the group the root permutations
     generate: entry [a, c] (letters 0-based) is the least index a' d + c' of
     the orbit of (a, c).  Row b numbers the orbits of the stabilizer of b."""
@@ -414,7 +422,7 @@ def _self_replicating(pres: WreathPresentation, letter: int) -> bool:
 
 
 def _cross_blocks_whole(pres: WreathPresentation, base: Vertex,
-                        orbital: np.ndarray) -> bool:
+                        least: np.ndarray, cap: int) -> bool:
     """Whether Schreier generators of the first breadth-first vertices of the
     base's level join every cross block {y : y_1 in O}, O an orbit other than
     {v_1} of the stabilizer of the base's first letter v_1, into one component.
@@ -423,15 +431,15 @@ def _cross_blocks_whole(pres: WreathPresentation, base: Vertex,
     vertices reached only.  The generator u_y^-1 s u_x of an off-tree pair
     joins u_x^-1(j) to u_y^-1(s(j)) for every j.  The components only grow
     and stay inside the stabilizer's orbits, so a cross block that is one
-    component is one suborbit.
+    component is one suborbit.  least is ``_least_in_orbit``'s table.
     """
     m, d = base.level, base.degree
     size = d**m
     span = size // d
     top = base.letters[0] - 1
-    least = _least_in_orbit(orbital)[top] * span  # least vertex of each cross block
+    firsts = least[top] * span  # least vertex of each cross block
     cross = np.arange(d) != top
-    gens = list(generator_level_perms(pres, m).values())
+    gens = list(generator_level_perms(pres, m, cap).values())
     base_idx = base.index()
     rows = {base_idx: np.arange(size, dtype=np.min_scalar_type(size - 1))}
     order = [base_idx]
@@ -452,27 +460,36 @@ def _cross_blocks_whole(pres: WreathPresentation, base: Vertex,
             if heads:
                 rep = merge_components(rep, np.concatenate(tails), np.concatenate(heads))
                 heads, tails = [], []
-            if (rep.reshape(d, span)[cross] == least[cross, None]).all():
+            if (rep.reshape(d, span)[cross] == firsts[cross, None]).all():
                 return True
             if last:
                 break
     return False
 
 
-def _cone_forest(base: Vertex, orbital: np.ndarray) -> np.ndarray:
-    """rep[y] = the least vertex of y's cone block: the blocks fixed by the
-    number k of letters y shares with the base and by the orbit of y_{k+1}
-    under the stabilizer of v_{k+1}.  Each cone is filled, then the cone of
-    the base's next letter overwritten: O(N) writes."""
+def _cone_forest(base: Vertex, orbital: np.ndarray,
+                 least: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rep[y] = the least vertex of y's cone block, and the table
+    ``SuborbitPartition.cones``, from one walk down the base.
+
+    The blocks are fixed by the number k of letters y shares with the base
+    and by the orbit of y_{k+1} under the stabilizer of v_{k+1}.  G_1 is
+    transitive, so every orbit of letter pairs meets the row of v_{k+1}.
+    Each cone is filled, then the cone of the base's next letter
+    overwritten: O(N) writes.
+    """
     n, d = base.level, base.degree
-    least = _least_in_orbit(orbital)
     rep = np.empty(d**n, dtype=np.int64)
+    cones = np.empty((n, d, d), dtype=np.int64)
     start = 0  # first vertex of the cone of the base's first k letters
     for k, letter in enumerate(base.letters):
         span = d ** (n - k - 1)
-        rep[start:start + d * span].reshape(d, span)[:] = (start + least[letter - 1] * span)[:, None]
+        meet = np.empty(d * d, dtype=np.int64)  # orbit of pairs -> least c with (v_{k+1}, c) in it
+        meet[orbital[letter - 1]] = least[letter - 1]
+        cones[k] = start + meet[orbital] * span
+        rep[start:start + d * span].reshape(d, span)[:] = cones[k, letter - 1, :, None]
         start += (letter - 1) * span
-    return rep
+    return rep, cones
 
 
 def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
@@ -504,22 +521,24 @@ def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
     check_level_size(pres.degree, n, cap)
     if n == 0:
         return None
-    orbital = letter_orbitals(pres)
+    orbital = _letter_orbitals(pres)
     if orbital.diagonal().any():  # (a, a) and (0, 0) lie in one orbit iff G_1 is transitive
         return None
     base = ray.prefix(n)
     if not all(_self_replicating(pres, letter - 1)
                for letter in sorted(set(base.letters[:-1]))):
         return None
+    least = _least_in_orbit(orbital)
     checked: list[tuple[int, ...]] = []
     for k in range(n - 1):
         w = base.letters[k:]
         if any(longer[:len(w)] == w for longer in checked):
             continue
-        if not _cross_blocks_whole(pres, Vertex(w, base.degree), orbital):
+        if not _cross_blocks_whole(pres, Vertex(w, base.degree), least, cap):
             return None
         checked.append(w)
-    return _canonical_partition(_cone_forest(base, orbital), base)
+    rep, cones = _cone_forest(base, orbital, least)
+    return _canonical_partition(rep, base, cones)
 
 
 # ---------------------------------------------------------------------------

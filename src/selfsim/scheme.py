@@ -37,8 +37,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import IntegrityError
-from .orbits import (SuborbitPartition, check_memory, cone_suborbits, letter_orbitals,
-                     orbit_transversal, suborbits_from_transversal)
+from .orbits import (SuborbitPartition, check_memory, cone_suborbits, orbit_transversal,
+                     suborbits_from_transversal)
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation
 
@@ -88,7 +88,7 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
     partition = cone_suborbits(pres, n, ray, cap)
     if partition is None:
         return fold_scheme(pres, n, ray, cap)
-    return _scheme_from_rows(partition, _digit_label_row(pres, partition))
+    return _scheme_from_rows(partition, _digit_label_row(partition))
 
 
 def fold_scheme(pres: WreathPresentation, n: int, ray: Ray,
@@ -127,8 +127,7 @@ def _pair_table(tables: list[np.ndarray], degree: int) -> np.ndarray:
     return out.reshape(degree * m, degree * m)
 
 
-def _digit_label_row(pres: WreathPresentation,
-                     partition: SuborbitPartition) -> Callable[[int], np.ndarray]:
+def _digit_label_row(partition: SuborbitPartition) -> Callable[[int], np.ndarray]:
     """label_row for a partition that the cone route certified.
 
     The class of a pair (x, y) is then fixed by the number k of letters x
@@ -136,22 +135,15 @@ def _digit_label_row(pres: WreathPresentation,
     That partition of pairs is G-invariant and coarser than the orbitals,
     and it meets the base row in the cone blocks, which are the suborbits;
     so each class is one orbital, labelled by the block of any y' with
-    (base, y') in it.  A row broadcasts the labels of x's first h letters
-    against every h-letter word, then overwrites the y that share them with
-    the labels of x's last n - h letters: two tables of at most d N
-    entries, and O(N) per row.
+    (base, y') in it: for a pair that shares k letters and goes on with a
+    and c, the block of partition.cones[k][a, c].  A row broadcasts the
+    labels of x's first h letters against every h-letter word, then
+    overwrites the y that share them with the labels of x's last n - h
+    letters: two tables of at most d N entries, and O(N) per row.
     """
     base, block_of = partition.base, partition.block_of
     n, d = base.level, base.degree
-    orbital = letter_orbitals(pres)
-    tables = []
-    start = 0  # first vertex of the cone of the base's first k letters
-    for k, letter in enumerate(base.letters):
-        span = d ** (n - k - 1)
-        meet = np.empty(d * d, dtype=np.int64)  # orbit of pairs -> c with (v_{k+1}, c) in it
-        meet[orbital[letter - 1]] = np.arange(d)
-        tables.append(block_of[start + meet[orbital] * span])
-        start += (letter - 1) * span
+    tables = list(block_of[partition.cones])
     high, low = _pair_table(tables[:n // 2], d), _pair_table(tables[n // 2:], d)
     width = len(low)
 

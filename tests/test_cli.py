@@ -11,6 +11,7 @@ import selfsim
 from selfsim import __version__, cache
 from selfsim.catalog import builtin
 from selfsim.cli import main
+from selfsim.wreath import generator_level_perms
 
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
 
@@ -355,6 +356,20 @@ def test_level_past_the_table_finishes_on_the_cone_route(capsys):
     assert (code, err) == (0, "")
     assert doc["rank"] == 21
     assert doc["degrees"] == builtin("gupta-sidki").expected_degrees(10)
+
+
+def test_cone_route_keeps_a_raised_cap(capsys, monkeypatch):
+    # A level past the default cap, asked for with --cap raised, is built
+    # under that cap all through the cone route.  The default is shrunk to
+    # 2^6 so that level 7 stands for grigorchuk 21 past the real one, and
+    # physical memory to 16 KiB, less than twice the fold's 16 KiB table, so
+    # the fold cannot finish the job.
+    monkeypatch.setattr(generator_level_perms, "__defaults__", (1 << 6,))
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 1 << 14)
+    code, doc, err = run_json(capsys, "decompose", "--group", "grigorchuk",
+                              "--level", "7", "--cap", "128")
+    assert (code, err) == (0, "")
+    assert doc["degrees"] == builtin("grigorchuk").expected_degrees(7)
 
 
 def test_decompose_loads_no_lazy_numpy_module():

@@ -9,13 +9,14 @@ from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 from selfsim.catalog import builtin
 from selfsim.errors import NotTransitiveError, SizeCapError
 from selfsim.orbits import (SuborbitPartition, _canonical_partition,
-                            _cross_blocks_whole, _self_replicating,
-                            bfs_group_order, cone_suborbits, letter_orbitals,
+                            _cross_blocks_whole, _least_in_orbit,
+                            _letter_orbitals, _self_replicating,
+                            bfs_group_order, cone_suborbits,
                             oracle_suborbits, orbit_transversal,
                             schreier_generators, stabilizer_suborbits,
                             suborbits_from_transversal)
-from selfsim.scheme import build_scheme
-from selfsim.tree import Vertex, all_d_ray, parse_ray
+from selfsim.scheme import build_scheme, fold_scheme
+from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (Word, WreathPresentation, act,
                             generator_level_perms, level_permutation,
                             parse_presentation)
@@ -26,6 +27,17 @@ ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki
 def _entry(key):
     e = builtin(key)
     return e.presentation, e.default_ray
+
+
+def _fold(pres, n, ray):
+    """The suborbit fold over the transversal table, whatever the cone route
+    would do with the input."""
+    return suborbits_from_transversal(pres, orbit_transversal(pres, n, ray))
+
+
+def _cross_blocks(pres, base):
+    return _cross_blocks_whole(pres, base, _least_in_orbit(_letter_orbitals(pres)),
+                               DEFAULT_LEVEL_CAP)
 
 
 def test_transversal_grigorchuk_level_one():
@@ -161,10 +173,12 @@ def test_suborbits_level_zero():
 
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_suborbits_match_the_permutation_route(key):
+    # The cone route and the fold, each against every Schreier generator.
     pres, ray = _entry(key)
     for n in range(11 if pres.degree == 2 else 8):
-        assert stabilizer_suborbits(pres, n, ray) == \
-            permutation_route(pres, orbit_transversal(pres, n, ray)), n
+        expected = permutation_route(pres, orbit_transversal(pres, n, ray))
+        assert stabilizer_suborbits(pres, n, ray) == expected, n
+        assert _fold(pres, n, ray) == expected, n
 
 
 BASILICA = "degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | e, a\n"
@@ -186,16 +200,19 @@ def test_suborbits_keep_the_pairs_of_short_cycles():
     # On level 3, b has cycles of lengths 2 and 4 and a has fixed points
     # and 2-cycles.  Only a cycle whose length is the generator's order
     # gives generators multiplying to 1; dropping a pair on a shorter cycle
-    # loses a stabilizer generator and merges too little here.
+    # loses a stabilizer generator and merges too little here.  The cone
+    # route certifies these levels, so the fold is called directly.
     pres = parse_presentation(BASILICA)
     ray = all_d_ray(2)
     perms = generator_level_perms(pres, 3)
     assert _cycle_lengths(perms["a"]) == {1, 2}
     assert _cycle_lengths(perms["b"]) == {2, 4}
-    parts = stabilizer_suborbits(pres, 3, ray)
+    assert cone_suborbits(pres, 3, ray) is not None
+    parts = _fold(pres, 3, ray)
     assert parts.blocks_as_vertices() == [
         ["222"], ["221"], ["211", "212"], ["111", "112", "121", "122"]]
     for n in range(5):
+        assert _fold(pres, n, ray) == oracle_suborbits(pres, n, ray)
         assert stabilizer_suborbits(pres, n, ray) == oracle_suborbits(pres, n, ray)
 
 
@@ -355,8 +372,10 @@ def test_schreier_generators_golden(key, n):
 
 
 def test_suborbits_build_no_words(monkeypatch):
+    # Neither the fold, called directly since the cone route certifies this
+    # level, nor the route builds or reduces a word.
     pres, ray = _entry("grigorchuk")
-    expected = stabilizer_suborbits(pres, 5, ray)
+    expected = permutation_route(pres, orbit_transversal(pres, 5, ray))
 
     def no_words(*_):
         raise AssertionError("the suborbit route built or reduced a word")
@@ -364,8 +383,8 @@ def test_suborbits_build_no_words(monkeypatch):
     monkeypatch.setattr(WreathPresentation, "reduce", no_words)
     monkeypatch.setattr(Word, "__mul__", no_words)
     monkeypatch.setattr(Word, "inverse", no_words)
-    scheme = build_scheme(pres, 5, ray)
-    assert scheme.partition == expected
+    assert fold_scheme(pres, 5, ray).partition == expected
+    assert build_scheme(pres, 5, ray).partition == expected
 
 
 @pytest.mark.parametrize("text,ray", [(FINER_THAN_CONES, "3"), (NON_COMMUTATIVE, "2")],
@@ -403,7 +422,7 @@ def test_cone_route_falls_back_after_its_budget():
     pres, ray = parse_presentation(ADDING_MACHINE), all_d_ray(2)
     assert _self_replicating(pres, 1)
     for n in (5, 6):  # more vertices than the budget of breadth-first vertices
-        assert not _cross_blocks_whole(pres, ray.prefix(n), letter_orbitals(pres)), n
+        assert not _cross_blocks(pres, ray.prefix(n)), n
         assert cone_suborbits(pres, n, ray) is None, n
         parts = stabilizer_suborbits(pres, n, ray)
         assert parts.rank == 2**n
@@ -418,9 +437,8 @@ def test_cone_route_checks_every_shifted_base():
     pres = parse_presentation("degree: 3\ngen a = perm (1 3 2) | e, b^-1 b^-1 b, a^-1\n"
                               "gen b = perm (1 2) | e, e, b^-1\n")
     ray = parse_ray("13", 3)
-    orbital = letter_orbitals(pres)
-    assert _cross_blocks_whole(pres, ray.prefix(4), orbital)
-    assert not _cross_blocks_whole(pres, Vertex((3, 1, 3), 3), orbital)
+    assert _cross_blocks(pres, ray.prefix(4))
+    assert not _cross_blocks(pres, Vertex((3, 1, 3), 3))
     assert cone_suborbits(pres, 3, ray) is not None
     assert cone_suborbits(pres, 4, ray) is None
     assert stabilizer_suborbits(pres, 4, ray) == \

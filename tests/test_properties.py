@@ -23,7 +23,8 @@ from suborbit_reference import permutation_route
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NotTransitiveError, SizeCapError
 from selfsim.orbits import (_schreier_pairs, cone_suborbits, merge_components,
-                            oracle_suborbits, orbit_transversal, stabilizer_suborbits)
+                            oracle_suborbits, orbit_transversal, stabilizer_suborbits,
+                            suborbits_from_transversal)
 from selfsim.scheme import build_scheme, fold_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_p, dense_commutant_oracle,
@@ -87,17 +88,22 @@ def test_suborbits_match_the_oracle(case):
         except SizeCapError:
             return
         assert stabilizer_suborbits(pres, n, ray) == expected, pres.to_text()
+        tv = orbit_transversal(pres, n, ray)
+        assert suborbits_from_transversal(pres, tv) == expected, pres.to_text()
 
 
 def _check_the_permutation_route(pres, ray):
-    # Past the enumeration oracle's cap: levels up to 5 / 4.
+    # Past the enumeration oracle's cap: levels up to 5 / 4.  The fold is
+    # called directly as well, since the cone route takes the levels it
+    # certifies.
     for n in range(6 if pres.degree == 2 else 5):
         try:
             tv = orbit_transversal(pres, n, ray)
         except NotTransitiveError:
             return
-        assert stabilizer_suborbits(pres, n, ray) == permutation_route(pres, tv), \
-            pres.to_text()
+        expected = permutation_route(pres, tv)
+        assert stabilizer_suborbits(pres, n, ray) == expected, pres.to_text()
+        assert suborbits_from_transversal(pres, tv) == expected, pres.to_text()
 
 
 @PROPERTY_SETTINGS
@@ -296,18 +302,21 @@ def test_schreier_pairs_leave_out_exactly_the_tree_pairs(name):
 @PROPERTY_SETTINGS
 @given(presentations())
 def test_scheme_matches_the_label_table(case):
+    # Both label sources: build_scheme's, whichever route it takes, and the
+    # fold's, called directly.
     pres, ray = case
     for n in range(4):
         try:
-            scheme = build_scheme(pres, n, ray)
+            schemes = build_scheme(pres, n, ray), fold_scheme(pres, n, ray)
         except NotTransitiveError:
             return
-        p, pairing = table_route(scheme)
-        assert np.array_equal(scheme.p, p), pres.to_text()
-        assert scheme.pairing == pairing, pres.to_text()
-        if is_commutative(scheme.p):
-            assert (dense_commutant_oracle(scheme)
-                    == degree_multiset_from_p(scheme.p)), pres.to_text()
+        for scheme in schemes:
+            p, pairing = table_route(scheme)
+            assert np.array_equal(scheme.p, p), pres.to_text()
+            assert scheme.pairing == pairing, pres.to_text()
+            if is_commutative(scheme.p):
+                assert (dense_commutant_oracle(scheme)
+                        == degree_multiset_from_p(scheme.p)), pres.to_text()
 
 
 @PROPERTY_SETTINGS
