@@ -12,11 +12,15 @@ level, one per presentation, level and ray.  ``scheme`` prints it, and
 ``decompose`` computes its degrees from its intersection numbers p on every
 run (``--nesting`` reads level n+1's entry the same way); ``decompose
 --oracle`` and ``scheme --dot`` build the scheme and touch no cache.
+
+One parser serves a process: the first ``main`` call builds it, not the
+import, and every later call in the same process reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -63,7 +67,10 @@ def _add_common(sp, ray: bool, cap: bool = True, cached: bool = False):
                                       "or 'dinf' (default)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built on the first call and shared by
+    every later one: parsing reads it and leaves no state in it."""
     parser = _Parser(prog="selfsim", description=__doc__.splitlines()[0]
                      if __doc__ else None)
     parser.add_argument("--version", action="version", version=__version__)

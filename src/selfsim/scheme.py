@@ -210,6 +210,8 @@ def axiom_violations(valencies: np.ndarray, p: np.ndarray, pairing: tuple[int, .
 
 
 def _axiom_messages(valencies, p, pairing, point_count) -> Iterator[str]:
+    """Each axiom is one whole-array compare; only the classes, pairs or
+    entries that fail it are visited, in row-major order."""
     r = len(valencies)
     if valencies[0] != 1:
         yield f"valency of the diagonal class is {valencies[0]}, expected 1"
@@ -223,29 +225,32 @@ def _axiom_messages(valencies, p, pairing, point_count) -> Iterator[str]:
         return
     if pairing[0] != 0:
         yield "pairing does not fix the diagonal class"
-    for i in range(r):
-        if pairing[pairing[i]] != i:
+    pair = np.asarray(pairing)
+    not_involution = pair[pair] != np.arange(r)
+    unequal = valencies[pair] != valencies
+    for i in np.flatnonzero(not_involution | unequal).tolist():
+        if not_involution[i]:
             yield f"pairing is not an involution at class {i}"
-        if valencies[pairing[i]] != valencies[i]:
+        if unequal[i]:
             yield f"class {i} and its pair {pairing[i]} have different valencies"
-    for i in range(r):
-        for k in range(r):
-            want = 1 if i == k else 0
-            if p[i][0][k] != want:
-                yield f"p[{i}][0][{k}] = {p[i][0][k]}, expected {want}"
-            if p[0][i][k] != want:
-                yield f"p[0][{i}][{k}] = {p[0][i][k]}, expected {want}"
-    for i in range(r):
-        for k in range(r):
-            row = int(p[i, :, k].sum())
-            if row != int(valencies[i]):
-                yield f"sum_j p[{i}][j][{k}] = {row}, expected k_{i} = {int(valencies[i])}"
-    for i in range(r):
-        for j in range(r):
-            total = int((p[i, j, :] * valencies).sum())
-            want = int(valencies[i]) * int(valencies[j])
-            if total != want:
-                yield f"sum_k p[{i}][{j}][k] k_k = {total}, expected k_{i} k_{j} = {want}"
+    identity = np.eye(r, dtype=np.int64)
+    right, left = p[:, 0, :] != identity, p[0] != identity  # [i, k]: p[i][0][k], p[0][i][k]
+    for i, k in np.argwhere(right | left).tolist():
+        want = 1 if i == k else 0
+        if right[i, k]:
+            yield f"p[{i}][0][{k}] = {p[i, 0, k]}, expected {want}"
+        if left[i, k]:
+            yield f"p[0][{i}][{k}] = {p[0, i, k]}, expected {want}"
+    rows = p.sum(axis=1)  # [i, k] = sum_j p[i][j][k]
+    for i, k in np.argwhere(rows != valencies[:, None]).tolist():
+        yield (f"sum_j p[{i}][j][{k}] = {int(rows[i, k])}, "
+               f"expected k_{i} = {int(valencies[i])}")
+    totals = p @ valencies  # [i, j] = sum_k p[i][j][k] k_k
+    # k_i k_j exactly: int64 while every |k| < 2^31, else Python ints
+    exact = valencies.astype(np.int64 if np.abs(valencies).max() < 2**31 else object)
+    for i, j in np.argwhere(totals != np.multiply.outer(exact, exact)).tolist():
+        yield (f"sum_k p[{i}][{j}][k] k_k = {int(totals[i, j])}, "
+               f"expected k_{i} k_{j} = {int(valencies[i]) * int(valencies[j])}")
 
 
 def verify_scheme_axioms(scheme: OrbitalScheme) -> list[str]:

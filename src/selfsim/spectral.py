@@ -35,22 +35,46 @@ INTEGER_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
 MAX_SEED_TRIES = 5
 DENSE_ORACLE_CAP = 243
+# Most bytes of one temporary in the product-rule check: 2^18 entries.
+_PRODUCT_BYTES = 2**21
 
 
 def intersection_matrices(p: np.ndarray) -> np.ndarray:
     """Left-regular matrices B, B[i][k, j] = p[i][j][k]; verified to multiply
-    like the classes they represent."""
+    like the classes they represent.
+
+    Every pair (i, j) is checked, B_i B_j = sum_k p[i][j][k] B_k, for a slice
+    of i at a time as two matrix products of at most _PRODUCT_BYTES each (or
+    one i if that is larger), in ``_product_dtype(p)``.  The first failing
+    pair in row-major order is named.
+    """
     p = np.asarray(p)
     B = p.transpose(0, 2, 1).copy()
-    for i in range(len(p)):
-        # row j compares B[i] B[j] with sum_k p[i][j][k] B[k]
-        bad = np.flatnonzero((B[i] @ B != np.tensordot(p[i], B, axes=(1, 0)))
-                             .any(axis=(1, 2)))
-        if bad.size:
+    r = len(p)
+    Bx = B.astype(_product_dtype(p))
+    px = p.astype(Bx.dtype).reshape(r * r, r)
+    by_row = Bx.transpose(1, 0, 2).reshape(r, r * r)  # [b, (j, c)] = B[j][b, c]
+    by_class = Bx.reshape(r, r * r)                     # [k, (a, c)] = B[k][a, c]
+    step = max(1, _PRODUCT_BYTES // (Bx.itemsize * max(1, r**3)))
+    for lo in range(0, r, step):
+        h = min(step, r - lo)
+        # [i, a, j, c] = (B_i B_j)[a, c] and [i, j, a, c] = (sum_k p[i][j][k] B_k)[a, c]
+        left = (Bx[lo:lo + h].reshape(h * r, r) @ by_row).reshape(h, r, r, r)
+        right = (px[lo * r:(lo + h) * r] @ by_class).reshape(h, r, r, r)
+        unequal = left != right.transpose(0, 2, 1, 3)
+        if unequal.any():
+            i, j = np.argwhere(unequal.any(axis=(1, 3)))[0]
             raise IntegrityError(
-                f"left-regular matrices violate the product rule at ({i}, {bad[0]})"
+                f"left-regular matrices violate the product rule at ({lo + i}, {j})"
             )
     return B
+
+
+def _product_dtype(p: np.ndarray) -> type:
+    """Each side of the product rule is a sum of r products of two entries of
+    p, so while r max|p|^2 < 2^53 every partial sum is an integer that float64
+    holds exactly and BLAS may run the products; past that, int64."""
+    return np.float64 if len(p) * int(np.abs(p).max(initial=0)) ** 2 < 2**53 else np.int64
 
 
 def _cluster_indices(values: np.ndarray, atol: float) -> list[list[int]]:

@@ -10,7 +10,7 @@ from test_properties import NON_COMMUTATIVE
 import selfsim
 from selfsim import __version__, cache
 from selfsim.catalog import builtin
-from selfsim.cli import main
+from selfsim.cli import build_parser, main
 from selfsim.wreath import generator_level_perms
 
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
@@ -431,6 +431,46 @@ def test_cli_imports_without_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout == "False\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(selfsim.__file__).resolve().parents[1]
+    probe = "import selfsim.cli; print(selfsim.cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_the_shared_parser_keeps_nothing_between_calls(capsys):
+    # A usage error, then --nesting, then a plain run, in one process: the
+    # last prints what a freshly built parser prints.
+    code, out, err = run(capsys, "orbits", "--group", "grigorchuk")
+    assert (code, out) == (1, "") and "--level" in err
+    code, doc, _ = run_json(capsys, "decompose", "--group", "gamma", "--level", "2",
+                            "--nesting")
+    assert (code, doc["nested_in_next"]) == (0, True)
+    argv = ("decompose", "--group", "gamma", "--level", "2", "--json")
+    shared = run(capsys, *argv)
+    assert shared[0] == 0 and '"nested_in_next": null' in shared[1]
+    build_parser.cache_clear()
+    assert run(capsys, *argv) == shared
+
+
+def test_version_exits_zero(capsys):
+    for _ in range(2):  # the first call may build the parser, the second reuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (f"{__version__}\n", "")
+    src = Path(selfsim.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "selfsim.cli", "--version"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{__version__}\n", "")
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):

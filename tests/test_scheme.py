@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from axiom_reference import axiom_messages_reference
 from label_table import table_route
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
@@ -14,7 +15,8 @@ from selfsim.cli import main
 from selfsim.errors import IntegrityError
 from selfsim.orbits import cone_suborbits, orbit_transversal
 from selfsim.render import orbital_graph_dot
-from selfsim.scheme import (axiom_violations, build_scheme, fold_scheme,
+from selfsim.scheme import (_VIOLATION_LIMIT, _axiom_messages, axiom_violations,
+                            build_scheme, fold_scheme,
                             hecke_dimension, is_commutative, scheme_json_doc,
                             verify_scheme_axioms)
 from selfsim.spectral import degree_multiset_from_p, dense_commutant_oracle
@@ -81,6 +83,43 @@ def test_violation_report_capped():
     bad = np.zeros_like(s.p)
     report = axiom_violations(s.valencies, bad, s.pairing, s.point_count)
     assert len(report) <= 10
+
+
+def _axiom_corruptions():
+    """(name, valencies, p, pairing, point count): one change each to a
+    scheme's data."""
+    s = _scheme("gupta-sidki", 3)
+    k, p, pairing, size = s.valencies, s.p, s.pairing, s.point_count
+    for entry in np.ndindex(p.shape):
+        for delta in (1, -1):
+            bad = p.copy()
+            bad[entry] += delta
+            yield f"p{list(entry)}{delta:+d}", k, bad, pairing, size
+    for cls in (0, 1, s.rank - 1):
+        wrong = k.copy()
+        wrong[cls] += 1
+        yield f"valency {cls}", wrong, p, pairing, size
+    r = s.rank
+    yield "three-cycle pairing", k, p, (0, 2, 3, 1) + tuple(range(4, r)), size
+    yield "pairing moves the diagonal", k, p, (1, 0) + tuple(range(2, r)), size
+    yield "pairing not a permutation", k, p, (0,) * r, size
+    yield "p of the wrong shape", k, p[:, :, :-1], pairing, size
+    yield "all-zero p", k, np.zeros_like(p), pairing, size
+    g = _scheme("gamma", 2)
+    yield "all-zero p, gamma 2", g.valencies, np.zeros_like(g.p), g.pairing, g.point_count
+
+
+def test_axiom_messages_match_the_reference():
+    # The whole-array compares report the per-entry loop's messages, in its
+    # order, before the cap; the cap then keeps the first ten.
+    long_reports = 0
+    for name, k, p, pairing, size in _axiom_corruptions():
+        want = list(axiom_messages_reference(k, p, pairing, size))
+        assert want, name
+        assert list(_axiom_messages(k, p, pairing, size)) == want, name
+        assert axiom_violations(k, p, pairing, size) == want[:_VIOLATION_LIMIT], name
+        long_reports += len(want) > _VIOLATION_LIMIT
+    assert long_reports > 0
 
 
 @pytest.mark.parametrize("key", ["grigorchuk", "grigorchuk-tilde"])

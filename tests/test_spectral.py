@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from eigen_reference import chained_clusters, scalar_eigensystem
-from test_properties import NON_COMMUTATIVE
+from product_rule_reference import product_rule_reference
+from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
 from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _cluster_indices,
-                              common_eigensystem, degree_multiset, degrees_embed,
-                              dense_commutant_oracle,
+                              _product_dtype, common_eigensystem, degree_multiset,
+                              degrees_embed, dense_commutant_oracle,
                               intersection_matrices, multiplicities,
                               spectral_data, tower_nesting_check)
 from selfsim.tree import parse_ray
@@ -95,6 +98,83 @@ def test_product_rule_names_the_first_failing_pair(entry, pair):
     with pytest.raises(IntegrityError,
                        match=rf"product rule at \({pair[0]}, {pair[1]}\)$"):
         intersection_matrices(p)
+
+
+def _product_rule_verdict(check, p):
+    """None if p passes the product-rule check, else its message."""
+    try:
+        B = check(p)
+    except IntegrityError as exc:
+        return str(exc)
+    assert np.array_equal(B, p.transpose(0, 2, 1))
+    return None
+
+
+_PRODUCT_RULE_FAMILY = {
+    "grigorchuk-3": (builtin("grigorchuk").presentation, 3, builtin("grigorchuk").default_ray),
+    "gupta-sidki-2": (builtin("gupta-sidki").presentation, 2, builtin("gupta-sidki").default_ray),
+    "gamma-3": (builtin("gamma").presentation, 3, builtin("gamma").default_ray),
+    "finer-than-cones-3": (parse_presentation(FINER_THAN_CONES), 3, parse_ray("3", 3)),
+}
+
+
+@pytest.mark.parametrize("per_slice", [None, 1, 2], ids=["budget", "one-class", "two-classes"])
+@pytest.mark.parametrize("case", sorted(_PRODUCT_RULE_FAMILY))
+def test_product_rule_matches_the_reference_on_every_single_entry_change(
+        case, per_slice, monkeypatch):
+    # Every entry of p moved by +1 and by -1: the chunked products raise
+    # exactly where the per-class int64 loop does, naming the same (i, j).
+    # These ranks fit one slice of the byte budget; narrower slices also
+    # check the offsets of later ones.
+    pres, n, ray = _PRODUCT_RULE_FAMILY[case]
+    p = build_scheme(pres, n, ray).p
+    if per_slice is not None:
+        monkeypatch.setattr("selfsim.spectral._PRODUCT_BYTES", per_slice * 8 * len(p)**3)
+    assert _product_dtype(p) is np.float64
+    assert _product_rule_verdict(intersection_matrices, p) is None
+    raised = 0
+    for entry in np.ndindex(p.shape):
+        for delta in (1, -1):
+            bad = p.copy()
+            bad[entry] += delta
+            want = _product_rule_verdict(product_rule_reference, bad)
+            assert _product_rule_verdict(intersection_matrices, bad) == want, (entry, delta)
+            raised += want is not None
+    assert raised > 0
+
+
+def test_product_rule_past_float64_runs_in_int64():
+    # The complete graph on N = 2^27 points: rank 2, p[1][1] = (N-1, N-2),
+    # so r max|p|^2 is about 2^55 and float64 would round B_1 B_1.
+    size = 2**27
+    p = np.zeros((2, 2, 2), dtype=np.int64)
+    p[0] = np.eye(2, dtype=np.int64)
+    p[1, 0] = [0, 1]
+    p[1, 1] = [size - 1, size - 2]
+    assert 2 * int(p.max())**2 >= 2**53
+    assert _product_dtype(p) is np.int64
+    assert _product_rule_verdict(intersection_matrices, p) is None
+    for entry in np.ndindex(p.shape):
+        for delta in (1, -1):
+            bad = p.copy()
+            bad[entry] += delta
+            assert (_product_rule_verdict(intersection_matrices, bad)
+                    == _product_rule_verdict(product_rule_reference, bad)), (entry, delta)
+
+
+def test_product_rule_check_keeps_to_its_byte_budget():
+    # Rank 42 (FINER_THAN_CONES, level 5): its r^4 products are checked a
+    # few classes at a time, near 7 MB; slices of 16 MiB peak near
+    # 42 MB, and all classes at once near 53 MB.
+    p = build_scheme(parse_presentation(FINER_THAN_CONES), 5, parse_ray("3", 3)).p
+    assert len(p) == 42
+    tracemalloc.start()
+    try:
+        intersection_matrices(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("values,atol,want", [
