@@ -28,11 +28,15 @@ root permutations act transitively, the stabilizer of each base letter
 restricts onto the whole group (read off section words), and the Schreier
 generators of a few breadth-first vertices join each cross block of a level.
 Where a check fails it returns None, and ``stabilizer_suborbits`` falls back
-to the fold, which stays as the cross-check of the route.
+to the fold, which stays as the cross-check of the route.  That is the one
+place the route is chosen.
 
 The fold, the cone route and the enumeration oracle all end in a forest,
 rep[x] the least member of x's block, which ``_canonical_partition`` numbers
 into ``SuborbitPartition.block_of``, the one array every later step reads.
+Each partition reads its own labels, label(x, y) = the block of u_x^-1(y),
+through ``label_row(x)``: off the rows of u_x^-1 it was made with, or off
+tree digits on the cone route.  No other module knows either layout.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotTransitiveError, SizeCapError
+from .errors import IntegrityError, NotTransitiveError, SizeCapError
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size
 from .wreath import Word, WreathPresentation, generator_level_perms
 
@@ -198,10 +202,13 @@ class SuborbitPartition:
 
     base: Vertex
     block_of: np.ndarray  # int64, one entry per level vertex
-    # Where the cone route certified the blocks, cones[k][a, c] (letters
-    # 0-based) is the least vertex sharing its first k letters with the base
-    # whose next letter c' puts (v_{k+1}, c') in the G_1-orbit of (a, c),
-    # shape (n, d, d); None where the fold or the oracle made the blocks.
+    # The label source, one of the two.  Where the fold or the oracle made
+    # the blocks, rows[x] is the level permutation of u_x^-1 for a u_x that
+    # carries the base to x, shape (N, N).  Where the cone route certified
+    # them, cones[k][a, c] (letters 0-based) is the least vertex sharing its
+    # first k letters with the base whose next letter c' puts (v_{k+1}, c')
+    # in the G_1-orbit of (a, c), shape (n, d, d).
+    rows: np.ndarray | None = None
     cones: np.ndarray | None = None
 
     def __eq__(self, other) -> bool:
@@ -212,6 +219,34 @@ class SuborbitPartition:
     def rank(self) -> int:
         return int(self.block_of.max()) + 1
 
+    def label_row(self, x: int) -> np.ndarray:
+        """label(x, y), the block of u_x^-1(y), for every y.
+
+        From cones: the class of (x, y) is fixed by the number k of letters x
+        and y share and the G_1-orbit of (x_{k+1}, y_{k+1}).  That G-invariant
+        partition of pairs is coarser than the orbitals and meets the base
+        row in the suborbits, so the class is the block of
+        cones[k][x_{k+1}, y_{k+1}].  A row broadcasts the labels of x's first
+        h letters, then overwrites the y that share them: O(N) per row.
+        """
+        if self.cones is None:
+            return self.block_of[self.rows[x]]
+        high, low = self._digit_tables
+        top, rest = divmod(x, len(low))
+        row = np.empty((len(high), len(low)), dtype=np.int64)
+        row[:] = high[top][:, None]
+        row[top] = low[rest]
+        return row.reshape(-1)
+
+    @cached_property
+    def _digit_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The labels of all pairs of h-letter and of (n - h)-letter words,
+        h = n // 2: at most d N entries, against N^2 for one table of n
+        letters, and a row costs two copies, not a walk down the levels."""
+        n, d = self.base.level, self.base.degree
+        tables = list(self.block_of[self.cones])
+        return _pair_table(tables[:n // 2], d), _pair_table(tables[n // 2:], d)
+
     def blocks_as_vertices(self) -> list[list[str]]:
         blocks: list[list[str]] = [[] for _ in range(self.rank)]
         for i, k in enumerate(self.block_of.tolist()):  # each block in index order
@@ -219,7 +254,22 @@ class SuborbitPartition:
         return blocks
 
 
-def _canonical_partition(rep: np.ndarray, base: Vertex,
+def _pair_table(tables: list[np.ndarray], degree: int) -> np.ndarray:
+    """The labels of all pairs of m-letter words, as a (d^m, d^m) array, from
+    tables[k][a, c], the label of a pair whose first k letters agree and
+    whose next are a != c; a pair of equal words gets 0."""
+    if not tables:
+        return np.zeros((1, 1), dtype=np.int64)
+    sub = _pair_table(tables[1:], degree)
+    m = len(sub)
+    out = np.empty((degree, m, degree, m), dtype=np.int64)
+    out[:] = tables[0][:, None, :, None]
+    for a in range(degree):
+        out[a, :, a, :] = sub
+    return out.reshape(degree * m, degree * m)
+
+
+def _canonical_partition(rep: np.ndarray, base: Vertex, rows: np.ndarray | None = None,
                          cones: np.ndarray | None = None) -> SuborbitPartition:
     """Number the forest rep canonically: array passes over the vertices and
     a Python sort of the r roots (rep[x] = x) only."""
@@ -230,7 +280,7 @@ def _canonical_partition(rep: np.ndarray, base: Vertex,
     order = [base_root] + [root for _, root in rest if root != base_root]
     number = sizes  # reused: root -> block number
     number[order] = np.arange(len(order))
-    return SuborbitPartition(base, number[rep], cones)
+    return SuborbitPartition(base, number[rep], rows, cones)
 
 
 def merge_components(rep: np.ndarray, tails: np.ndarray,
@@ -260,26 +310,28 @@ def merge_components(rep: np.ndarray, tails: np.ndarray,
             rep = jumped
 
 
-def _component_partition(perms: Iterable[np.ndarray], size: int,
-                         base: Vertex) -> SuborbitPartition:
+def _component_partition(perms: Iterable[np.ndarray], base: Vertex,
+                         rows: np.ndarray) -> SuborbitPartition:
     """Orbits of the group the permutations generate: the components of the
-    graph joining x to g(x).  The enumeration oracle's fold.
+    graph joining x to g(x), with rows as the label rows.  The enumeration
+    oracle's fold.
 
     The permutations are folded in one at a time by ``merge_components``,
     each component labelled by its smallest vertex.  A permutation that keeps
     every vertex inside its component, such as a repeat, costs one gather and
     is never stored.
     """
-    rep = np.arange(size, dtype=np.int64)
+    rep = np.arange(len(rows), dtype=np.int64)
     for g in perms:
         rep = merge_components(rep, g)
-    return _canonical_partition(rep, base)
+    return _canonical_partition(rep, base, rows)
 
 
 def stabilizer_suborbits(pres: WreathPresentation, n: int, ray: Ray,
                          cap: int = DEFAULT_LEVEL_CAP) -> SuborbitPartition:
     """Orbits on level n of the stabilizer of the ray's level-n prefix: the
-    cone route's where its certificate holds, else the fold's."""
+    cone route's where its certificate holds, else the fold's.  The one
+    place the route is chosen."""
     parts = cone_suborbits(pres, n, ray, cap)
     if parts is None:
         parts = suborbits_from_transversal(pres, orbit_transversal(pres, n, ray, cap))
@@ -288,7 +340,9 @@ def stabilizer_suborbits(pres: WreathPresentation, n: int, ray: Ray,
 
 def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> SuborbitPartition:
     """Orbits of the Schreier generators, checked on label rows: no word and
-    no generator permutation is built.
+    no generator permutation is built.  The partition keeps ``tv.perms`` as
+    its label rows, after checking that they can serve: u_base = 1, and
+    u_x carries the base to x.
 
     With perms[x] = u_x^-1 and y = s(x), the generator u_y^-1 s u_x joins
     perms[x][j] to perms[y][s(j)] for every j.  Under the current component
@@ -307,6 +361,14 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
     """
     size = len(tv)
     perms = tv.perms
+    base_idx = tv.base.index()
+    broken = []
+    if not np.array_equal(perms[base_idx], np.arange(size)):
+        broken.append("u_base is not the identity, so the base label row is not the suborbits")
+    if not np.all(np.diagonal(perms) == base_idx):
+        broken.append("some u_x does not carry the base to x, so a diagonal pair is not in class 0")
+    if broken:
+        raise IntegrityError("transversal checks failed:\n" + "\n".join(broken))
     gen_perms = generator_level_perms(pres, tv.base.level)
     points = np.arange(size, dtype=np.int64)
     rows = max(1, _BLOCK_ENTRIES // size)
@@ -330,7 +392,7 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
             cross = left != right
             if cross.any():
                 rep = merge_components(rep, right[cross], left[cross])
-    return _canonical_partition(rep, tv.base)
+    return _canonical_partition(rep, tv.base, perms)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +600,7 @@ def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
             return None
         checked.append(w)
     rep, cones = _cone_forest(base, orbital, least)
-    return _canonical_partition(rep, base, cones)
+    return _canonical_partition(rep, base, cones=cones)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +648,15 @@ def oracle_suborbits(pres: WreathPresentation, n: int, ray: Ray,
     base_idx = base.index()
     size = pres.degree**n
     elements = _level_group_elements(pres, n, cap)
-    orbit = {int(p[base_idx]) for p in elements}
-    if len(orbit) != size:
+    carriers: dict[int, np.ndarray] = {}  # x -> u_x, the first element carrying the base to x
+    for p in elements:
+        carriers.setdefault(int(p[base_idx]), p)
+    if len(carriers) != size:
         raise NotTransitiveError(
             f"action on level {n} is not transitive: orbit of {base} has "
-            f"{len(orbit)} of {size} vertices",
-            orbit_size=len(orbit),
+            f"{len(carriers)} of {size} vertices",
+            orbit_size=len(carriers),
         )
+    rows = np.argsort([carriers[x] for x in range(size)], axis=1)  # u_x^-1
     stab = [p for p in elements if int(p[base_idx]) == base_idx]
-    return _component_partition(stab, size, base)
+    return _component_partition(stab, base, rows)

@@ -2,14 +2,12 @@
 
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
 where u_x is any group element carrying the base to x.  The scheme reads
-every label through ``label_row(x)`` = label(x, .), from one of two sources.
-Where the cone route (``orbits.cone_suborbits``) certifies the suborbits, a
-row is read off tree digits: the letters x and y share and the orbit of the
-next letter pair under the root permutations.  Elsewhere ``fold_scheme``
-makes it one gather on the transversal table of u_x^-1 rows and keeps no
-other part of the transversal.  The class of (base, y) is then the suborbit
-of y, class 0 is the diagonal, and counting common neighbours gives the
-intersection numbers
+every label through ``label_row(x)`` = label(x, .), which the suborbit
+partition reads from the layout it was made from: tree digits on the cone
+route, a gather on rows of u_x^-1 elsewhere.  This module knows neither
+layout, and the route was chosen when the partition was made.  The class of
+(base, y) is then the suborbit of y, class 0 is the diagonal, and counting
+common neighbours gives the intersection numbers
 
     p[i][j][k] = #{z : (x, z) in class i, (z, y) in class j}
 
@@ -37,8 +35,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import IntegrityError
-from .orbits import (SuborbitPartition, check_memory, cone_suborbits, orbit_transversal,
-                     suborbits_from_transversal)
+from .orbits import SuborbitPartition, check_memory, stabilizer_suborbits
 from .tree import DEFAULT_LEVEL_CAP, Ray
 from .wreath import WreathPresentation
 
@@ -57,7 +54,7 @@ class OrbitalScheme:
     pairing: tuple[int, ...]        # i -> class of the reversed pairs
     representatives: tuple[int, ...]  # y_k with (base, y_k) in class k
     p: np.ndarray                   # (r, r, r) intersection numbers, exact ints
-    label_row: Callable[[int], np.ndarray]  # x -> label(x, y) for every y
+    label_row: Callable[[int], np.ndarray]  # partition.label_row: x -> label(x, .)
 
     @property
     def level(self) -> int:
@@ -83,92 +80,22 @@ class OrbitalScheme:
 
 def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
                  cap: int = DEFAULT_LEVEL_CAP) -> OrbitalScheme:
-    """The orbital scheme of level n: labels read off tree digits where the
-    cone route's certificate holds, else off the transversal table."""
-    partition = cone_suborbits(pres, n, ray, cap)
-    if partition is None:
-        return fold_scheme(pres, n, ray, cap)
-    return _scheme_from_rows(partition, _digit_label_row(partition))
+    """The orbital scheme of level n."""
+    return scheme_from_partition(stabilizer_suborbits(pres, n, ray, cap))
 
 
-def fold_scheme(pres: WreathPresentation, n: int, ray: Ray,
-                cap: int = DEFAULT_LEVEL_CAP) -> OrbitalScheme:
-    """The scheme from the transversal table and the suborbit fold, for any
-    input: ``build_scheme``'s fallback and the cone route's cross-check."""
-    tv = orbit_transversal(pres, n, ray, cap)
-    perms, size, base_idx = tv.perms, len(tv), tv.base.index()
-    broken = []  # the label rows below need u_base = 1 and u_x(base) = x
-    if not np.array_equal(perms[base_idx], np.arange(size)):
-        broken.append("u_base is not the identity, so the base label row is not the suborbits")
-    if not np.all(np.diagonal(perms) == base_idx):
-        broken.append("some u_x does not carry the base to x, so a diagonal pair is not in class 0")
-    if broken:
-        raise IntegrityError("transversal checks failed:\n" + "\n".join(broken))
-    partition = suborbits_from_transversal(pres, tv)
-    block_of = partition.block_of
-
-    def label_row(x: int) -> np.ndarray:  # keeps the table, not the transversal
-        return block_of[perms[x]]
-    return _scheme_from_rows(partition, label_row)
-
-
-def _pair_table(tables: list[np.ndarray], degree: int) -> np.ndarray:
-    """The labels of all pairs of m-letter words, as a (d^m, d^m) array, from
-    tables[k][a, c], the label of a pair whose first k letters agree and
-    whose next are a != c; a pair of equal words gets 0."""
-    if not tables:
-        return np.zeros((1, 1), dtype=np.int64)
-    sub = _pair_table(tables[1:], degree)
-    m = len(sub)
-    out = np.empty((degree, m, degree, m), dtype=np.int64)
-    out[:] = tables[0][:, None, :, None]
-    for a in range(degree):
-        out[a, :, a, :] = sub
-    return out.reshape(degree * m, degree * m)
-
-
-def _digit_label_row(partition: SuborbitPartition) -> Callable[[int], np.ndarray]:
-    """label_row for a partition that the cone route certified.
-
-    The class of a pair (x, y) is then fixed by the number k of letters x
-    and y share and by the G_1-orbit of the letter pair (x_{k+1}, y_{k+1}).
-    That partition of pairs is G-invariant and coarser than the orbitals,
-    and it meets the base row in the cone blocks, which are the suborbits;
-    so each class is one orbital, labelled by the block of any y' with
-    (base, y') in it: for a pair that shares k letters and goes on with a
-    and c, the block of partition.cones[k][a, c].  A row broadcasts the
-    labels of x's first h letters against every h-letter word, then
-    overwrites the y that share them with the labels of x's last n - h
-    letters: two tables of at most d N entries, and O(N) per row.
-    """
-    base, block_of = partition.base, partition.block_of
-    n, d = base.level, base.degree
-    tables = list(block_of[partition.cones])
-    high, low = _pair_table(tables[:n // 2], d), _pair_table(tables[n // 2:], d)
-    width = len(low)
-
-    def label_row(x: int) -> np.ndarray:
-        top, rest = divmod(x, width)
-        row = np.empty((len(high), width), dtype=np.int64)
-        row[:] = high[top][:, None]
-        row[top] = low[rest]
-        return row.reshape(-1)
-    if not np.array_equal(label_row(base.index()), block_of):
-        raise IntegrityError("the digit labels of the base row are not the suborbits")
-    return label_row
-
-
-def _scheme_from_rows(partition: SuborbitPartition,
-                      label_row: Callable[[int], np.ndarray]) -> OrbitalScheme:
-    """Pairing, p and the axioms from r label rows, whichever source gives
-    them.  p takes 8 r^3 bytes, so a rank past half of physical memory is
-    refused before p is made."""
+def scheme_from_partition(partition: SuborbitPartition) -> OrbitalScheme:
+    """Pairing, p and the axioms from r of the partition's label rows,
+    whichever layout it reads them from.  p takes 8 r^3 bytes, so a rank
+    past half of physical memory is refused before p is made."""
     block_of = partition.block_of
     r, size, base_idx = partition.rank, len(block_of), partition.base.index()
+    if not np.array_equal(partition.label_row(base_idx), block_of):
+        raise IntegrityError("the labels of the base row are not the suborbits")
     check_memory(f"rank {r}", 8 * r**3, "its intersection numbers p", r)
     reps = np.full(r, size, dtype=np.int64)  # the least vertex of each block
     np.minimum.at(reps, block_of, np.arange(size))
-    rows = [label_row(y) for y in reps]  # label(y_k, .)
+    rows = [partition.label_row(y) for y in reps]  # label(y_k, .)
     pairing = np.array([row[base_idx] for row in rows], dtype=np.int64)
     p = np.empty((r, r, r), dtype=np.int64)
     for k, row in enumerate(rows):
@@ -184,7 +111,7 @@ def _scheme_from_rows(partition: SuborbitPartition,
         pairing=tuple(pairing.tolist()),
         representatives=tuple(reps.tolist()),
         p=p,
-        label_row=label_row,
+        label_row=partition.label_row,
     )
     violations = verify_scheme_axioms(scheme)
     if violations:

@@ -94,11 +94,11 @@ def _inverse_identity(pres, rng, cases):
     return _run_cases("inverse_identity", cases, case)
 
 
-def _label_invariance(pres, scheme, rng, cases):
+def _label_invariance(pres, scheme, rng, cases, cap):
     size = scheme.point_count
     def case(_):
         g = _random_word(rng, pres)
-        perm = level_permutation(pres, g, scheme.level)
+        perm = level_permutation(pres, g, scheme.level, cap)
         x = int(rng.integers(size))
         y = int(rng.integers(size))
         before = scheme.label(x, y)
@@ -155,7 +155,7 @@ def run_verification(pres: WreathPresentation, n: int, ray: Ray,
         _action_compatibility(pres, rng, cases),
         _cocycle_identity(pres, rng, cases),
         _inverse_identity(pres, rng, cases),
-        _label_invariance(pres, scheme, rng, cases),
+        _label_invariance(pres, scheme, rng, cases, cap),
         _scheme_axioms(scheme, rng, cases),
         _multiplicity_seed_independence(scheme, rng, cases, seed),
     ]

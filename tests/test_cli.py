@@ -11,7 +11,7 @@ import selfsim
 from selfsim import __version__, cache
 from selfsim.catalog import builtin
 from selfsim.cli import build_parser, main
-from selfsim.wreath import generator_level_perms
+from selfsim.wreath import generator_level_perms, level_permutation
 
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
 
@@ -370,6 +370,19 @@ def test_cone_route_keeps_a_raised_cap(capsys, monkeypatch):
                               "--level", "7", "--cap", "128")
     assert (code, err) == (0, "")
     assert doc["degrees"] == builtin("grigorchuk").expected_degrees(7)
+
+
+def test_verify_keeps_a_raised_cap(capsys, monkeypatch):
+    # As above, and the label invariance suite builds each drawn word's
+    # level permutation under the raised cap too, not under the default.
+    monkeypatch.setattr(generator_level_perms, "__defaults__", (1 << 6,))
+    monkeypatch.setattr(level_permutation, "__defaults__", (1 << 6,))
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 1 << 14)
+    code, doc, err = run_json(capsys, "verify", "--group", "grigorchuk",
+                              "--level", "7", "--cap", "128", "--cases", "5")
+    assert (code, err) == (0, "")
+    assert doc["ok"] is True
+    assert [suite["cases"] for suite in doc["suites"]] == [5] * 6
 
 
 def test_decompose_loads_no_lazy_numpy_module():

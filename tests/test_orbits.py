@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from label_table import table_route
+from scheme_routes import fold_scheme
 from suborbit_reference import permutation_route
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
@@ -15,7 +16,7 @@ from selfsim.orbits import (SuborbitPartition, _canonical_partition,
                             oracle_suborbits, orbit_transversal,
                             schreier_generators, stabilizer_suborbits,
                             suborbits_from_transversal)
-from selfsim.scheme import build_scheme, fold_scheme
+from selfsim.scheme import build_scheme, scheme_from_partition
 from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (Word, WreathPresentation, act,
                             generator_level_perms, level_permutation,
@@ -99,6 +100,30 @@ def test_transversal_table_at_each_dtype_boundary(key, n, dtype):
     p, pairing = table_route(scheme)
     assert np.array_equal(scheme.p, p)
     assert scheme.pairing == pairing
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_every_partition_reads_the_labels_by_their_definition(key):
+    # label(x, y) is the block of u_x^-1(y) for any u_x carrying the base to
+    # x, so the cone route's digits, the transversal rows of the fold and of
+    # the permutation route, and the oracle's own rows give one table, and
+    # the full table gives each scheme's p and pairing.
+    pres, ray = _entry(key)
+    for n in range(5 if pres.degree == 2 else 4):
+        tv = orbit_transversal(pres, n, ray)
+        kinds = {"fold": _fold(pres, n, ray), "permutation": permutation_route(pres, tv),
+                 "oracle": oracle_suborbits(pres, n, ray)}
+        if n > 0:
+            kinds["cone"] = cone_suborbits(pres, n, ray)
+        block_of = kinds["fold"].block_of
+        want = np.array([block_of[level_permutation(pres, word.inverse(), n)]
+                         for word in tv.words])
+        for kind, parts in kinds.items():
+            scheme = scheme_from_partition(parts)
+            assert np.array_equal(scheme.labels, want), (kind, n)
+            p, pairing = table_route(scheme)
+            assert np.array_equal(scheme.p, p), (kind, n)
+            assert scheme.pairing == pairing, (kind, n)
 
 
 def test_refused_level_allocates_nothing(monkeypatch):

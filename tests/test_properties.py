@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from eigen_reference import first_non_commuting_pair, least_members, scalar_eigensystem
 from label_table import table_route
+from scheme_routes import fold_scheme, oracle_scheme
 from suborbit_reference import permutation_route
 
 from selfsim.catalog import builtin, keys
@@ -25,7 +26,7 @@ from selfsim.errors import IntegrityError, NotTransitiveError, SizeCapError
 from selfsim.orbits import (_schreier_pairs, cone_suborbits, merge_components,
                             oracle_suborbits, orbit_transversal, stabilizer_suborbits,
                             suborbits_from_transversal)
-from selfsim.scheme import build_scheme, fold_scheme, is_commutative
+from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystem,
                               degree_multiset_from_p, dense_commutant_oracle,
                               intersection_matrices, multiplicities, spectral_data)
@@ -165,6 +166,32 @@ def test_cone_route_matches_the_fold_on_fixed_inputs(name):
     top = 6 if pres.degree == 2 else 5
     assert _check_the_cone_route(pres, parse_ray(ray, pres.degree), top) == \
         list(range(1, top + 1))
+
+
+# The catalog and the fixed inputs above, at levels up to 4 (binary) and 3
+# (ternary), or 2 for the ternary fixed inputs: their level-3 groups have
+# more than 2^16 elements.
+ORACLE_SCHEME_CASES = {
+    **{key: (builtin(key).presentation, builtin(key).default_ray) for key in keys()},
+    **{name: (pres, parse_ray(ray, pres.degree))
+       for name, (text, ray) in CONE_CASES.items() for pres in [parse_presentation(text)]},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SCHEME_CASES)
+def test_oracle_scheme_matches_the_route_and_the_fold(name):
+    # The enumeration oracle's partition reads its own label rows, so its
+    # scheme is a third route to p, independent of the transversal.
+    pres, ray = ORACLE_SCHEME_CASES[name]
+    top = 4 if pres.degree == 2 else 2 if name in CONE_CASES else 3
+    for n in range(top + 1):
+        assert (n == 0) == (cone_suborbits(pres, n, ray) is None), n
+        oracle = oracle_scheme(pres, n, ray)
+        for other in (build_scheme(pres, n, ray), fold_scheme(pres, n, ray)):
+            assert other.partition == oracle.partition, n
+            assert other.representatives == oracle.representatives, n
+            assert other.pairing == oracle.pairing, n
+            assert np.array_equal(other.p, oracle.p), n
 
 
 # Automata in which a generator has cycles of two lengths, both at least 2,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from axiom_reference import axiom_messages_reference
 from label_table import table_route
+from scheme_routes import fold_scheme
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim.catalog import builtin, source_text
@@ -16,11 +17,11 @@ from selfsim.errors import IntegrityError
 from selfsim.orbits import cone_suborbits, orbit_transversal
 from selfsim.render import orbital_graph_dot
 from selfsim.scheme import (_VIOLATION_LIMIT, _axiom_messages, axiom_violations,
-                            build_scheme, fold_scheme,
+                            build_scheme, scheme_from_partition,
                             hecke_dimension, is_commutative, scheme_json_doc,
                             verify_scheme_axioms)
 from selfsim.spectral import degree_multiset_from_p, dense_commutant_oracle
-from selfsim.tree import parse_ray
+from selfsim.tree import DEFAULT_LEVEL_CAP, parse_ray
 from selfsim.verify import _label_invariance, _scheme_axioms
 from selfsim.wreath import level_permutation, parse_presentation
 
@@ -207,12 +208,29 @@ def test_axioms_catch_a_broken_transversal(monkeypatch):
     base = tv.base.index()
     x = (base + 1) % len(tv)
     perms[[base, x]] = perms[[x, base]]  # u_base and u_x swapped
-    monkeypatch.setattr("selfsim.scheme.orbit_transversal",
+    monkeypatch.setattr("selfsim.orbits.orbit_transversal",
                         lambda *_: replace(tv, perms=perms))
     with pytest.raises(IntegrityError) as caught:
         build_scheme(pres, 3, ray)
     assert "label row" in str(caught.value)
     assert "diagonal" in str(caught.value)
+
+
+@pytest.mark.parametrize("layout", ["rows", "cones"])
+def test_a_label_source_whose_base_row_is_not_the_suborbits_is_refused(layout):
+    # Whichever layout a partition reads, label_row(base) must be block_of.
+    e = builtin("gupta-sidki")
+    make = fold_scheme if layout == "rows" else build_scheme
+    parts = make(e.presentation, 3, e.default_ray).partition
+    base = parts.base.index()
+    if layout == "rows":
+        rows = parts.rows.copy()
+        rows[base] = rows[base][::-1]
+        broken = replace(parts, rows=rows)
+    else:
+        broken = replace(parts, cones=np.full_like(parts.cones, base))
+    with pytest.raises(IntegrityError, match="^the labels of the base row are not the suborbits$"):
+        scheme_from_partition(broken)
 
 
 def test_scheme_keeps_no_transversal(monkeypatch):
@@ -223,7 +241,7 @@ def test_scheme_keeps_no_transversal(monkeypatch):
         made.append(weakref.ref(tv))
         return tv
 
-    monkeypatch.setattr("selfsim.scheme.orbit_transversal", recorded)
+    monkeypatch.setattr("selfsim.orbits.orbit_transversal", recorded)
     pres, ray = _declined()
     s = build_scheme(pres, 4, ray)
     gc.collect()
@@ -251,7 +269,7 @@ def _label_readings(pres, s):
         s.labels.tolist(),
         list(orbital_graph_dot(s)),
         dense_commutant_oracle(s),
-        _label_invariance(pres, s, np.random.default_rng(3), 50),
+        _label_invariance(pres, s, np.random.default_rng(3), 50, DEFAULT_LEVEL_CAP),
         _scheme_axioms(s, np.random.default_rng(4), 50),
     )
 
@@ -273,7 +291,8 @@ def test_a_foreign_label_source_reads_the_same(key, n):
     readers = [lambda: failing.label(0, 1), lambda: failing.label_column(1),
                lambda: failing.labels, lambda: list(orbital_graph_dot(failing)),
                lambda: dense_commutant_oracle(failing),
-               lambda: _label_invariance(pres, failing, np.random.default_rng(3), 5),
+               lambda: _label_invariance(pres, failing, np.random.default_rng(3), 5,
+                                                 DEFAULT_LEVEL_CAP),
                lambda: _scheme_axioms(failing, np.random.default_rng(4), 5)]
     for read in readers:
         with pytest.raises(LookupError):
