@@ -1,7 +1,8 @@
 """Advisory on-disk cache for computed JSON payloads.
 
 One kind of entry, the scheme document of a level, keyed by presentation
-fingerprint, level and ray; ``scheme`` and ``decompose`` both read it.
+fingerprint, level and ray, in the directory that ``--cache-dir`` names;
+``scheme`` and ``decompose`` both read it.
 The cache is advisory both ways: anything missing, unreadable or failing
 revalidation is recomputed and overwritten, and a store that fails is
 dropped without failing the run.
@@ -17,14 +18,6 @@ from pathlib import Path
 
 from .tree import Ray
 from .wreath import WreathPresentation
-
-ENV_VAR = "SELFSIM_CACHE_DIR"
-
-
-def cache_dir_from_env() -> Path | None:
-    value = os.environ.get(ENV_VAR)
-    return Path(value) if value else None
-
 
 def cache_key(pres: WreathPresentation, n: int, ray: Ray) -> str:
     blob = f"{pres.fingerprint()}|{n}|{ray}|scheme".encode()

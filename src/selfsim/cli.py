@@ -8,10 +8,12 @@ tool_version, seed, group and level, and errors go to stderr as a single
 JSON line.
 
 The cache of --cache-dir holds one kind of entry, the scheme document of a
-level, one per presentation, level and ray.  ``scheme`` prints it, and
-``decompose`` computes its degrees from its intersection numbers p on every
-run (``--nesting`` reads level n+1's entry the same way); ``decompose
---oracle`` and ``scheme --dot`` build the scheme and touch no cache.
+level, one per presentation, level and ray.  A level's scheme reaches both
+commands as the arrays (valencies, pairing, p), from a revalidated entry or
+the built scheme: ``scheme`` makes the document of them to print or store,
+and ``decompose`` computes its degrees from p (``--nesting`` reads level n+1
+the same way).  ``decompose --oracle`` and ``scheme --dot`` build the scheme
+and touch no cache.
 
 One parser serves a process: the first ``main`` call builds it, not the
 import, and every later call in the same process reuses it.
@@ -32,7 +34,7 @@ from .catalog import builtin, keys
 from .errors import PresentationError, SelfSimError, UnknownGroupError
 from .orbits import stabilizer_suborbits
 from .render import check_orbital_graph_size, orbital_graph_dot, portrait_dot
-from .scheme import axiom_violations, build_scheme, scheme_json_doc
+from .scheme import axiom_violations, build_scheme, is_commutative, scheme_json_doc
 from .spectral import (DEFAULT_SEED, degree_multiset_from_p, degrees_embed,
                        dense_commutant_oracle)
 from .tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, check_level_size, parse_ray
@@ -60,8 +62,7 @@ def _add_common(sp, ray: bool, cap: bool = True, cached: bool = False):
                     help="seed for the randomized numerics")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     if cached:
-        sp.add_argument("--cache-dir", help="advisory result cache directory "
-                                            f"(or ${cache.ENV_VAR})")
+        sp.add_argument("--cache-dir", help="advisory result cache directory")
     if ray:
         sp.add_argument("--ray", help="base ray: digit string (periodic tail) "
                                       "or 'dinf' (default)")
@@ -163,9 +164,7 @@ def _emit(args, envelope: dict, payload: dict, human: str) -> None:
 
 
 def _cache_dir(args) -> Path | None:
-    if args.cache_dir:
-        return Path(args.cache_dir)
-    return cache.cache_dir_from_env()
+    return Path(args.cache_dir) if args.cache_dir else None
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +255,41 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-def _valid_scheme_payload(doc: dict, point_count: int) -> bool:
-    """Whether a cached entry is what ``scheme_json_doc`` writes for integer
-    data that passes the scheme axioms; a foreign key or a wrong type fails."""
+def _valid_scheme_payload(doc: dict, point_count: int) -> tuple | None:
+    """The arrays (valencies, pairing, p) of a cached entry that is what
+    ``scheme_json_doc`` writes for integer data passing the scheme axioms;
+    None for anything else, a foreign key or a wrong type included."""
     try:
-        valencies, pairing, p = (np.asarray(doc[key], dtype=np.int64)
-                                 for key in ("valencies", "pairing", "p"))
+        data = valencies, pairing, p = tuple(np.asarray(doc[key], dtype=np.int64)
+                                             for key in ("valencies", "pairing", "p"))
         r = len(valencies)
-        rebuilt = scheme_json_doc(valencies, pairing, p)
+        rebuilt = scheme_json_doc(*data)
     except (KeyError, TypeError, ValueError, OverflowError):
-        return False
-    if json.dumps(doc) != json.dumps(rebuilt):
-        return False
-    return (valencies.shape == pairing.shape == (r,) and p.shape == (r, r, r)
-            and not axiom_violations(valencies, p, tuple(rebuilt["pairing"]), point_count))
+        return None
+    if (json.dumps(doc) == json.dumps(rebuilt)
+            and valencies.shape == pairing.shape == (r,) and p.shape == (r, r, r)
+            and not axiom_violations(valencies, p, tuple(rebuilt["pairing"]), point_count)):
+        return data
+    return None
 
 
-def _scheme_doc(args, pres, n, ray, directory: Path | None) -> dict:
-    """Level n's scheme document, the one cache entry per presentation, level
-    and ray.  ``--cap`` is checked first; then an entry that passes
-    revalidation is served, or the scheme is built and its entry stored."""
+def _scheme_data(args, pres, n, ray, directory: Path | None) -> tuple:
+    """Level n's (valencies, pairing, p), the one cache entry per
+    presentation, level and ray.  ``--cap`` is checked first; then an entry
+    that passes revalidation is served, or the scheme is built and its entry
+    stored."""
     size = check_level_size(pres.degree, n, args.cap)
     if directory is not None:
         key = cache.cache_key(pres, n, ray)
         doc = cache.load(directory, key)
-        if doc is not None and _valid_scheme_payload(doc, size):
-            return doc
+        data = None if doc is None else _valid_scheme_payload(doc, size)
+        if data is not None:
+            return data
     scheme = build_scheme(pres, n, ray, args.cap)
-    doc = scheme_json_doc(scheme.valencies, scheme.pairing, scheme.p)
+    data = scheme.valencies, scheme.pairing, scheme.p
     if directory is not None:
-        cache.store(directory, key, doc)
-    return doc
+        cache.store(directory, key, scheme_json_doc(*data))
+    return data
 
 
 def _cmd_scheme(args) -> int:
@@ -297,7 +300,7 @@ def _cmd_scheme(args) -> int:
         check_orbital_graph_size(check_level_size(pres.degree, args.level, args.cap))
         sys.stdout.writelines(orbital_graph_dot(build_scheme(pres, args.level, ray, args.cap)))
         return 0
-    payload = _scheme_doc(args, pres, args.level, ray, _cache_dir(args))
+    payload = scheme_json_doc(*_scheme_data(args, pres, args.level, ray, _cache_dir(args)))
     human = "\n".join([
         f"rank {payload['rank']}, commutative: {payload['commutative']}",
         f"valencies: {payload['valencies']}",
@@ -312,27 +315,24 @@ def _cmd_decompose(args) -> int:
     if args.oracle:  # a cached scheme would skip the dense cross-check
         directory = None
         scheme = build_scheme(pres, args.level, ray, args.cap)
-        doc = scheme_json_doc(scheme.valencies, scheme.pairing, scheme.p)
+        p = scheme.p
     else:
         directory = _cache_dir(args)
-        doc = _scheme_doc(args, pres, args.level, ray, directory)
-
-    def degrees_of(doc: dict) -> list[int]:
-        return degree_multiset_from_p(np.asarray(doc["p"], dtype=np.int64), args.seed)
-
-    degrees = degrees_of(doc)
+        _, _, p = _scheme_data(args, pres, args.level, ray, directory)
+    degrees = degree_multiset_from_p(p, args.seed)
+    gelfand = is_commutative(p)
     payload = {
         "level": args.level,
-        "rank": doc["rank"],
+        "rank": len(p),
         "degrees": degrees,
-        "gelfand": doc["commutative"],
+        "gelfand": gelfand,
         "nested_in_next": None,
     }
-    lines = [f"level {args.level}: rank {doc['rank']}, gelfand: {doc['commutative']}",
+    lines = [f"level {args.level}: rank {len(p)}, gelfand: {gelfand}",
              f"degrees: {degrees}"]
     if args.nesting:
-        there = _scheme_doc(args, pres, args.level + 1, ray, directory)
-        payload["nested_in_next"] = degrees_embed(degrees, degrees_of(there))
+        _, _, there = _scheme_data(args, pres, args.level + 1, ray, directory)
+        payload["nested_in_next"] = degrees_embed(degrees, degree_multiset_from_p(there, args.seed))
         lines.append(f"nested in level {args.level + 1}: {payload['nested_in_next']}")
     if args.oracle:
         payload["oracle_degrees"] = dense_commutant_oracle(scheme, args.seed)

@@ -220,7 +220,8 @@ class SuborbitPartition:
         return int(self.block_of.max()) + 1
 
     def label_row(self, x: int) -> np.ndarray:
-        """label(x, y), the block of u_x^-1(y), for every y.
+        """label(x, y), the block of u_x^-1(y), for every y, as a fresh int64
+        array; a partition made with neither label source refuses.
 
         From cones: the class of (x, y) is fixed by the number k of letters x
         and y share and the G_1-orbit of (x_{k+1}, y_{k+1}).  That G-invariant
@@ -230,6 +231,8 @@ class SuborbitPartition:
         h letters, then overwrites the y that share them: O(N) per row.
         """
         if self.cones is None:
+            if self.rows is None:
+                raise IntegrityError("the partition has no label source: neither rows nor cones")
             return self.block_of[self.rows[x]]
         high, low = self._digit_tables
         top, rest = divmod(x, len(low))
@@ -411,22 +414,13 @@ _CONE_ENTRIES = 1 << 21
 def _letter_orbitals(pres: WreathPresentation) -> np.ndarray:
     """The orbits on pairs of letters of G_1, the group the root permutations
     generate: entry [a, c] (letters 0-based) is the least index a' d + c' of
-    the orbit of (a, c).  Row b numbers the orbits of the stabilizer of b."""
+    the orbit of (a, c).  Row b numbers the orbits of the stabilizer of b.
+    Each generator g folds in as the pair permutation a d + c -> g(a) d + g(c)."""
     d = pres.degree
-    gens = [pg.tolist() for pg in generator_level_perms(pres, 1).values()]
-    orbital = [-1] * (d * d)
-    for start in range(d * d):  # a sweep from each pair not yet reached
-        if orbital[start] < 0:
-            orbital[start] = start
-            stack = [start]
-            while stack:
-                a, c = divmod(stack.pop(), d)
-                for g in gens:
-                    pair = g[a] * d + g[c]
-                    if orbital[pair] < 0:
-                        orbital[pair] = start
-                        stack.append(pair)
-    return np.array(orbital, dtype=np.int64).reshape(d, d)
+    orbital = np.arange(d * d, dtype=np.int64)
+    for g in generator_level_perms(pres, 1).values():
+        orbital = merge_components(orbital, np.add.outer(g * d, g).reshape(-1))
+    return orbital.reshape(d, d)
 
 
 def _least_in_orbit(orbital: np.ndarray) -> np.ndarray:

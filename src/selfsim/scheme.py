@@ -18,11 +18,13 @@ is the rank and its commutativity can be read off p directly.
 Reversing a pair maps its class through the pairing (Bannai-Ito, Algebraic
 Combinatorics I): label(z, y) = pairing[label(y, z)].  So with y_k the
 representative of class k and row_k = label(y_k, .), pairing[k] = row_k[base]
-and column k of p counts the pairs (block_of[z], pairing[row_k[z]]): r rows,
-O(r N) in all, and one (r, r, r) array for p, refused like the transversal
-table when it would take more than half of physical memory.  The N x N
-``labels`` table is built from N row reads, and only when read (the dense
-oracle, tests).
+and column k of p counts the pairs (block_of[z], pairing[row_k[z]]).  The rows
+are read one at a time: row_k is counted as the pairs (block_of[z], row_k[z])
+and dropped, and once pairing is known the middle axis of p moves through it.
+That is O(r N) time with one row of N labels live, and one (r, r, r) array
+for p, refused like the transversal table when it would take more than half
+of physical memory.  The N x N ``labels`` table is built from N row reads,
+and only when read (the dense oracle, tests).
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
 
 
 def scheme_from_partition(partition: SuborbitPartition) -> OrbitalScheme:
-    """Pairing, p and the axioms from r of the partition's label rows,
-    whichever layout it reads them from.  p takes 8 r^3 bytes, so a rank
-    past half of physical memory is refused before p is made."""
+    """Pairing, p and the axioms from r of the partition's label rows, one
+    at a time, whichever layout it reads them from.  p takes 8 r^3 bytes, so
+    a rank past half of physical memory is refused before p is made."""
     block_of = partition.block_of
     r, size, base_idx = partition.rank, len(block_of), partition.base.index()
     if not np.array_equal(partition.label_row(base_idx), block_of):
@@ -95,11 +97,15 @@ def scheme_from_partition(partition: SuborbitPartition) -> OrbitalScheme:
     check_memory(f"rank {r}", 8 * r**3, "its intersection numbers p", r)
     reps = np.full(r, size, dtype=np.int64)  # the least vertex of each block
     np.minimum.at(reps, block_of, np.arange(size))
-    rows = [partition.label_row(y) for y in reps]  # label(y_k, .)
-    pairing = np.array([row[base_idx] for row in rows], dtype=np.int64)
-    p = np.empty((r, r, r), dtype=np.int64)
-    for k, row in enumerate(rows):
-        p[:, :, k] = np.bincount(block_of * r + pairing[row], minlength=r * r).reshape(r, r)
+    pairing = np.empty(r, dtype=np.int64)
+    p = np.empty((r, r, r), dtype=np.int64)  # [i, m, k] until every row is read
+    for k, y in enumerate(reps.tolist()):
+        row = partition.label_row(y)  # label(y_k, .), a fresh array
+        pairing[k] = row[base_idx]
+        row += block_of * r  # the pairs (block_of[z], row[z]), in place
+        p[:, :, k] = np.bincount(row, minlength=r * r).reshape(r, r)
+    for block in p:  # class m of label(y_k, z) is class pairing[m] of label(z, y_k)
+        block[pairing] = block.copy()
 
     scheme = OrbitalScheme(
         point_count=size,

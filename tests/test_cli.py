@@ -524,12 +524,31 @@ def test_cache_rejects_corrupt_payload(capsys, tmp_path):
     assert json.loads(path.read_text())["p"][1][2][1] == json.loads(first)["p"][1][2][1]
 
 
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("scheme", "--group", "grigorchuk", "--level", "2"),
+    ("decompose", "--group", "grigorchuk", "--level", "2", "--nesting"),
+], ids=lambda argv: argv[0])
+def test_no_environment_variable_names_a_cache(capsys, tmp_path, monkeypatch, argv):
+    # --cache-dir is the one way to name a cache; SELFSIM_CACHE_DIR is not read
+    plain = run_json(capsys, *argv)
     monkeypatch.setenv("SELFSIM_CACHE_DIR", str(tmp_path / "envcache"))
-    code, _, _ = run_json(capsys, "decompose", "--group", "grigorchuk",
-                          "--level", "2")
-    assert code == 0
-    assert list((tmp_path / "envcache").glob("*.json"))
+    assert run_json(capsys, *argv) == plain
+    assert plain[0] == 0 and plain[2] == ""
+    assert not (tmp_path / "envcache").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--nesting",), ("--oracle",)],
+                         ids=["plain", "nesting", "oracle"])
+def test_uncached_decompose_makes_no_scheme_document(capsys, monkeypatch, flags):
+    # decompose reads p as an array; the JSON document is only printed or stored
+    def no_document(*args):
+        raise AssertionError("decompose made a scheme document")
+
+    monkeypatch.setattr("selfsim.cli.scheme_json_doc", no_document)
+    code, doc, err = run_json(capsys, "decompose", "--group", "gupta-sidki",
+                              "--level", "3", *flags)
+    assert (code, err) == (0, "")
+    assert doc["degrees"] == builtin("gupta-sidki").expected_degrees(3)
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

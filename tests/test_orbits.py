@@ -1,10 +1,11 @@
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from label_table import table_route
 from scheme_routes import fold_scheme
-from suborbit_reference import permutation_route
+from suborbit_reference import letter_orbitals_by_sweep, permutation_route
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim.catalog import builtin
@@ -410,6 +411,31 @@ def test_suborbits_build_no_words(monkeypatch):
     monkeypatch.setattr(Word, "inverse", no_words)
     assert fold_scheme(pres, 5, ray).partition == expected
     assert build_scheme(pres, 5, ray).partition == expected
+
+
+def _root_permutation_sets(count, seed):
+    """Presentations of degree 2-9 with 1-3 generators, random root
+    permutations and trivial sections."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(2, 9)
+        lines = [f"degree: {d}"]
+        for name in "abc"[:rng.randint(1, 3)]:
+            letters = rng.sample(range(1, d + 1), d)  # cut into disjoint cycles
+            cuts = sorted(rng.sample(range(1, d), rng.randint(0, d - 1)))
+            cycles = "".join(f"({' '.join(map(str, letters[i:j]))})"
+                             for i, j in zip([0] + cuts, cuts + [d]) if j - i > 1)
+            lines.append(f"gen {name} = perm {cycles or '()'} | " + ", ".join(["e"] * d))
+        yield parse_presentation("\n".join(lines) + "\n")
+
+
+def test_letter_orbitals_match_the_sweep():
+    # The pair-permutation fold against the stack sweep it replaced: the same
+    # int64 table on the catalog and on random root-permutation sets.
+    cases = [builtin(key).presentation for key in ALL_KEYS]
+    for pres in cases + list(_root_permutation_sets(300, 5)):
+        got, want = _letter_orbitals(pres), letter_orbitals_by_sweep(pres)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("text,ray", [(FINER_THAN_CONES, "3"), (NON_COMMUTATIVE, "2")],

@@ -14,7 +14,7 @@ from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 from selfsim.catalog import builtin, source_text
 from selfsim.cli import main
 from selfsim.errors import IntegrityError
-from selfsim.orbits import cone_suborbits, orbit_transversal
+from selfsim.orbits import SuborbitPartition, cone_suborbits, orbit_transversal
 from selfsim.render import orbital_graph_dot
 from selfsim.scheme import (_VIOLATION_LIMIT, _axiom_messages, axiom_violations,
                             build_scheme, scheme_from_partition,
@@ -233,6 +233,17 @@ def test_a_label_source_whose_base_row_is_not_the_suborbits_is_refused(layout):
         scheme_from_partition(broken)
 
 
+def test_a_partition_without_a_label_source_is_refused():
+    e = builtin("gamma")
+    parts = build_scheme(e.presentation, 2, e.default_ray).partition
+    bare = SuborbitPartition(parts.base, parts.block_of)
+    message = "^the partition has no label source: neither rows nor cones$"
+    with pytest.raises(IntegrityError, match=message):
+        bare.label_row(0)
+    with pytest.raises(IntegrityError, match=message):
+        scheme_from_partition(bare)
+
+
 def test_scheme_keeps_no_transversal(monkeypatch):
     made = []
 
@@ -332,6 +343,23 @@ def test_the_cone_route_allocates_nothing_quadratic():
         tracemalloc.stop()
     assert scheme.rank == 17
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("key,n", [("grigorchuk", 16), ("gupta-sidki", 10)])
+def test_p_is_counted_one_label_row_at_a_time(key, n):
+    # Past the route's two digit tables (N entries each here), the count
+    # holds one label row and one temporary of N int64 entries.  Holding all
+    # r rows at once (r = 17 and 21) takes more than 20 such arrays.
+    e = builtin(key)
+    parts = cone_suborbits(e.presentation, n, e.default_ray)
+    size = len(parts.block_of)
+    tracemalloc.start()
+    try:
+        scheme_from_partition(parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * size
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
