@@ -19,6 +19,7 @@ and reads the degrees off the eigenvalue cluster sizes.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,10 @@ INTEGER_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
 MAX_SEED_TRIES = 5
 DENSE_ORACLE_CAP = 243
-# Most bytes of one temporary in the product-rule check: 2^18 entries.
-_PRODUCT_BYTES = 2**21
+# Most bytes of one temporary: a slice of the product-rule check, a chunk of
+# the batched eigen-solve.  Chosen by measurement: 2^21 made the rank-15
+# product-rule check twice as slow, and 2^18 and up raised verify's peak RSS.
+_TEMP_BYTES = 2**17
 
 
 def intersection_matrices(p: np.ndarray) -> np.ndarray:
@@ -44,7 +47,7 @@ def intersection_matrices(p: np.ndarray) -> np.ndarray:
     like the classes they represent.
 
     Every pair (i, j) is checked, B_i B_j = sum_k p[i][j][k] B_k, for a slice
-    of i at a time as two matrix products of at most _PRODUCT_BYTES each (or
+    of i at a time as two matrix products of at most _TEMP_BYTES each (or
     one i if that is larger), in ``_product_dtype(p)``.  The first failing
     pair in row-major order is named.
     """
@@ -55,7 +58,7 @@ def intersection_matrices(p: np.ndarray) -> np.ndarray:
     px = p.astype(Bx.dtype).reshape(r * r, r)
     by_row = Bx.transpose(1, 0, 2).reshape(r, r * r)  # [b, (j, c)] = B[j][b, c]
     by_class = Bx.reshape(r, r * r)                     # [k, (a, c)] = B[k][a, c]
-    step = max(1, _PRODUCT_BYTES // (Bx.itemsize * max(1, r**3)))
+    step = max(1, _TEMP_BYTES // (Bx.itemsize * max(1, r**3)))
     for lo in range(0, r, step):
         h = min(step, r - lo)
         # [i, a, j, c] = (B_i B_j)[a, c] and [i, j, a, c] = (sum_k p[i][j][k] B_k)[a, c]
@@ -94,64 +97,99 @@ def _cluster_indices(values: np.ndarray, atol: float) -> list[list[int]]:
 
 def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Character table P of a commuting family: P[j, i] is the eigenvalue of
-    matrices[i] on the j-th joint eigenspace.
+    matrices[i] on the j-th joint eigenspace; the batch of one seed of
+    ``common_eigensystems``."""
+    return common_eigensystems(matrices, [seed])[0]
 
-    Row 0 carries the valency character; the rest are sorted by multiplicity,
-    then lexicographically.  Eigenvalues within EIG_CLUSTER_RTOL of the
-    largest modulus count as one; seeds are retried when a random
-    combination fails to separate the eigenspaces.  The family must commute
-    (``spectral_data`` reads that off p): one that does not has no r
-    independent joint eigenvectors, so every seed fails these tests.
+
+def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> list[np.ndarray]:
+    """Character table of a commuting family for each seed, in input order.
+
+    Row 0 of a table carries the valency character; the rest are sorted by
+    multiplicity, then lexicographically.  Attempt a of a seed diagonalizes
+    M = sum_i c_i matrices[i], c drawn from ``default_rng(seed + a)``; it
+    resolves when the eigenvalues of M lie pairwise farther apart than
+    EIG_CLUSTER_RTOL of the largest modulus, every eigenvector is a joint
+    one (residual within RESIDUAL_TOL) and the valency character is found.
+    Each attempt solves every seed still open as one stack, in chunks whose
+    complex (S, r, r, r) stack of products B V keeps within _TEMP_BYTES.  The
+    family must commute (``spectral_data`` reads that off p): one that does
+    not has no r independent joint eigenvectors, so every seed fails.  If a
+    seed never resolves, the first such seed in input order raises.
     """
     B = np.asarray(matrices)
     r = B.shape[0]
     valencies = B[:, 0, :].sum(axis=1)  # row sums are constant per matrix
     point_count = int(valencies.sum())
     scale = np.maximum(1.0, np.linalg.norm(B, axis=(1, 2)))
-    last_error = "no attempt made"
+    by_class = B.reshape(r, r * r).astype(float)
+    chunk = max(1, _TEMP_BYTES // (16 * r**3))
+    seeds = list(seeds)
+    tables: list[np.ndarray | None] = [None] * len(seeds)
+    last_error = ["no attempt made"] * len(seeds)
+    pending = list(range(len(seeds)))
     for attempt in range(MAX_SEED_TRIES):
-        rng = np.random.default_rng(seed + attempt)
-        coeffs = rng.uniform(1.0, 2.0, size=r)
-        M = np.tensordot(coeffs, B, axes=(0, 0))
-        evals, evecs = np.linalg.eig(M)
-        atol = EIG_CLUSTER_RTOL * max(1.0, float(np.abs(evals).max()))
-        clusters = _cluster_indices(evals, atol)
-        if len(clusters) != r:
-            last_error = (f"seed {seed + attempt} separated only {len(clusters)} "
-                          f"of {r} joint eigenspaces")
-            continue
+        for lo in range(0, len(pending), chunk):
+            batch = pending[lo:lo + chunk]
+            coeffs = np.array([np.random.default_rng(seeds[s] + attempt).uniform(1.0, 2.0, size=r)
+                               for s in batch])
+            M = (coeffs @ by_class).reshape(len(batch), r, r)
+            solved, errors = _solve_stack(B, M, valencies, point_count, scale)
+            for s, P, error in zip(batch, solved, errors):
+                if error:
+                    last_error[s] = f"seed {seeds[s] + attempt} {error}"
+                else:
+                    tables[s] = P
+        pending = [s for s in pending if tables[s] is None]
+    if pending:
+        raise NumericalError(f"common eigensystem did not resolve: {last_error[pending[0]]}")
+    return tables
 
-        # column j of V spans the j-th joint eigenspace; BV[i] = B[i] V
-        V = evecs[:, [col for (col,) in clusters]]
-        BV = B @ V
-        norms2 = np.einsum("aj,aj->j", V.conj(), V).real
-        P = np.einsum("aj,iaj->ji", V.conj(), BV) / norms2[:, None]
-        defect = np.linalg.norm(BV - P.T[:, None, :] * V, axis=1)  # [i, j]
-        residual = float((defect / scale[:, None]).max())
-        if residual > RESIDUAL_TOL:
-            last_error = f"seed {seed + attempt} left eigenvector residual {residual:.2e}"
-            continue
 
-        overlaps = np.abs(V.conj().sum(axis=0)) / np.linalg.norm(V, axis=0)
-        trivial = int(np.argmax(overlaps))
-        if np.abs(P[trivial] - valencies).max() > INTEGER_TOL * max(1, point_count):
-            last_error = f"seed {seed + attempt} misidentified the valency character"
-            continue
+def _solve_stack(B: np.ndarray, M: np.ndarray, valencies: np.ndarray,
+                 point_count: int, scale: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """For each random combination M[s] of the family B, its sorted character
+    table and the text of the first test it fails ("" if none)."""
+    S, r = M.shape[:2]
+    evals, V = np.linalg.eig(M)
+    atol = EIG_CLUSTER_RTOL * np.fmax(1.0, np.abs(evals).max(axis=1))
+    close = np.abs(evals[:, :, None] - evals[:, None, :]) <= atol[:, None, None]
+    separated = ~(close & ~np.eye(r, dtype=bool)).any(axis=(1, 2))
 
-        m = _raw_multiplicities(P, valencies, point_count)
-        re = (np.round(P.real, 9) + 0.0).tolist()
-        im = (np.round(P.imag, 9) + 0.0).tolist()
-        order = [trivial] + sorted(
-            (j for j in range(r) if j != trivial),
-            key=lambda j: (round(float(m[j]), 9), tuple(zip(re[j], im[j]))),
-        )
-        return P[order]
-    raise NumericalError(f"common eigensystem did not resolve: {last_error}")
+    # column j of V[s] spans the j-th joint eigenspace; BV[s, i] = B[i] V[s]
+    BV = B @ V[:, None]
+    norms2 = np.einsum("saj,saj->sj", V.conj(), V).real
+    P = np.einsum("saj,siaj->sji", V.conj(), BV) / norms2[:, :, None]
+    BV -= P.transpose(0, 2, 1)[:, :, None, :] * V[:, None]
+    defect = np.sqrt(np.einsum("siaj,siaj->sij", BV.conj(), BV).real)
+    residual = (defect / scale[:, None]).max(axis=(1, 2))
+
+    trivial = np.argmax(np.abs(V.conj().sum(axis=1)) / np.sqrt(norms2), axis=1)
+    valency_gap = np.abs(P[np.arange(S), trivial] - valencies).max(axis=1)
+
+    # row order: the valency row, then multiplicity, then each column's
+    # (real, imaginary) pair, all rounded to 9 decimals
+    m = _raw_multiplicities(P, valencies, point_count)
+    parts = np.ascontiguousarray(P, dtype=complex).view(float)
+    keys = np.round(np.concatenate([m[:, :, None], parts], axis=2), 9).transpose(2, 0, 1)
+    order = np.lexsort((*keys[::-1], np.arange(r) != trivial[:, None]), axis=-1)
+    errors = []
+    for s in range(S):
+        if not separated[s]:
+            count = len(_cluster_indices(evals[s], atol[s]))
+            errors.append(f"separated only {count} of {r} joint eigenspaces")
+        elif residual[s] > RESIDUAL_TOL:
+            errors.append(f"left eigenvector residual {residual[s]:.2e}")
+        elif valency_gap[s] > INTEGER_TOL * max(1, point_count):
+            errors.append("misidentified the valency character")
+        else:
+            errors.append("")
+    return P[np.arange(S)[:, None], order], errors
 
 
 def _raw_multiplicities(P: np.ndarray, valencies: np.ndarray,
                         point_count: int) -> np.ndarray:
-    denom = (np.abs(P) ** 2 / valencies).sum(axis=1)
+    denom = (np.abs(P) ** 2 / valencies).sum(axis=-1)
     return point_count / denom
 
 
@@ -165,7 +203,7 @@ def multiplicities(P: np.ndarray, valencies: np.ndarray, point_count: int) -> li
         nearest = round(float(value))
         if abs(value - nearest) > INTEGER_TOL or nearest < 1:
             raise NumericalError(
-                f"multiplicity {j} is {value!r}, not within {INTEGER_TOL} of a positive integer"
+                f"multiplicity {j} is {float(value)}, not within {INTEGER_TOL} of a positive integer"
             )
         out.append(int(nearest))
     if sum(out) != point_count:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheme import build_scheme, is_commutative
-from .spectral import (DEFAULT_SEED, common_eigensystem, intersection_matrices,
+from .spectral import (DEFAULT_SEED, common_eigensystems, intersection_matrices,
                        multiplicities)
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
 from .wreath import Word, WreathPresentation, act, level_permutation, section
@@ -134,11 +134,12 @@ def _multiplicity_seed_independence(scheme, rng, cases, seed):
         return SuiteResult("multiplicity_seed_independence", 0, 0,
                            "skipped: scheme is not commutative")
     B = intersection_matrices(scheme.p)
+    tables = common_eigensystems(B, [seed, *range(seed + 1000, seed + 1000 + cases)])
     def degrees(P):
         return tuple(sorted(multiplicities(P, scheme.valencies, scheme.point_count)))
-    baseline = degrees(common_eigensystem(B, seed))
+    baseline = degrees(tables[0])
     def case(i):
-        other = degrees(common_eigensystem(B, seed + 1000 + i))
+        other = degrees(tables[1 + i])
         if other != baseline:
             return f"seed {seed + 1000 + i} gave {other}, baseline {baseline}"
         return ""

@@ -1,7 +1,8 @@
-"""The scalar route to the character table: one eigenvector and one matrix at
-a time, as a reference for the batched ``spectral.common_eigensystem``; the
-exact products that name the pair ``spectral.spectral_data`` refuses; and
-the union-find components that ``orbits.merge_components`` must match."""
+"""The scalar route to the character table: one seed, one eigenvector and one
+matrix at a time, as a reference for the batched
+``spectral.common_eigensystems``; the exact products that name the pair
+``spectral.spectral_data`` refuses; and the union-find components that
+``orbits.merge_components`` must match."""
 
 import numpy as np
 

@@ -6,12 +6,13 @@ from eigen_reference import chained_clusters, scalar_eigensystem
 from product_rule_reference import product_rule_reference
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
+from selfsim import spectral
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
 from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _cluster_indices,
-                              _product_dtype, common_eigensystem, degree_multiset,
-                              degrees_embed, dense_commutant_oracle,
+                              _product_dtype, common_eigensystem, common_eigensystems,
+                              degree_multiset, degrees_embed, dense_commutant_oracle,
                               intersection_matrices, multiplicities,
                               spectral_data, tower_nesting_check)
 from selfsim.tree import parse_ray
@@ -129,7 +130,7 @@ def test_product_rule_matches_the_reference_on_every_single_entry_change(
     pres, n, ray = _PRODUCT_RULE_FAMILY[case]
     p = build_scheme(pres, n, ray).p
     if per_slice is not None:
-        monkeypatch.setattr("selfsim.spectral._PRODUCT_BYTES", per_slice * 8 * len(p)**3)
+        monkeypatch.setattr("selfsim.spectral._TEMP_BYTES", per_slice * 8 * len(p)**3)
     assert _product_dtype(p) is np.float64
     assert _product_rule_verdict(intersection_matrices, p) is None
     raised = 0
@@ -189,19 +190,91 @@ def test_cluster_indices_chain_within_atol(values, atol, want):
     assert chained_clusters(values, atol) == want
 
 
+# Out of order, with one duplicate.
+_SEEDS = (1003, DEFAULT_SEED, 1000, 1002, 1001, 1000)
+
+
 @pytest.mark.parametrize("key", keys())
-def test_batched_eigensystem_matches_the_scalar_reference(key):
+def test_batched_eigensystem_matches_the_scalar_reference(key, monkeypatch):
+    # One call solves every seed; each table is the scalar route's for that
+    # seed, whether the seeds share one stack or, at a one-byte budget, take
+    # one chunk each.
     e = builtin(key)
     top = 6 if e.presentation.degree == 2 else 4
     for n in range(top + 1):
         scheme = build_scheme(e.presentation, n, e.default_ray)
         B = intersection_matrices(scheme.p)
-        for seed in (DEFAULT_SEED, *(1000 + i for i in range(4))):
-            P = common_eigensystem(B, seed)
+        tables = common_eigensystems(B, _SEEDS)
+        with monkeypatch.context() as m:
+            m.setattr("selfsim.spectral._TEMP_BYTES", 1)
+            one_each = common_eigensystems(B, _SEEDS)
+        assert len(tables) == len(one_each) == len(_SEEDS)
+        for seed, P, P1 in zip(_SEEDS, tables, one_each):
             Q = scalar_eigensystem(B, seed)
             assert np.allclose(P, Q, rtol=0, atol=1e-9), (key, n, seed)
+            assert np.allclose(P1, Q, rtol=0, atol=1e-9), (key, n, seed)
             assert (multiplicities(P, scheme.valencies, scheme.point_count)
                     == multiplicities(Q, scheme.valencies, scheme.point_count))
+        assert np.allclose(common_eigensystem(B, DEFAULT_SEED), tables[1], rtol=0, atol=1e-9)
+
+
+def test_batch_names_the_first_unresolved_seed():
+    # Every seed fails on the identity family; the error names the first
+    # input seed's last attempt, not the smallest seed's.
+    last = 50 + MAX_SEED_TRIES - 1
+    with pytest.raises(NumericalError,
+                       match=f"^common eigensystem did not resolve: seed {last} separated "
+                             "only 1 of 2 joint eigenspaces$"):
+        common_eigensystems(np.stack([np.eye(2), np.eye(2)]), [50, 7, 50, 3])
+
+
+def test_a_seed_that_fails_its_first_attempt_resolves_on_the_next(monkeypatch):
+    # Round 0 solves all seeds as one stack; member 2's eigenvalues are made
+    # to coincide there, so only that seed goes on to attempt 1, the scalar
+    # route's attempt 0 of seed + 1, and every other seed keeps its table.
+    B = intersection_matrices(_scheme("gupta-sidki", 3).p)
+    seeds = [11, 40, 23, 7]
+    eig, stacks = np.linalg.eig, []
+
+    def first_round_fails_member_two(M):
+        evals, V = eig(M)
+        if not stacks:
+            evals[2, 1] = evals[2, 0]
+        stacks.append(M.copy())
+        return evals, V
+
+    monkeypatch.setattr(np.linalg, "eig", first_round_fails_member_two)
+    tables = common_eigensystems(B, seeds)
+
+    def combination(seed):
+        coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, size=len(B))
+        return np.tensordot(coeffs, B, axes=(0, 0))
+
+    assert [len(M) for M in stacks] == [4, 1]
+    assert np.allclose(stacks[0], [combination(seed) for seed in seeds], rtol=0, atol=1e-12)
+    assert np.allclose(stacks[1][0], combination(24), rtol=0, atol=1e-12)
+    for k, seed in enumerate(seeds):
+        want = scalar_eigensystem(B, seed + 1 if k == 2 else seed)
+        assert np.allclose(tables[k], want, rtol=0, atol=1e-9), seed
+
+
+def test_batched_eigensystem_keeps_to_its_byte_budget():
+    # Rank 15 (gupta-sidki 7), 200 seeds: one stack of B V would take
+    # 200 * 16 * 15^3 bytes, 10.8 MB, and the solve peaks near 23 MB.  In
+    # chunks, beyond the 200 tables it returns, it holds a few temporaries
+    # of at most _TEMP_BYTES each.
+    B = intersection_matrices(_scheme("gupta-sidki", 7).p)
+    assert len(B) == 15
+    common_eigensystems(B, range(3))  # numpy's lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        tables = common_eigensystems(B, range(200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(P.nbytes for P in tables)
+    assert table_bytes == 200 * 16 * 15**2
+    assert peak < table_bytes + 6 * spectral._TEMP_BYTES
 
 
 def test_multiplicities_examples():
@@ -215,8 +288,11 @@ def test_multiplicities_examples():
 
 
 def test_multiplicities_reject_non_integral():
+    # The value prints as a float under every numpy version, never as
+    # np.float64(...).
     P = np.array([[1.0, 1.0], [1.0, -0.5]], dtype=complex)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"^multiplicity 1 is 1\.6, not within 1e-06 "
+                                             r"of a positive integer$"):
         multiplicities(P, np.array([1, 1]), 2)
 
 
