@@ -102,8 +102,9 @@ def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED) -> np.nda
     return common_eigensystems(matrices, [seed])[0]
 
 
-def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> list[np.ndarray]:
-    """Character table of a commuting family for each seed, in input order.
+def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
+    """Character table of a commuting family for each seed, in input order,
+    as one (S, r, r) stack; it is complex if any seed's table is.
 
     Row 0 of a table carries the valency character; the rest are sorted by
     multiplicity, then lexicographically.  Attempt a of a seed diagonalizes
@@ -125,7 +126,8 @@ def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> list[np.n
     by_class = B.reshape(r, r * r).astype(float)
     chunk = max(1, _TEMP_BYTES // (16 * r**3))
     seeds = list(seeds)
-    tables: list[np.ndarray | None] = [None] * len(seeds)
+    tables = np.empty((len(seeds), r, r))
+    done = np.zeros(len(seeds), dtype=bool)
     last_error = ["no attempt made"] * len(seeds)
     pending = list(range(len(seeds)))
     for attempt in range(MAX_SEED_TRIES):
@@ -135,12 +137,16 @@ def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> list[np.n
                                for s in batch])
             M = (coeffs @ by_class).reshape(len(batch), r, r)
             solved, errors = _solve_stack(B, M, valencies, point_count, scale)
+            if np.iscomplexobj(solved) and not np.iscomplexobj(tables):
+                # rows solved so far stay real-valued; before any, nothing to copy
+                tables = tables.astype(complex) if done.any() else np.empty_like(tables, complex)
             for s, P, error in zip(batch, solved, errors):
                 if error:
                     last_error[s] = f"seed {seeds[s] + attempt} {error}"
                 else:
                     tables[s] = P
-        pending = [s for s in pending if tables[s] is None]
+                    done[s] = True
+        pending = [s for s in pending if not done[s]]
     if pending:
         raise NumericalError(f"common eigensystem did not resolve: {last_error[pending[0]]}")
     return tables
@@ -189,28 +195,37 @@ def _solve_stack(B: np.ndarray, M: np.ndarray, valencies: np.ndarray,
 
 def _raw_multiplicities(P: np.ndarray, valencies: np.ndarray,
                         point_count: int) -> np.ndarray:
-    denom = (np.abs(P) ** 2 / valencies).sum(axis=-1)
-    return point_count / denom
+    # |P|^2 / k in one buffer: a stack of tables makes no second temporary
+    terms = np.abs(P)
+    np.square(terms, out=terms)
+    terms /= valencies
+    return point_count / terms.sum(axis=-1)
 
 
-def multiplicities(P: np.ndarray, valencies: np.ndarray, point_count: int) -> list[int]:
-    """Isotypic multiplicities from the character table; each must lie within
-    INTEGER_TOL of a positive integer, and the integers must sum to the point
-    count."""
+def multiplicities(P: np.ndarray, valencies: np.ndarray,
+                   point_count: int) -> list[int] | list[list[int]]:
+    """Isotypic multiplicities from the character table, or a list of them
+    from a stack of tables, as Python ints.  Each must lie within INTEGER_TOL
+    of a positive integer, and a table's integers must sum to the point
+    count; the first table in stack order that fails raises."""
     raw = _raw_multiplicities(P, np.asarray(valencies), point_count)
-    out = []
-    for j, value in enumerate(raw):
-        nearest = round(float(value))
-        if abs(value - nearest) > INTEGER_TOL or nearest < 1:
+    nearest = np.round(raw)
+    # written so that a NaN or infinite multiplicity fails too
+    bad = ~((np.abs(raw - nearest) <= INTEGER_TOL) & (nearest >= 1))
+    failing = bad.any(axis=-1) | (nearest.sum(axis=-1) != point_count)
+    if failing.any():
+        t = np.unravel_index(np.argmax(failing), failing.shape)
+        if bad[t].any():
+            j = int(np.argmax(bad[t]))
             raise NumericalError(
-                f"multiplicity {j} is {float(value)}, not within {INTEGER_TOL} of a positive integer"
+                f"multiplicity {j} is {float(raw[t][j])}, not within {INTEGER_TOL} "
+                "of a positive integer"
             )
-        out.append(int(nearest))
-    if sum(out) != point_count:
+        out = nearest[t].astype(np.int64).tolist()
         raise NumericalError(
             f"multiplicities {out} sum to {sum(out)}, expected {point_count}"
         )
-    return out
+    return nearest.astype(np.int64).tolist()
 
 
 @dataclass(frozen=True, eq=False)

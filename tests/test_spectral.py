@@ -296,6 +296,24 @@ def test_multiplicities_reject_non_integral():
         multiplicities(P, np.array([1, 1]), 2)
 
 
+def test_multiplicities_of_a_stack_read_table_by_table():
+    # A stack gives each table's multiplicities as Python ints, and the first
+    # failing table in stack order raises its own text, whichever test fails.
+    s = _scheme("gupta-sidki", 3)
+    tables = common_eigensystems(intersection_matrices(s.p), [3, 1, 4, 1])
+    stacked = multiplicities(tables, s.valencies, s.point_count)
+    assert stacked == [multiplicities(P, s.valencies, s.point_count) for P in tables]
+    assert all(type(m) is int for row in stacked for m in row)
+    good = [[1.0, 1.0], [1.0, -1.0]]
+    sums_to_three = [[1.0, 1.0], [1.0, 0.0]]
+    non_integral = [[1.0, 1.0], [1.0, -0.5]]
+    assert multiplicities(np.array([good, good]), np.array([1, 1]), 2) == [[1, 1], [1, 1]]
+    with pytest.raises(NumericalError, match=r"^multiplicities \[1, 2\] sum to 3, expected 2$"):
+        multiplicities(np.array([good, sums_to_three, non_integral]), np.array([1, 1]), 2)
+    with pytest.raises(NumericalError, match=r"^multiplicity 1 is 1\.6, not within"):
+        multiplicities(np.array([good, non_integral, sums_to_three]), np.array([1, 1]), 2)
+
+
 def test_spectral_data_fields():
     sd = spectral_data(_scheme("gamma", 2).p)
     assert len(sd.multiplicities) == 5  # the rank
