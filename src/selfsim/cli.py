@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 usage or input errors, 2 computation errors
 (size caps, memory, recursion depth, intransitive actions, numerical
-failures), 3
-verification failures.  With --json every document carries the envelope fields
-tool_version, seed, group and level, and errors go to stderr as a single
-JSON line.
+failures), 3 verification failures.  With --json every document carries the
+envelope fields tool_version, seed, group and level, and errors go to stderr
+as a single JSON line.
 
 The cache of --cache-dir holds one kind of entry, the scheme document of a
 level, one per presentation, level and ray.  A level's scheme reaches both
@@ -311,6 +310,8 @@ def _cmd_scheme(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be at least 0, got {args.seed}")
     pres, label, ray = _resolve(args)
     if args.oracle:  # a cached scheme would skip the dense cross-check
         directory = None

@@ -17,10 +17,9 @@ u_{s(x)}^-1 s u_x, and its orbits partition the level.
 The suborbit partition never builds a word, nor a generator's permutation:
 each Schreier pair is checked against the current component labels on two
 transversal rows, a block of pairs at a time, and pairs whose generators
-the others already give are skipped.  Words are spelled out on demand: the
-transversal words when ``Transversal.words`` is first read, the reduced
-generator words only in ``schreier_generators``, which builds each
-generator's permutation to drop repeats.
+the others already give are skipped.  Words are spelled out only on demand:
+``Transversal.words`` spells the transversal words when first read, and no
+route here reads them.
 
 For the paper's groups the suborbits are cones, and ``cone_suborbits``
 proves it for a given input with checks that build no N x N array: the
@@ -44,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -150,47 +149,6 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
         )
     return Transversal(base, pres.generator_names, parent, via,
                        np.array(order, dtype=np.int64), perms)
-
-
-def _schreier_pairs(pres: WreathPresentation,
-                    tv: Transversal) -> Iterator[tuple[str, int, int, np.ndarray]]:
-    """Yield (s, x, y, perm) for the Schreier generator u_y^-1 s u_x of every
-    (generator s, vertex x) pair, y = s(x), with perm its level permutation.
-
-    Generators come in declared order, vertices in discovery order.  Pairs
-    on the breadth-first tree (via[y] is s's index) give the empty word and
-    the identity, so they are left out.  With perms[x] = u_x^-1, g maps
-    u_x^-1(i) to u_y^-1(s(i)): one scatter per pair.
-    """
-    gen_perms = generator_level_perms(pres, tv.base.level)
-    perms = tv.perms
-    for k, name in enumerate(tv.generators):
-        pg = gen_perms[name]
-        for x in tv.order[tv.via[pg[tv.order]] != k].tolist():
-            y = int(pg[x])
-            g = np.empty_like(pg)
-            g[perms[x]] = perms[y][pg]
-            yield name, x, y, g
-
-
-def schreier_generators(pres: WreathPresentation, n: int, ray: Ray,
-                        cap: int = DEFAULT_LEVEL_CAP) -> list[Word]:
-    """Words generating the stabilizer of the level-n ray prefix.
-
-    Words reducing to the empty word are dropped; after that the first word
-    per distinct permutation wins (generators in declared order, vertices in
-    discovery order).
-    """
-    tv = orbit_transversal(pres, n, ray, cap)
-    kept: dict[bytes, Word] = {}
-    for name, x, y, perm in _schreier_pairs(pres, tv):
-        key = perm.tobytes()
-        if key in kept:
-            continue
-        word = pres.reduce(tv.words[y].inverse() * Word.generator(name) * tv.words[x])
-        if len(word) > 0:
-            kept[key] = word
-    return list(kept.values())
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,10 +131,6 @@ def is_commutative(p: np.ndarray) -> bool:
     return bool(np.array_equal(p, p.transpose(1, 0, 2)))
 
 
-def hecke_dimension(scheme: OrbitalScheme) -> int:
-    return scheme.rank
-
-
 def axiom_violations(valencies: np.ndarray, p: np.ndarray, pairing: tuple[int, ...],
                      point_count: int) -> list[str]:
     """Check the association scheme axioms on raw data; empty list = pass."""

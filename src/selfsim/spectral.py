@@ -26,9 +26,7 @@ import numpy as np
 
 from .errors import IntegrityError, NumericalError, SizeCapError
 from .orbits import merge_components
-from .scheme import OrbitalScheme, build_scheme, is_commutative
-from .tree import DEFAULT_LEVEL_CAP, Ray
-from .wreath import WreathPresentation
+from .scheme import OrbitalScheme, is_commutative
 
 DEFAULT_SEED = 1729
 EIG_CLUSTER_RTOL = 1e-8
@@ -269,24 +267,9 @@ def degree_multiset_from_p(p: np.ndarray, seed: int = DEFAULT_SEED) -> list[int]
     return sorted(spectral_data(p, seed).multiplicities)
 
 
-def degree_multiset(pres: WreathPresentation, n: int, ray: Ray,
-                    seed: int = DEFAULT_SEED,
-                    cap: int = DEFAULT_LEVEL_CAP) -> list[int]:
-    """Sorted degrees of the irreducible components on level n."""
-    return degree_multiset_from_p(build_scheme(pres, n, ray, cap).p, seed)
-
-
 def degrees_embed(here: list[int], there: list[int]) -> bool:
     """Whether the multiset ``here`` is contained in the multiset ``there``."""
     return not Counter(here) - Counter(there)
-
-
-def tower_nesting_check(pres: WreathPresentation, n: int, ray: Ray,
-                        seed: int = DEFAULT_SEED,
-                        cap: int = DEFAULT_LEVEL_CAP) -> bool:
-    """Whether the level-n degree multiset embeds in the level-(n+1) one."""
-    return degrees_embed(degree_multiset(pres, n, ray, seed, cap),
-                         degree_multiset(pres, n + 1, ray, seed, cap))
 
 
 def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED) -> list[int]:

@@ -58,9 +58,6 @@ class Vertex:
     def level(self) -> int:
         return len(self.letters)
 
-    def child(self, letter: int) -> "Vertex":
-        return Vertex(self.letters + (letter,), self.degree)
-
     def concat(self, other: "Vertex") -> "Vertex":
         if other.degree != self.degree:
             raise ValueError("cannot concatenate vertices of different tree degrees")
@@ -105,17 +102,6 @@ class Vertex:
         if self.degree > 9:
             return ".".join(str(c) for c in self.letters)
         return "".join(str(c) for c in self.letters)
-
-
-def vertices_at_level(degree: int, level: int, cap: int = DEFAULT_LEVEL_CAP) -> list[Vertex]:
-    """All level-n vertices in lexicographic (index) order."""
-    if degree < 2:
-        raise ValueError(f"tree degree must be >= 2, got {degree}")
-    check_level_size(degree, level, cap)
-    return [
-        Vertex(letters, degree)
-        for letters in itertools.product(range(1, degree + 1), repeat=level)
-    ]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Each suite draws its cases as arrays, _CASE_BLOCK at a time (word lengths,
 generator picks and sign bits; vertex levels and digits; point and class
 pairs), and checks them one by one; the seed-independence suite solves its
-seeds _SEED_BLOCK at a time.  The seed fixes every suite's cases, block by
-block: one generator serves the suites in their fixed order.
+seeds _SEED_BLOCK at a time.  The label suite moves a case's two points by
+``act``, so it builds nothing N-sized per case.  The seed fixes every
+suite's cases, block by block: one generator serves the suites in their
+fixed order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .scheme import build_scheme, is_commutative
 from .spectral import (DEFAULT_SEED, common_eigensystems, intersection_matrices,
                        multiplicities)
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
-from .wreath import Word, WreathPresentation, act, level_permutation, section
+from .wreath import Word, WreathPresentation, act, section
 
 DEFAULT_CASES = 200
 _WORD_LEN = 10
@@ -128,16 +130,20 @@ def _inverse_identity(pres, rng, cases):
     return _run_cases("inverse_identity", cases, draw, check, _CASE_BLOCK)
 
 
-def _label_invariance(pres, scheme, rng, cases, cap):
+def _label_invariance(pres, scheme, rng, cases):
+    d = pres.degree
+    weights = d ** np.arange(scheme.level - 1, -1, -1)  # digit place values
+
     def draw(k):
         words = _random_words(rng, pres, k)
-        pairs = rng.integers(scheme.point_count, size=(k, 2)).tolist()
-        return ((g, x, y) for g, (x, y) in zip(words, pairs))
+        pairs = rng.integers(scheme.point_count, size=(k, 2))
+        digits = (pairs[:, :, None] // weights % d + 1).tolist()
+        return ((g, x, y, Vertex(tuple(dx), d), Vertex(tuple(dy), d))
+                for g, (x, y), (dx, dy) in zip(words, pairs.tolist(), digits))
 
-    def check(g, x, y):
-        perm = level_permutation(pres, g, scheme.level, cap)
+    def check(g, x, y, vx, vy):
         before = scheme.label(x, y)
-        after = scheme.label(int(perm[x]), int(perm[y]))
+        after = scheme.label(act(pres, g, vx).index(), act(pres, g, vy).index())
         if before != after:
             return (f"label({x}, {y}) = {before} but moving by {g} "
                     f"gives class {after}")
@@ -198,7 +204,7 @@ def run_verification(pres: WreathPresentation, n: int, ray: Ray,
         _action_compatibility(pres, rng, cases),
         _cocycle_identity(pres, rng, cases),
         _inverse_identity(pres, rng, cases),
-        _label_invariance(pres, scheme, rng, cases, cap),
+        _label_invariance(pres, scheme, rng, cases),
         _scheme_axioms(scheme, rng, cases),
         _multiplicity_seed_independence(scheme, rng, cases, seed),
     ]

@@ -593,12 +593,6 @@ def level_permutation(pres: WreathPresentation, word: Word, n: int,
     return _compose_level(pres, word, n)
 
 
-def is_trivial_at_level(pres: WreathPresentation, word: Word, n: int,
-                        cap: int = DEFAULT_LEVEL_CAP) -> bool:
-    perm = level_permutation(pres, word, n, cap)
-    return bool(np.array_equal(perm, np.arange(len(perm))))
-
-
 def order_at_level(pres: WreathPresentation, word: Word, n: int,
                    cap: int = DEFAULT_LEVEL_CAP) -> int:
     """Multiplicative order of the level-n permutation (1 for the identity)."""

@@ -2,18 +2,60 @@
 fold in ``orbits.suborbits_from_transversal``: every off-tree Schreier
 generator's level permutation is built, none is skipped, and all are folded
 through the component routine; the partition reads its labels off the
-transversal table, as the fold's does.  Also a stack sweep over letter
-pairs, as a reference for ``orbits._letter_orbitals``."""
+transversal table, as the fold's does.  The reduced Schreier generator
+words, spelled from the transversal words (Seress, Permutation Group
+Algorithms, section 4.1), which no library route builds.  Also a stack
+sweep over letter pairs, as a reference for ``orbits._letter_orbitals``."""
 
 import numpy as np
 
-from selfsim.orbits import _component_partition, _schreier_pairs
-from selfsim.wreath import generator_level_perms
+from selfsim.orbits import _component_partition, orbit_transversal
+from selfsim.tree import DEFAULT_LEVEL_CAP
+from selfsim.wreath import Word, generator_level_perms
+
+
+def schreier_pairs(pres, tv):
+    """Yield (s, x, y, perm) for the Schreier generator u_y^-1 s u_x of every
+    (generator s, vertex x) pair, y = s(x), with perm its level permutation.
+
+    Generators come in declared order, vertices in discovery order.  Pairs
+    on the breadth-first tree (via[y] is s's index) give the empty word and
+    the identity, so they are left out.  With perms[x] = u_x^-1, g maps
+    u_x^-1(i) to u_y^-1(s(i)): one scatter per pair.
+    """
+    gen_perms = generator_level_perms(pres, tv.base.level)
+    perms = tv.perms
+    for k, name in enumerate(tv.generators):
+        pg = gen_perms[name]
+        for x in tv.order[tv.via[pg[tv.order]] != k].tolist():
+            y = int(pg[x])
+            g = np.empty_like(pg)
+            g[perms[x]] = perms[y][pg]
+            yield name, x, y, g
+
+
+def schreier_generators(pres, n, ray, cap=DEFAULT_LEVEL_CAP):
+    """Words generating the stabilizer of the level-n ray prefix.
+
+    Words reducing to the empty word are dropped; after that the first word
+    per distinct permutation wins (generators in declared order, vertices in
+    discovery order).
+    """
+    tv = orbit_transversal(pres, n, ray, cap)
+    kept = {}
+    for name, x, y, perm in schreier_pairs(pres, tv):
+        key = perm.tobytes()
+        if key in kept:
+            continue
+        word = pres.reduce(tv.words[y].inverse() * Word.generator(name) * tv.words[x])
+        if len(word) > 0:
+            kept[key] = word
+    return list(kept.values())
 
 
 def permutation_route(pres, tv):
     """Suborbit partition from the Schreier generators' permutations."""
-    perms = (perm for *_, perm in _schreier_pairs(pres, tv))
+    perms = (perm for *_, perm in schreier_pairs(pres, tv))
     return _component_partition(perms, tv.base, tv.perms)
 
 

@@ -14,10 +14,9 @@ import pytest
 
 from selfsim import (bfs_group_order, build_scheme, builtin,
                      degree_multiset_from_p, dense_commutant_oracle,
-                     hecke_dimension, is_commutative, oracle_suborbits,
-                     run_verification, stabilizer_suborbits,
-                     tower_nesting_check)
-from selfsim.spectral import INTEGER_TOL
+                     is_commutative, oracle_suborbits, run_verification,
+                     stabilizer_suborbits)
+from selfsim.spectral import INTEGER_TOL, degrees_embed
 
 BINARY = ("grigorchuk", "grigorchuk-tilde")
 TERNARY = ("gamma", "gamma-bar", "gupta-sidki")
@@ -123,10 +122,10 @@ def test_component_degrees(schemes):
 def test_hecke_dimensions(schemes):
     for key in BINARY:
         for n in range(1, BINARY_MAX + 1):
-            assert hecke_dimension(schemes[key, n]) == n + 1, (key, n)
+            assert schemes[key, n].rank == n + 1, (key, n)
     for key in TERNARY:
         for n in range(1, TERNARY_MAX + 1):
-            assert hecke_dimension(schemes[key, n]) == 2 * n + 1, (key, n)
+            assert schemes[key, n].rank == 2 * n + 1, (key, n)
     print("PASS hecke dimensions: n+1 on the binary tree, 2n+1 on the ternary")
 
 
@@ -135,9 +134,11 @@ def test_tower_nesting():
     for key in BINARY + TERNARY:
         entry = builtin(key)
         top = BINARY_MAX if entry.degree == 2 else TERNARY_MAX
+        degrees = [degree_multiset_from_p(build_scheme(entry.presentation, n,
+                                                       entry.default_ray).p)
+                   for n in range(top + 1)]
         for n in range(top):
-            assert tower_nesting_check(entry.presentation, n, entry.default_ray), \
-                (key, n)
+            assert degrees_embed(degrees[n], degrees[n + 1]), (key, n)
             checked += 1
     print(f"PASS tower nesting: {checked} consecutive-level embeddings hold")
 

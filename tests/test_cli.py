@@ -373,8 +373,9 @@ def test_cone_route_keeps_a_raised_cap(capsys, monkeypatch):
 
 
 def test_verify_keeps_a_raised_cap(capsys, monkeypatch):
-    # As above, and the label invariance suite builds each drawn word's
-    # level permutation under the raised cap too, not under the default.
+    # As above, and no verify suite composes a level permutation under the
+    # default cap: the label invariance suite moves each case's two points
+    # by act, and needs no cap at all.
     monkeypatch.setattr(generator_level_perms, "__defaults__", (1 << 6,))
     monkeypatch.setattr(level_permutation, "__defaults__", (1 << 6,))
     monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 1 << 14)
@@ -558,6 +559,19 @@ def test_verify_needs_a_case(capsys, cases):
     assert code == 1
     assert out == ""
     assert "--cases must be at least 1" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--oracle",), ("--nesting",)])
+def test_decompose_refuses_a_negative_seed_before_the_build(capsys, monkeypatch, flags):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scheme was built")
+    monkeypatch.setattr("selfsim.cli.build_scheme", unreachable)
+    monkeypatch.setattr("selfsim.cli._scheme_data", unreachable)
+    code, out, err = run(capsys, "decompose", "--group", "grigorchuk",
+                         "--level", "3", "--seed", "-1", *flags)
+    assert code == 1
+    assert out == ""
+    assert "--seed must be at least 0, got -1" in err
 
 
 @pytest.mark.parametrize("command", [

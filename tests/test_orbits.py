@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from label_table import table_route
 from scheme_routes import fold_scheme
-from suborbit_reference import letter_orbitals_by_sweep, permutation_route
+from suborbit_reference import (letter_orbitals_by_sweep, permutation_route,
+                                schreier_generators)
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim.catalog import builtin
@@ -15,8 +16,7 @@ from selfsim.orbits import (SuborbitPartition, _canonical_partition,
                             _letter_orbitals, _self_replicating,
                             bfs_group_order, cone_suborbits,
                             oracle_suborbits, orbit_transversal,
-                            schreier_generators, stabilizer_suborbits,
-                            suborbits_from_transversal)
+                            stabilizer_suborbits, suborbits_from_transversal)
 from selfsim.scheme import build_scheme, scheme_from_partition
 from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (Word, WreathPresentation, act,

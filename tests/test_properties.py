@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from eigen_reference import first_non_commuting_pair, least_members, scalar_eigensystem
 from label_table import table_route
 from scheme_routes import fold_scheme, oracle_scheme
-from suborbit_reference import permutation_route
+from suborbit_reference import permutation_route, schreier_pairs
 
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NotTransitiveError, SizeCapError
-from selfsim.orbits import (_schreier_pairs, cone_suborbits, merge_components,
-                            oracle_suborbits, orbit_transversal, stabilizer_suborbits,
+from selfsim.orbits import (cone_suborbits, merge_components, oracle_suborbits,
+                            orbit_transversal, stabilizer_suborbits,
                             suborbits_from_transversal)
 from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import (DEFAULT_SEED, common_eigensystems,
@@ -316,7 +316,7 @@ def test_schreier_pairs_leave_out_exactly_the_tree_pairs(name):
         tv = orbit_transversal(pres, n, ray)
         size = len(tv)
         skipped = {(s, x) for s in tv.generators for x in range(size)}
-        for s, x, *_ in _schreier_pairs(pres, tv):
+        for s, x, *_ in schreier_pairs(pres, tv):
             skipped.remove((s, x))
         assert len(skipped) == size - 1, n
         for k, s in enumerate(tv.generators):

@@ -18,10 +18,9 @@ from selfsim.orbits import SuborbitPartition, cone_suborbits, orbit_transversal
 from selfsim.render import orbital_graph_dot
 from selfsim.scheme import (_VIOLATION_LIMIT, _axiom_messages, axiom_violations,
                             build_scheme, scheme_from_partition,
-                            hecke_dimension, is_commutative, scheme_json_doc,
-                            verify_scheme_axioms)
+                            is_commutative, scheme_json_doc, verify_scheme_axioms)
 from selfsim.spectral import degree_multiset_from_p, dense_commutant_oracle
-from selfsim.tree import DEFAULT_LEVEL_CAP, parse_ray
+from selfsim.tree import parse_ray
 from selfsim.verify import _label_invariance, _scheme_axioms
 from selfsim.wreath import level_permutation, parse_presentation
 
@@ -55,9 +54,9 @@ def test_gupta_sidki_level_one_pairing():
 
 
 def test_hecke_dimension():
-    assert hecke_dimension(_scheme("grigorchuk", 4)) == 5
-    assert hecke_dimension(_scheme("gamma-bar", 3)) == 7
-    assert hecke_dimension(_scheme("gamma", 0)) == 1
+    assert _scheme("grigorchuk", 4).rank == 5
+    assert _scheme("gamma-bar", 3).rank == 7
+    assert _scheme("gamma", 0).rank == 1
 
 
 def test_commutativity_examples():
@@ -280,7 +279,7 @@ def _label_readings(pres, s):
         s.labels.tolist(),
         list(orbital_graph_dot(s)),
         dense_commutant_oracle(s),
-        _label_invariance(pres, s, np.random.default_rng(3), 50, DEFAULT_LEVEL_CAP),
+        _label_invariance(pres, s, np.random.default_rng(3), 50),
         _scheme_axioms(s, np.random.default_rng(4), 50),
     )
 
@@ -302,8 +301,7 @@ def test_a_foreign_label_source_reads_the_same(key, n):
     readers = [lambda: failing.label(0, 1), lambda: failing.label_column(1),
                lambda: failing.labels, lambda: list(orbital_graph_dot(failing)),
                lambda: dense_commutant_oracle(failing),
-               lambda: _label_invariance(pres, failing, np.random.default_rng(3), 5,
-                                                 DEFAULT_LEVEL_CAP),
+               lambda: _label_invariance(pres, failing, np.random.default_rng(3), 5),
                lambda: _scheme_axioms(failing, np.random.default_rng(4), 5)]
     for read in readers:
         with pytest.raises(LookupError):

@@ -12,9 +12,9 @@ from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
 from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _cluster_indices,
                               _product_dtype, common_eigensystem, common_eigensystems,
-                              degree_multiset, degrees_embed, dense_commutant_oracle,
-                              intersection_matrices, multiplicities,
-                              spectral_data, tower_nesting_check)
+                              degree_multiset_from_p, degrees_embed,
+                              dense_commutant_oracle, intersection_matrices,
+                              multiplicities, spectral_data)
 from selfsim.tree import parse_ray
 from selfsim.wreath import parse_presentation
 
@@ -22,11 +22,6 @@ from selfsim.wreath import parse_presentation
 def _scheme(key, n):
     e = builtin(key)
     return build_scheme(e.presentation, n, e.default_ray)
-
-
-def _group(key):
-    e = builtin(key)
-    return e.presentation, e.default_ray
 
 
 def test_intersection_matrices_swap_scheme():
@@ -329,14 +324,13 @@ def test_spectral_data_fields():
     ("gupta-sidki", 0, [1]),
 ])
 def test_degree_multiset_examples(key, n, want):
-    pres, ray = _group(key)
-    assert degree_multiset(pres, n, ray) == want
+    assert degree_multiset_from_p(_scheme(key, n).p) == want
 
 
 def test_degree_multiset_seed_independent():
-    pres, ray = _group("grigorchuk")
-    a = degree_multiset(pres, 4, ray, seed=DEFAULT_SEED)
-    b = degree_multiset(pres, 4, ray, seed=DEFAULT_SEED + 99)
+    p = _scheme("grigorchuk", 4).p
+    a = degree_multiset_from_p(p, seed=DEFAULT_SEED)
+    b = degree_multiset_from_p(p, seed=DEFAULT_SEED + 99)
     assert a == b
 
 
@@ -346,8 +340,8 @@ def test_degree_multiset_seed_independent():
     ("gamma", 0),
 ])
 def test_tower_nesting_examples(key, n):
-    pres, ray = _group(key)
-    assert tower_nesting_check(pres, n, ray) is True
+    here, there = (degree_multiset_from_p(_scheme(key, m).p) for m in (n, n + 1))
+    assert degrees_embed(here, there) is True
 
 
 @pytest.mark.parametrize("key,n,want", [

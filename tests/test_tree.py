@@ -1,28 +1,35 @@
+from itertools import product
+
 import pytest
 
 from selfsim.errors import SizeCapError
-from selfsim.tree import (Ray, Vertex, all_d_ray, check_level_size, parse_ray,
-                          vertices_at_level)
+from selfsim.tree import Ray, Vertex, all_d_ray, check_level_size, parse_ray
+
+
+def _level(d, n):
+    """The level-n vertices in index order."""
+    return [Vertex.from_index(d, n, i) for i in range(d**n)]
 
 
 def test_level_zero_is_root():
-    vs = vertices_at_level(2, 0)
+    vs = _level(2, 0)
     assert [str(v) for v in vs] == ["-"]
 
 
 def test_level_two_binary():
-    assert [str(v) for v in vertices_at_level(2, 2)] == ["11", "12", "21", "22"]
+    assert [str(v) for v in _level(2, 2)] == ["11", "12", "21", "22"]
 
 
 def test_level_two_ternary_prefix():
-    vs = [str(v) for v in vertices_at_level(3, 2)]
+    vs = [str(v) for v in _level(3, 2)]
     assert len(vs) == 9
     assert vs[:4] == ["11", "12", "13", "21"]
 
 
 @pytest.mark.parametrize("d,n", [(2, 5), (3, 3), (5, 2)])
 def test_index_round_trip(d, n):
-    vs = vertices_at_level(d, n)
+    # lexicographic order, spelled independently of the index arithmetic
+    vs = [Vertex(letters, d) for letters in product(range(1, d + 1), repeat=n)]
     assert len(set(vs)) == d**n
     for i, v in enumerate(vs):
         assert v.index() == i
@@ -31,7 +38,7 @@ def test_index_round_trip(d, n):
 
 def test_size_cap_names_count():
     with pytest.raises(SizeCapError) as exc:
-        vertices_at_level(2, 21)
+        check_level_size(2, 21)
     assert str(2**21) in str(exc.value)
     assert exc.value.size == 2**21
 
@@ -65,8 +72,8 @@ def test_size_cap_boundary(cap):
 
 def test_small_cap_override():
     with pytest.raises(SizeCapError):
-        vertices_at_level(2, 3, cap=7)
-    assert len(vertices_at_level(2, 3, cap=8)) == 8
+        check_level_size(2, 3, cap=7)
+    assert check_level_size(2, 3, cap=8) == 8
 
 
 def test_vertex_parse_and_str():
@@ -82,7 +89,7 @@ def test_vertex_parse_and_str():
 
 def test_vertex_child_concat():
     v = Vertex.parse("21", 2)
-    assert str(v.child(1)) == "211"
+    assert str(Vertex(v.letters + (1,), 2)) == "211"
     assert str(v.concat(Vertex.parse("12", 2))) == "2112"
     with pytest.raises(ValueError):
         v.concat(Vertex.parse("1", 3))

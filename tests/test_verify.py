@@ -6,7 +6,7 @@ import pytest
 from selfsim import verify
 from selfsim.catalog import builtin
 from selfsim.scheme import build_scheme
-from selfsim.tree import DEFAULT_LEVEL_CAP
+from selfsim.tree import Vertex
 from selfsim.verify import _random_vertices, _random_words, run_verification
 from selfsim.wreath import Word, parse_presentation
 
@@ -131,20 +131,28 @@ def test_cases_are_drawn_block_by_block(monkeypatch):
 
 
 def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
-    # label_invariance moves each case by one level permutation, and the
+    # label_invariance moves the two points of each case by act, and the
     # seed suite solves the baseline and one seed per case.
     e = builtin("grigorchuk")
     cases = verify._CASE_BLOCK + 3
     assert cases > verify._SEED_BLOCK
     moves, seeds = [], []
-    perm, solve = verify.level_permutation, verify.common_eigensystems
-    monkeypatch.setattr(verify, "level_permutation",
-                        lambda *args: moves.append(1) or perm(*args))
+    act, label_suite, solve = verify.act, verify._label_invariance, verify.common_eigensystems
+
+    def counted(*args):
+        # only this suite's act calls count
+        monkeypatch.setattr(verify, "act", lambda *a: moves.append(1) or act(*a))
+        try:
+            return label_suite(*args)
+        finally:
+            monkeypatch.setattr(verify, "act", act)
+
+    monkeypatch.setattr(verify, "_label_invariance", counted)
     monkeypatch.setattr(verify, "common_eigensystems",
                         lambda B, block: seeds.extend(block) or solve(B, block))
     results = run_verification(e.presentation, 1, e.default_ray, cases=cases)
     assert all(r.passed and r.cases == cases for r in results)
-    assert len(moves) == cases
+    assert len(moves) == 2 * cases
     assert seeds == [1729, *range(2729, 2729 + cases)]
 
 
@@ -168,10 +176,11 @@ def _faulty_suite(monkeypatch, suite):
         monkeypatch.setattr(Word, "inverse", lambda w: Word(w.letters[::-1]))
         return verify._inverse_identity(pres, rng, 50)
     if suite == "label_invariance":
-        perm = verify.level_permutation
-        monkeypatch.setattr(verify, "level_permutation",
-                            lambda *args: np.roll(perm(*args), 1))
-        return verify._label_invariance(pres, scheme, rng, 50, DEFAULT_LEVEL_CAP)
+        # every image one index further on
+        act, size = verify.act, scheme.point_count
+        monkeypatch.setattr(verify, "act", lambda pres, w, v: Vertex.from_index(
+            v.degree, v.level, (act(pres, w, v).index() + 1) % size))
+        return verify._label_invariance(pres, scheme, rng, 50)
     return verify._scheme_axioms(replace(scheme, p=scheme.p + 1), rng, 50)
 
 

@@ -13,9 +13,8 @@ from selfsim.errors import PresentationError, SizeCapError
 from selfsim.tree import Vertex
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             cycle_notation, free_reduce, generator_level_perms,
-                            is_trivial_at_level, level_permutation,
-                            order_at_level, parse_presentation, portrait,
-                            section)
+                            level_permutation, order_at_level,
+                            parse_presentation, portrait, section)
 
 G = builtin("grigorchuk").presentation
 GAMMA = builtin("gamma").presentation
@@ -323,7 +322,7 @@ def test_chunked_walk_matches_the_recursion(monkeypatch, pres, chunk):
     ("a", 1, False),
 ])
 def test_is_trivial_at_level(word, n, expected):
-    assert is_trivial_at_level(G, Word.parse(word), n) is expected
+    assert (order_at_level(G, Word.parse(word), n) == 1) is expected
 
 
 def _order_by_iteration(pres, word, n):
