@@ -44,8 +44,7 @@ def store(directory: Path, key: str, payload: dict) -> None:
     try:
         directory.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+            fh.write(json.dumps(payload))  # one-shot: the C encoder
         os.replace(tmp, directory / f"{key}.json")
     except OSError:
         with contextlib.suppress(OSError):

@@ -310,8 +310,6 @@ def _cmd_scheme(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be at least 0, got {args.seed}")
     pres, label, ray = _resolve(args)
     if args.oracle:  # a cached scheme would skip the dense cross-check
         directory = None
@@ -400,6 +398,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        # the commands that seed numpy, which takes no negative seed
+        if args.command in ("decompose", "verify") and args.seed < 0:
+            raise _UsageError(f"--seed must be at least 0, got {args.seed}")
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         _fail(args, "usage", str(exc))

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import IntegrityError, NotTransitiveError, SizeCapError
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, check_level_size
-from .wreath import Word, WreathPresentation, generator_level_perms
+from .wreath import Word, WreathPresentation, generator_level_perms, letter_step
 
 DEFAULT_GROUP_CAP = 1 << 20
 # Label entries compared per block of the suborbit fold.  Each int64
@@ -386,22 +386,6 @@ def _least_in_orbit(orbital: np.ndarray) -> np.ndarray:
     return np.argmax(orbital[:, :, None] == orbital[:, None, :], axis=2)
 
 
-def _section_names(pres: WreathPresentation, letters: list[tuple[str, int]],
-                   point: int) -> list[str]:
-    """The generator names, one per occurrence, of the section at a letter
-    (0-based) of a word fixing it, spelled straight from the rules: nothing
-    is reduced, so no declared involution is relied on."""
-    names = []
-    for name, sign in reversed(letters):
-        rule = pres.rule_map[name]
-        if sign < 0:  # (g^-1)|_x = (g|_j)^-1 for the j that g sends to x
-            point = rule.root_perm.index(point + 1)
-        names += [nm for nm, _ in rule.sections[point].letters]
-        if sign > 0:
-            point = rule.root_perm[point] - 1
-    return names
-
-
 def _self_replicating(pres: WreathPresentation, letter: int) -> bool:
     """A sufficient test that restriction to the subtree below a letter
     (0-based) maps the letter's stabilizer in G onto G.
@@ -416,15 +400,18 @@ def _self_replicating(pres: WreathPresentation, letter: int) -> bool:
     perms = generator_level_perms(pres, 1)
     names = pres.generator_names
     order = [letter]
-    words = {letter: []}  # x -> the letters of u_x, as in Transversal.words
+    words = {letter: ()}  # x -> the letters of u_x, as in Transversal.words
+    back = {letter: ()}  # x -> the letters of u_x^-1
     for x in order:  # the sweep appends to order as it goes
         for name in names:
             y = int(perms[name][x])
             if y not in words:
-                words[y] = [(name, 1)] + words[x]
+                words[y] = ((name, 1),) + words[x]
+                back[y] = back[x] + ((name, -1),)
                 order.append(y)
-    sections = [_section_names(pres, [(nm, -sg) for nm, sg in reversed(words[int(perms[s][x])])]
-                               + [(s, 1)] + words[x], letter)
+    # the names in each section of u_{s(x)}^-1 s u_x, one per occurrence
+    sections = [[nm for nm, _ in letter_step(
+                    pres, back[int(perms[s][x])] + ((s, 1),) + words[x], letter + 1)[1]]
                 for x in order for s in names]
     reached: set[str] = set()
     while True:

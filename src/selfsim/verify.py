@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .scheme import build_scheme, is_commutative
 from .spectral import (DEFAULT_SEED, common_eigensystems, intersection_matrices,
                        multiplicities)
@@ -159,9 +160,9 @@ def _scheme_axioms(scheme, rng, cases):
         return np.hstack([pairs, classes]).tolist()
 
     def check(x, y, i, j):
-        k = scheme.label(x, y)
-        count = int(np.sum((scheme.label_row(x) == i) &
-                           (scheme.label_column(y) == j)))
+        row = scheme.label_row(x)
+        k = int(row[y])
+        count = int(np.sum((row == i) & (scheme.label_column(y) == j)))
         if count != int(scheme.p[i, j, k]):
             return (f"recount at pair ({x}, {y}) in class {k}: "
                     f"{count} != p[{i}][{j}][{k}] = {int(scheme.p[i, j, k])}")
@@ -177,17 +178,32 @@ def _multiplicity_seed_independence(scheme, rng, cases, seed):
     case_seeds = itertools.count(seed + 1000)
     baseline = []
 
+    def degrees(tables):
+        return [tuple(sorted(m)) for m in
+                multiplicities(tables, scheme.valencies, scheme.point_count)]
+
     def draw(k):
         # the baseline seed leads the first block's solve
         block = list(itertools.islice(case_seeds, k))
         tables = common_eigensystems(B, block if baseline else [seed, *block])
-        found = [tuple(sorted(m)) for m in
-                 multiplicities(tables, scheme.valencies, scheme.point_count)]
+        try:
+            found = degrees(tables)
+        except NumericalError:  # find the failing seeds, one table at a time
+            found = []
+            for table in tables:
+                try:
+                    found += degrees(table[None])
+                except NumericalError as exc:
+                    found.append(exc)
         if not baseline:
             baseline.append(found.pop(0))
+            if isinstance(baseline[0], NumericalError):
+                raise baseline[0]
         return zip(block, found)
 
     def check(case_seed, other):
+        if isinstance(other, NumericalError):
+            return f"seed {case_seed}: {other}"
         if other != baseline[0]:
             return f"seed {case_seed} gave {other}, baseline {baseline[0]}"
         return ""

@@ -3,7 +3,9 @@
 A presentation assigns each generator a permutation of the d subtrees at the
 root and a word of generators acting inside each subtree.  Inverses never
 need their own rules: the recursion for g^-1 follows from the rule for g.
-Words act on vertices on the left, rightmost letter first.
+Words act on vertices on the left, rightmost letter first.  ``section``,
+portraits and ``act`` (but for a vertex's last _VERTEX_CHUNK letters, which
+a memoized letter recursion takes) walk one step rule, ``letter_step``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ Letter = tuple[str, int]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _CACHE_LIMIT = 1 << 20
-# Longest vertex the letter recursion walks in one call; act and section cut
-# longer vertices into chunks of this many letters.
+# Most vertex letters the memoized letter recursion takes in one act call.
 _VERTEX_CHUNK = 128
 
 
@@ -166,10 +167,6 @@ class WreathPresentation:
     # Mutable memo tables; keyed by immutable inputs, so observationally pure.
     @cached_property
     def _act_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _section_cache(self) -> dict:
         return {}
 
     @cached_property
@@ -437,6 +434,42 @@ def _bound(cache: dict):
         cache.clear()
 
 
+def letter_step(pres: WreathPresentation, letters: tuple[Letter, ...],
+                x: int) -> tuple[int, tuple[Letter, ...]]:
+    """Where a word's letters send the vertex letter x (1-based), and the
+    letters of the word's section there, unreduced.  The letters act
+    rightmost first; g^-1 sends x to j = g^-1(x) and leaves (g|_j)^-1."""
+    parts = []
+    for name, sign in reversed(letters):
+        rule = pres.rule_map[name]
+        if sign > 0:
+            parts.append(rule.sections[x - 1].letters)
+            x = rule.root_perm[x - 1]
+        else:
+            x = rule.root_perm.index(x) + 1
+            parts.append(tuple((nm, -sg) for nm, sg in reversed(rule.sections[x - 1].letters)))
+    return x, tuple(ch for part in reversed(parts) for ch in part)
+
+
+def _descend(pres: WreathPresentation, word: Word, vertex: Vertex,
+             stop: int) -> tuple[tuple[int, ...], tuple[Letter, ...]]:
+    """The image of the vertex's first stop letters under a word, and the
+    word's section there freely reduced with no involutions, which holds in
+    every group.  A vertex of another degree or an undeclared generator is
+    refused first."""
+    if vertex.degree != pres.degree:
+        raise ValueError("vertex degree does not match the presentation")
+    _check_word(pres, word)
+    path, letters, image = vertex.letters[:stop], word.letters, []
+    for x in path:
+        if not letters:
+            return tuple(image) + path[len(image):], letters
+        x, letters = letter_step(pres, letters, x)
+        image.append(x)
+        letters = free_reduce(Word(letters)).letters
+    return tuple(image), letters
+
+
 def _act_letter(pres: WreathPresentation, name: str, sign: int,
                 letters: tuple[int, ...]) -> tuple[int, ...]:
     if not letters:
@@ -466,74 +499,20 @@ def _act_letter(pres: WreathPresentation, name: str, sign: int,
 
 
 def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
-    """Apply a word to a vertex, rightmost letter first."""
-    head, word, letters = _walk_chunks(pres, word, vertex)
-    for name, sign in reversed(word.letters):
-        letters = _act_letter(pres, name, sign, letters)
-    return Vertex(head + letters, pres.degree)
-
-
-def _section_letter(pres: WreathPresentation, name: str, sign: int,
-                    letters: tuple[int, ...]) -> Word:
-    if not letters:
-        return Word(((name, sign),))
-    key = (name, sign, letters)
-    cache = pres._section_cache
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    rule = pres.rule_map[name]
-    if sign > 0:
-        out = _walk(pres, rule.sections[letters[0] - 1], letters[1:])[1]
-    else:
-        # (g^-1)|_v = (g|_{g^-1 v})^-1
-        pre = _act_letter(pres, name, -1, letters)
-        out = _section_letter(pres, name, 1, pre).inverse()
-    out = pres.reduce(out)
-    _bound(cache)
-    cache[key] = out
-    return out
-
-
-def _walk(pres: WreathPresentation, word: Word,
-          letters: tuple[int, ...]) -> tuple[tuple[int, ...], Word]:
-    """The image of a vertex under a word, and the word's section there."""
-    parts = []
-    cur = letters
-    for name, sign in reversed(word.letters):
-        parts.append(_section_letter(pres, name, sign, cur))
-        cur = _act_letter(pres, name, sign, cur)
-    total = tuple(ch for part in reversed(parts) for ch in part.letters)
-    return cur, pres.reduce(Word(total))
-
-
-def _walk_chunks(pres: WreathPresentation, word: Word, vertex: Vertex
-                 ) -> tuple[tuple[int, ...], Word, tuple[int, ...]]:
-    """Split a vertex uv so that v has at most _VERTEX_CHUNK letters; return
-    act(w, u), the section w|_u and v.  A vertex of another degree or a word
-    with an undeclared generator is refused first.
-
-    The letter recursion is one call deep per vertex letter, so a long u is
-    walked a chunk at a time: act(w, u1 u2) = act(w, u1) act(w|_u1, u2) and
-    w|_(u1 u2) = (w|_u1)|_u2.  The carried section is reduced like every
-    section, which relies on declared involutions being involutions.
-    """
-    if vertex.degree != pres.degree:
-        raise ValueError("vertex degree does not match the presentation")
-    _check_word(pres, word)
-    letters = vertex.letters
-    head = ()
-    while len(letters) > _VERTEX_CHUNK:
-        image, word = _walk(pres, word, letters[:_VERTEX_CHUNK])
-        head += image
-        letters = letters[_VERTEX_CHUNK:]
-    return head, word, letters
+    """Apply a word to a vertex, rightmost letter first: act(w, uv) is
+    act(w, u) act(w|_u, v), v the last _VERTEX_CHUNK letters, since the
+    letter recursion is one call deep per vertex letter."""
+    cut = max(len(vertex.letters) - _VERTEX_CHUNK, 0)
+    head, letters = _descend(pres, word, vertex, cut)
+    tail = vertex.letters[cut:]
+    for name, sign in reversed(letters):
+        tail = _act_letter(pres, name, sign, tail)
+    return Vertex(head + tail, pres.degree)
 
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     """The word acting inside the subtree rooted at vertex; freely reduced."""
-    _, word, letters = _walk_chunks(pres, word, vertex)
-    return _walk(pres, word, letters)[1]
+    return pres.reduce(Word(_descend(pres, word, vertex, len(vertex.letters))[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -642,18 +621,11 @@ def portrait(pres: WreathPresentation, word: Word, depth: int,
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     check_level_size(pres.degree, depth, cap)
+    _check_word(pres, word)
     word = pres.reduce(word)
-    return _portrait(pres, word, depth)
-
-
-def _portrait(pres: WreathPresentation, word: Word, depth: int) -> PortraitNode:
-    d = pres.degree
-    perm = level_permutation(pres, word, 1)
-    root = tuple(int(x) + 1 for x in perm)
+    steps = [letter_step(pres, word.letters, x) for x in range(1, pres.degree + 1)]
+    root = tuple(image for image, _ in steps)
     if depth == 0:
         return PortraitNode(root, (), word)
-    children = tuple(
-        _portrait(pres, section(pres, word, Vertex((i,), d)), depth - 1)
-        for i in range(1, d + 1)
-    )
-    return PortraitNode(root, children, None)
+    return PortraitNode(root, tuple(portrait(pres, Word(letters), depth - 1, cap)
+                                    for _, letters in steps), None)

@@ -574,6 +574,20 @@ def test_decompose_refuses_a_negative_seed_before_the_build(capsys, monkeypatch,
     assert "--seed must be at least 0, got -1" in err
 
 
+def test_verify_refuses_a_negative_seed_before_the_build(capsys, monkeypatch):
+    # The same check as decompose's, in JSON too, where numpy's own message
+    # named neither the flag nor the value.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scheme was built")
+    monkeypatch.setattr("selfsim.verify.build_scheme", unreachable)
+    code, out, err = run(capsys, "verify", "--group", "grigorchuk",
+                         "--level", "3", "--seed", "-1", "--json")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "usage",
+                               "message": "--seed must be at least 0, got -1"}
+
+
 @pytest.mark.parametrize("command", [
     ("scheme", "--group", "grigorchuk", "--level", "3"),
     ("decompose", "--group", "gamma", "--level", "2"),
@@ -596,6 +610,11 @@ def test_cache_store_uses_its_own_temp_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json", "k.tmp"]
     assert other_writer.read_text() == "half-written by another process"
     assert cache.load(tmp_path, "k") == {"a": 2}
+
+
+def test_cache_entries_are_one_line_of_json(tmp_path):
+    cache.store(tmp_path, "k", {"a": [1, 2], "b": {"c": 3}})
+    assert (tmp_path / "k.json").read_text() == '{"a": [1, 2], "b": {"c": 3}}'
 
 
 def test_decompose_oracle_skips_the_cache(capsys, tmp_path):

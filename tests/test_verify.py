@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from selfsim import verify
 from selfsim.catalog import builtin
+from selfsim.cli import main
 from selfsim.scheme import build_scheme
 from selfsim.tree import Vertex
 from selfsim.verify import _random_vertices, _random_words, run_verification
@@ -68,6 +70,35 @@ def test_seed_independence_names_the_seed_that_disagrees(monkeypatch):
     assert suite.name == "multiplicity_seed_independence"
     assert (suite.cases, suite.failures) == (4, 1)
     assert suite.detail == "seed 1007 gave (1, 1, 3, 3), baseline (1, 1, 2, 4)"
+
+
+@pytest.mark.parametrize("bad_seed,code", [(1007, 3), (5, 2)])
+def test_a_seed_whose_multiplicities_miss_an_integer(capsys, monkeypatch, bad_seed, code):
+    # One seed's table is scaled off its unit rows, so its multiplicities
+    # miss every integer.  A case seed fails its case, named in the detail,
+    # and the other cases still pass; the baseline seed 5 still aborts the run.
+    solve = verify.common_eigensystems
+
+    def planted(B, seeds):
+        tables = solve(B, seeds)
+        for t, s in enumerate(seeds):
+            if s == bad_seed:
+                tables[t] *= 1.01
+        return tables
+
+    monkeypatch.setattr(verify, "common_eigensystems", planted)
+    got = main(["verify", "--group", "grigorchuk", "--level", "3", "--seed", "5",
+                "--cases", "4", "--json"])
+    out = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        assert json.loads(out.err)["error"] == "NumericalError"
+        return
+    suite = json.loads(out.out)["suites"][-1]
+    assert (suite["name"], suite["cases"], suite["failures"]) == (
+        "multiplicity_seed_independence", 4, 1)
+    assert suite["detail"].startswith("seed 1007: multiplicity ")
+    assert "not within 1e-06 of a positive integer" in suite["detail"]
 
 
 # a is a declared involution, b is not declared one
