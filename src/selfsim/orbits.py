@@ -21,14 +21,18 @@ the others already give are skipped.  Words are spelled out only on demand:
 ``Transversal.words`` spells the transversal words when first read, and no
 route here reads them.
 
-For the paper's groups the suborbits are cones, and ``cone_suborbits``
+For the paper's groups the suborbits are cones, and ``cone_certificate``
 proves it for a given input with checks that build no N x N array: the
 root permutations act transitively, the stabilizer of each base letter
 restricts onto the whole group (read off section words), and the Schreier
 generators of a few breadth-first vertices join each cross block of a level.
-Where a check fails it returns None, and ``stabilizer_suborbits`` falls back
-to the fold, which stays as the cross-check of the route.  That is the one
-place the route is chosen.
+It returns G_1's (d, d) letter-orbital class table, which fixes the whole
+scheme of the level, or None where a check fails.  ``cone_suborbits`` is
+that certificate followed by ``_cone_forest``, and ``stabilizer_suborbits``
+is the one place the partition's route is chosen: it falls back to the
+fold where the certificate fails, and the fold stays as the cross-check of
+the route.  ``decompose`` reads the degrees of a certified level off the
+table alone and builds no partition.
 
 The fold, the cone route and the enumeration oracle all end in a forest,
 rep[x] the least member of x's block, which ``_canonical_partition`` numbers
@@ -493,9 +497,10 @@ def _cone_forest(base: Vertex, orbital: np.ndarray,
     return rep, cones
 
 
-def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
-                   cap: int = DEFAULT_LEVEL_CAP) -> SuborbitPartition | None:
-    """The suborbits of level n as cones, or None where the certificate fails.
+def cone_certificate(pres: WreathPresentation, n: int, ray: Ray,
+                     cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray | None:
+    """G_1's letter-orbital class table (``_letter_orbitals``) where the
+    suborbits of level n are the cones, or None where the certificate fails.
 
     With v = v_1...v_n the base and H its stabilizer, g in H keeps the k
     letters y shares with v and sends y_{k+1} into its orbit under the
@@ -517,6 +522,10 @@ def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
     a ray of period p needs it p times at most.  Checks 1 and 2 do not
     depend on the level and come before any level-n array; level 0 is left
     to the fold.  Nothing here is quadratic in N.
+
+    The table fixes the whole scheme of a certified level: its classes are
+    the pairs (letters shared, orbital of the next two letters), the n-fold
+    wreath power of G_1's orbital scheme.
     """
     _check_ray(pres, ray)
     check_level_size(pres.degree, n, cap)
@@ -538,7 +547,18 @@ def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
         if not _cross_blocks_whole(pres, Vertex(w, base.degree), least, cap):
             return None
         checked.append(w)
-    rep, cones = _cone_forest(base, orbital, least)
+    return orbital
+
+
+def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
+                   cap: int = DEFAULT_LEVEL_CAP) -> SuborbitPartition | None:
+    """The suborbits of level n as cones, or None where ``cone_certificate``
+    fails."""
+    orbital = cone_certificate(pres, n, ray, cap)
+    if orbital is None:
+        return None
+    base = ray.prefix(n)
+    rep, cones = _cone_forest(base, orbital, _least_in_orbit(orbital))
     return _canonical_partition(rep, base, cones=cones)
 
 

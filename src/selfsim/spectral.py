@@ -1,7 +1,7 @@
 """Degrees of the irreducible components of a level quasi-regular action.
 
-The intersection numbers p alone give everything here (Bannai-Ito,
-Algebraic Combinatorics I, II.3): the valencies k_i = sum_j p[i][j][0], the
+The intersection numbers p alone give everything here but the closed form
+at the end (Bannai-Ito, Algebraic Combinatorics I, II.3): the valencies k_i = sum_j p[i][j][0], the
 point count N = sum_i k_i, and the left-regular matrices of the convolution
 algebra.  ``spectral_data`` refuses a p that is not commutative
 (``scheme.is_commutative``), naming the first pair of matrices that do not
@@ -14,10 +14,16 @@ is the dimension of the j-th isotypic component of the permutation module,
 i.e. an irreducible degree.  A dense cross-check diagonalizes a random
 combination of the N x N class adjacency matrices of a built scheme instead
 and reads the degrees off the eigenvalue cluster sizes.
+
+On a level that the cone route certifies, the scheme is the n-fold wreath
+power of G_1's orbital scheme on the d letters, and ``wreath_power_degrees``
+gives its degrees exactly from G_1's (d, d) class table alone, over Python
+ints: no p, no float and no random draw.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -38,6 +44,10 @@ DENSE_ORACLE_CAP = 243
 # the batched eigen-solve.  Chosen by measurement: 2^21 made the rank-15
 # product-rule check twice as slow, and 2^18 and up raised verify's peak RSS.
 _TEMP_BYTES = 2**17
+# The same for a product-rule slice once one class outgrows _TEMP_BYTES
+# (rank 26 on): at rank 42 a slice of 3 classes took 8.6 ms against 12.3 ms
+# for one class at a time.  Past rank 50 a slice holds one class again.
+_WIDE_TEMP_BYTES = 2**21
 
 
 def intersection_matrices(p: np.ndarray) -> np.ndarray:
@@ -45,9 +55,10 @@ def intersection_matrices(p: np.ndarray) -> np.ndarray:
     like the classes they represent.
 
     Every pair (i, j) is checked, B_i B_j = sum_k p[i][j][k] B_k, for a slice
-    of i at a time as two matrix products of at most _TEMP_BYTES each (or
-    one i if that is larger), in ``_product_dtype(p)``.  The first failing
-    pair in row-major order is named.
+    of i at a time as two matrix products of at most _TEMP_BYTES each, or
+    _WIDE_TEMP_BYTES where one i takes more than _TEMP_BYTES (or one i if
+    that is larger still), in ``_product_dtype(p)``.  The first failing pair
+    in row-major order is named.
     """
     p = np.asarray(p)
     B = p.transpose(0, 2, 1).copy()
@@ -56,7 +67,7 @@ def intersection_matrices(p: np.ndarray) -> np.ndarray:
     px = p.astype(Bx.dtype).reshape(r * r, r)
     by_row = Bx.transpose(1, 0, 2).reshape(r, r * r)  # [b, (j, c)] = B[j][b, c]
     by_class = Bx.reshape(r, r * r)                     # [k, (a, c)] = B[k][a, c]
-    step = max(1, _TEMP_BYTES // (Bx.itemsize * max(1, r**3)))
+    step = _slice_classes(r, Bx.itemsize)
     for lo in range(0, r, step):
         h = min(step, r - lo)
         # [i, a, j, c] = (B_i B_j)[a, c] and [i, j, a, c] = (sum_k p[i][j][k] B_k)[a, c]
@@ -69,6 +80,12 @@ def intersection_matrices(p: np.ndarray) -> np.ndarray:
                 f"left-regular matrices violate the product rule at ({lo + i}, {j})"
             )
     return B
+
+
+def _slice_classes(r: int, itemsize: int) -> int:
+    """Classes per slice of the product-rule check at rank r."""
+    per_class = itemsize * max(1, r**3)
+    return max(1, (_TEMP_BYTES if per_class <= _TEMP_BYTES else _WIDE_TEMP_BYTES) // per_class)
 
 
 def _product_dtype(p: np.ndarray) -> type:
@@ -299,3 +316,110 @@ def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED) -> l
         last_error = (f"seed {seed + attempt} gave {len(clusters)} eigenvalue "
                       f"clusters for rank {scheme.rank}")
     raise NumericalError(f"dense oracle did not resolve: {last_error}")
+
+
+# ---------------------------------------------------------------------------
+# exact degrees of a wreath power
+
+
+def wreath_power_degrees(orbital: np.ndarray, n: int) -> list[int] | None:
+    """Sorted degrees of level n of the n-fold wreath power of a transitive
+    orbital scheme on d letters, exactly; None where that scheme is not
+    commutative.
+
+    orbital[a, c] names the class of the letter pair (a, c), the diagonal
+    class included, as ``orbits.cone_certificate`` returns it.  With m_j the
+    multiplicities of the r1 characters of the level-1 scheme, the wreath
+    power has rank 1 + n (r1 - 1) and degrees 1 and m_j d^k for each
+    non-trivial j and 0 <= k < n (Bailey, Association Schemes, ch. 3); the
+    degrees new at level n are the m_j d^(n-1).
+
+    The m_j are the eigenvalue multiplicities of M = sum_o t^o A_o, A_o the
+    adjacency matrix of class o, once M separates the characters, which is
+    when it has r1 distinct eigenvalues.  Two characters' eigenvalues differ
+    by a non-zero polynomial of degree below r1 in t, so at most
+    (r1 - 1) r1 (r1 - 1) / 2 values of t fail, and trying t = 2, 3, ... in
+    turn ends.
+    """
+    classes = orbital.tolist()
+    index = {o: i for i, o in enumerate(sorted({o for row in classes for o in row}))}
+    cls = [[index[o] for o in row] for row in classes]
+    d, r1 = len(cls), len(index)
+    for a in range(d):  # (A_i A_j)[a, c] counts the b with (a, b) in i and (b, c) in j
+        for c in range(d):
+            paths = Counter((cls[a][b], cls[b][c]) for b in range(d))
+            if any(paths[j, i] != count for (i, j), count in paths.items()):
+                return None
+    for t in range(2, (r1 - 1) * r1 * (r1 - 1) // 2 + 3):
+        m = _root_multiplicities(_characteristic_polynomial([[t**o for o in row] for row in cls]))
+        if len(m) == r1:
+            break
+    else:
+        raise IntegrityError(f"no combination of the {r1} letter classes separates "
+                             "their characters")
+    # the valency character has multiplicity 1, as G_1 is transitive
+    degrees = sorted([1] + [mj * d**k for mj in m[1:] for k in range(n)])
+    if m[0] != 1 or sum(degrees) != d**n or len(degrees) != 1 + n * (r1 - 1):
+        raise IntegrityError(f"level-1 multiplicities {m} give degrees "
+                             f"summing to {sum(degrees)} over {len(degrees)} classes, "
+                             f"expected {d**n} over {1 + n * (r1 - 1)}")
+    return degrees
+
+
+def _characteristic_polynomial(M: list[list[int]]) -> list[int]:
+    """det(x I - M) as integer coefficients, constant first, by
+    Faddeev-LeVerrier: N_k = M N_(k-1) + c_(d-k+1) I and c_(d-k) =
+    -tr(M N_k) / k, a division that is exact for an integer M."""
+    d = len(M)
+    coeffs = [0] * d + [1]
+    N = [[0] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        N = [[sum(M[a][b] * N[b][c] for b in range(d)) + (coeffs[d - k + 1] if a == c else 0)
+              for c in range(d)] for a in range(d)]
+        trace = sum(M[a][b] * N[b][a] for a in range(d) for b in range(d))
+        coeffs[d - k], rest = divmod(-trace, k)
+        if rest:
+            raise IntegrityError(f"Faddeev-LeVerrier step {k} does not divide exactly")
+    return coeffs
+
+
+def _root_multiplicities(f: list[int]) -> list[int]:
+    """The multiplicity of each distinct complex root of f, sorted.
+
+    g_k = gcd(f, f', ..., f^(k)) holds each root of multiplicity above k,
+    k fewer times, so deg g_k - deg g_(k+1) roots have multiplicity above k.
+    """
+    above = []  # above[k]: roots of multiplicity above k
+    g = derivative = f
+    while len(g) > 1:
+        derivative = [k * c for k, c in enumerate(derivative)][1:]
+        h = _polynomial_gcd(g, derivative)
+        above.append(len(g) - len(h))
+        g = h
+    above.append(0)
+    return [k for k in range(1, len(above)) for _ in range(above[k - 1] - above[k])]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a over the gcd of its coefficients, leading coefficient positive."""
+    g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
+    return [c // g for c in a]
+
+
+def _polynomial_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two non-zero integer polynomials (constant
+    first), by primitive pseudo-remainders: every step stays in Z[x]."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        rem = list(a)
+        while len(rem) >= len(b):  # rem <- lc(b) rem - rem's lead x^shift b
+            lead, shift = rem[-1], len(rem) - len(b)
+            rem = [b[-1] * c for c in rem]
+            for i, c in enumerate(b):
+                rem[shift + i] -= lead * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        if not rem:
+            return b
+        a, b = b, _primitive(rem)
+    return [1]

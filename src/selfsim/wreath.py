@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -439,6 +440,14 @@ def letter_step(pres: WreathPresentation, letters: tuple[Letter, ...],
     """Where a word's letters send the vertex letter x (1-based), and the
     letters of the word's section there, unreduced.  The letters act
     rightmost first; g^-1 sends x to j = g^-1(x) and leaves (g|_j)^-1."""
+    x, parts = _step_parts(pres, letters, x)
+    return x, tuple(chain.from_iterable(reversed(parts)))
+
+
+def _step_parts(pres: WreathPresentation, letters: tuple[Letter, ...],
+                x: int) -> tuple[int, list[tuple[Letter, ...]]]:
+    """``letter_step`` before its section is spelled: the section's pieces,
+    one per letter, last first."""
     parts = []
     for name, sign in reversed(letters):
         rule = pres.rule_map[name]
@@ -448,7 +457,7 @@ def letter_step(pres: WreathPresentation, letters: tuple[Letter, ...],
         else:
             x = rule.root_perm.index(x) + 1
             parts.append(tuple((nm, -sg) for nm, sg in reversed(rule.sections[x - 1].letters)))
-    return x, tuple(ch for part in reversed(parts) for ch in part)
+    return x, parts
 
 
 def _descend(pres: WreathPresentation, word: Word, vertex: Vertex,
@@ -456,7 +465,11 @@ def _descend(pres: WreathPresentation, word: Word, vertex: Vertex,
     """The image of the vertex's first stop letters under a word, and the
     word's section there freely reduced with no involutions, which holds in
     every group.  A vertex of another degree or an undeclared generator is
-    refused first."""
+    refused first.
+
+    A section can double in length with every letter, so one whose pieces
+    hold more than DEFAULT_LEVEL_CAP letters is refused before it is
+    spelled out."""
     if vertex.degree != pres.degree:
         raise ValueError("vertex degree does not match the presentation")
     _check_word(pres, word)
@@ -464,9 +477,14 @@ def _descend(pres: WreathPresentation, word: Word, vertex: Vertex,
     for x in path:
         if not letters:
             return tuple(image) + path[len(image):], letters
-        x, letters = letter_step(pres, letters, x)
+        x, parts = _step_parts(pres, letters, x)
+        size = sum(map(len, parts))
+        if size > DEFAULT_LEVEL_CAP:
+            raise SizeCapError(f"the section below letter {len(image) + 1} of the vertex has "
+                               f"{size} letters before reduction, more than the cap of "
+                               f"{DEFAULT_LEVEL_CAP}", size=size)
         image.append(x)
-        letters = free_reduce(Word(letters)).letters
+        letters = free_reduce(Word(tuple(chain.from_iterable(reversed(parts))))).letters
     return tuple(image), letters
 
 

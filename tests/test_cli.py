@@ -2,16 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from test_properties import NON_COMMUTATIVE
+from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 import selfsim
 from selfsim import __version__, cache
 from selfsim.catalog import builtin
 from selfsim.cli import build_parser, main
-from selfsim.wreath import generator_level_perms, level_permutation
+from selfsim.errors import SizeCapError
+from selfsim.tree import Vertex, parse_ray
+from selfsim.wreath import (Word, generator_level_perms, level_permutation, load_presentation,
+                            parse_presentation, section)
 
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
 
@@ -427,6 +431,36 @@ def test_long_vertex_exits_zero(capsys, command, key, value):
     assert doc[key] == value
 
 
+# Each section word doubles below letter 1: section(a, 1^k) has 2^k letters.
+DOUBLING = "degree: 2\ngen a = perm (1 2) | a b, b a\ngen b = perm () | b a, a b\n"
+
+
+def test_a_section_past_the_cap_exits_two(capsys, tmp_path):
+    # Refused once the section below letter 21 would have 2^21 letters,
+    # before they are spelled; unbounded, the walk would run out of memory.
+    path = tmp_path / "doubling.txt"
+    path.write_text(DOUBLING)
+    start = time.process_time()
+    code, out, err = run(capsys, "section", "--file", str(path), "--word", "a",
+                         "--vertex", "1" * 40, "--json")
+    assert time.process_time() - start < 1.0  # 0.6 s on a 2-vCPU VM
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "SizeCapError",
+        "message": "the section below letter 21 of the vertex has 2097152 letters before "
+                   "reduction, more than the cap of 1048576"}
+
+
+def test_section_bound_is_the_level_cap(monkeypatch):
+    pres = parse_presentation(DOUBLING)
+    monkeypatch.setattr("selfsim.wreath.DEFAULT_LEVEL_CAP", 64)
+    assert len(section(pres, Word.generator("a"), Vertex((1,) * 6, 2))) == 64
+    with pytest.raises(SizeCapError, match="^the section below letter 7 of the vertex has "
+                                           "128 letters before reduction, more than the "
+                                           "cap of 64$"):
+        section(pres, Word.generator("a"), Vertex((1,) * 7, 2))
+
+
 @pytest.mark.parametrize("argv", [
     ("portrait", "--word", "d", "--depth", "2000", "--cap", str(1 << 2000)),
 ], ids=["portrait"])
@@ -552,6 +586,74 @@ def test_uncached_decompose_makes_no_scheme_document(capsys, monkeypatch, flags)
     assert doc["degrees"] == builtin("gupta-sidki").expected_degrees(3)
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a certified level built p or ran the float solver")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "grigorchuk", "--level", "20"),
+    ("--group", "gupta-sidki", "--level", "12"),
+], ids=["grigorchuk-20", "gupta-sidki-12"])
+def test_certified_decompose_runs_no_eigen_solve(capsys, monkeypatch, argv):
+    monkeypatch.setattr("selfsim.spectral.common_eigensystems", _unreachable)
+    code, doc, err = run_json(capsys, "decompose", *argv)
+    assert (code, err) == (0, "")
+    assert doc["degrees"] == builtin(argv[1]).expected_degrees(int(argv[3]))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "grigorchuk", "--level", "21", "--cap", "2097152"),
+    ("--group", "gupta-sidki", "--level", "13", "--cap", "2000000"),
+], ids=["grigorchuk-21", "gupta-sidki-13"])
+def test_certified_decompose_past_the_float_tolerance(capsys, argv):
+    # The float route missed an integer here by more than its tolerance
+    # (grigorchuk 21: 524288.0000024298); the closed form is exact.
+    code, doc, err = run_json(capsys, "decompose", *argv)
+    assert (code, err) == (0, "")
+    assert (doc["rank"], doc["gelfand"]) == (len(doc["degrees"]), True)
+    assert doc["degrees"] == builtin(argv[1]).expected_degrees(int(argv[3]))
+
+
+def test_certified_nesting_and_oracle_build_no_p_for_the_degrees(capsys, monkeypatch,
+                                                                tmp_path):
+    # --nesting runs level n+1's certificate only; --oracle builds level n's
+    # scheme for the dense check alone, and no cache is touched.
+    for name in ("selfsim.spectral.common_eigensystems", "selfsim.cli._scheme_data",
+                 "selfsim.cache.load", "selfsim.cache.store"):
+        monkeypatch.setattr(name, _unreachable)
+    built = []
+    honest = selfsim.cli.build_scheme
+    monkeypatch.setattr("selfsim.cli.build_scheme",
+                        lambda pres, n, *rest: built.append(n) or honest(pres, n, *rest))
+    cache_dir = tmp_path / "cache"
+    for flags in (("--nesting",), ("--nesting", "--oracle")):
+        code, doc, err = run_json(capsys, "decompose", "--group", "gupta-sidki", "--level",
+                                  "3", *flags, "--cache-dir", str(cache_dir))
+        assert (code, err) == (0, "")
+        assert doc["degrees"] == builtin("gupta-sidki").expected_degrees(3)
+        assert doc["nested_in_next"] is True
+        assert doc.get("oracle_degrees", doc["degrees"]) == doc["degrees"]
+    assert built == [3]
+    assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--nesting",), ("--nesting", "--oracle"), ("--json",),
+                                   ("--nesting", "--json"), ("--nesting", "--oracle", "--json")])
+def test_certified_level_without_a_closed_form_takes_the_float_route(capsys, monkeypatch,
+                                                                     flags):
+    # A non-commutative G_1 scheme has no closed form (from degree 6 on, so
+    # it is simulated here): decompose reads the degrees off p, as before.
+    argv = ("decompose", "--group", "grigorchuk-tilde", "--level", "4", *flags)
+    closed = run(capsys, *argv)
+    monkeypatch.setattr("selfsim.cli.wreath_power_degrees", lambda orbital, n: None)
+    solves = []
+    honest = selfsim.spectral.common_eigensystems
+    monkeypatch.setattr("selfsim.spectral.common_eigensystems",
+                        lambda *a: solves.append(1) or honest(*a))
+    assert run(capsys, *argv) == closed
+    assert len(solves) == (2 if "--nesting" in flags else 1)
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_verify_needs_a_case(capsys, cases):
     code, out, err = run(capsys, "verify", "--group", "grigorchuk",
@@ -657,13 +759,23 @@ def test_cache_dir_only_on_cached_commands(capsys, tmp_path, argv):
     assert not cache_dir.exists()
 
 
+# decompose uses the cache only where it builds p, on an input the cone route
+# declines: FINER_THAN_CONES, written to finer.txt in the test's working
+# directory, at levels 2 and 3 (ranks 3 and 6).
+FINER = ("--file", "finer.txt", "--ray", "3")
 CACHED_RUNS = {
     "scheme": ("scheme", "--group", "grigorchuk", "--level", "3"),
-    "decompose": ("decompose", "--group", "gamma", "--level", "2"),
-    "decompose-nesting": ("decompose", "--group", "gamma", "--level", "2", "--nesting"),
+    "decompose": ("decompose", *FINER, "--level", "2"),
+    "decompose-nesting": ("decompose", *FINER, "--level", "2", "--nesting"),
 }
-GAMMA_SCHEMES = (("scheme", "--group", "gamma", "--level", "2"),
-                 ("scheme", "--group", "gamma", "--level", "3"))
+FINER_SCHEMES = (("scheme", *FINER, "--level", "2"),
+                 ("scheme", *FINER, "--level", "3"))
+
+
+@pytest.fixture
+def finer_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "finer.txt").write_text(FINER_THAN_CONES)
 
 
 def _no_recompute(*args, **kwargs):
@@ -674,11 +786,12 @@ def _no_recompute(*args, **kwargs):
     ((CACHED_RUNS["scheme"],), CACHED_RUNS["scheme"]),
     ((CACHED_RUNS["decompose"],), CACHED_RUNS["decompose"]),
     ((CACHED_RUNS["decompose-nesting"],), CACHED_RUNS["decompose-nesting"]),
-    (GAMMA_SCHEMES, CACHED_RUNS["decompose-nesting"]),
-    ((CACHED_RUNS["decompose-nesting"],), GAMMA_SCHEMES[1]),
+    (FINER_SCHEMES, CACHED_RUNS["decompose-nesting"]),
+    ((CACHED_RUNS["decompose-nesting"],), FINER_SCHEMES[1]),
 ], ids=["scheme", "decompose", "decompose-nesting", "decompose-nesting-after-scheme",
         "scheme-after-decompose-nesting"])
-def test_valid_cache_entry_is_served(capsys, tmp_path, monkeypatch, warmup, command):
+def test_valid_cache_entry_is_served(capsys, tmp_path, monkeypatch, finer_file, warmup,
+                                     command):
     # scheme and decompose share one entry per level: whichever ran first,
     # the other is served without building a scheme
     uncached = [run(capsys, *command, *mode) for mode in ((), ("--json",))]
@@ -697,8 +810,19 @@ def test_warm_nesting_keeps_the_cap(capsys, tmp_path):
                                   "level 4 of the 2-regular tree has 16 vertices, "
                                   "cap is 8"}) + "\n")
     assert run(capsys, *argv, "--cap", "8") == refused  # cold
-    assert run(capsys, *argv)[0] == 0  # stores levels 3 and 4
+    assert run(capsys, *argv)[0] == 0  # the cone route stores nothing
     assert run(capsys, *argv, "--cap", "8") == refused  # warm
+
+
+def test_warm_nesting_keeps_the_cap_where_p_is_built(capsys, tmp_path, finer_file):
+    argv = (*CACHED_RUNS["decompose-nesting"], "--json", "--cache-dir", str(tmp_path / "cache"))
+    refused = (2, "", json.dumps({"error": "SizeCapError", "message":
+                                  "level 3 of the 3-regular tree has 27 vertices, "
+                                  "cap is 9"}) + "\n")
+    assert run(capsys, *argv, "--cap", "9") == refused  # cold
+    assert run(capsys, *argv)[0] == 0  # stores levels 2 and 3
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+    assert run(capsys, *argv, "--cap", "9") == refused  # warm
 
 
 def _bump_p(doc):
@@ -713,17 +837,22 @@ def _merge(tamper):
 
 
 def _entry_path(cache_dir, command, level):
-    entry = builtin(command[command.index("--group") + 1])
-    return cache_dir / f"{cache.cache_key(entry.presentation, level, entry.default_ray)}.json"
+    if "--group" in command:
+        entry = builtin(command[command.index("--group") + 1])
+        pres, ray = entry.presentation, entry.default_ray
+    else:
+        pres = load_presentation(command[command.index("--file") + 1])
+        ray = parse_ray(command[command.index("--ray") + 1], pres.degree)
+    return cache_dir / f"{cache.cache_key(pres, level, ray)}.json"
 
 
 @pytest.mark.parametrize("command,offset,tamper", [
     (CACHED_RUNS["decompose"], 0, _bump_p),
     (CACHED_RUNS["decompose"], 0, _merge({"commutative": 1})),
-    (CACHED_RUNS["decompose"], 0, _merge({"rank": 5.0})),
+    (CACHED_RUNS["decompose"], 0, _merge({"rank": 3.0})),
     (CACHED_RUNS["decompose-nesting"], 1, _bump_p),
     (CACHED_RUNS["decompose-nesting"], 1, _merge({"commutative": 1})),
-    (CACHED_RUNS["decompose-nesting"], 1, _merge({"rank": 7.0})),
+    (CACHED_RUNS["decompose-nesting"], 1, _merge({"rank": 6.0})),
     (CACHED_RUNS["decompose"], 0, _merge({"tool_version": "9.9", "seed": -1})),
     (CACHED_RUNS["scheme"], 0, _merge({"tool_version": "9.9", "seed": -1})),
     (CACHED_RUNS["scheme"], 0, _merge({"commutative": 1})),
@@ -733,7 +862,8 @@ def _entry_path(cache_dir, command, level):
         "nesting-p-entry", "nesting-commutative-int", "nesting-rank-float",
         "decompose-envelope", "scheme-envelope", "commutative-int", "rank-float",
         "valency-float"])
-def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, command, offset, tamper):
+def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, finer_file, command, offset,
+                                           tamper):
     # offset 1 tampers with level n+1's entry, which --nesting reads
     uncached = [run(capsys, *command, *mode) for mode in ((), ("--json",))]
     cache_dir = tmp_path / "cache"

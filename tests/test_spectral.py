@@ -11,7 +11,8 @@ from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
 from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _cluster_indices,
-                              _product_dtype, common_eigensystem, common_eigensystems,
+                              _product_dtype, _slice_classes, common_eigensystem,
+                              common_eigensystems,
                               degree_multiset_from_p, degrees_embed,
                               dense_commutant_oracle, intersection_matrices,
                               multiplicities, spectral_data)
@@ -171,6 +172,20 @@ def test_product_rule_check_keeps_to_its_byte_budget():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+def test_product_rule_slices_hold_several_classes_at_mid_rank():
+    # Up to rank 25 a class fits _TEMP_BYTES and the slices are as they
+    # were; past it they take _WIDE_TEMP_BYTES, one class again past rank 50.
+    for r in range(1, 26):
+        assert _slice_classes(r, 8) == max(1, 2**17 // (8 * r**3)), r
+    assert [_slice_classes(r, 8) for r in (26, 42, 50, 51, 123)] == [14, 3, 2, 1, 1]
+    p = build_scheme(parse_presentation(FINER_THAN_CONES), 5, parse_ray("3", 3)).p
+    for i, j, k in ((0, 0, 0), (40, 7, 3), (41, 41, 41)):  # first and last slice
+        bad = p.copy()
+        bad[i, j, k] += 1
+        assert (_product_rule_verdict(intersection_matrices, bad)
+                == _product_rule_verdict(product_rule_reference, bad)), (i, j, k)
 
 
 @pytest.mark.parametrize("values,atol,want", [
