@@ -352,8 +352,7 @@ def _cmd_decompose(args) -> int:
         lines.append(f"oracle degrees: {payload['oracle_degrees']}")
     _emit(args, _envelope(args, label, args.level), payload, "\n".join(lines))
     if args.oracle and payload["oracle_degrees"] != degrees:
-        _fail(args, "verification", "dense oracle disagrees with the "
-                                    "intersection-number degrees")
+        _fail(args, "verification", "dense oracle disagrees with the printed degrees")
         return 3
     return 0
 

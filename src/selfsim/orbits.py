@@ -27,12 +27,17 @@ root permutations act transitively, the stabilizer of each base letter
 restricts onto the whole group (read off section words), and the Schreier
 generators of a few breadth-first vertices join each cross block of a level.
 It returns G_1's (d, d) letter-orbital class table, which fixes the whole
-scheme of the level, or None where a check fails.  ``cone_suborbits`` is
-that certificate followed by ``_cone_forest``, and ``stabilizer_suborbits``
-is the one place the partition's route is chosen: it falls back to the
-fold where the certificate fails, and the fold stays as the cross-check of
-the route.  ``decompose`` reads the degrees of a certified level off the
-table alone and builds no partition.
+scheme of the level, or None where a check fails.  What the checks learn
+of a presentation is kept, one memo per presentation object, dropped when
+the presentation is collected: G_1's letter-orbital and least-in-orbit
+tables, read-only, check 2's verdict per letter and check 3's per exact
+base word, nothing of size N.  A verdict is read only for the letter or
+word it was computed for, so the order of calls never changes an answer.
+``cone_suborbits`` is that certificate followed by ``_cone_forest``, and
+``stabilizer_suborbits`` is the one place the partition's route is chosen:
+it falls back to the fold where the certificate fails, and the fold stays
+as the cross-check of the route.  ``decompose`` reads the degrees of a
+certified level off the table alone and builds no partition.
 
 The fold, the cone route and the enumeration oracle all end in a forest,
 rep[x] the least member of x's block, which ``_canonical_partition`` numbers
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -497,10 +503,46 @@ def _cone_forest(base: Vertex, orbital: np.ndarray,
     return rep, cones
 
 
+class _ConeFacts:
+    """The cone route's facts about one presentation that do not depend on
+    the level: G_1's letter-orbital table (``_letter_orbitals``) and its
+    ``_least_in_orbit`` table, both read-only, check 2's verdict per letter
+    (1-based) and check 3's per exact base word.  d x d tables and booleans
+    only, and no reference back to the presentation, so the memo dies with
+    it.  A plain class: a dataclass would cost its module's import a third
+    of a millisecond."""
+
+    def __init__(self, orbital: np.ndarray, least: np.ndarray):
+        self.orbital = orbital
+        self.least = least
+        self.replicating: dict[int, bool] = {}
+        self.whole: dict[tuple[int, ...], bool] = {}
+
+
+# id(presentation) -> its facts.  Keyed by identity, not by the value
+# equality of WreathPresentation, so two equal presentations never share a
+# memo; each entry is dropped when its presentation is collected.
+_FACTS: dict[int, _ConeFacts] = {}
+
+
+def _cone_facts(pres: WreathPresentation) -> _ConeFacts:
+    """The memo of pres, made on first use with G_1's two letter tables."""
+    key = id(pres)
+    facts = _FACTS.get(key)
+    if facts is None:
+        orbital = _letter_orbitals(pres)
+        least = _least_in_orbit(orbital)
+        orbital.flags.writeable = least.flags.writeable = False
+        facts = _FACTS[key] = _ConeFacts(orbital, least)
+        weakref.finalize(pres, _FACTS.pop, key)
+    return facts
+
+
 def cone_certificate(pres: WreathPresentation, n: int, ray: Ray,
                      cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray | None:
-    """G_1's letter-orbital class table (``_letter_orbitals``) where the
-    suborbits of level n are the cones, or None where the certificate fails.
+    """G_1's letter-orbital class table (``_letter_orbitals``, read-only)
+    where the suborbits of level n are the cones, or None where the
+    certificate fails.
 
     With v = v_1...v_n the base and H its stabilizer, g in H keeps the k
     letters y shares with v and sends y_{k+1} into its orbit under the
@@ -523,6 +565,15 @@ def cone_certificate(pres: WreathPresentation, n: int, ray: Ray,
     depend on the level and come before any level-n array; level 0 is left
     to the fold.  Nothing here is quadratic in N.
 
+    The ray and the level's size are checked against the cap first, on
+    every call.  The checks then read the presentation's memo
+    (``_cone_facts``): the letter tables, check 2's verdict per letter and
+    check 3's per exact word w, each computed on the first call that needs
+    it.  Check 3 is a bounded search, so across calls its verdict on w is
+    never read as one on a prefix or an extension of w: the longer-base
+    rule above skips a word within one call only, as it did without the
+    memo.  So an answer never depends on earlier calls.
+
     The table fixes the whole scheme of a certified level: its classes are
     the pairs (letters shared, orbital of the next two letters), the n-fold
     wreath power of G_1's orbital scheme.
@@ -531,23 +582,27 @@ def cone_certificate(pres: WreathPresentation, n: int, ray: Ray,
     check_level_size(pres.degree, n, cap)
     if n == 0:
         return None
-    orbital = _letter_orbitals(pres)
-    if orbital.diagonal().any():  # (a, a) and (0, 0) lie in one orbit iff G_1 is transitive
+    facts = _cone_facts(pres)
+    if facts.orbital.diagonal().any():  # (a, a) and (0, 0) lie in one orbit iff G_1 is transitive
         return None
     base = ray.prefix(n)
-    if not all(_self_replicating(pres, letter - 1)
-               for letter in sorted(set(base.letters[:-1]))):
-        return None
-    least = _least_in_orbit(orbital)
+    replicating, whole = facts.replicating, facts.whole
+    for letter in sorted(set(base.letters[:-1])):
+        if letter not in replicating:
+            replicating[letter] = _self_replicating(pres, letter - 1)
+        if not replicating[letter]:
+            return None
     checked: list[tuple[int, ...]] = []
     for k in range(n - 1):
         w = base.letters[k:]
         if any(longer[:len(w)] == w for longer in checked):
             continue
-        if not _cross_blocks_whole(pres, Vertex(w, base.degree), least, cap):
+        if w not in whole:
+            whole[w] = _cross_blocks_whole(pres, Vertex(w, base.degree), facts.least, cap)
+        if not whole[w]:
             return None
         checked.append(w)
-    return orbital
+    return facts.orbital
 
 
 def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
@@ -558,7 +613,7 @@ def cone_suborbits(pres: WreathPresentation, n: int, ray: Ray,
     if orbital is None:
         return None
     base = ray.prefix(n)
-    rep, cones = _cone_forest(base, orbital, _least_in_orbit(orbital))
+    rep, cones = _cone_forest(base, orbital, _cone_facts(pres).least)
     return _canonical_partition(rep, base, cones=cones)
 
 

@@ -6,7 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
-from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
+from test_orbits import ADDING_MACHINE
+from test_properties import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE
 
 import selfsim
 from selfsim import __version__, cache
@@ -879,3 +880,60 @@ def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, finer_file, comman
         assert run(capsys, *command, *mode, "--cache-dir", str(cache_dir)) == expected
         assert json.loads(path.read_text()) == stored  # rewritten by the recompute
         path.write_text(json.dumps(tampered))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "grigorchuk", "--level", "3"),
+    (*FINER, "--level", "3"),
+], ids=["certified", "declined"])
+def test_oracle_mismatch_names_the_printed_degrees(capsys, monkeypatch, finer_file, argv):
+    # The printed degrees are the closed form's on a certified level and p's
+    # elsewhere; the message names neither source.
+    monkeypatch.setattr("selfsim.cli.dense_commutant_oracle", lambda scheme, seed: [1])
+    message = "dense oracle disagrees with the printed degrees"
+    code, out, err = run(capsys, "decompose", *argv, "--oracle")
+    assert (code, err) == (3, f"error: {message}\n")
+    assert out.endswith("oracle degrees: [1]\n")
+    code, doc, err = run_json(capsys, "decompose", *argv, "--oracle")
+    assert code == 3 and doc["oracle_degrees"] == [1]
+    assert json.loads(err) == {"error": "verification", "message": message}
+
+
+def _count_calls(monkeypatch, name, record):
+    """Wrap selfsim.orbits.<name>; each call appends record(*args) to the
+    returned list."""
+    calls = []
+    honest = getattr(selfsim.orbits, name)
+
+    def counted(*args):
+        calls.append(record(*args))
+        return honest(*args)
+
+    monkeypatch.setattr(f"selfsim.orbits.{name}", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text,argv,words,letters", [
+    # certified at levels 4 and 5: check 3 on 2121 and 121 (21 begins 2121),
+    # then on 21212 and 1212 (212 and 12 begin longer words)
+    (CONE_CASES["ternary-ray-21"][0], ("--ray", "21", "--level", "4", "--nesting", "--oracle"),
+     [(2, 1, 2, 1), (1, 2, 1), (2, 1, 2, 1, 2), (1, 2, 1, 2)], [0, 1]),
+    # declined at check 2 on letter 3 (2 counted from 0), at levels 4 and 5
+    (FINER_THAN_CONES, ("--ray", "3", "--level", "4", "--nesting"), [], [2]),
+    # declined at check 3 on 2222 and 22222
+    (ADDING_MACHINE, ("--level", "4", "--nesting"), [(2, 2, 2, 2), (2, 2, 2, 2, 2)], [1]),
+], ids=["certified", "declined-at-check-2", "declined-at-check-3"])
+def test_one_decompose_computes_each_certificate_fact_once(capsys, monkeypatch, tmp_path,
+                                                          text, argv, words, letters):
+    # decompose certifies level 4 for its degrees and again in build_scheme
+    # (--oracle, or a declined level's p), then level 5 for --nesting: the
+    # level-free facts once, and check 3 once per distinct base word.
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    orbitals = _count_calls(monkeypatch, "_letter_orbitals", lambda pres: ())
+    replicating = _count_calls(monkeypatch, "_self_replicating", lambda pres, letter: letter)
+    whole = _count_calls(monkeypatch, "_cross_blocks_whole",
+                         lambda pres, base, least, cap: base.letters)
+    code, doc, err = run_json(capsys, "decompose", "--file", str(path), *argv)
+    assert (code, err) == (0, "")
+    assert (orbitals, replicating, whole) == ([()], letters, words)

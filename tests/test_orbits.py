@@ -480,13 +480,16 @@ def test_cone_route_falls_back_after_its_budget():
         assert parts == oracle_suborbits(pres, n, ray)
 
 
+# Seen from 1313 on level 4, check 3 passes; seen from 313, the base of
+# level 3 one step down the recursion, it does not within the budget, and
+# 313 begins no longer base that passed.  So the route declines level 4
+# rather than certify it from the top level alone.
+SHIFTED_BASE = ("degree: 3\ngen a = perm (1 3 2) | e, b^-1 b^-1 b, a^-1\n"
+                "gen b = perm (1 2) | e, e, b^-1\n")
+
+
 def test_cone_route_checks_every_shifted_base():
-    # Seen from 1313 on level 4, check 3 passes; seen from 313, the base of
-    # level 3 one step down the recursion, it does not within the budget,
-    # and 313 begins no longer base that passed.  So the route declines
-    # level 4 rather than certify it from the top level alone.
-    pres = parse_presentation("degree: 3\ngen a = perm (1 3 2) | e, b^-1 b^-1 b, a^-1\n"
-                              "gen b = perm (1 2) | e, e, b^-1\n")
+    pres = parse_presentation(SHIFTED_BASE)
     ray = parse_ray("13", 3)
     assert _cross_blocks(pres, ray.prefix(4))
     assert not _cross_blocks(pres, Vertex((3, 1, 3), 3))
