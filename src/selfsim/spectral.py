@@ -40,9 +40,11 @@ INTEGER_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
 MAX_SEED_TRIES = 5
 DENSE_ORACLE_CAP = 243
-# Most bytes of one temporary: a slice of the product-rule check, a chunk of
-# the batched eigen-solve.  Chosen by measurement: 2^21 made the rank-15
-# product-rule check twice as slow, and 2^18 and up raised verify's peak RSS.
+# Most bytes of one temporary: a slice of the product-rule check; in the
+# batched eigen-solve, two complex (S, r, r) stacks of one chunk of S seeds,
+# as the solve holds a few such stacks at once.  Chosen by
+# measurement: 2^21 made the rank-15 product-rule check twice as slow, and
+# 2^18 and up raised verify's peak RSS.
 _TEMP_BYTES = 2**17
 # The same for a product-rule slice once one class outgrows _TEMP_BYTES
 # (rank 26 on): at rank 42 a slice of 3 classes took 8.6 ms against 12.3 ms
@@ -128,18 +130,26 @@ def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> np.ndarra
     EIG_CLUSTER_RTOL of the largest modulus, every eigenvector is a joint
     one (residual within RESIDUAL_TOL) and the valency character is found.
     Each attempt solves every seed still open as one stack, in chunks whose
-    complex (S, r, r, r) stack of products B V keeps within _TEMP_BYTES.  The
-    family must commute (``spectral_data`` reads that off p): one that does
-    not has no r independent joint eigenvectors, so every seed fails.  If a
-    seed never resolves, the first such seed in input order raises.
+    complex (S, r, r) stack keeps within half of _TEMP_BYTES; the products
+    B_i V are formed one class i at a time, so beside one float copy of the
+    family no temporary outgrows _TEMP_BYTES, or one seed's (r, r) complex
+    matrix where that is larger (past rank 90).  Each seed's M is
+    formed by itself and ``eig`` solves each member of a stack alone, so a
+    seed's table does not depend on the seeds that share its stack.  (The
+    seeds of one family agree on whether their eigenvalues are all real:
+    that is whether the family's characters are, and ``eig`` makes that
+    choice for the whole stack.)  The family must commute (``spectral_data``
+    reads that off p): one that does not has no r independent joint
+    eigenvectors, so every seed fails.  If a seed never resolves, the first
+    such seed in input order raises.
     """
     B = np.asarray(matrices)
     r = B.shape[0]
     valencies = B[:, 0, :].sum(axis=1)  # row sums are constant per matrix
     point_count = int(valencies.sum())
-    scale = np.maximum(1.0, np.linalg.norm(B, axis=(1, 2)))
     by_class = B.reshape(r, r * r).astype(float)
-    chunk = max(1, _TEMP_BYTES // (16 * r**3))
+    scale = np.maximum(1.0, np.sqrt(np.einsum("kx,kx->k", by_class, by_class)))
+    chunk = max(1, _TEMP_BYTES // (32 * r**2))
     seeds = list(seeds)
     tables = np.empty((len(seeds), r, r))
     done = np.zeros(len(seeds), dtype=bool)
@@ -148,10 +158,9 @@ def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> np.ndarra
     for attempt in range(MAX_SEED_TRIES):
         for lo in range(0, len(pending), chunk):
             batch = pending[lo:lo + chunk]
-            coeffs = np.array([np.random.default_rng(seeds[s] + attempt).uniform(1.0, 2.0, size=r)
-                               for s in batch])
-            M = (coeffs @ by_class).reshape(len(batch), r, r)
-            solved, errors = _solve_stack(B, M, valencies, point_count, scale)
+            coeffs = [np.random.default_rng(seeds[s] + attempt).uniform(1.0, 2.0, size=r)
+                      for s in batch]
+            solved, errors = _solve_stack(by_class, coeffs, valencies, point_count, scale)
             if np.iscomplexobj(solved) and not np.iscomplexobj(tables):
                 # rows solved so far stay real-valued; before any, nothing to copy
                 tables = tables.astype(complex) if done.any() else np.empty_like(tables, complex)
@@ -161,31 +170,43 @@ def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> np.ndarra
                 else:
                     tables[s] = P
                     done[s] = True
+            del solved
         pending = [s for s in pending if not done[s]]
     if pending:
         raise NumericalError(f"common eigensystem did not resolve: {last_error[pending[0]]}")
     return tables
 
 
-def _solve_stack(B: np.ndarray, M: np.ndarray, valencies: np.ndarray,
+def _solve_stack(by_class: np.ndarray, coeffs: list[np.ndarray], valencies: np.ndarray,
                  point_count: int, scale: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """For each random combination M[s] of the family B, its sorted character
-    table and the text of the first test it fails ("" if none)."""
-    S, r = M.shape[:2]
+    """For each random combination M[s] = sum_i coeffs[s][i] B_i of the
+    family, by_class[i] the flattened B_i, its sorted character table and the
+    text of the first test it fails ("" if none)."""
+    S, r = len(coeffs), len(by_class)
+    M = np.empty((S, r, r))
+    for s, c in enumerate(coeffs):
+        M[s] = (c @ by_class).reshape(r, r)
     evals, V = np.linalg.eig(M)
+    del M
     atol = EIG_CLUSTER_RTOL * np.fmax(1.0, np.abs(evals).max(axis=1))
     close = np.abs(evals[:, :, None] - evals[:, None, :]) <= atol[:, None, None]
     separated = ~(close & ~np.eye(r, dtype=bool)).any(axis=(1, 2))
 
-    # column j of V[s] spans the j-th joint eigenspace; BV[s, i] = B[i] V[s]
-    BV = B @ V[:, None]
-    norms2 = np.einsum("saj,saj->sj", V.conj(), V).real
-    P = np.einsum("saj,siaj->sji", V.conj(), BV) / norms2[:, :, None]
-    BV -= P.transpose(0, 2, 1)[:, :, None, :] * V[:, None]
-    defect = np.sqrt(np.einsum("siaj,siaj->sij", BV.conj(), BV).real)
-    residual = (defect / scale[:, None]).max(axis=(1, 2))
+    # column j of V[s] spans the j-th joint eigenspace; one class i at a
+    # time, BV[s] = B_i V[s] gives row i of the Rayleigh quotients and the
+    # residual of each column against its quotient
+    Vc = V.conj()
+    norms2 = np.einsum("saj,saj->sj", Vc, V).real
+    P = np.empty((S, r, r), dtype=V.dtype)
+    residual = np.zeros(S)
+    for i in range(r):
+        BV = by_class[i].reshape(r, r) @ V
+        P[:, :, i] = np.einsum("saj,saj->sj", Vc, BV) / norms2
+        BV -= P[:, None, :, i] * V
+        defect = np.sqrt(np.einsum("saj,saj->sj", BV.conj(), BV).real)
+        np.maximum(residual, (defect / scale[i]).max(axis=1), out=residual)
 
-    trivial = np.argmax(np.abs(V.conj().sum(axis=1)) / np.sqrt(norms2), axis=1)
+    trivial = np.argmax(np.abs(Vc.sum(axis=1)) / np.sqrt(norms2), axis=1)
     valency_gap = np.abs(P[np.arange(S), trivial] - valencies).max(axis=1)
 
     # row order: the valency row, then multiplicity, then each column's

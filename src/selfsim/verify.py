@@ -2,11 +2,12 @@
 
 Each suite draws its cases as arrays, _CASE_BLOCK at a time (word lengths,
 generator picks and sign bits; vertex levels and digits; point and class
-pairs), and checks them one by one; the seed-independence suite solves its
-seeds _SEED_BLOCK at a time.  The label suite moves a case's two points by
-``act``, so it builds nothing N-sized per case.  The seed fixes every
-suite's cases, block by block: one generator serves the suites in their
-fixed order.
+pairs; the seed-independence suite's seeds), and checks them one by one.
+The seed suite solves each block of seeds in one ``common_eigensystems``
+call, whose byte budget alone bounds the solve's memory.  The label suite
+moves a case's two points by ``act``, so it builds nothing N-sized per
+case.  The seed fixes every suite's cases, block by block: one generator
+serves the suites in their fixed order.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ _VERTEX_LEVEL = 6
 _SECTION_LEVEL = 3
 # Cases drawn at once: the draw arrays stay this long whatever --cases is.
 _CASE_BLOCK = 1024
-# Seeds solved at once.  Each brings an r x r complex table; on the benchmark's
-# verify jobs, stacks of 32 and more seeds raised the peak RSS, 16 did not.
-_SEED_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -74,13 +72,13 @@ def _random_vertices(rng: np.random.Generator, degree: int, max_level: int,
     return [Vertex(letters, degree) for letters in _split(digits, levels)]
 
 
-def _run_cases(name: str, cases: int, draw, check, block: int) -> SuiteResult:
+def _run_cases(name: str, cases: int, draw, check) -> SuiteResult:
     """Count the cases whose ``check(*case)`` names a problem, keeping the
-    first problem; ``draw(k)`` gives k cases, asked for ``block`` at a time."""
+    first problem; ``draw(k)`` gives k cases, asked for _CASE_BLOCK at a time."""
     failures = 0
     detail = ""
-    for lo in range(0, cases, block):
-        for case in draw(min(block, cases - lo)):
+    for lo in range(0, cases, _CASE_BLOCK):
+        for case in draw(min(_CASE_BLOCK, cases - lo)):
             problem = check(*case)
             if problem:
                 failures += 1
@@ -100,7 +98,7 @@ def _action_compatibility(pres, rng, cases):
         if lhs != rhs:
             return f"act({u} * {v}, {x}) = {lhs} but stepwise gives {rhs}"
         return ""
-    return _run_cases("action_compatibility", cases, draw, check, _CASE_BLOCK)
+    return _run_cases("action_compatibility", cases, draw, check)
 
 
 def _cocycle_identity(pres, rng, cases):
@@ -115,7 +113,7 @@ def _cocycle_identity(pres, rng, cases):
         if lhs != rhs:
             return f"section cocycle fails for {w} at {sigma}|{tau}"
         return ""
-    return _run_cases("cocycle_identity", cases, draw, check, _CASE_BLOCK)
+    return _run_cases("cocycle_identity", cases, draw, check)
 
 
 def _inverse_identity(pres, rng, cases):
@@ -128,7 +126,7 @@ def _inverse_identity(pres, rng, cases):
         if back != v:
             return f"{w}^-1 {w} moved {v} to {back}"
         return ""
-    return _run_cases("inverse_identity", cases, draw, check, _CASE_BLOCK)
+    return _run_cases("inverse_identity", cases, draw, check)
 
 
 def _label_invariance(pres, scheme, rng, cases):
@@ -149,7 +147,7 @@ def _label_invariance(pres, scheme, rng, cases):
             return (f"label({x}, {y}) = {before} but moving by {g} "
                     f"gives class {after}")
         return ""
-    return _run_cases("label_invariance", cases, draw, check, _CASE_BLOCK)
+    return _run_cases("label_invariance", cases, draw, check)
 
 
 def _scheme_axioms(scheme, rng, cases):
@@ -167,7 +165,7 @@ def _scheme_axioms(scheme, rng, cases):
             return (f"recount at pair ({x}, {y}) in class {k}: "
                     f"{count} != p[{i}][{j}][{k}] = {int(scheme.p[i, j, k])}")
         return ""
-    return _run_cases("scheme_axioms", cases, draw, check, _CASE_BLOCK)
+    return _run_cases("scheme_axioms", cases, draw, check)
 
 
 def _multiplicity_seed_independence(scheme, rng, cases, seed):
@@ -207,7 +205,7 @@ def _multiplicity_seed_independence(scheme, rng, cases, seed):
         if other != baseline[0]:
             return f"seed {case_seed} gave {other}, baseline {baseline[0]}"
         return ""
-    return _run_cases("multiplicity_seed_independence", cases, draw, check, _SEED_BLOCK)
+    return _run_cases("multiplicity_seed_independence", cases, draw, check)
 
 
 def run_verification(pres: WreathPresentation, n: int, ray: Ray,

@@ -287,6 +287,74 @@ def test_batched_eigensystem_keeps_to_its_byte_budget():
     assert peak < table_bytes + 6 * spectral._TEMP_BYTES
 
 
+def test_one_seed_keeps_to_the_byte_budget_at_high_rank():
+    # Rank 42 (FINER_THAN_CONES, level 5): one seed's products B_i V are
+    # formed one class at a time, so beside one float copy of B the solve
+    # holds a few temporaries of at most _TEMP_BYTES each.  All r products
+    # at once would take 16 * 42^3 bytes, 1.19 MB.
+    p = build_scheme(parse_presentation(FINER_THAN_CONES), 5, parse_ray("3", 3)).p
+    B = intersection_matrices(p)
+    assert len(B) == 42
+    common_eigensystem(B, DEFAULT_SEED)  # numpy's lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        common_eigensystem(B, DEFAULT_SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B.nbytes + 6 * spectral._TEMP_BYTES
+
+
+def _stacked_at(B, seed, others, where):
+    """seed's table from one solve of seed among others, placed first, in the
+    middle or last."""
+    k = {"first": 0, "middle": len(others) // 2, "last": len(others)}[where]
+    return common_eigensystems(B, [*others[:k], seed, *others[k:]])[k]
+
+
+def _multiplicity_error(P, valencies, point_count):
+    with pytest.raises(NumericalError) as caught:
+        multiplicities(P, valencies, point_count)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("size", [3, 50, 1024])
+def test_a_seeds_table_does_not_depend_on_its_stack(size):
+    # At grigorchuk 17 (rank 18) case seed 2786 misses an integer by more
+    # than INTEGER_TOL, and verify prints its float digits.  Each seed's M
+    # is formed by itself and eig solves each member alone, so its table,
+    # and the error read off it, are bit for bit those of a lone solve
+    # wherever it stands in a stack.  Compared within one process only, as
+    # the digits may differ between numpy builds.
+    s = _scheme("grigorchuk", 17)
+    B = intersection_matrices(s.p)
+    alone = common_eigensystems(B, [2786])[0]
+    error = _multiplicity_error(alone, s.valencies, s.point_count)
+    assert error.startswith("multiplicity ") and "not within 1e-06" in error
+    others = list(range(3000, 3000 + size - 1))
+    for where in ("first", "middle", "last"):
+        P = _stacked_at(B, 2786, others, where)
+        assert np.array_equal(P, alone), (size, where)
+        assert _multiplicity_error(P, s.valencies, s.point_count) == error
+
+
+@pytest.mark.parametrize("key", keys())
+def test_stacked_tables_equal_one_seed_chunks(key, monkeypatch):
+    # verify's level of each group, where the default budget stacks 33 or
+    # more seeds: every table equals the one a one-byte budget gives, one
+    # seed per chunk, and the lone solve of any seed.
+    n = 8 if builtin(key).presentation.degree == 2 else 5
+    B = intersection_matrices(_scheme(key, n).p)
+    seeds = list(range(2729, 2829))
+    tables = common_eigensystems(B, seeds)
+    with monkeypatch.context() as m:
+        m.setattr("selfsim.spectral._TEMP_BYTES", 1)
+        one_each = common_eigensystems(B, seeds)
+    assert np.array_equal(tables, one_each)
+    for where in ("first", "middle", "last"):
+        assert np.array_equal(_stacked_at(B, 2786, seeds[:49], where), tables[57])
+
+
 def test_multiplicities_examples():
     s = _scheme("grigorchuk", 1)
     P = common_eigensystem(intersection_matrices(s.p))

@@ -142,12 +142,11 @@ def test_same_seed_same_results():
 
 
 def test_cases_are_drawn_block_by_block(monkeypatch):
-    # Ten cases in blocks of four, and seeds solved three at a time: each
-    # suite draws 4, 4 and 2 cases and counts all ten; the baseline seed
+    # Ten cases in blocks of four: each suite draws 4, 4 and 2 cases and
+    # counts all ten, the seed suite's seeds included; the baseline seed
     # leads the first block's solve.
     e = builtin("grigorchuk")
     monkeypatch.setattr(verify, "_CASE_BLOCK", 4)
-    monkeypatch.setattr(verify, "_SEED_BLOCK", 3)
     draws, batches = [], []
     vertices, solve = verify._random_vertices, verify.common_eigensystems
     monkeypatch.setattr(verify, "_random_vertices",
@@ -158,16 +157,31 @@ def test_cases_are_drawn_block_by_block(monkeypatch):
     assert all(r.passed and r.cases == 10 for r in results)
     # action_compatibility draws one vertex per case, cocycle_identity two
     assert draws[:3] == [4, 4, 2]
-    assert batches == [[5, 1005, 1006, 1007], [1008, 1009, 1010], [1011, 1012, 1013], [1014]]
+    assert batches == [[5, 1005, 1006, 1007, 1008], [1009, 1010, 1011, 1012], [1013, 1014]]
+
+
+@pytest.mark.parametrize("key,n,stacks", [
+    ("grigorchuk", 8, 3), ("grigorchuk-tilde", 8, 3),
+    ("gupta-sidki", 5, 4), ("gamma", 5, 4), ("gamma-bar", 5, 4)])
+def test_a_workload_job_solves_its_seeds_in_few_stacks(monkeypatch, key, n, stacks):
+    # 100 cases are one block: the baseline and 100 case seeds go to one
+    # common_eigensystems call, which stacks 50 seeds per eig at rank 9
+    # and 33 at rank 11.
+    e = builtin(key)
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(len(M)) or eig(M))
+    results = run_verification(e.presentation, n, e.default_ray, seed=1729, cases=100)
+    assert all(r.passed for r in results)
+    assert len(calls) == stacks and sum(calls) == 101
 
 
 def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
     # label_invariance moves the two points of each case by act, and the
-    # seed suite solves the baseline and one seed per case.
+    # seed suite solves the baseline and one seed per case, a block of
+    # seeds per solve.
     e = builtin("grigorchuk")
     cases = verify._CASE_BLOCK + 3
-    assert cases > verify._SEED_BLOCK
-    moves, seeds = [], []
+    moves, batches = [], []
     act, label_suite, solve = verify.act, verify._label_invariance, verify.common_eigensystems
 
     def counted(*args):
@@ -180,11 +194,12 @@ def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
 
     monkeypatch.setattr(verify, "_label_invariance", counted)
     monkeypatch.setattr(verify, "common_eigensystems",
-                        lambda B, block: seeds.extend(block) or solve(B, block))
+                        lambda B, block: batches.append(list(block)) or solve(B, block))
     results = run_verification(e.presentation, 1, e.default_ray, cases=cases)
     assert all(r.passed and r.cases == cases for r in results)
     assert len(moves) == 2 * cases
-    assert seeds == [1729, *range(2729, 2729 + cases)]
+    assert [len(b) for b in batches] == [verify._CASE_BLOCK + 1, 3]
+    assert sum(batches, []) == [1729, *range(2729, 2729 + cases)]
 
 
 def _faulty_suite(monkeypatch, suite):
