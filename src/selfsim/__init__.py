@@ -12,9 +12,8 @@ from .orbits import (SuborbitPartition, Transversal, bfs_group_order,
 from .render import orbital_graph_dot, portrait_dot
 from .scheme import (OrbitalScheme, build_scheme, is_commutative,
                      verify_scheme_axioms)
-from .spectral import (DEFAULT_SEED, SpectralData, common_eigensystem,
-                       degree_multiset_from_p, dense_commutant_oracle,
-                       intersection_matrices, multiplicities, spectral_data)
+from .spectral import (DEFAULT_SEED, SpectralData, dense_commutant_oracle,
+                       intersection_matrices, spectral_data)
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, all_d_ray, parse_ray
 from .verify import SuiteResult, run_verification
 from .wreath import (GeneratorRule, PortraitNode, Word, WreathPresentation,

@@ -10,12 +10,13 @@ The cache of --cache-dir holds one kind of entry, the scheme document of a
 level, one per presentation, level and ray.  A level's scheme reaches both
 commands as the arrays (valencies, pairing, p), from a revalidated entry or
 the built scheme: ``scheme`` makes the document of them to print or store,
-and ``decompose`` computes its degrees from p (``--nesting`` reads level n+1
-the same way).  On a level the cone route certifies, with a commutative
-G_1 scheme, ``decompose`` needs no p: it prints the exact degrees of the
-certified wreath power and touches no cache, and ``--seed`` matters only to
-``--oracle``.  ``decompose --oracle`` and ``scheme --dot`` build the scheme
-and touch no cache.
+and ``decompose`` computes its degrees from p by the certified integer
+pencil of ``spectral_data`` (``--nesting`` reads level n+1 the same way).
+On a level the cone route certifies, with a commutative G_1 scheme,
+``decompose`` needs no p: it prints the exact degrees of the certified
+wreath power and touches no cache.  Either way every printed degree is
+exact, and ``--seed`` matters only to ``--oracle``.  ``decompose --oracle``
+and ``scheme --dot`` build the scheme and touch no cache.
 
 One parser serves a process: the first ``main`` call builds it, not the
 import, and every later call in the same process reuses it.
@@ -34,13 +35,12 @@ import numpy as np
 from . import __version__, cache
 from .catalog import builtin, keys
 from .errors import PresentationError, SelfSimError, UnknownGroupError
-from .orbits import cone_certificate, stabilizer_suborbits
+from .orbits import stabilizer_suborbits
 from .render import check_orbital_graph_size, orbital_graph_dot, portrait_dot
-from .scheme import axiom_violations, build_scheme, is_commutative, scheme_json_doc
-from .spectral import (DEFAULT_SEED, degree_multiset_from_p, degrees_embed,
-                       dense_commutant_oracle, wreath_power_degrees)
+from .scheme import axiom_violations, build_scheme, scheme_json_doc
+from .spectral import DEFAULT_SEED, degrees_embed, dense_commutant_oracle, spectral_data
 from .tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, check_level_size, parse_ray
-from .verify import DEFAULT_CASES, run_verification
+from .verify import DEFAULT_CASES, closed_form_degrees, run_verification
 from .wreath import (Word, cycle_notation, load_presentation, order_at_level,
                      portrait, section, act)
 
@@ -312,39 +312,37 @@ def _cmd_scheme(args) -> int:
     return 0
 
 
-def _closed_form(pres, n, ray, cap) -> list[int] | None:
-    """The exact degrees of level n where the cone certificate passes and
-    G_1's orbital scheme is commutative; else None."""
-    orbital = cone_certificate(pres, n, ray, cap)
-    return None if orbital is None else wreath_power_degrees(orbital, n)
+def _degrees(args, pres, n, ray, scheme=None) -> list[int]:
+    """Level n's exact degrees: the closed form where the cone route
+    certifies the level, else the certified pencil on p, read off
+    ``scheme`` where one is built and from ``_scheme_data`` otherwise
+    (``--oracle`` touches no cache)."""
+    degrees = closed_form_degrees(pres, n, ray, args.cap)
+    if degrees is None:
+        p = (scheme.p if scheme is not None else
+             _scheme_data(args, pres, n, ray, None if args.oracle else _cache_dir(args))[2])
+        degrees = spectral_data(p).degrees
+    return degrees
 
 
 def _cmd_decompose(args) -> int:
     pres, label, ray = _resolve(args)
-    degrees = _closed_form(pres, args.level, ray, args.cap)
     # built, not cached: a cached scheme would skip the dense cross-check
     scheme = build_scheme(pres, args.level, ray, args.cap) if args.oracle else None
-    directory = None if args.oracle else _cache_dir(args)
-    if degrees is None:
-        p = (scheme.p if scheme is not None
-             else _scheme_data(args, pres, args.level, ray, directory)[2])
-        degrees, rank, gelfand = degree_multiset_from_p(p, args.seed), len(p), is_commutative(p)
-    else:  # a wreath power of a commutative scheme is commutative
-        rank, gelfand = len(degrees), True
+    degrees = _degrees(args, pres, args.level, ray, scheme)
+    # spectral_data refuses a p that is not commutative, and a wreath power
+    # of a commutative scheme is commutative
     payload = {
         "level": args.level,
-        "rank": rank,
+        "rank": len(degrees),
         "degrees": degrees,
-        "gelfand": gelfand,
+        "gelfand": True,
         "nested_in_next": None,
     }
-    lines = [f"level {args.level}: rank {rank}, gelfand: {gelfand}",
+    lines = [f"level {args.level}: rank {len(degrees)}, gelfand: True",
              f"degrees: {degrees}"]
     if args.nesting:
-        there = _closed_form(pres, args.level + 1, ray, args.cap)
-        if there is None:
-            _, _, p_next = _scheme_data(args, pres, args.level + 1, ray, directory)
-            there = degree_multiset_from_p(p_next, args.seed)
+        there = _degrees(args, pres, args.level + 1, ray)
         payload["nested_in_next"] = degrees_embed(degrees, there)
         lines.append(f"nested in level {args.level + 1}: {payload['nested_in_next']}")
     if args.oracle:

@@ -1,17 +1,16 @@
 """Degrees of the irreducible components of a level quasi-regular action.
 
 The intersection numbers p alone give everything here but the closed form
-at the end (Bannai-Ito, Algebraic Combinatorics I, II.3): the valencies k_i = sum_j p[i][j][0], the
-point count N = sum_i k_i, and the left-regular matrices of the convolution
-algebra.  ``spectral_data`` refuses a p that is not commutative
-(``scheme.is_commutative``), naming the first pair of matrices that do not
-commute; a commutative algebra's joint eigensystem is a set of
-one-dimensional characters, and the multiplicity of character row j,
-
-    m_j = N / sum_i |P[j, i]|^2 / k_i,
-
-is the dimension of the j-th isotypic component of the permutation module,
-i.e. an irreducible degree.  A dense cross-check diagonalizes a random
+at the end (Bannai-Ito, Algebraic Combinatorics I, II.3): the valencies
+k_i = sum_j p[i][j][0], the point count N = sum_i k_i, and the left-regular
+matrices of the convolution algebra.  ``spectral_data`` refuses a p that is
+not commutative (``scheme.is_commutative``), naming the first pair of
+matrices that do not commute.  A commutative algebra's characters are
+one-dimensional, and the multiplicity of each, the dimension of its
+isotypic component of the permutation module, is an irreducible degree.
+``spectral_data`` reads them as the eigenvalues of one integer pencil: a
+float solve proposes them, and an exact certificate modulo primes accepts
+the proposal or refuses it.  A dense cross-check diagonalizes a random
 combination of the N x N class adjacency matrices of a built scheme instead
 and reads the degrees off the eigenvalue cluster sizes.
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +34,11 @@ from .scheme import OrbitalScheme, is_commutative
 
 DEFAULT_SEED = 1729
 EIG_CLUSTER_RTOL = 1e-8
-INTEGER_TOL = 1e-6
-RESIDUAL_TOL = 1e-6
 MAX_SEED_TRIES = 5
 DENSE_ORACLE_CAP = 243
-# Most bytes of one temporary: a slice of the product-rule check; in the
-# batched eigen-solve, two complex (S, r, r) stacks of one chunk of S seeds,
-# as the solve holds a few such stacks at once.  Chosen by
-# measurement: 2^21 made the rank-15 product-rule check twice as slow, and
-# 2^18 and up raised verify's peak RSS.
+# Most bytes of one slice of the product-rule check.  Chosen by
+# measurement: 2^21 made the rank-15 check twice as slow, and 2^18 and up
+# raised verify's peak RSS.
 _TEMP_BYTES = 2**17
 # The same for a product-rule slice once one class outgrows _TEMP_BYTES
 # (rank 26 on): at rank 42 a slice of 3 classes took 8.6 ms against 12.3 ms
@@ -112,197 +106,164 @@ def _cluster_indices(values: np.ndarray, atol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def common_eigensystem(matrices: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Character table P of a commuting family: P[j, i] is the eigenvalue of
-    matrices[i] on the j-th joint eigenspace; the batch of one seed of
-    ``common_eigensystems``."""
-    return common_eigensystems(matrices, [seed])[0]
-
-
-def common_eigensystems(matrices: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
-    """Character table of a commuting family for each seed, in input order,
-    as one (S, r, r) stack; it is complex if any seed's table is.
-
-    Row 0 of a table carries the valency character; the rest are sorted by
-    multiplicity, then lexicographically.  Attempt a of a seed diagonalizes
-    M = sum_i c_i matrices[i], c drawn from ``default_rng(seed + a)``; it
-    resolves when the eigenvalues of M lie pairwise farther apart than
-    EIG_CLUSTER_RTOL of the largest modulus, every eigenvector is a joint
-    one (residual within RESIDUAL_TOL) and the valency character is found.
-    Each attempt solves every seed still open as one stack, in chunks whose
-    complex (S, r, r) stack keeps within half of _TEMP_BYTES; the products
-    B_i V are formed one class i at a time, so beside one float copy of the
-    family no temporary outgrows _TEMP_BYTES, or one seed's (r, r) complex
-    matrix where that is larger (past rank 90).  Each seed's M is
-    formed by itself and ``eig`` solves each member of a stack alone, so a
-    seed's table does not depend on the seeds that share its stack.  (The
-    seeds of one family agree on whether their eigenvalues are all real:
-    that is whether the family's characters are, and ``eig`` makes that
-    choice for the whole stack.)  The family must commute (``spectral_data``
-    reads that off p): one that does not has no r independent joint
-    eigenvectors, so every seed fails.  If a seed never resolves, the first
-    such seed in input order raises.
-    """
-    B = np.asarray(matrices)
-    r = B.shape[0]
-    valencies = B[:, 0, :].sum(axis=1)  # row sums are constant per matrix
-    point_count = int(valencies.sum())
-    by_class = B.reshape(r, r * r).astype(float)
-    scale = np.maximum(1.0, np.sqrt(np.einsum("kx,kx->k", by_class, by_class)))
-    chunk = max(1, _TEMP_BYTES // (32 * r**2))
-    seeds = list(seeds)
-    tables = np.empty((len(seeds), r, r))
-    done = np.zeros(len(seeds), dtype=bool)
-    last_error = ["no attempt made"] * len(seeds)
-    pending = list(range(len(seeds)))
-    for attempt in range(MAX_SEED_TRIES):
-        for lo in range(0, len(pending), chunk):
-            batch = pending[lo:lo + chunk]
-            coeffs = [np.random.default_rng(seeds[s] + attempt).uniform(1.0, 2.0, size=r)
-                      for s in batch]
-            solved, errors = _solve_stack(by_class, coeffs, valencies, point_count, scale)
-            if np.iscomplexobj(solved) and not np.iscomplexobj(tables):
-                # rows solved so far stay real-valued; before any, nothing to copy
-                tables = tables.astype(complex) if done.any() else np.empty_like(tables, complex)
-            for s, P, error in zip(batch, solved, errors):
-                if error:
-                    last_error[s] = f"seed {seeds[s] + attempt} {error}"
-                else:
-                    tables[s] = P
-                    done[s] = True
-            del solved
-        pending = [s for s in pending if not done[s]]
-    if pending:
-        raise NumericalError(f"common eigensystem did not resolve: {last_error[pending[0]]}")
-    return tables
-
-
-def _solve_stack(by_class: np.ndarray, coeffs: list[np.ndarray], valencies: np.ndarray,
-                 point_count: int, scale: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """For each random combination M[s] = sum_i coeffs[s][i] B_i of the
-    family, by_class[i] the flattened B_i, its sorted character table and the
-    text of the first test it fails ("" if none)."""
-    S, r = len(coeffs), len(by_class)
-    M = np.empty((S, r, r))
-    for s, c in enumerate(coeffs):
-        M[s] = (c @ by_class).reshape(r, r)
-    evals, V = np.linalg.eig(M)
-    del M
-    atol = EIG_CLUSTER_RTOL * np.fmax(1.0, np.abs(evals).max(axis=1))
-    close = np.abs(evals[:, :, None] - evals[:, None, :]) <= atol[:, None, None]
-    separated = ~(close & ~np.eye(r, dtype=bool)).any(axis=(1, 2))
-
-    # column j of V[s] spans the j-th joint eigenspace; one class i at a
-    # time, BV[s] = B_i V[s] gives row i of the Rayleigh quotients and the
-    # residual of each column against its quotient
-    Vc = V.conj()
-    norms2 = np.einsum("saj,saj->sj", Vc, V).real
-    P = np.empty((S, r, r), dtype=V.dtype)
-    residual = np.zeros(S)
-    for i in range(r):
-        BV = by_class[i].reshape(r, r) @ V
-        P[:, :, i] = np.einsum("saj,saj->sj", Vc, BV) / norms2
-        BV -= P[:, None, :, i] * V
-        defect = np.sqrt(np.einsum("saj,saj->sj", BV.conj(), BV).real)
-        np.maximum(residual, (defect / scale[i]).max(axis=1), out=residual)
-
-    trivial = np.argmax(np.abs(Vc.sum(axis=1)) / np.sqrt(norms2), axis=1)
-    valency_gap = np.abs(P[np.arange(S), trivial] - valencies).max(axis=1)
-
-    # row order: the valency row, then multiplicity, then each column's
-    # (real, imaginary) pair, all rounded to 9 decimals
-    m = _raw_multiplicities(P, valencies, point_count)
-    parts = np.ascontiguousarray(P, dtype=complex).view(float)
-    keys = np.round(np.concatenate([m[:, :, None], parts], axis=2), 9).transpose(2, 0, 1)
-    order = np.lexsort((*keys[::-1], np.arange(r) != trivial[:, None]), axis=-1)
-    errors = []
-    for s in range(S):
-        if not separated[s]:
-            count = len(_cluster_indices(evals[s], atol[s]))
-            errors.append(f"separated only {count} of {r} joint eigenspaces")
-        elif residual[s] > RESIDUAL_TOL:
-            errors.append(f"left eigenvector residual {residual[s]:.2e}")
-        elif valency_gap[s] > INTEGER_TOL * max(1, point_count):
-            errors.append("misidentified the valency character")
-        else:
-            errors.append("")
-    return P[np.arange(S)[:, None], order], errors
-
-
-def _raw_multiplicities(P: np.ndarray, valencies: np.ndarray,
-                        point_count: int) -> np.ndarray:
-    # |P|^2 / k in one buffer: a stack of tables makes no second temporary
-    terms = np.abs(P)
-    np.square(terms, out=terms)
-    terms /= valencies
-    return point_count / terms.sum(axis=-1)
-
-
-def multiplicities(P: np.ndarray, valencies: np.ndarray,
-                   point_count: int) -> list[int] | list[list[int]]:
-    """Isotypic multiplicities from the character table, or a list of them
-    from a stack of tables, as Python ints.  Each must lie within INTEGER_TOL
-    of a positive integer, and a table's integers must sum to the point
-    count; the first table in stack order that fails raises."""
-    raw = _raw_multiplicities(P, np.asarray(valencies), point_count)
-    nearest = np.round(raw)
-    # written so that a NaN or infinite multiplicity fails too
-    bad = ~((np.abs(raw - nearest) <= INTEGER_TOL) & (nearest >= 1))
-    failing = bad.any(axis=-1) | (nearest.sum(axis=-1) != point_count)
-    if failing.any():
-        t = np.unravel_index(np.argmax(failing), failing.shape)
-        if bad[t].any():
-            j = int(np.argmax(bad[t]))
-            raise NumericalError(
-                f"multiplicity {j} is {float(raw[t][j])}, not within {INTEGER_TOL} "
-                "of a positive integer"
-            )
-        out = nearest[t].astype(np.int64).tolist()
-        raise NumericalError(
-            f"multiplicities {out} sum to {sum(out)}, expected {point_count}"
-        )
-    return nearest.astype(np.int64).tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    character_table: np.ndarray
-    multiplicities: tuple[int, ...]
-    seed: int
+    """The certified degrees of a commutative scheme, sorted, and
+    charpoly(T1^-1 T2) modulo each prime of their certificate (constant
+    first), which decides any other proposal too."""
+    degrees: list[int]
+    residues: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def accepts(self, degrees: list[int]) -> bool:
+        """Whether the certificate holds for ``degrees``: r integers in
+        [0, N] whose product of (x - m_j) is charpoly(T1^-1 T2) modulo every
+        prime."""
+        point_count = sum(self.degrees)
+        return (len(degrees) == len(self.degrees) and all(0 <= m <= point_count for m in degrees)
+                and all(_from_roots(degrees, q) == f for q, f in self.residues))
 
 
-def _orthogonality_defect(P: np.ndarray, m: list[int], valencies: np.ndarray,
-                          point_count: int) -> float:
-    """Max deviation of the row-orthogonality relations from the identity."""
-    weights = np.sqrt(np.asarray(m, dtype=float) / point_count)
-    S = (weights[:, None] * P) / np.sqrt(np.asarray(valencies, dtype=float))
-    gram = S @ S.conj().T
-    return float(np.abs(gram - np.eye(len(m))).max())
+def spectral_data(p: np.ndarray) -> SpectralData:
+    """The degrees of the scheme with intersection numbers p, certified
+    exactly.
 
-
-def spectral_data(p: np.ndarray, seed: int = DEFAULT_SEED) -> SpectralData:
-    """Character table and multiplicities of the scheme with intersection
-    numbers p."""
+    With B_a the left-regular matrices (``intersection_matrices``), k_a the
+    valencies and N their sum, take the integer r x r matrices
+    T1[a, b] = tr(B_a B_b) and T2[a, b] = N p[a][b][0], which is N k_a where
+    b is a's pair and 0 elsewhere.  With P the character table,
+    T1 = P^T P and T2 = P^T diag(m) P (Bannai-Ito, II.3), so the eigenvalues
+    of T1^-1 T2 are the multiplicities m_j.  Their float values, rounded,
+    are a proposal; it is accepted only if Prod_j (x - m_j) equals
+    charpoly(T1^-1 T2) modulo primes q < 2^30 that do not divide det T1,
+    until the primes' product passes 2 (N + 1)^r.  For the scheme of a
+    group action both sides are monic with integer roots in [0, N], so no
+    coefficient exceeds (N + 1)^r in size, and agreement modulo that
+    product is equality.  A proposal that fails raises a
+    ``NumericalError``; a p that is not commutative, an ``IntegrityError``
+    naming the first pair of matrices that do not commute.
+    """
     p = np.asarray(p)
-    valencies = p[:, :, 0].sum(axis=1)  # k_i = sum_j p[i][j][0]
-    point_count = int(valencies.sum())
-    B = intersection_matrices(p)
+    intersection_matrices(p)
     if not is_commutative(p):
         # [B_i, B_j] = sum_k (p[i][j][k] - p[j][i][k]) B_k; the B_k are independent
         i, j = np.argwhere((p != p.transpose(1, 0, 2)).any(axis=2))[0]
         raise IntegrityError(f"matrices {i} and {j} do not commute")
-    P = common_eigensystem(B, seed)
-    m = multiplicities(P, valencies, point_count)
-    if m[0] != 1:
-        raise NumericalError(f"valency character has multiplicity {m[0]}, expected 1")
-    defect = _orthogonality_defect(P, m, valencies, point_count)
-    if defect > INTEGER_TOL:
-        raise NumericalError(f"character rows are not orthonormal: defect {defect:.2e}")
-    return SpectralData(P, tuple(m), seed)
+    point_count = int(p[:, :, 0].sum())
+    T1, T2 = _trace_form(p), point_count * p[:, :, 0].astype(object)
+    try:
+        values = np.linalg.eigvals(np.linalg.solve(T1.astype(float), T2.astype(float)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"degree pencil: {exc}") from None
+    if not np.isfinite(values).all():
+        raise NumericalError("degree pencil: an eigenvalue of T1^-1 T2 is not finite")
+    data = SpectralData(sorted(int(m) for m in np.round(values.real)),
+                        _residues(T1, T2, point_count))
+    if not data.accepts(data.degrees):
+        raise NumericalError("degree pencil: the rounded eigenvalues of T1^-1 T2 fail "
+                             "their exact certificate")
+    return data
 
 
-def degree_multiset_from_p(p: np.ndarray, seed: int = DEFAULT_SEED) -> list[int]:
-    return sorted(spectral_data(p, seed).multiplicities)
+def _trace_form(p: np.ndarray) -> np.ndarray:
+    """T1[a, b] = tr(B_a B_b) = sum_(j, k) p[a][j][k] p[b][k][j], exactly:
+    one BLAS product while the bound r^2 max|p|^2 on every entry stays below
+    2^53, else over Python ints."""
+    r = len(p)
+    rows = p.reshape(r, r * r)
+    cols = p.transpose(0, 2, 1).reshape(r, r * r)
+    if r * r * int(np.abs(p).max(initial=0)) ** 2 < 2**53:
+        return (rows.astype(float) @ cols.T.astype(float)).astype(np.int64)
+    return rows.astype(object) @ cols.T.astype(object)
+
+
+def _residues(T1: np.ndarray, T2: np.ndarray,
+              point_count: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """charpoly(T1^-1 T2) modulo each prime below 2^30, largest first, that
+    does not divide det T1, until the primes' product passes
+    2 (N + 1)^r.  Every skipped prime exceeds 2^29 and divides det T1, so
+    once they outweigh Hadamard's bound on |det T1|, T1 is singular."""
+    bound = 2 * (point_count + 1) ** len(T1)
+    det_bits = float(np.log2(np.maximum(1.0, np.linalg.norm(T1.astype(float), axis=1))).sum())
+    residues, product, skipped = [], 1, 0
+    for q in _primes():
+        f = _charpoly_mod(T1, T2, q)
+        if f is None:
+            skipped += 1
+            if 29 * skipped > det_bits + 1:
+                raise NumericalError("degree pencil: the trace form T1 is singular")
+            continue
+        residues.append((q, f))
+        product *= q
+        if product > bound:
+            return tuple(residues)
+
+
+def _primes():
+    """The primes below 2^30, largest first: trial division by every prime
+    below 2^15 decides each candidate."""
+    sieve = np.ones(2**15, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, 182):  # 182^2 > 2^15
+        if sieve[k]:
+            sieve[k * k::k] = False
+    small = np.flatnonzero(sieve)
+    for n in range(2**30 - 1, 2**15, -2):
+        if (n % small).all():
+            yield n
+
+
+def _charpoly_mod(T1: np.ndarray, T2: np.ndarray, q: int) -> tuple[int, ...] | None:
+    """det(x I - T1^-1 T2) modulo q, constant first, or None where q
+    divides det T1.
+
+    Gauss-Jordan turns [T1 | T2] into [I | T1^-1 T2], elementary similarity
+    steps bring that to upper Hessenberg form H, and p_k, the
+    characteristic polynomial of H's leading k x k block, follows from
+    p_k = (x - h_kk) p_(k-1) - sum_(i<k) h_ik (prod_(i<t<=k) h_t,t-1) p_(i-1)
+    (1-based).  Residues stay below 2^30, so each product of two fits int64.
+    """
+    r = len(T1)
+    A = np.concatenate([T1 % q, T2 % q], axis=1).astype(np.int64)
+    for k in range(r):
+        pivots = np.flatnonzero(A[k:, k])
+        if not pivots.size:
+            return None
+        A[[k, k + pivots[0]]] = A[[k + pivots[0], k]]
+        A[k] = A[k] * pow(int(A[k, k]), -1, q) % q
+        column = A[:, k].copy()
+        column[k] = 0
+        A = (A - column[:, None] * A[k]) % q
+    H = A[:, r:]
+    for m in range(1, r - 1):
+        pivots = np.flatnonzero(H[m:, m - 1])
+        if not pivots.size:
+            continue
+        i = m + pivots[0]
+        H[[m, i]] = H[[i, m]]
+        H[:, [m, i]] = H[:, [i, m]]
+        u = H[m + 1:, m - 1] * pow(int(H[m, m - 1]), -1, q) % q
+        H[m + 1:] = (H[m + 1:] - u[:, None] * H[m]) % q  # row_i -= u_i row_m ...
+        H[:, m] = (H[:, m] + (H[:, m + 1:] * u % q).sum(axis=1)) % q  # ... col_m += u_i col_i
+    P = np.zeros((r + 1, r + 1), dtype=np.int64)  # row k: p_k, constant first
+    P[0, 0] = 1
+    chain = np.zeros(0, dtype=np.int64)  # chain[i] = prod_(i<t<k) H[t, t-1], 0-based
+    for k in range(1, r + 1):
+        if k > 1:
+            chain = np.append(chain, 1) * H[k - 1, k - 2] % q
+        row = np.zeros(r + 1, dtype=np.int64)
+        row[1:] = P[k - 1, :-1]
+        row = (row - H[k - 1, k - 1] * P[k - 1]) % q
+        weights = H[:k - 1, k - 1] * chain % q
+        P[k] = (row - (weights[:, None] * P[:k - 1] % q).sum(axis=0)) % q
+    return tuple(P[r].tolist())
+
+
+def _from_roots(roots: list[int], q: int) -> tuple[int, ...]:
+    """Prod_j (x - roots[j]) modulo q, constant first."""
+    f = [1]
+    for m in roots:
+        f = [(a - m * b) % q for a, b in zip([0, *f], [*f, 0])]
+    return tuple(f)
 
 
 def degrees_embed(here: list[int], there: list[int]) -> bool:
@@ -310,33 +271,42 @@ def degrees_embed(here: list[int], there: list[int]) -> bool:
     return not Counter(here) - Counter(there)
 
 
+def common_eigensystem(labels: np.ndarray, rank: int, seed: int = DEFAULT_SEED) -> list[list[int]]:
+    """The joint eigenspaces of the class adjacency matrices A_i =
+    (labels == i) of a commutative scheme, labels its N x N class table, as
+    clusters of eigenvalue indices.
+
+    Attempt a diagonalizes M = sum_i c_i A_i, c drawn from
+    ``default_rng(seed + a)``, and clusters its eigenvalues chained within
+    EIG_CLUSTER_RTOL of the largest modulus; it resolves when there are
+    rank clusters.  After MAX_SEED_TRIES attempts the last one's count is
+    named.
+    """
+    last_error = "no attempt made"
+    for attempt in range(MAX_SEED_TRIES):
+        coeffs = np.random.default_rng(seed + attempt).uniform(1.0, 2.0, size=rank)
+        evals = np.linalg.eigvals(coeffs[labels])  # one term of M per entry
+        clusters = _cluster_indices(evals, EIG_CLUSTER_RTOL * max(1.0, float(np.abs(evals).max())))
+        if len(clusters) == rank:
+            return clusters
+        last_error = (f"seed {seed + attempt} gave {len(clusters)} eigenvalue "
+                      f"clusters for rank {rank}")
+    raise NumericalError(f"dense oracle did not resolve: {last_error}")
+
+
 def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED) -> list[int]:
     """Degree multiset via the full N x N class adjacency matrices.
 
-    Independent of the intersection-number route: diagonalizes a random real
-    combination of the adjacency matrices read off the full label table and
-    reads off sorted eigenvalue cluster sizes, clustered within
-    EIG_CLUSTER_RTOL as in ``common_eigensystem``.  Only for N <= 243.
+    Independent of the intersection-number route: the sorted sizes of the
+    joint eigenspaces that ``common_eigensystem`` finds from the full label
+    table.  Only for N <= 243.
     """
     size = scheme.point_count
     if size > DENSE_ORACLE_CAP:
         raise SizeCapError(
             f"dense oracle needs {size} points, cap is {DENSE_ORACLE_CAP}", size=size
         )
-    labels = scheme.labels
-    last_error = "no attempt made"
-    for attempt in range(MAX_SEED_TRIES):
-        rng = np.random.default_rng(seed + attempt)
-        coeffs = rng.uniform(1.0, 2.0, size=scheme.rank)
-        M = coeffs[labels]  # sum_i coeffs[i] * (labels == i), one term per entry
-        evals = np.linalg.eigvals(M)
-        atol = EIG_CLUSTER_RTOL * max(1.0, float(np.abs(evals).max()))
-        clusters = _cluster_indices(evals, atol)
-        if len(clusters) == scheme.rank:
-            return sorted(len(c) for c in clusters)
-        last_error = (f"seed {seed + attempt} gave {len(clusters)} eigenvalue "
-                      f"clusters for rank {scheme.rank}")
-    raise NumericalError(f"dense oracle did not resolve: {last_error}")
+    return sorted(len(c) for c in common_eigensystem(scheme.labels, scheme.rank, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Each suite draws its cases as arrays, _CASE_BLOCK at a time (word lengths,
 generator picks and sign bits; vertex levels and digits; point and class
-pairs; the seed-independence suite's seeds), and checks them one by one.
-The seed suite solves each block of seeds in one ``common_eigensystems``
-call, whose byte budget alone bounds the solve's memory.  The label suite
-moves a case's two points by ``act``, so it builds nothing N-sized per
-case.  The seed fixes every suite's cases, block by block: one generator
-serves the suites in their fixed order.
+pairs; the degree certificate's pairs of degrees), and checks them one by
+one.  The label suite moves a case's two points by ``act``, so it builds
+nothing N-sized per case.  The degree certificate suite certifies the
+level's degrees once, by ``spectral_data``'s integer pencil, and holds them
+equal to the closed form wherever the cone route certifies the level; each
+of its cases moves one unit of multiplicity between two degrees, and the
+certificate must refuse the result.  The seed fixes every suite's cases,
+block by block: one generator serves the suites in their fixed order.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .orbits import cone_certificate
 from .scheme import build_scheme, is_commutative
-from .spectral import (DEFAULT_SEED, common_eigensystems, intersection_matrices,
-                       multiplicities)
+from .spectral import DEFAULT_SEED, spectral_data, wreath_power_degrees
 from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
 from .wreath import Word, WreathPresentation, act, section
 
@@ -168,44 +169,49 @@ def _scheme_axioms(scheme, rng, cases):
     return _run_cases("scheme_axioms", cases, draw, check)
 
 
-def _multiplicity_seed_independence(scheme, rng, cases, seed):
-    if not is_commutative(scheme.p):
-        return SuiteResult("multiplicity_seed_independence", 0, 0,
-                           "skipped: scheme is not commutative")
-    B = intersection_matrices(scheme.p)
-    case_seeds = itertools.count(seed + 1000)
-    baseline = []
+def closed_form_degrees(pres: WreathPresentation, n: int, ray: Ray,
+                        cap: int = DEFAULT_LEVEL_CAP) -> list[int] | None:
+    """The exact degrees of level n where the cone certificate passes and
+    G_1's orbital scheme is commutative; else None."""
+    orbital = cone_certificate(pres, n, ray, cap)
+    return None if orbital is None else wreath_power_degrees(orbital, n)
 
-    def degrees(tables):
-        return [tuple(sorted(m)) for m in
-                multiplicities(tables, scheme.valencies, scheme.point_count)]
+
+def _degree_certificate(pres, scheme, ray, cap, rng, cases):
+    name = "degree_certificate"
+    if not is_commutative(scheme.p):
+        return SuiteResult(name, 0, 0, "skipped: scheme is not commutative")
+    data = spectral_data(scheme.p)
+    degrees = data.degrees
+    closed = closed_form_degrees(pres, scheme.level, ray, cap)
+    disagreement = ""
+    if closed is not None and closed != degrees:
+        j, (ours, theirs) = next((j, pair) for j, pair in
+                                 enumerate(itertools.zip_longest(degrees, closed))
+                                 if pair[0] != pair[1])
+        disagreement = f"pencil degree {j} is {ours}, closed form {theirs}"
+    # a unit moves from the smaller of two distinct degrees to the larger,
+    # so the multiset always changes; with one value, between equal ones
+    m = np.asarray(degrees)
+    pairs = np.argwhere(m[:, None] < m[None, :])
+    if not len(pairs):
+        pairs = np.argwhere(~np.eye(len(m), dtype=bool))
+    if not len(pairs):
+        return SuiteResult(name, 0, 0, "skipped: rank 1 has no other proposal")
 
     def draw(k):
-        # the baseline seed leads the first block's solve
-        block = list(itertools.islice(case_seeds, k))
-        tables = common_eigensystems(B, block if baseline else [seed, *block])
-        try:
-            found = degrees(tables)
-        except NumericalError:  # find the failing seeds, one table at a time
-            found = []
-            for table in tables:
-                try:
-                    found += degrees(table[None])
-                except NumericalError as exc:
-                    found.append(exc)
-        if not baseline:
-            baseline.append(found.pop(0))
-            if isinstance(baseline[0], NumericalError):
-                raise baseline[0]
-        return zip(block, found)
+        return pairs[rng.integers(len(pairs), size=k)].tolist()
 
-    def check(case_seed, other):
-        if isinstance(other, NumericalError):
-            return f"seed {case_seed}: {other}"
-        if other != baseline[0]:
-            return f"seed {case_seed} gave {other}, baseline {baseline[0]}"
+    def check(a, b):
+        if disagreement:
+            return disagreement
+        wrong = list(degrees)
+        wrong[a] -= 1
+        wrong[b] += 1
+        if data.accepts(wrong):
+            return f"the certificate accepted the wrong degrees {sorted(wrong)}"
         return ""
-    return _run_cases("multiplicity_seed_independence", cases, draw, check)
+    return _run_cases(name, cases, draw, check)
 
 
 def run_verification(pres: WreathPresentation, n: int, ray: Ray,
@@ -220,5 +226,5 @@ def run_verification(pres: WreathPresentation, n: int, ray: Ray,
         _inverse_identity(pres, rng, cases),
         _label_invariance(pres, scheme, rng, cases),
         _scheme_axioms(scheme, rng, cases),
-        _multiplicity_seed_independence(scheme, rng, cases, seed),
+        _degree_certificate(pres, scheme, ray, cap, rng, cases),
     ]

@@ -13,10 +13,9 @@ from itertools import product
 import pytest
 
 from selfsim import (bfs_group_order, build_scheme, builtin,
-                     degree_multiset_from_p, dense_commutant_oracle,
-                     is_commutative, oracle_suborbits, run_verification,
-                     stabilizer_suborbits)
-from selfsim.spectral import INTEGER_TOL, degrees_embed
+                     dense_commutant_oracle, is_commutative, oracle_suborbits,
+                     run_verification, spectral_data, stabilizer_suborbits)
+from selfsim.spectral import degrees_embed
 
 BINARY = ("grigorchuk", "grigorchuk-tilde")
 TERNARY = ("gamma", "gamma-bar", "gupta-sidki")
@@ -106,12 +105,11 @@ def test_gelfand_property(schemes):
 
 
 def test_component_degrees(schemes):
-    assert INTEGER_TOL == 1e-6
     checked = 0
     for key in BINARY + TERNARY:
         degree = builtin(key).degree
         for n in range(1, DEGREE_LEVELS[degree] + 1):
-            got = degree_multiset_from_p(schemes[key, n].p)
+            got = spectral_data(schemes[key, n].p).degrees
             assert got == expected_degrees(degree, n), (key, n)
             assert sum(got) == degree ** n, (key, n)
             checked += 1
@@ -134,8 +132,8 @@ def test_tower_nesting():
     for key in BINARY + TERNARY:
         entry = builtin(key)
         top = BINARY_MAX if entry.degree == 2 else TERNARY_MAX
-        degrees = [degree_multiset_from_p(build_scheme(entry.presentation, n,
-                                                       entry.default_ray).p)
+        degrees = [spectral_data(build_scheme(entry.presentation, n,
+                                              entry.default_ray).p).degrees
                    for n in range(top + 1)]
         for n in range(top):
             assert degrees_embed(degrees[n], degrees[n + 1]), (key, n)
@@ -152,7 +150,7 @@ def test_independent_oracles():
             assert oracle_suborbits(entry.presentation, n, entry.default_ray) == parts
             scheme = build_scheme(entry.presentation, n, entry.default_ray)
             assert (dense_commutant_oracle(scheme)
-                    == degree_multiset_from_p(scheme.p))
+                    == spectral_data(scheme.p).degrees)
     for key in TERNARY:
         entry = builtin(key)
         # full-group enumeration is only feasible through level 2 here
@@ -162,7 +160,7 @@ def test_independent_oracles():
         for n in range(1, 6):
             scheme = build_scheme(entry.presentation, n, entry.default_ray)
             assert (dense_commutant_oracle(scheme)
-                    == degree_multiset_from_p(scheme.p))
+                    == spectral_data(scheme.p).degrees)
     grig = builtin("grigorchuk").presentation
     assert [bfs_group_order(grig, n) for n in (1, 2, 3)] == [2, 8, 128]
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_orbits import ADDING_MACHINE
 from test_properties import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE
@@ -311,7 +312,7 @@ def test_non_gelfand_scheme_and_verify_exit_zero(capsys, tmp_path):
     assert code == 0 and doc["commutative"] is False
     code, out, _ = run(capsys, "verify", *source, "--cases", "5")
     assert code == 0
-    assert out.splitlines()[-1] == ("PASS multiplicity_seed_independence: 0 cases "
+    assert out.splitlines()[-1] == ("PASS degree_certificate: 0 cases "
                                     "(skipped: scheme is not commutative)")
 
 
@@ -588,7 +589,7 @@ def test_uncached_decompose_makes_no_scheme_document(capsys, monkeypatch, flags)
 
 
 def _unreachable(*args, **kwargs):
-    raise AssertionError("a certified level built p or ran the float solver")
+    raise AssertionError("a certified level built p or solved the degree pencil")
 
 
 @pytest.mark.parametrize("argv", [
@@ -596,7 +597,7 @@ def _unreachable(*args, **kwargs):
     ("--group", "gupta-sidki", "--level", "12"),
 ], ids=["grigorchuk-20", "gupta-sidki-12"])
 def test_certified_decompose_runs_no_eigen_solve(capsys, monkeypatch, argv):
-    monkeypatch.setattr("selfsim.spectral.common_eigensystems", _unreachable)
+    monkeypatch.setattr("selfsim.cli.spectral_data", _unreachable)
     code, doc, err = run_json(capsys, "decompose", *argv)
     assert (code, err) == (0, "")
     assert doc["degrees"] == builtin(argv[1]).expected_degrees(int(argv[3]))
@@ -619,7 +620,7 @@ def test_certified_nesting_and_oracle_build_no_p_for_the_degrees(capsys, monkeyp
                                                                 tmp_path):
     # --nesting runs level n+1's certificate only; --oracle builds level n's
     # scheme for the dense check alone, and no cache is touched.
-    for name in ("selfsim.spectral.common_eigensystems", "selfsim.cli._scheme_data",
+    for name in ("selfsim.cli.spectral_data", "selfsim.cli._scheme_data",
                  "selfsim.cache.load", "selfsim.cache.store"):
         monkeypatch.setattr(name, _unreachable)
     built = []
@@ -643,16 +644,69 @@ def test_certified_nesting_and_oracle_build_no_p_for_the_degrees(capsys, monkeyp
 def test_certified_level_without_a_closed_form_takes_the_float_route(capsys, monkeypatch,
                                                                      flags):
     # A non-commutative G_1 scheme has no closed form (from degree 6 on, so
-    # it is simulated here): decompose reads the degrees off p, as before.
+    # it is simulated here): decompose reads the degrees off p, by the
+    # certified pencil, and prints what the closed form prints.
     argv = ("decompose", "--group", "grigorchuk-tilde", "--level", "4", *flags)
     closed = run(capsys, *argv)
-    monkeypatch.setattr("selfsim.cli.wreath_power_degrees", lambda orbital, n: None)
+    monkeypatch.setattr("selfsim.verify.wreath_power_degrees", lambda orbital, n: None)
     solves = []
-    honest = selfsim.spectral.common_eigensystems
-    monkeypatch.setattr("selfsim.spectral.common_eigensystems",
+    honest = selfsim.cli.spectral_data
+    monkeypatch.setattr("selfsim.cli.spectral_data",
                         lambda *a: solves.append(1) or honest(*a))
     assert run(capsys, *argv) == closed
     assert len(solves) == (2 if "--nesting" in flags else 1)
+
+
+def test_a_p_with_one_entry_changed_prints_no_degree(capsys, monkeypatch, tmp_path):
+    # Every entry of the declined level's p moved by +1 and by -1: the
+    # product rule or the certificate refuses each with exit 2 before
+    # anything reaches stdout, for level n and for --nesting's level n+1.
+    path = tmp_path / "finer.txt"
+    path.write_text(FINER_THAN_CONES)
+    source = ("--file", str(path), "--ray", "3", "--level", "2")
+    honest = selfsim.cli._scheme_data
+    valencies, pairing, p = honest(build_parser().parse_args(["decompose", *source]),
+                                   parse_presentation(FINER_THAN_CONES), 2,
+                                   parse_ray("3", 3), None)
+    kinds = set()
+    for entry in np.ndindex(p.shape):
+        for delta in (1, -1):
+            bad = p.copy()
+            bad[entry] += delta
+            for flags, level in (((), 2), (("--nesting",), 3)):
+                monkeypatch.setattr(
+                    "selfsim.cli._scheme_data",
+                    lambda args, pres, n, *rest: (valencies, pairing, bad) if n == level
+                    else honest(args, pres, n, *rest))
+                code, out, err = run(capsys, "decompose", *source[:-1], "2", *flags, "--json")
+                assert (code, out) == (2, ""), (entry, delta, flags)
+                kinds.add(json.loads(err)["error"])
+    assert kinds == {"IntegrityError", "NumericalError"}
+
+
+@pytest.mark.parametrize("flags", [(), ("--nesting",)])
+def test_a_float_proposal_off_by_one_exits_two(capsys, monkeypatch, tmp_path, flags):
+    # The last float solve, level n's or --nesting's level n+1, proposes
+    # one degree one unit too large: NumericalError, exit 2, no degree.
+    path = tmp_path / "finer.txt"
+    path.write_text(FINER_THAN_CONES)
+    eigvals, solves = np.linalg.eigvals, []
+
+    def off_by_one(M):
+        values = eigvals(M)
+        solves.append(len(M))
+        if len(solves) == 1 + len(flags):
+            values[0] += 1
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvals", off_by_one)
+    code, out, err = run(capsys, "decompose", "--file", str(path), "--ray", "3",
+                         "--level", "3", *flags, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "NumericalError",
+                               "message": "degree pencil: the rounded eigenvalues of "
+                                          "T1^-1 T2 fail their exact certificate"}
+    assert len(solves) == 1 + len(flags)
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

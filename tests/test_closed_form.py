@@ -1,9 +1,10 @@
-"""The exact degrees of a cone-certified level against the float route.
+"""The exact degrees of a cone-certified level against the pencil route.
 
 ``spectral.wreath_power_degrees`` reads a certified level's rank, Gelfand
 verdict and degrees off G_1's letter-orbital table.  Here they are held
-against ``degree_multiset_from_p`` and ``is_commutative`` on the built
-scheme's p, and against the dense oracle where N <= 243, on fixed families:
+against ``spectral_data``'s certified pencil (a float proposal checked
+exactly) and ``is_commutative`` on the built scheme's p, and against the
+dense oracle where N <= 243, on fixed families:
 the catalog, the five fixed cone cases and a seeded random family.  Fixed
 families, not hypothesis draws, so that editing a test body never swaps
 the inputs it checks.  The integer helpers are checked on their own, and
@@ -23,8 +24,8 @@ from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError
 from selfsim.orbits import cone_certificate
 from selfsim.scheme import build_scheme, is_commutative
-from selfsim.spectral import (DENSE_ORACLE_CAP, degree_multiset_from_p,
-                              dense_commutant_oracle, wreath_power_degrees)
+from selfsim.spectral import (DENSE_ORACLE_CAP, dense_commutant_oracle, spectral_data,
+                              wreath_power_degrees)
 from selfsim.tree import Ray, Vertex, parse_ray
 from selfsim.wreath import GeneratorRule, Word, WreathPresentation, parse_presentation
 
@@ -32,7 +33,7 @@ RANDOM_DRAWS = 1500
 
 
 def _check_level(pres, n, ray):
-    """Compare the closed form with the float route on one level; False
+    """Compare the closed form with the pencil route on one level; False
     where the certificate declines the level."""
     orbital = cone_certificate(pres, n, ray)
     if orbital is None:
@@ -41,7 +42,7 @@ def _check_level(pres, n, ray):
     scheme = build_scheme(pres, n, ray)
     assert is_commutative(scheme.p), (pres.to_text(), n)
     assert len(degrees) == scheme.rank, (pres.to_text(), n)
-    assert degrees == degree_multiset_from_p(scheme.p), (pres.to_text(), n)
+    assert degrees == spectral_data(scheme.p).degrees, (pres.to_text(), n)
     if scheme.point_count <= DENSE_ORACLE_CAP:
         assert degrees == dense_commutant_oracle(scheme), (pres.to_text(), n)
     return True

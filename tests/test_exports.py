@@ -10,7 +10,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # Public names dropped from the library; each has a direct replacement
 # (see README and CHANGES.md).
 REMOVED = ("schreier_generators", "hecke_dimension", "degree_multiset",
-           "tower_nesting_check", "vertices_at_level", "is_trivial_at_level")
+           "tower_nesting_check", "vertices_at_level", "is_trivial_at_level",
+           "degree_multiset_from_p", "multiplicities", "common_eigensystem")
 
 
 def _entry_points(text):

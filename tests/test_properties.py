@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from eigen_reference import first_non_commuting_pair, least_members, scalar_eigensystem
+from eigen_reference import first_non_commuting_pair, least_members
 from label_table import table_route
 from scheme_routes import fold_scheme, oracle_scheme
 from suborbit_reference import permutation_route, schreier_pairs
@@ -27,9 +27,7 @@ from selfsim.orbits import (cone_suborbits, merge_components, oracle_suborbits,
                             orbit_transversal, stabilizer_suborbits,
                             suborbits_from_transversal)
 from selfsim.scheme import build_scheme, is_commutative
-from selfsim.spectral import (DEFAULT_SEED, common_eigensystems,
-                              degree_multiset_from_p, dense_commutant_oracle,
-                              intersection_matrices, multiplicities, spectral_data)
+from selfsim.spectral import dense_commutant_oracle, intersection_matrices, spectral_data
 from selfsim.tree import Ray, Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             generator_level_perms, parse_presentation)
@@ -343,27 +341,7 @@ def test_scheme_matches_the_label_table(case):
             assert scheme.pairing == pairing, pres.to_text()
             if is_commutative(scheme.p):
                 assert (dense_commutant_oracle(scheme)
-                        == degree_multiset_from_p(scheme.p)), pres.to_text()
-
-
-@PROPERTY_SETTINGS
-@given(presentations())
-def test_batched_eigensystem_matches_the_scalar_reference(case):
-    pres, ray = case
-    for n in range(4):
-        try:
-            scheme = build_scheme(pres, n, ray)
-        except NotTransitiveError:
-            return
-        if not is_commutative(scheme.p):
-            continue
-        B = intersection_matrices(scheme.p)
-        seeds = (1002, DEFAULT_SEED, 1000, 1001, 1000)  # out of order, one duplicate
-        for seed, P in zip(seeds, common_eigensystems(B, seeds), strict=True):
-            Q = scalar_eigensystem(B, seed)
-            assert np.allclose(P, Q, rtol=0, atol=1e-9), pres.to_text()
-            assert (multiplicities(P, scheme.valencies, scheme.point_count)
-                    == multiplicities(Q, scheme.valencies, scheme.point_count)), pres.to_text()
+                        == spectral_data(scheme.p).degrees), pres.to_text()
 
 
 @PROPERTY_SETTINGS

@@ -19,7 +19,7 @@ from selfsim.render import orbital_graph_dot
 from selfsim.scheme import (_VIOLATION_LIMIT, _axiom_messages, axiom_violations,
                             build_scheme, scheme_from_partition,
                             is_commutative, scheme_json_doc, verify_scheme_axioms)
-from selfsim.spectral import degree_multiset_from_p, dense_commutant_oracle
+from selfsim.spectral import dense_commutant_oracle, spectral_data
 from selfsim.tree import parse_ray
 from selfsim.verify import _label_invariance, _scheme_axioms
 from selfsim.wreath import level_permutation, parse_presentation
@@ -189,7 +189,7 @@ def test_row_route_matches_the_label_table(key):
         p, pairing = table_route(s)
         assert np.array_equal(s.p, p), (key, n)
         assert s.pairing == pairing, (key, n)
-        assert dense_commutant_oracle(s) == degree_multiset_from_p(s.p), (key, n)
+        assert dense_commutant_oracle(s) == spectral_data(s.p).degrees, (key, n)
 
 
 def _declined():

@@ -1,21 +1,23 @@
+import itertools
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from eigen_reference import chained_clusters, scalar_eigensystem
+from eigen_reference import chained_clusters
 from product_rule_reference import product_rule_reference
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim import spectral
-from selfsim.catalog import builtin, keys
+from selfsim.catalog import builtin
+from selfsim.cli import main
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
-from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _cluster_indices,
-                              _product_dtype, _slice_classes, common_eigensystem,
-                              common_eigensystems,
-                              degree_multiset_from_p, degrees_embed,
-                              dense_commutant_oracle, intersection_matrices,
-                              multiplicities, spectral_data)
+from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _charpoly_mod, _cluster_indices,
+                              _characteristic_polynomial, _primes, _product_dtype, _residues,
+                              _slice_classes, common_eigensystem, degrees_embed,
+                              dense_commutant_oracle, intersection_matrices, spectral_data)
 from selfsim.tree import parse_ray
 from selfsim.wreath import parse_presentation
 
@@ -41,35 +43,30 @@ def test_inverse_classes_multiply_to_identity():
     assert np.array_equal(B[1] @ B[2], B[0])
 
 
+def _clusters(scheme, seed=DEFAULT_SEED):
+    return common_eigensystem(scheme.labels, scheme.rank, seed)
+
+
 def test_eigensystem_swap_scheme():
-    B = intersection_matrices(_scheme("grigorchuk", 1).p)
-    P = common_eigensystem(B)
-    assert np.allclose(P, [[1, 1], [1, -1]])
+    # c_0 I + c_1 (the swap) has the eigenvalues c_0 + c_1 and c_0 - c_1
+    assert sorted(_clusters(_scheme("grigorchuk", 1))) == [[0], [1]]
 
 
 def test_eigensystem_three_cycle_scheme():
-    P = common_eigensystem(intersection_matrices(_scheme("gupta-sidki", 1).p))
-    zeta = np.exp(2j * np.pi / 3)
-    assert np.allclose(P[0], [1, 1, 1])
-    rows = {tuple(np.round(row, 6)) for row in P[1:]}
-    want = {tuple(np.round([1, zeta, zeta.conjugate()], 6)),
-            tuple(np.round([1, zeta.conjugate(), zeta], 6))}
-    assert rows == want
-    assert np.allclose(P[1], [1, zeta.conjugate(), zeta])  # imag-ascending tie order
+    # the three characters of Z/3 on its regular module, one point each
+    assert sorted(_clusters(_scheme("gupta-sidki", 1))) == [[0], [1], [2]]
 
 
 def test_eigensystem_rank_one():
-    P = common_eigensystem(intersection_matrices(_scheme("gamma", 0).p))
-    assert np.allclose(P, [[1]])
+    assert _clusters(_scheme("gamma", 0)) == [[0]]
 
 
 def test_eigensystem_rejects_non_commuting():
-    # No commutation check: a swap and a projection share no eigenbasis, so
-    # every seed leaves a residual.
-    a = np.array([[0, 1], [1, 0]])
-    b = np.array([[1, 0], [0, 0]])
-    with pytest.raises(NumericalError, match="left eigenvector residual"):
-        common_eigensystem(np.stack([a, b]))
+    # A non-commutative scheme's algebra has a block of size e > 1, which
+    # gives e eigenvalues, not e^2: fewer clusters than classes, every seed.
+    scheme = build_scheme(parse_presentation(NON_COMMUTATIVE), 3, parse_ray("2", 2))
+    with pytest.raises(NumericalError, match=f"clusters for rank {scheme.rank}$"):
+        _clusters(scheme)
 
 
 def test_eigensystem_names_the_first_non_commuting_pair():
@@ -82,10 +79,11 @@ def test_eigensystem_names_the_first_non_commuting_pair():
 
 
 def test_eigensystem_gives_up_after_the_seed_retries():
+    # A third class that no label names can never be told apart.
     last = DEFAULT_SEED + MAX_SEED_TRIES - 1
-    with pytest.raises(NumericalError,
-                       match=f"seed {last} separated only 1 of 2 joint eigenspaces"):
-        common_eigensystem(np.stack([np.eye(2), np.eye(2)]))
+    with pytest.raises(NumericalError, match=f"^dense oracle did not resolve: seed {last} "
+                                             "gave 2 eigenvalue clusters for rank 3$"):
+        common_eigensystem(_scheme("grigorchuk", 1).labels, 3)
 
 
 @pytest.mark.parametrize("entry,pair", [((2, 1, 2), (2, 1)), ((3, 3, 0), (1, 3))])
@@ -159,6 +157,18 @@ def test_product_rule_past_float64_runs_in_int64():
                     == _product_rule_verdict(product_rule_reference, bad)), (entry, delta)
 
 
+def test_pencil_past_float64_runs_over_python_ints():
+    # The same complete graph: r^2 max|p|^2 is past 2^53, so T1 is summed
+    # over Python ints; the degrees are 1 and N - 1.
+    size = 2**27
+    p = np.zeros((2, 2, 2), dtype=np.int64)
+    p[0] = np.eye(2, dtype=np.int64)
+    p[1, 0] = [0, 1]
+    p[1, 1] = [size - 1, size - 2]
+    assert spectral._trace_form(p).dtype == object
+    assert spectral_data(p).degrees == [1, size - 1]
+
+
 def test_product_rule_check_keeps_to_its_byte_budget():
     # Rank 42 (FINER_THAN_CONES, level 5): its r^4 products are checked a
     # few classes at a time, near 7 MB; slices of 16 MiB peak near
@@ -200,205 +210,60 @@ def test_cluster_indices_chain_within_atol(values, atol, want):
     assert chained_clusters(values, atol) == want
 
 
-# Out of order, with one duplicate.
-_SEEDS = (1003, DEFAULT_SEED, 1000, 1002, 1001, 1000)
-
-
-@pytest.mark.parametrize("key", keys())
-def test_batched_eigensystem_matches_the_scalar_reference(key, monkeypatch):
-    # One call solves every seed; each table is the scalar route's for that
-    # seed, whether the seeds share one stack or, at a one-byte budget, take
-    # one chunk each.
-    e = builtin(key)
-    top = 6 if e.presentation.degree == 2 else 4
-    for n in range(top + 1):
-        scheme = build_scheme(e.presentation, n, e.default_ray)
-        B = intersection_matrices(scheme.p)
-        tables = common_eigensystems(B, _SEEDS)
-        with monkeypatch.context() as m:
-            m.setattr("selfsim.spectral._TEMP_BYTES", 1)
-            one_each = common_eigensystems(B, _SEEDS)
-        assert len(tables) == len(one_each) == len(_SEEDS)
-        for seed, P, P1 in zip(_SEEDS, tables, one_each):
-            Q = scalar_eigensystem(B, seed)
-            assert np.allclose(P, Q, rtol=0, atol=1e-9), (key, n, seed)
-            assert np.allclose(P1, Q, rtol=0, atol=1e-9), (key, n, seed)
-            assert (multiplicities(P, scheme.valencies, scheme.point_count)
-                    == multiplicities(Q, scheme.valencies, scheme.point_count))
-        assert np.allclose(common_eigensystem(B, DEFAULT_SEED), tables[1], rtol=0, atol=1e-9)
-
-
-def test_batch_names_the_first_unresolved_seed():
-    # Every seed fails on the identity family; the error names the first
-    # input seed's last attempt, not the smallest seed's.
-    last = 50 + MAX_SEED_TRIES - 1
-    with pytest.raises(NumericalError,
-                       match=f"^common eigensystem did not resolve: seed {last} separated "
-                             "only 1 of 2 joint eigenspaces$"):
-        common_eigensystems(np.stack([np.eye(2), np.eye(2)]), [50, 7, 50, 3])
-
-
 def test_a_seed_that_fails_its_first_attempt_resolves_on_the_next(monkeypatch):
-    # Round 0 solves all seeds as one stack; member 2's eigenvalues are made
-    # to coincide there, so only that seed goes on to attempt 1, the scalar
-    # route's attempt 0 of seed + 1, and every other seed keeps its table.
-    B = intersection_matrices(_scheme("gupta-sidki", 3).p)
-    seeds = [11, 40, 23, 7]
-    eig, stacks = np.linalg.eig, []
+    # Attempt 0's eigenvalues are made to coincide, so attempt 1 diagonalizes
+    # the combination drawn from seed + 1 and its clusters are returned.
+    scheme = _scheme("gupta-sidki", 2)
+    eigvals, seen = np.linalg.eigvals, []
 
-    def first_round_fails_member_two(M):
-        evals, V = eig(M)
-        if not stacks:
-            evals[2, 1] = evals[2, 0]
-        stacks.append(M.copy())
-        return evals, V
+    def first_attempt_fails(M):
+        seen.append(M.copy())
+        values = eigvals(M)
+        return np.zeros_like(values) if len(seen) == 1 else values
 
-    monkeypatch.setattr(np.linalg, "eig", first_round_fails_member_two)
-    tables = common_eigensystems(B, seeds)
-
-    def combination(seed):
-        coeffs = np.random.default_rng(seed).uniform(1.0, 2.0, size=len(B))
-        return np.tensordot(coeffs, B, axes=(0, 0))
-
-    assert [len(M) for M in stacks] == [4, 1]
-    assert np.allclose(stacks[0], [combination(seed) for seed in seeds], rtol=0, atol=1e-12)
-    assert np.allclose(stacks[1][0], combination(24), rtol=0, atol=1e-12)
-    for k, seed in enumerate(seeds):
-        want = scalar_eigensystem(B, seed + 1 if k == 2 else seed)
-        assert np.allclose(tables[k], want, rtol=0, atol=1e-9), seed
-
-
-def test_batched_eigensystem_keeps_to_its_byte_budget():
-    # Rank 15 (gupta-sidki 7), 200 seeds: one stack of B V would take
-    # 200 * 16 * 15^3 bytes, 10.8 MB, and the solve peaks near 23 MB.  In
-    # chunks, beyond the 200 tables it returns, it holds a few temporaries
-    # of at most _TEMP_BYTES each.
-    B = intersection_matrices(_scheme("gupta-sidki", 7).p)
-    assert len(B) == 15
-    common_eigensystems(B, range(3))  # numpy's lazy imports happen outside the trace
-    tracemalloc.start()
-    try:
-        tables = common_eigensystems(B, range(200))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    table_bytes = sum(P.nbytes for P in tables)
-    assert table_bytes == 200 * 16 * 15**2
-    assert peak < table_bytes + 6 * spectral._TEMP_BYTES
-
-
-def test_one_seed_keeps_to_the_byte_budget_at_high_rank():
-    # Rank 42 (FINER_THAN_CONES, level 5): one seed's products B_i V are
-    # formed one class at a time, so beside one float copy of B the solve
-    # holds a few temporaries of at most _TEMP_BYTES each.  All r products
-    # at once would take 16 * 42^3 bytes, 1.19 MB.
-    p = build_scheme(parse_presentation(FINER_THAN_CONES), 5, parse_ray("3", 3)).p
-    B = intersection_matrices(p)
-    assert len(B) == 42
-    common_eigensystem(B, DEFAULT_SEED)  # numpy's lazy imports happen outside the trace
-    tracemalloc.start()
-    try:
-        common_eigensystem(B, DEFAULT_SEED)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < B.nbytes + 6 * spectral._TEMP_BYTES
-
-
-def _stacked_at(B, seed, others, where):
-    """seed's table from one solve of seed among others, placed first, in the
-    middle or last."""
-    k = {"first": 0, "middle": len(others) // 2, "last": len(others)}[where]
-    return common_eigensystems(B, [*others[:k], seed, *others[k:]])[k]
-
-
-def _multiplicity_error(P, valencies, point_count):
-    with pytest.raises(NumericalError) as caught:
-        multiplicities(P, valencies, point_count)
-    return str(caught.value)
-
-
-@pytest.mark.parametrize("size", [3, 50, 1024])
-def test_a_seeds_table_does_not_depend_on_its_stack(size):
-    # At grigorchuk 17 (rank 18) case seed 2786 misses an integer by more
-    # than INTEGER_TOL, and verify prints its float digits.  Each seed's M
-    # is formed by itself and eig solves each member alone, so its table,
-    # and the error read off it, are bit for bit those of a lone solve
-    # wherever it stands in a stack.  Compared within one process only, as
-    # the digits may differ between numpy builds.
-    s = _scheme("grigorchuk", 17)
-    B = intersection_matrices(s.p)
-    alone = common_eigensystems(B, [2786])[0]
-    error = _multiplicity_error(alone, s.valencies, s.point_count)
-    assert error.startswith("multiplicity ") and "not within 1e-06" in error
-    others = list(range(3000, 3000 + size - 1))
-    for where in ("first", "middle", "last"):
-        P = _stacked_at(B, 2786, others, where)
-        assert np.array_equal(P, alone), (size, where)
-        assert _multiplicity_error(P, s.valencies, s.point_count) == error
-
-
-@pytest.mark.parametrize("key", keys())
-def test_stacked_tables_equal_one_seed_chunks(key, monkeypatch):
-    # verify's level of each group, where the default budget stacks 33 or
-    # more seeds: every table equals the one a one-byte budget gives, one
-    # seed per chunk, and the lone solve of any seed.
-    n = 8 if builtin(key).presentation.degree == 2 else 5
-    B = intersection_matrices(_scheme(key, n).p)
-    seeds = list(range(2729, 2829))
-    tables = common_eigensystems(B, seeds)
-    with monkeypatch.context() as m:
-        m.setattr("selfsim.spectral._TEMP_BYTES", 1)
-        one_each = common_eigensystems(B, seeds)
-    assert np.array_equal(tables, one_each)
-    for where in ("first", "middle", "last"):
-        assert np.array_equal(_stacked_at(B, 2786, seeds[:49], where), tables[57])
+    monkeypatch.setattr(np.linalg, "eigvals", first_attempt_fails)
+    clusters = _clusters(scheme, seed=40)
+    assert len(seen) == 2 and len(clusters) == scheme.rank
+    for k, M in enumerate(seen):
+        coeffs = np.random.default_rng(40 + k).uniform(1.0, 2.0, size=scheme.rank)
+        assert np.array_equal(M, coeffs[scheme.labels])
+    assert sorted(map(len, clusters)) == dense_commutant_oracle(scheme)
 
 
 def test_multiplicities_examples():
-    s = _scheme("grigorchuk", 1)
-    P = common_eigensystem(intersection_matrices(s.p))
-    assert multiplicities(P, s.valencies, 2) == [1, 1]
-    s = _scheme("gupta-sidki", 1)
-    P = common_eigensystem(intersection_matrices(s.p))
-    assert multiplicities(P, s.valencies, 3) == [1, 1, 1]
-    assert sorted(spectral_data(_scheme("grigorchuk", 3).p).multiplicities) == [1, 1, 2, 4]
+    assert spectral_data(_scheme("grigorchuk", 1).p).degrees == [1, 1]
+    assert spectral_data(_scheme("gupta-sidki", 1).p).degrees == [1, 1, 1]
+    assert spectral_data(_scheme("grigorchuk", 3).p).degrees == [1, 1, 2, 4]
 
 
-def test_multiplicities_reject_non_integral():
-    # The value prints as a float under every numpy version, never as
-    # np.float64(...).
-    P = np.array([[1.0, 1.0], [1.0, -0.5]], dtype=complex)
-    with pytest.raises(NumericalError, match=r"^multiplicity 1 is 1\.6, not within 1e-06 "
-                                             r"of a positive integer$"):
-        multiplicities(P, np.array([1, 1]), 2)
+def test_multiplicities_reject_non_integral(monkeypatch):
+    # One float multiplicity pushed to 1.6 from 1: it rounds to 2, and the
+    # certificate refuses the proposal whatever its distance from an integer.
+    eigvals = np.linalg.eigvals
 
+    def off(M):
+        values = eigvals(M)
+        values[np.argmin(np.abs(values - 1))] += 0.6
+        return values
 
-def test_multiplicities_of_a_stack_read_table_by_table():
-    # A stack gives each table's multiplicities as Python ints, and the first
-    # failing table in stack order raises its own text, whichever test fails.
-    s = _scheme("gupta-sidki", 3)
-    tables = common_eigensystems(intersection_matrices(s.p), [3, 1, 4, 1])
-    stacked = multiplicities(tables, s.valencies, s.point_count)
-    assert stacked == [multiplicities(P, s.valencies, s.point_count) for P in tables]
-    assert all(type(m) is int for row in stacked for m in row)
-    good = [[1.0, 1.0], [1.0, -1.0]]
-    sums_to_three = [[1.0, 1.0], [1.0, 0.0]]
-    non_integral = [[1.0, 1.0], [1.0, -0.5]]
-    assert multiplicities(np.array([good, good]), np.array([1, 1]), 2) == [[1, 1], [1, 1]]
-    with pytest.raises(NumericalError, match=r"^multiplicities \[1, 2\] sum to 3, expected 2$"):
-        multiplicities(np.array([good, sums_to_three, non_integral]), np.array([1, 1]), 2)
-    with pytest.raises(NumericalError, match=r"^multiplicity 1 is 1\.6, not within"):
-        multiplicities(np.array([good, non_integral, sums_to_three]), np.array([1, 1]), 2)
+    monkeypatch.setattr(np.linalg, "eigvals", off)
+    with pytest.raises(NumericalError, match="^degree pencil: the rounded eigenvalues of "
+                                             r"T1\^-1 T2 fail their exact certificate$"):
+        spectral_data(_scheme("grigorchuk", 3).p)
 
 
 def test_spectral_data_fields():
     sd = spectral_data(_scheme("gamma", 2).p)
-    assert len(sd.multiplicities) == 5  # the rank
-    assert sd.multiplicities[0] == 1
-    assert sum(sd.multiplicities) == 9  # the point count
-    assert sd.seed == DEFAULT_SEED
-    assert np.allclose(sd.character_table[0].real, [1, 1, 1, 3, 3])
+    assert sd.degrees == [1, 1, 1, 3, 3]  # one per class, summing to the point count
+    assert all(type(m) is int for m in sd.degrees)
+    # 2 (N + 1)^r = 2 * 10^5 needs one prime below 2^30
+    assert [q for q, _ in sd.residues] == [next(_primes())]
+    assert sd.accepts(sd.degrees) and sd.accepts(sd.degrees[::-1])
+    assert not sd.accepts([1, 1, 1, 2, 4]) and not sd.accepts([1, 1, 3, 3])
+    # a degree moved by the primes' product agrees modulo every prime; only
+    # the range [0, N] the bound rests on refuses it
+    q = sd.residues[0][0]
+    assert not sd.accepts([1, 1, 1 + q, 3, 3]) and not sd.accepts([1 - q, 1, 1, 3, 3])
 
 
 @pytest.mark.parametrize("key,n,want", [
@@ -407,14 +272,20 @@ def test_spectral_data_fields():
     ("gupta-sidki", 0, [1]),
 ])
 def test_degree_multiset_examples(key, n, want):
-    assert degree_multiset_from_p(_scheme(key, n).p) == want
+    assert spectral_data(_scheme(key, n).p).degrees == want
 
 
-def test_degree_multiset_seed_independent():
-    p = _scheme("grigorchuk", 4).p
-    a = degree_multiset_from_p(p, seed=DEFAULT_SEED)
-    b = degree_multiset_from_p(p, seed=DEFAULT_SEED + 99)
-    assert a == b
+def test_degree_multiset_seed_independent(capsys, tmp_path):
+    # Off the cone route decompose reads --seed for nothing but the envelope.
+    path = tmp_path / "finer.txt"
+    path.write_text(FINER_THAN_CONES)
+    docs = []
+    for seed in (DEFAULT_SEED, DEFAULT_SEED + 99):
+        assert main(["decompose", "--file", str(path), "--ray", "3", "--level", "3",
+                     "--nesting", "--json", "--seed", str(seed)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0].pop("seed") != docs[1].pop("seed")
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("key,n", [
@@ -423,7 +294,7 @@ def test_degree_multiset_seed_independent():
     ("gamma", 0),
 ])
 def test_tower_nesting_examples(key, n):
-    here, there = (degree_multiset_from_p(_scheme(key, m).p) for m in (n, n + 1))
+    here, there = (spectral_data(_scheme(key, m).p).degrees for m in (n, n + 1))
     assert degrees_embed(here, there) is True
 
 
@@ -445,3 +316,90 @@ def test_degrees_embed():
     assert degrees_embed([1, 1, 2], [1, 1, 2, 4])
     assert not degrees_embed([1, 1, 2], [1, 2, 4])
     assert degrees_embed([], [1])
+
+
+def _finer(n):
+    return build_scheme(parse_presentation(FINER_THAN_CONES), n, parse_ray("3", 3))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pencil_matches_the_dense_oracle_off_the_route(n):
+    # The cone route declines every level of this input, so its degrees
+    # come from the pencil alone.
+    scheme = _finer(n)
+    assert spectral_data(scheme.p).degrees == dense_commutant_oracle(scheme)
+
+
+_WRONG_PROPOSAL_CASES = {13: ("grigorchuk", 12), 15: ("gupta-sidki", 7), 42: 5, 123: 6}
+
+
+@pytest.mark.parametrize("rank", sorted(_WRONG_PROPOSAL_CASES))
+def test_a_wrong_proposal_is_rejected(rank):
+    # For every pair of distinct degree values u < v, a unit moved from u to
+    # v and from v to u (unless that swaps them), and one degree raised.
+    case = _WRONG_PROPOSAL_CASES[rank]
+    p = _scheme(*case).p if isinstance(case, tuple) else _finer(case).p
+    data = spectral_data(p)
+    degrees = data.degrees
+    assert len(degrees) == rank and sum(degrees) == p[:, :, 0].sum()
+    assert data.accepts(degrees)
+    # just enough primes for the product to pass 2 (N + 1)^r
+    primes = [q for q, _ in data.residues]
+    assert math.prod(primes) > 2 * (sum(degrees) + 1) ** rank >= math.prod(primes[:-1])
+    values = sorted(set(degrees))
+    wrong = [[*degrees[1:], degrees[0] + 1]]
+    for u, v in itertools.combinations(values, 2):
+        rest = list(degrees)
+        rest.remove(u)
+        rest.remove(v)
+        wrong.append([*rest, u - 1, v + 1])
+        if v - u > 1:
+            wrong.append([*rest, u + 1, v - 1])
+    assert len(wrong) > len(values)
+    for proposal in wrong:
+        assert not data.accepts(proposal), proposal
+
+
+def test_the_modular_characteristic_polynomial_is_exact():
+    # T2 = T1 M, so T1^-1 T2 = M, whose characteristic polynomial
+    # Faddeev-LeVerrier gives over the integers.  Sparse entries make both
+    # the Gauss-Jordan and the Hessenberg steps search past a zero pivot.
+    rng = np.random.default_rng(3)
+    q = next(_primes())
+    for r in range(1, 9):
+        for _ in range(20):
+            M = rng.integers(-4, 5, size=(r, r)) * (rng.random((r, r)) < 0.5)
+            T1 = rng.integers(-3, 4, size=(r, r)) * (rng.random((r, r)) < 0.6)
+            got = _charpoly_mod(T1.astype(object), (T1 @ M).astype(object), q)
+            if round(np.linalg.det(T1)) % q == 0:
+                assert got is None
+                continue
+            want = [c % q for c in _characteristic_polynomial(M.tolist())]
+            assert list(got) == want, (T1, M)
+
+
+def test_a_prime_that_divides_det_t1_is_skipped():
+    first, second = itertools.islice(_primes(), 2)
+    T1 = np.array([[first]], dtype=object)
+    T2 = np.array([[3 * first]], dtype=object)  # T1^-1 T2 = 3
+    assert _charpoly_mod(T1, T2, first) is None
+    assert _residues(T1, T2, 3) == ((second, ((-3) % second, 1)),)
+
+
+def test_a_nilpotent_algebra_is_refused():
+    # B_0 = I and B_1 = E_21 multiply like their p and commute, but B_1 is
+    # nilpotent: the trace form is singular and no degree is proposed.
+    p = np.zeros((2, 2, 2), dtype=np.int64)
+    p[0] = np.eye(2, dtype=np.int64)
+    p[1, 0, 1] = 1
+    with pytest.raises(NumericalError, match="^degree pencil: Singular matrix$"):
+        spectral_data(p)
+
+
+def test_a_singular_trace_form_is_refused():
+    # Every prime divides det T1 = 0; the skipped primes soon outweigh the
+    # Hadamard bound of a non-zero determinant.
+    T1 = np.array([[2, 4], [1, 2]], dtype=object)
+    with pytest.raises(NumericalError, match="^degree pencil: the trace form T1 is singular$"):
+        _residues(T1, T1, 2)
+

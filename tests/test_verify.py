@@ -8,12 +8,13 @@ from selfsim import verify
 from selfsim.catalog import builtin
 from selfsim.cli import main
 from selfsim.scheme import build_scheme
-from selfsim.tree import Vertex
+from selfsim.spectral import SpectralData
+from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex
 from selfsim.verify import _random_vertices, _random_words, run_verification
 from selfsim.wreath import Word, parse_presentation
 
 SUITES = ("action_compatibility", "cocycle_identity", "inverse_identity",
-          "label_invariance", "scheme_axioms", "multiplicity_seed_independence")
+          "label_invariance", "scheme_axioms", "degree_certificate")
 
 
 @pytest.mark.parametrize("key,n", [("grigorchuk", 2), ("gamma", 1)])
@@ -32,73 +33,57 @@ def test_case_count_respected():
     assert all(r.cases == 12 for r in results)
 
 
-def test_seed_independence_checks_commutation_once(monkeypatch):
-    # Commutativity is read off p once; every solve, the baseline's and each
-    # case's, goes through one common_eigensystems batch per block of cases,
-    # and four cases fit in one block.
+def test_degree_certificate_checks_commutation_once(monkeypatch):
+    # The suite reads commutativity off p once, for its skip, and certifies
+    # the pencil once; each case only asks the certificate about one wrong
+    # proposal.
     e = builtin("grigorchuk")
-    batches, verdicts = [], []
-    solve, commutative = verify.common_eigensystems, verify.is_commutative
-    monkeypatch.setattr(verify, "common_eigensystems",
-                        lambda B, seeds: batches.append(list(seeds)) or solve(B, seeds))
+    solves, verdicts, asked = [], [], []
+    certify, commutative, accepts = verify.spectral_data, verify.is_commutative, SpectralData.accepts
+    monkeypatch.setattr(verify, "spectral_data", lambda p: solves.append(p) or certify(p))
     monkeypatch.setattr(verify, "is_commutative",
                         lambda p: verdicts.append(p) or commutative(p))
+    monkeypatch.setattr(SpectralData, "accepts",
+                        lambda self, m: asked.append(sorted(m)) or accepts(self, m))
     results = run_verification(e.presentation, 3, e.default_ray, seed=5, cases=4)
-    assert results[-1].name == "multiplicity_seed_independence"
+    assert results[-1].name == "degree_certificate"
     assert results[-1].passed and results[-1].cases == 4
-    assert batches == [[5, 1005, 1006, 1007, 1008]]
-    assert len(verdicts) == 1
+    assert len(solves) == len(verdicts) == 1
+    # degrees 1, 1, 2, 4: one of the 1s gives a unit to the 2 or the 4, or
+    # the 2 gives one to the 4
+    assert len(asked) == 5  # the pencil's own proposal, then one per case
+    assert asked[0] == [1, 1, 2, 4]
+    assert all(m in ([0, 1, 3, 4], [0, 1, 2, 5], [1, 1, 1, 5]) for m in asked[1:]), asked
 
 
-def test_seed_independence_names_the_seed_that_disagrees(monkeypatch):
-    # The block's tables go through one stacked multiplicities call, baseline
-    # first; the third case's row reads as other degrees, and the suite counts
-    # exactly that case and names its seed.
+def test_degree_certificate_names_the_first_disagreeing_degree(monkeypatch):
+    # Where the route certifies the level, the pencil must give the closed
+    # form; a planted closed form fails every case and names the degree.
     e = builtin("grigorchuk")
-    degrees, stacks = verify.multiplicities, []
-
-    def planted(P, *args):
-        stacks.append(len(P))
-        found = degrees(P, *args)
-        found[3] = [1, 3, 3, 1]
-        return found
-
-    monkeypatch.setattr(verify, "multiplicities", planted)
-    results = run_verification(e.presentation, 3, e.default_ray, seed=5, cases=4)
-    suite = results[-1]
-    assert stacks == [5]
-    assert suite.name == "multiplicity_seed_independence"
-    assert (suite.cases, suite.failures) == (4, 1)
-    assert suite.detail == "seed 1007 gave (1, 1, 3, 3), baseline (1, 1, 2, 4)"
+    monkeypatch.setattr(verify, "closed_form_degrees", lambda *args: [1, 1, 3, 3])
+    suite = run_verification(e.presentation, 3, e.default_ray, seed=5, cases=4)[-1]
+    assert (suite.name, suite.cases, suite.failures) == ("degree_certificate", 4, 4)
+    assert suite.detail == "pencil degree 2 is 2, closed form 3"
 
 
-@pytest.mark.parametrize("bad_seed,code", [(1007, 3), (5, 2)])
-def test_a_seed_whose_multiplicities_miss_an_integer(capsys, monkeypatch, bad_seed, code):
-    # One seed's table is scaled off its unit rows, so its multiplicities
-    # miss every integer.  A case seed fails its case, named in the detail,
-    # and the other cases still pass; the baseline seed 5 still aborts the run.
-    solve = verify.common_eigensystems
-
-    def planted(B, seeds):
-        tables = solve(B, seeds)
-        for t, s in enumerate(seeds):
-            if s == bad_seed:
-                tables[t] *= 1.01
-        return tables
-
-    monkeypatch.setattr(verify, "common_eigensystems", planted)
+@pytest.mark.parametrize("fault,code", [("accepted", 3), ("refused", 2)])
+def test_a_proposal_the_certificate_misjudges(capsys, monkeypatch, fault, code):
+    # A certificate that accepts anything fails every case, names the wrong
+    # degrees it accepted, and exits 3; one that refuses the pencil's own
+    # proposal aborts the run with exit 2, as decompose would.
+    verdict = fault == "accepted"
+    monkeypatch.setattr(SpectralData, "accepts", lambda self, degrees: verdict)
     got = main(["verify", "--group", "grigorchuk", "--level", "3", "--seed", "5",
                 "--cases", "4", "--json"])
     out = capsys.readouterr()
     assert got == code
     if code == 2:
+        assert out.out == ""
         assert json.loads(out.err)["error"] == "NumericalError"
         return
     suite = json.loads(out.out)["suites"][-1]
-    assert (suite["name"], suite["cases"], suite["failures"]) == (
-        "multiplicity_seed_independence", 4, 1)
-    assert suite["detail"].startswith("seed 1007: multiplicity ")
-    assert "not within 1e-06 of a positive integer" in suite["detail"]
+    assert (suite["name"], suite["cases"], suite["failures"]) == ("degree_certificate", 4, 4)
+    assert suite["detail"].startswith("the certificate accepted the wrong degrees [")
 
 
 # a is a declared involution, b is not declared one
@@ -143,46 +128,44 @@ def test_same_seed_same_results():
 
 def test_cases_are_drawn_block_by_block(monkeypatch):
     # Ten cases in blocks of four: each suite draws 4, 4 and 2 cases and
-    # counts all ten, the seed suite's seeds included; the baseline seed
-    # leads the first block's solve.
+    # counts all ten, the degree certificate's wrong proposals included.
     e = builtin("grigorchuk")
     monkeypatch.setattr(verify, "_CASE_BLOCK", 4)
-    draws, batches = [], []
-    vertices, solve = verify._random_vertices, verify.common_eigensystems
+    draws, asked = [], []
+    vertices, accepts = verify._random_vertices, SpectralData.accepts
     monkeypatch.setattr(verify, "_random_vertices",
                         lambda rng, d, top, k: draws.append(k) or vertices(rng, d, top, k))
-    monkeypatch.setattr(verify, "common_eigensystems",
-                        lambda B, seeds: batches.append(list(seeds)) or solve(B, seeds))
+    monkeypatch.setattr(SpectralData, "accepts",
+                        lambda self, m: asked.append(m) or accepts(self, m))
     results = run_verification(e.presentation, 2, e.default_ray, seed=5, cases=10)
     assert all(r.passed and r.cases == 10 for r in results)
     # action_compatibility draws one vertex per case, cocycle_identity two
     assert draws[:3] == [4, 4, 2]
-    assert batches == [[5, 1005, 1006, 1007, 1008], [1009, 1010, 1011, 1012], [1013, 1014]]
+    assert len(asked) == 1 + 10
 
 
-@pytest.mark.parametrize("key,n,stacks", [
-    ("grigorchuk", 8, 3), ("grigorchuk-tilde", 8, 3),
-    ("gupta-sidki", 5, 4), ("gamma", 5, 4), ("gamma-bar", 5, 4)])
-def test_a_workload_job_solves_its_seeds_in_few_stacks(monkeypatch, key, n, stacks):
-    # 100 cases are one block: the baseline and 100 case seeds go to one
-    # common_eigensystems call, which stacks 50 seeds per eig at rank 9
-    # and 33 at rank 11.
+@pytest.mark.parametrize("key,n", [("grigorchuk", 8), ("grigorchuk-tilde", 8),
+                                   ("gupta-sidki", 5), ("gamma", 5), ("gamma-bar", 5)])
+def test_a_workload_job_certifies_its_degrees_once(monkeypatch, key, n):
+    # verify's benchmark jobs: 100 cases, one certified pencil, equal to the
+    # closed form and the catalog's degrees, and every wrong proposal refused.
     e = builtin(key)
-    eig, calls = np.linalg.eig, []
-    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(len(M)) or eig(M))
+    certify, solves = verify.spectral_data, []
+    monkeypatch.setattr(verify, "spectral_data",
+                        lambda p: solves.append(certify(p)) or solves[-1])
     results = run_verification(e.presentation, n, e.default_ray, seed=1729, cases=100)
-    assert all(r.passed for r in results)
-    assert len(calls) == stacks and sum(calls) == 101
+    assert all(r.passed and r.cases == 100 for r in results)
+    assert len(solves) == 1 and solves[0].degrees == e.expected_degrees(n)
+    assert verify.closed_form_degrees(e.presentation, n, e.default_ray) == solves[0].degrees
 
 
 def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
     # label_invariance moves the two points of each case by act, and the
-    # seed suite solves the baseline and one seed per case, a block of
-    # seeds per solve.
+    # degree certificate asks about one wrong proposal per case.
     e = builtin("grigorchuk")
     cases = verify._CASE_BLOCK + 3
-    moves, batches = [], []
-    act, label_suite, solve = verify.act, verify._label_invariance, verify.common_eigensystems
+    moves, asked = [], []
+    act, label_suite, accepts = verify.act, verify._label_invariance, SpectralData.accepts
 
     def counted(*args):
         # only this suite's act calls count
@@ -193,13 +176,12 @@ def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
             monkeypatch.setattr(verify, "act", act)
 
     monkeypatch.setattr(verify, "_label_invariance", counted)
-    monkeypatch.setattr(verify, "common_eigensystems",
-                        lambda B, block: batches.append(list(block)) or solve(B, block))
+    monkeypatch.setattr(SpectralData, "accepts",
+                        lambda self, m: asked.append(m) or accepts(self, m))
     results = run_verification(e.presentation, 1, e.default_ray, cases=cases)
     assert all(r.passed and r.cases == cases for r in results)
     assert len(moves) == 2 * cases
-    assert [len(b) for b in batches] == [verify._CASE_BLOCK + 1, 3]
-    assert sum(batches, []) == [1729, *range(2729, 2729 + cases)]
+    assert len(asked) == 1 + cases
 
 
 def _faulty_suite(monkeypatch, suite):
@@ -227,7 +209,10 @@ def _faulty_suite(monkeypatch, suite):
         monkeypatch.setattr(verify, "act", lambda pres, w, v: Vertex.from_index(
             v.degree, v.level, (act(pres, w, v).index() + 1) % size))
         return verify._label_invariance(pres, scheme, rng, 50)
-    return verify._scheme_axioms(replace(scheme, p=scheme.p + 1), rng, 50)
+    if suite == "scheme_axioms":
+        return verify._scheme_axioms(replace(scheme, p=scheme.p + 1), rng, 50)
+    monkeypatch.setattr(SpectralData, "accepts", lambda self, degrees: True)
+    return verify._degree_certificate(pres, scheme, e.default_ray, DEFAULT_LEVEL_CAP, rng, 50)
 
 
 @pytest.mark.parametrize("suite,names_the_case", [
@@ -236,6 +221,7 @@ def _faulty_suite(monkeypatch, suite):
     ("inverse_identity", ("^-1 ", " moved ", " to ")),
     ("label_invariance", ("label(", " but moving by ", " gives class ")),
     ("scheme_axioms", ("recount at pair (", " in class ", " != p[")),
+    ("degree_certificate", ("the certificate accepted the wrong degrees [",)),
 ])
 def test_each_suite_catches_a_planted_fault(monkeypatch, suite, names_the_case):
     result = _faulty_suite(monkeypatch, suite)
