@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage or input errors, 2 computation errors
 (size caps, memory, recursion depth, intransitive actions, numerical
 failures), 3 verification failures.  With --json every document carries the
 envelope fields tool_version, seed, group and level, and errors go to stderr
-as a single JSON line.
+as a single JSON line (seed null for the commands that take no --seed).
 
 The cache of --cache-dir holds one kind of entry, the scheme document of a
 level, one per presentation, level and ray.  A level's scheme reaches both
@@ -60,8 +60,9 @@ def _add_common(sp, ray: bool, cap: bool = True, cached: bool = False):
     if cap:
         sp.add_argument("--cap", type=int, default=DEFAULT_LEVEL_CAP,
                         help="largest level size the run may touch")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seed for the randomized numerics")
+    if ray:  # read by decompose --oracle and verify; the benchmark passes it to all four
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="seed for the randomized numerics")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     if cached:
         sp.add_argument("--cache-dir", help="advisory result cache directory")
@@ -82,7 +83,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("catalog", help="list the built-in groups")
     sp.add_argument("action", nargs="?", choices=["list"], default="list")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = sub.add_parser("act", help="apply a word to a vertex")
     _add_common(sp, ray=False, cap=False)
@@ -152,7 +152,7 @@ def _resolve(args):
 def _envelope(args, group, level):
     return {
         "tool_version": __version__,
-        "seed": getattr(args, "seed", DEFAULT_SEED),
+        "seed": getattr(args, "seed", None),
         "group": group,
         "level": level,
     }

@@ -1,28 +1,29 @@
 """Degrees of the irreducible components of a level quasi-regular action.
 
-The intersection numbers p alone give everything here but the closed form
-at the end (Bannai-Ito, Algebraic Combinatorics I, II.3): the valencies
-k_i = sum_j p[i][j][0], the point count N = sum_i k_i, and the left-regular
-matrices of the convolution algebra.  ``spectral_data`` refuses a p that is
-not commutative (``scheme.is_commutative``), naming the first pair of
-matrices that do not commute.  A commutative algebra's characters are
-one-dimensional, and the multiplicity of each, the dimension of its
-isotypic component of the permutation module, is an irreducible degree.
-``spectral_data`` reads them as the eigenvalues of one integer pencil: a
-float solve proposes them, and an exact certificate modulo primes accepts
-the proposal or refuses it.  A dense cross-check diagonalizes a random
-combination of the N x N class adjacency matrices of a built scheme instead
-and reads the degrees off the eigenvalue cluster sizes.
+The intersection numbers p alone give everything here (Bannai-Ito,
+Algebraic Combinatorics I, II.3): the valencies k_i = sum_j p[i][j][0], the
+point count N = sum_i k_i, and the left-regular matrices of the convolution
+algebra.  ``spectral_data`` refuses a p that is not commutative
+(``scheme.is_commutative``), naming the first pair of matrices that do not
+commute.  A commutative algebra's characters are one-dimensional, and the
+multiplicity of each, the dimension of its isotypic component of the
+permutation module, is an irreducible degree.  They are the eigenvalues of
+one integer pencil, T1^-1 T2: ``spectral_data`` lets a float solve propose
+them, and an exact certificate modulo primes accepts the proposal or
+refuses it.  A dense cross-check diagonalizes a random combination of the
+N x N class adjacency matrices of a built scheme instead and reads the
+degrees off the eigenvalue cluster sizes.
 
 On a level that the cone route certifies, the scheme is the n-fold wreath
 power of G_1's orbital scheme on the d letters, and ``wreath_power_degrees``
-gives its degrees exactly from G_1's (d, d) class table alone, over Python
-ints: no p, no float and no random draw.
+gives its degrees exactly from G_1's (d, d) class table alone: the same
+pencil on the level-1 p, whose eigenvalue counts are exact ranks over
+Python ints.  No float and no random draw enter there, and it shares no
+computation with ``spectral_data`` on the level-n p, which it cross-checks.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -116,10 +117,11 @@ class SpectralData:
 
     def accepts(self, degrees: list[int]) -> bool:
         """Whether the certificate holds for ``degrees``: r integers in
-        [0, N] whose product of (x - m_j) is charpoly(T1^-1 T2) modulo every
-        prime."""
+        [0, N] summing to N whose product of (x - m_j) is charpoly(T1^-1 T2)
+        modulo every prime."""
         point_count = sum(self.degrees)
-        return (len(degrees) == len(self.degrees) and all(0 <= m <= point_count for m in degrees)
+        return (len(degrees) == len(self.degrees) and sum(degrees) == point_count
+                and all(0 <= m <= point_count for m in degrees)
                 and all(_from_roots(degrees, q) == f for q, f in self.residues))
 
 
@@ -133,14 +135,11 @@ def spectral_data(p: np.ndarray) -> SpectralData:
     b is a's pair and 0 elsewhere.  With P the character table,
     T1 = P^T P and T2 = P^T diag(m) P (Bannai-Ito, II.3), so the eigenvalues
     of T1^-1 T2 are the multiplicities m_j.  Their float values, rounded,
-    are a proposal; it is accepted only if Prod_j (x - m_j) equals
-    charpoly(T1^-1 T2) modulo primes q < 2^30 that do not divide det T1,
-    until the primes' product passes 2 (N + 1)^r.  For the scheme of a
-    group action both sides are monic with integer roots in [0, N], so no
-    coefficient exceeds (N + 1)^r in size, and agreement modulo that
-    product is equality.  A proposal that fails raises a
-    ``NumericalError``; a p that is not commutative, an ``IntegrityError``
-    naming the first pair of matrices that do not commute.
+    are a proposal; it is accepted only if it sums to N and Prod_j (x - m_j)
+    equals charpoly(T1^-1 T2) modulo enough primes q < 2^30 that do not
+    divide det T1 for agreement to be equality (``_residues``).  A proposal
+    that fails raises a ``NumericalError``; a p that is not commutative, an
+    ``IntegrityError`` naming the first pair of matrices that do not commute.
     """
     p = np.asarray(p)
     intersection_matrices(p)
@@ -179,10 +178,16 @@ def _trace_form(p: np.ndarray) -> np.ndarray:
 def _residues(T1: np.ndarray, T2: np.ndarray,
               point_count: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """charpoly(T1^-1 T2) modulo each prime below 2^30, largest first, that
-    does not divide det T1, until the primes' product passes
-    2 (N + 1)^r.  Every skipped prime exceeds 2^29 and divides det T1, so
-    once they outweigh Hadamard's bound on |det T1|, T1 is singular."""
-    bound = 2 * (point_count + 1) ** len(T1)
+    does not divide det T1, until the primes' product passes 2 (1 + N/r)^r.
+
+    For the scheme of a group action both sides of the certificate are
+    Prod_j (x - m_j) for r integers m_j in [0, N] summing to N.  Each
+    coefficient, +-e_k(m), is at most Prod_j (1 + m_j), and by AM-GM at most
+    (1 + N/r)^r, so agreement modulo that product is equality.  Every
+    skipped prime exceeds 2^29 and divides det T1, so once they outweigh
+    Hadamard's bound on |det T1|, T1 is singular."""
+    r = len(T1)
+    bound = 2 * (r + point_count) ** r  # product > 2 (1 + N/r)^r iff product r^r > bound
     det_bits = float(np.log2(np.maximum(1.0, np.linalg.norm(T1.astype(float), axis=1))).sum())
     residues, product, skipped = [], 1, 0
     for q in _primes():
@@ -194,22 +199,24 @@ def _residues(T1: np.ndarray, T2: np.ndarray,
             continue
         residues.append((q, f))
         product *= q
-        if product > bound:
+        if product * r**r > bound:
             return tuple(residues)
 
 
 def _primes():
-    """The primes below 2^30, largest first: trial division by every prime
-    below 2^15 decides each candidate."""
-    sieve = np.ones(2**15, dtype=bool)
-    sieve[:2] = False
-    for k in range(2, 182):  # 182^2 > 2^15
-        if sieve[k]:
-            sieve[k * k::k] = False
-    small = np.flatnonzero(sieve)
-    for n in range(2**30 - 1, 2**15, -2):
-        if (n % small).all():
-            yield n
+    """The primes below 2^30 and above 2^15, largest first."""
+    return filter(_is_prime, range(2**30 - 1, 2**15, -2))
+
+
+def _is_prime(n: int) -> bool:
+    """Whether the odd n > 7 passes the strong probable-prime test to bases
+    2, 3, 5 and 7, which is primality below 3 215 031 751 (Jaeschke 1993)."""
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^twos odd
+    for base in (2, 3, 5, 7):
+        x = pow(base, (n - 1) >> twos, n)
+        if x != 1 and n - 1 not in (pow(x, 2**k, n) for k in range(twos)):
+            return False
+    return True
 
 
 def _charpoly_mod(T1: np.ndarray, T2: np.ndarray, q: int) -> tuple[int, ...] | None:
@@ -309,10 +316,6 @@ def dense_commutant_oracle(scheme: OrbitalScheme, seed: int = DEFAULT_SEED) -> l
     return sorted(len(c) for c in common_eigensystem(scheme.labels, scheme.rank, seed))
 
 
-# ---------------------------------------------------------------------------
-# exact degrees of a wreath power
-
-
 def wreath_power_degrees(orbital: np.ndarray, n: int) -> list[int] | None:
     """Sorted degrees of level n of the n-fold wreath power of a transitive
     orbital scheme on d letters, exactly; None where that scheme is not
@@ -325,92 +328,48 @@ def wreath_power_degrees(orbital: np.ndarray, n: int) -> list[int] | None:
     non-trivial j and 0 <= k < n (Bailey, Association Schemes, ch. 3); the
     degrees new at level n are the m_j d^(n-1).
 
-    The m_j are the eigenvalue multiplicities of M = sum_o t^o A_o, A_o the
-    adjacency matrix of class o, once M separates the characters, which is
-    when it has r1 distinct eigenvalues.  Two characters' eigenvalues differ
-    by a non-zero polynomial of degree below r1 in t, so at most
-    (r1 - 1) r1 (r1 - 1) / 2 values of t fail, and trying t = 2, 3, ... in
-    turn ends.
+    The m_j are the eigenvalues of the pencil of ``spectral_data`` on the
+    level-1 p, counted from one pair of each class: T1^-1 T2 is similar to
+    diag(m) and every m_j lies in [1, d], so each m in 1..d occurs
+    r1 - rank(m T1 - T2) times, ranks taken exactly over Python ints.  The
+    scheme is commutative iff p is symmetric in its first two indices.
     """
     classes = orbital.tolist()
     index = {o: i for i, o in enumerate(sorted({o for row in classes for o in row}))}
     cls = [[index[o] for o in row] for row in classes]
     d, r1 = len(cls), len(index)
-    for a in range(d):  # (A_i A_j)[a, c] counts the b with (a, b) in i and (b, c) in j
-        for c in range(d):
-            paths = Counter((cls[a][b], cls[b][c]) for b in range(d))
-            if any(paths[j, i] != count for (i, j), count in paths.items()):
-                return None
-    for t in range(2, (r1 - 1) * r1 * (r1 - 1) // 2 + 3):
-        m = _root_multiplicities(_characteristic_polynomial([[t**o for o in row] for row in cls]))
-        if len(m) == r1:
-            break
-    else:
-        raise IntegrityError(f"no combination of the {r1} letter classes separates "
-                             "their characters")
+    pair = {k: (a, c) for a, row in enumerate(cls) for c, k in enumerate(row)}
+    p = [[[0] * r1 for _ in range(r1)] for _ in range(r1)]
+    for k, (a, c) in pair.items():  # p[i][j][k] counts the b with (a, b) in i, (b, c) in j
+        for b in range(d):
+            p[cls[a][b]][cls[b][c]][k] += 1
+    if any(p[i][j] != p[j][i] for i in range(r1) for j in range(i)):
+        return None
+    T1 = [[sum(p[a][j][k] * p[b][k][j] for j in range(r1) for k in range(r1))
+           for b in range(r1)] for a in range(r1)]
+    T2 = [[d * p[a][b][cls[0][0]] for b in range(r1)] for a in range(r1)]  # cls[0][0] is diagonal
+    m = [mult for mult in range(1, d + 1) for _ in range(
+        r1 - _rank([[mult * x - y for x, y in zip(s, t)] for s, t in zip(T1, T2)]))]
     # the valency character has multiplicity 1, as G_1 is transitive
     degrees = sorted([1] + [mj * d**k for mj in m[1:] for k in range(n)])
-    if m[0] != 1 or sum(degrees) != d**n or len(degrees) != 1 + n * (r1 - 1):
+    if m[:1] != [1] or sum(degrees) != d**n or len(degrees) != 1 + n * (r1 - 1):
         raise IntegrityError(f"level-1 multiplicities {m} give degrees "
                              f"summing to {sum(degrees)} over {len(degrees)} classes, "
                              f"expected {d**n} over {1 + n * (r1 - 1)}")
     return degrees
 
 
-def _characteristic_polynomial(M: list[list[int]]) -> list[int]:
-    """det(x I - M) as integer coefficients, constant first, by
-    Faddeev-LeVerrier: N_k = M N_(k-1) + c_(d-k+1) I and c_(d-k) =
-    -tr(M N_k) / k, a division that is exact for an integer M."""
-    d = len(M)
-    coeffs = [0] * d + [1]
-    N = [[0] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        N = [[sum(M[a][b] * N[b][c] for b in range(d)) + (coeffs[d - k + 1] if a == c else 0)
-              for c in range(d)] for a in range(d)]
-        trace = sum(M[a][b] * N[b][a] for a in range(d) for b in range(d))
-        coeffs[d - k], rest = divmod(-trace, k)
-        if rest:
-            raise IntegrityError(f"Faddeev-LeVerrier step {k} does not divide exactly")
-    return coeffs
-
-
-def _root_multiplicities(f: list[int]) -> list[int]:
-    """The multiplicity of each distinct complex root of f, sorted.
-
-    g_k = gcd(f, f', ..., f^(k)) holds each root of multiplicity above k,
-    k fewer times, so deg g_k - deg g_(k+1) roots have multiplicity above k.
-    """
-    above = []  # above[k]: roots of multiplicity above k
-    g = derivative = f
-    while len(g) > 1:
-        derivative = [k * c for k, c in enumerate(derivative)][1:]
-        h = _polynomial_gcd(g, derivative)
-        above.append(len(g) - len(h))
-        g = h
-    above.append(0)
-    return [k for k in range(1, len(above)) for _ in range(above[k - 1] - above[k])]
-
-
-def _primitive(a: list[int]) -> list[int]:
-    """a over the gcd of its coefficients, leading coefficient positive."""
-    g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
-    return [c // g for c in a]
-
-
-def _polynomial_gcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd of two non-zero integer polynomials (constant
-    first), by primitive pseudo-remainders: every step stays in Z[x]."""
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
-        rem = list(a)
-        while len(rem) >= len(b):  # rem <- lc(b) rem - rem's lead x^shift b
-            lead, shift = rem[-1], len(rem) - len(b)
-            rem = [b[-1] * c for c in rem]
-            for i, c in enumerate(b):
-                rem[shift + i] -= lead * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        if not rem:
-            return b
-        a, b = b, _primitive(rem)
-    return [1]
+def _rank(M: list[list[int]]) -> int:
+    """The rank of a square integer matrix, exactly, by fraction-free
+    (Bareiss) elimination: every entry stays an integer minor of M, so each
+    division by the previous pivot is exact."""
+    M, rank, prev = [list(row) for row in M], 0, 1
+    for c in range(len(M)):
+        pivot = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if pivot is not None:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            top = M[rank]
+            M[rank + 1:] = [[(top[c] * x - row[c] * y) // prev for x, y in zip(row, top)]
+                            for row in M[rank + 1:]]
+            prev, rank = top[c], rank + 1
+    return rank

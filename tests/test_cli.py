@@ -731,6 +731,24 @@ def test_decompose_refuses_a_negative_seed_before_the_build(capsys, monkeypatch,
     assert "--seed must be at least 0, got -1" in err
 
 
+SEEDLESS = {
+    "catalog": ("catalog", "list"),
+    "act": ("act", "--group", "grigorchuk", "--word", "a", "--vertex", "12"),
+    "section": ("section", "--group", "grigorchuk", "--word", "a", "--vertex", "12"),
+    "order": ("order", "--group", "grigorchuk", "--word", "a b", "--level", "3"),
+    "portrait": ("portrait", "--group", "grigorchuk", "--word", "a", "--depth", "2"),
+}
+
+
+@pytest.mark.parametrize("command", SEEDLESS)
+def test_a_command_that_draws_nothing_takes_no_seed(capsys, command):
+    code, doc, _ = run_json(capsys, *SEEDLESS[command])
+    assert code == 0 and doc["seed"] is None
+    code, out, err = run(capsys, *SEEDLESS[command], "--seed", "3")
+    assert code == 1 and out == ""
+    assert err == "usage error: unrecognized arguments: --seed 3\n"
+
+
 def test_verify_refuses_a_negative_seed_before_the_build(capsys, monkeypatch):
     # The same check as decompose's, in JSON too, where numpy's own message
     # named neither the flag nor the value.

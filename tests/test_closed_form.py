@@ -7,9 +7,9 @@ exactly) and ``is_commutative`` on the built scheme's p, and against the
 dense oracle where N <= 243, on fixed families:
 the catalog, the five fixed cone cases and a seeded random family.  Fixed
 families, not hypothesis draws, so that editing a test body never swaps
-the inputs it checks.  The integer helpers are checked on their own, and
-planted faults show that a wrong multiplicity and a combination that does
-not separate the characters are both refused.
+the inputs it checks.  Hand letter tables with known permutation modules
+fix the level-1 multiplicities, the exact rank is held against numpy's,
+and a planted fault shows that a rank off by one is refused.
 """
 
 import itertools
@@ -115,69 +115,62 @@ def test_closed_form_of_a_letter_scheme_with_a_repeated_multiplicity():
     assert wreath_power_degrees(square, 3) == [1, 1, 2, 4, 8, 16, 32]
 
 
-def test_root_multiplicities_of_known_polynomials():
-    # (x - 1)^3 (x + 2) (x^2 + 1), constant first
-    f = [-2, 5, -5, 4, -2, -1, 1]
-    assert spectral._root_multiplicities(f) == [1, 1, 1, 3]
-    assert spectral._root_multiplicities([-1, 3, -3, 1]) == [3]  # (x - 1)^3
-    assert spectral._root_multiplicities([4, 0, 1]) == [1, 1]  # x^2 + 4
-    assert spectral._root_multiplicities([0, 0, 0, 0, 1]) == [4]  # x^4
-    assert spectral._root_multiplicities([7]) == []
+def _distance_table(d):
+    # The d-gon's vertices under D_d: the class of (a, c) is their distance.
+    return [[min((a - c) % d, (c - a) % d) for c in range(d)] for a in range(d)]
 
 
-def test_characteristic_polynomial_matches_numpy():
+# Letter tables of transitive groups whose permutation module is known:
+# S_4 is 2-transitive, D_5 and D_9 split off one plane per distance (the
+# square, D_4's, has its own test above), and a regular abelian group gives
+# every character once.
+LETTER_TABLES = {
+    "S_4": ([[int(a != c) for c in range(4)] for a in range(4)], [1, 3]),
+    "D_5": (_distance_table(5), [1, 2, 2]),
+    "V_4": ([[a ^ c for c in range(4)] for a in range(4)], [1, 1, 1, 1]),
+    "Z_9": ([[(c - a) % 9 for c in range(9)] for a in range(9)], [1] * 9),
+    "D_9": (_distance_table(9), [1, 2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("name", LETTER_TABLES)
+def test_closed_form_of_hand_letter_tables(name):
+    table, want = LETTER_TABLES[name]
+    d = len(table)
+    assert wreath_power_degrees(np.array(table), 1) == want
+    assert wreath_power_degrees(np.array(table), 3) == sorted(
+        [1] + [m * d**k for m in want[1:] for k in range(3)])
+
+
+def test_exact_rank_matches_numpy():
+    # Sparse products of an r x k and a k x r matrix: rank at most k, and
+    # zero columns that make the elimination skip a pivot.
     rng = random.Random(11)
-    for d in range(1, 7):
-        M = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
-        want = np.round(np.poly(np.array(M, dtype=float))[::-1]).astype(int).tolist()
-        assert spectral._characteristic_polynomial(M) == want, M
-
-
-def test_polynomial_gcd():
-    # gcd((x - 1)^2 (x + 3), 2 (x - 1) (x + 5)) = x - 1, primitive
-    a = [3, -5, 1, 1]
-    b = [-10, 8, 2]
-    assert spectral._polynomial_gcd(a, b) == [-1, 1]
-    assert spectral._polynomial_gcd(b, a) == [-1, 1]
-    assert spectral._polynomial_gcd([2, 4], [3]) == [1]
+    for r in range(1, 8):
+        for k in range(r + 1):
+            for _ in range(10):
+                A = rng.choices(range(-5, 6), weights=[1] * 5 + [10] + [1] * 5, k=r * k)
+                B = rng.choices(range(-5, 6), weights=[1] * 5 + [10] + [1] * 5, k=k * r)
+                M = (np.array(A, dtype=np.int64).reshape(r, k)
+                     @ np.array(B, dtype=np.int64).reshape(k, r)).tolist()
+                assert spectral._rank(M) == np.linalg.matrix_rank(np.array(M, dtype=float)), M
+    assert spectral._rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
 
 
 def test_a_wrong_multiplicity_is_refused(monkeypatch):
-    # One level-1 multiplicity one too large: the degrees no longer sum to d^n.
-    honest = spectral._root_multiplicities
-    monkeypatch.setattr(spectral, "_root_multiplicities",
-                        lambda f: honest(f)[:-1] + [honest(f)[-1] + 1])
+    # The rank of 2 T1 - T2 read one too small: multiplicity 2 seems to occur
+    # once, and the degrees no longer sum to d^n.
+    honest = spectral._rank
+    calls = []
+
+    def off_at_two(M):
+        calls.append(M)
+        return honest(M) - (len(calls) == 2)
+
+    monkeypatch.setattr(spectral, "_rank", off_at_two)
     entry = builtin("gupta-sidki")
     orbital = cone_certificate(entry.presentation, 3, entry.default_ray)
-    with pytest.raises(IntegrityError, match=r"^level-1 multiplicities \[1, 1, 2\] give "
-                                             r"degrees summing to 40 over 7 classes, "
+    with pytest.raises(IntegrityError, match=r"^level-1 multiplicities \[1, 1, 1, 2\] give "
+                                             r"degrees summing to 53 over 10 classes, "
                                              r"expected 27 over 7$"):
-        wreath_power_degrees(orbital, 3)
-
-
-_CHARACTERISTIC_POLYNOMIAL = spectral._characteristic_polynomial
-
-
-def _all_ones_polynomial(M):
-    # the characteristic polynomial of the all-ones matrix: every class
-    # weighted alike, so only the valency character stands apart
-    return _CHARACTERISTIC_POLYNOMIAL([[1] * len(M) for _ in M])
-
-
-def test_a_combination_that_does_not_separate_is_passed_over(monkeypatch):
-    entry = builtin("gupta-sidki")
-    orbital = cone_certificate(entry.presentation, 3, entry.default_ray)
-    tried = []
-
-    def first_fails(M):
-        tried.append(M)
-        return (_all_ones_polynomial if len(tried) == 1 else _CHARACTERISTIC_POLYNOMIAL)(M)
-
-    assert spectral._root_multiplicities(_all_ones_polynomial([[0] * 3] * 3)) == [1, 2]
-    monkeypatch.setattr(spectral, "_characteristic_polynomial", first_fails)
-    assert wreath_power_degrees(orbital, 3) == entry.expected_degrees(3)
-    assert len(tried) == 2
-    monkeypatch.setattr(spectral, "_characteristic_polynomial", _all_ones_polynomial)
-    with pytest.raises(IntegrityError, match="^no combination of the 3 letter classes "
-                                             "separates their characters$"):
         wreath_power_degrees(orbital, 3)

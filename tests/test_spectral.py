@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from eigen_reference import chained_clusters
+from eigen_reference import chained_clusters, characteristic_polynomial, sieved_primes
 from product_rule_reference import product_rule_reference
 from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
@@ -15,9 +15,9 @@ from selfsim.cli import main
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
 from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _charpoly_mod, _cluster_indices,
-                              _characteristic_polynomial, _primes, _product_dtype, _residues,
-                              _slice_classes, common_eigensystem, degrees_embed,
-                              dense_commutant_oracle, intersection_matrices, spectral_data)
+                              _is_prime, _primes, _product_dtype, _residues, _slice_classes,
+                              common_eigensystem, degrees_embed, dense_commutant_oracle,
+                              intersection_matrices, spectral_data)
 from selfsim.tree import parse_ray
 from selfsim.wreath import parse_presentation
 
@@ -256,14 +256,15 @@ def test_spectral_data_fields():
     sd = spectral_data(_scheme("gamma", 2).p)
     assert sd.degrees == [1, 1, 1, 3, 3]  # one per class, summing to the point count
     assert all(type(m) is int for m in sd.degrees)
-    # 2 (N + 1)^r = 2 * 10^5 needs one prime below 2^30
+    # 2 (1 + N/r)^r = 2 * 2.8^5 needs one prime below 2^30
     assert [q for q, _ in sd.residues] == [next(_primes())]
     assert sd.accepts(sd.degrees) and sd.accepts(sd.degrees[::-1])
     assert not sd.accepts([1, 1, 1, 2, 4]) and not sd.accepts([1, 1, 3, 3])
     # a degree moved by the primes' product agrees modulo every prime; only
-    # the range [0, N] the bound rests on refuses it
+    # the range [0, N] and the sum N that the bound rests on refuse it
     q = sd.residues[0][0]
     assert not sd.accepts([1, 1, 1 + q, 3, 3]) and not sd.accepts([1 - q, 1, 1, 3, 3])
+    assert not sd.accepts([1 - q, 1, 1 + q, 3, 3])  # summing to N, out of [0, N]
 
 
 @pytest.mark.parametrize("key,n,want", [
@@ -343,9 +344,10 @@ def test_a_wrong_proposal_is_rejected(rank):
     degrees = data.degrees
     assert len(degrees) == rank and sum(degrees) == p[:, :, 0].sum()
     assert data.accepts(degrees)
-    # just enough primes for the product to pass 2 (N + 1)^r
+    # just enough primes for the product to pass 2 (1 + N/r)^r
     primes = [q for q, _ in data.residues]
-    assert math.prod(primes) > 2 * (sum(degrees) + 1) ** rank >= math.prod(primes[:-1])
+    bound = 2 * (rank + sum(degrees)) ** rank
+    assert math.prod(primes) * rank**rank > bound >= math.prod(primes[:-1]) * rank**rank
     values = sorted(set(degrees))
     wrong = [[*degrees[1:], degrees[0] + 1]]
     for u, v in itertools.combinations(values, 2):
@@ -374,8 +376,14 @@ def test_the_modular_characteristic_polynomial_is_exact():
             if round(np.linalg.det(T1)) % q == 0:
                 assert got is None
                 continue
-            want = [c % q for c in _characteristic_polynomial(M.tolist())]
+            want = [c % q for c in characteristic_polynomial(M.tolist())]
             assert list(got) == want, (T1, M)
+
+
+def test_the_primes_match_the_sieve():
+    assert list(itertools.islice(_primes(), 200)) == list(itertools.islice(sieved_primes(), 200))
+    # strong pseudoprimes to bases 2; 2 and 3; 2, 3 and 5 (Jaeschke 1993)
+    assert not any(map(_is_prime, (2047, 1373653, 25326001)))
 
 
 def test_a_prime_that_divides_det_t1_is_skipped():
