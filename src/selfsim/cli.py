@@ -34,11 +34,13 @@ import numpy as np
 
 from . import __version__, cache
 from .catalog import builtin, keys
-from .errors import PresentationError, SelfSimError, UnknownGroupError
+from .errors import (IntegrityError, PresentationError, SelfSimError, SizeCapError,
+                     UnknownGroupError)
 from .orbits import stabilizer_suborbits
 from .render import check_orbital_graph_size, orbital_graph_dot, portrait_dot
 from .scheme import axiom_violations, build_scheme, scheme_json_doc
-from .spectral import DEFAULT_SEED, degrees_embed, dense_commutant_oracle, spectral_data
+from .spectral import (DEFAULT_SEED, degrees_embed, dense_commutant_oracle,
+                       intersection_matrices, spectral_data)
 from .tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, check_level_size, parse_ray
 from .verify import DEFAULT_CASES, closed_form_degrees, run_verification
 from .wreath import (Word, cycle_notation, load_presentation, order_at_level,
@@ -259,8 +261,9 @@ def _cmd_orbits(args) -> int:
 
 def _valid_scheme_payload(doc: dict, point_count: int) -> tuple | None:
     """The arrays (valencies, pairing, p) of a cached entry that is what
-    ``scheme_json_doc`` writes for integer data passing the scheme axioms;
-    None for anything else, a foreign key or a wrong type included."""
+    ``scheme_json_doc`` writes for integer data passing the scheme axioms and
+    the product rule; None for anything else, a foreign key or a wrong type
+    included, and for a p whose product-rule check would be refused."""
     try:
         data = valencies, pairing, p = tuple(np.asarray(doc[key], dtype=np.int64)
                                              for key in ("valencies", "pairing", "p"))
@@ -268,11 +271,15 @@ def _valid_scheme_payload(doc: dict, point_count: int) -> tuple | None:
         rebuilt = scheme_json_doc(*data)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    if (json.dumps(doc) == json.dumps(rebuilt)
+    if not (json.dumps(doc) == json.dumps(rebuilt)
             and valencies.shape == pairing.shape == (r,) and p.shape == (r, r, r)
             and not axiom_violations(valencies, p, tuple(rebuilt["pairing"]), point_count)):
-        return data
-    return None
+        return None
+    try:
+        intersection_matrices(p)
+    except (IntegrityError, SizeCapError):
+        return None
+    return data
 
 
 def _scheme_data(args, pres, n, ray, directory: Path | None) -> tuple:

@@ -149,6 +149,8 @@ def _axiom_messages(valencies, p, pairing, point_count) -> Iterator[str]:
     if p.shape != (r, r, r):
         yield f"p has shape {p.shape}, expected {(r, r, r)}"
         return
+    for i, j, k in np.argwhere(p < 0).tolist():
+        yield f"p[{i}][{j}][{k}] = {p[i, j, k]}, expected a count >= 0"
     if len(pairing) != r or sorted(pairing) != list(range(r)):
         yield f"pairing {pairing} is not a permutation of 0..{r - 1}"
         return

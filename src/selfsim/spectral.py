@@ -30,59 +30,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError, NumericalError, SizeCapError
-from .orbits import merge_components
+from .orbits import check_memory, merge_components
 from .scheme import OrbitalScheme, is_commutative
 
 DEFAULT_SEED = 1729
 EIG_CLUSTER_RTOL = 1e-8
 MAX_SEED_TRIES = 5
 DENSE_ORACLE_CAP = 243
-# Most bytes of one slice of the product-rule check.  Chosen by
-# measurement: 2^21 made the rank-15 check twice as slow, and 2^18 and up
-# raised verify's peak RSS.
-_TEMP_BYTES = 2**17
-# The same for a product-rule slice once one class outgrows _TEMP_BYTES
-# (rank 26 on): at rank 42 a slice of 3 classes took 8.6 ms against 12.3 ms
-# for one class at a time.  Past rank 50 a slice holds one class again.
-_WIDE_TEMP_BYTES = 2**21
 
 
 def intersection_matrices(p: np.ndarray) -> np.ndarray:
-    """Left-regular matrices B, B[i][k, j] = p[i][j][k]; verified to multiply
-    like the classes they represent.
+    """Left-regular matrices B, B[i][k, j] = p[i][j][k], once p passes the
+    product rule B_i B_j = sum_k p[i][j][k] B_k for every (i, j).
 
-    Every pair (i, j) is checked, B_i B_j = sum_k p[i][j][k] B_k, for a slice
-    of i at a time as two matrix products of at most _TEMP_BYTES each, or
-    _WIDE_TEMP_BYTES where one i takes more than _TEMP_BYTES (or one i if
-    that is larger still), in ``_product_dtype(p)``.  The first failing pair
-    in row-major order is named.
+    That rule is associativity, sum_m p[i][j][m] p[m][k][l] =
+    sum_x p[j][k][x] p[i][x][l] (Bannai-Ito, II.2), checked for one i and
+    every (j, k, l) at a time as two matrix products on p in
+    ``_product_dtype(p)``; the first failing pair in row-major order is
+    named.  The copy of p, one i's products and their mask take 25 r^3
+    bytes, refused like p itself past half of physical memory.
     """
     p = np.asarray(p)
-    B = p.transpose(0, 2, 1).copy()
     r = len(p)
-    Bx = B.astype(_product_dtype(p))
-    px = p.astype(Bx.dtype).reshape(r * r, r)
-    by_row = Bx.transpose(1, 0, 2).reshape(r, r * r)  # [b, (j, c)] = B[j][b, c]
-    by_class = Bx.reshape(r, r * r)                     # [k, (a, c)] = B[k][a, c]
-    step = _slice_classes(r, Bx.itemsize)
-    for lo in range(0, r, step):
-        h = min(step, r - lo)
-        # [i, a, j, c] = (B_i B_j)[a, c] and [i, j, a, c] = (sum_k p[i][j][k] B_k)[a, c]
-        left = (Bx[lo:lo + h].reshape(h * r, r) @ by_row).reshape(h, r, r, r)
-        right = (px[lo * r:(lo + h) * r] @ by_class).reshape(h, r, r, r)
-        unequal = left != right.transpose(0, 2, 1, 3)
-        if unequal.any():
-            i, j = np.argwhere(unequal.any(axis=(1, 3)))[0]
-            raise IntegrityError(
-                f"left-regular matrices violate the product rule at ({lo + i}, {j})"
-            )
-    return B
-
-
-def _slice_classes(r: int, itemsize: int) -> int:
-    """Classes per slice of the product-rule check at rank r."""
-    per_class = itemsize * max(1, r**3)
-    return max(1, (_TEMP_BYTES if per_class <= _TEMP_BYTES else _WIDE_TEMP_BYTES) // per_class)
+    check_memory(f"rank {r}", 25 * r**3, "its product-rule check", r)
+    px = p.astype(_product_dtype(p))
+    left, right = np.empty((r, r * r), px.dtype), np.empty((r * r, r), px.dtype)
+    for i in range(r):  # [j, (k, l)]: (e_i e_j) e_k against e_i (e_j e_k), at e_l
+        np.matmul(px[i], px.reshape(r, r * r), out=left)
+        np.matmul(px.reshape(r * r, r), px[i], out=right)
+        bad = np.flatnonzero((left != right.reshape(r, -1)).any(axis=1))
+        if bad.size:
+            raise IntegrityError(f"left-regular matrices violate the product rule at ({i}, {bad[0]})")
+    del px, left, right  # B's 8 r^3 bytes come once the check's 25 r^3 are freed
+    return p.transpose(0, 2, 1).copy()
 
 
 def _product_dtype(p: np.ndarray) -> type:

@@ -15,6 +15,11 @@ def axiom_messages_reference(valencies, p, pairing, point_count) -> Iterator[str
     if p.shape != (r, r, r):
         yield f"p has shape {p.shape}, expected {(r, r, r)}"
         return
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if p[i][j][k] < 0:
+                    yield f"p[{i}][{j}][{k}] = {p[i][j][k]}, expected a count >= 0"
     if len(pairing) != r or sorted(pairing) != list(range(r)):
         yield f"pairing {pairing} is not a permutation of 0..{r - 1}"
         return

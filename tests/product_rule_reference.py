@@ -1,7 +1,7 @@
-"""The per-class product-rule check, as a reference for the chunked matrix
-products in ``spectral.intersection_matrices``: for every i, the int64
-products B[i] B[j] are compared with sum_k p[i][j][k] B[k] for all j at
-once, with no BLAS and no dtype choice."""
+"""The per-class product-rule check on B, as a reference for the
+associativity check on p in ``spectral.intersection_matrices``: for every
+i, the int64 products B[i] B[j] are compared with sum_k p[i][j][k] B[k] for
+all j at once, with no BLAS and no dtype choice."""
 
 import numpy as np
 

@@ -15,6 +15,7 @@ from selfsim import __version__, cache
 from selfsim.catalog import builtin
 from selfsim.cli import build_parser, main
 from selfsim.errors import SizeCapError
+from selfsim.scheme import is_commutative
 from selfsim.tree import Vertex, parse_ray
 from selfsim.wreath import (Word, generator_level_perms, level_permutation, load_presentation,
                             parse_presentation, section)
@@ -381,10 +382,12 @@ def test_cone_route_keeps_a_raised_cap(capsys, monkeypatch):
 def test_verify_keeps_a_raised_cap(capsys, monkeypatch):
     # As above, and no verify suite composes a level permutation under the
     # default cap: the label invariance suite moves each case's two points
-    # by act, and needs no cap at all.
+    # by act, and needs no cap at all.  Physical memory is 28 KiB: less than
+    # twice the fold's 16 KiB table, more than twice the 12.5 KiB (25 r^3
+    # bytes) that the degree certificate's product-rule check plans at rank 8.
     monkeypatch.setattr(generator_level_perms, "__defaults__", (1 << 6,))
     monkeypatch.setattr(level_permutation, "__defaults__", (1 << 6,))
-    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 1 << 14)
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 28 << 10)
     code, doc, err = run_json(capsys, "verify", "--group", "grigorchuk",
                               "--level", "7", "--cap", "128", "--cases", "5")
     assert (code, err) == (0, "")
@@ -909,6 +912,25 @@ def _merge(tamper):
     return lambda doc: doc | tamper
 
 
+def _move_p(*moves):
+    """Add delta to p at each (entry, delta), keeping the entry's
+    ``commutative`` field true to the new p, so only the checks of p itself
+    can catch it."""
+    def tamper(doc):
+        p = np.array(doc["p"])
+        for entry, delta in moves:
+            p[entry] += delta
+        return doc | {"commutative": is_commutative(p), "p": p.tolist()}
+    return tamper
+
+
+# grigorchuk level 3: p[2][1][0] to -2, every row and weighted sum kept
+_NEGATIVE_P = _move_p(((2, 1, 0), -2), ((2, 2, 0), 2), ((2, 1, 1), 2), ((2, 2, 1), -2))
+# FINER_THAN_CONES level 3: p stays >= 0 and passes every axiom, but fails
+# the product rule at (1, 1)
+_NOT_ASSOCIATIVE = _move_p(((1, 1, 2), -1), ((1, 2, 2), 1), ((1, 1, 1), 1), ((1, 2, 1), -1))
+
+
 def _entry_path(cache_dir, command, level):
     if "--group" in command:
         entry = builtin(command[command.index("--group") + 1])
@@ -931,10 +953,12 @@ def _entry_path(cache_dir, command, level):
     (CACHED_RUNS["scheme"], 0, _merge({"commutative": 1})),
     (CACHED_RUNS["scheme"], 0, _merge({"rank": 4.0})),
     (CACHED_RUNS["scheme"], 0, _merge({"valencies": [1.0, 1, 2, 4]})),
+    (CACHED_RUNS["scheme"], 0, _NEGATIVE_P),
+    (("decompose", *FINER, "--level", "3"), 0, _NOT_ASSOCIATIVE),
 ], ids=["decompose-p-entry", "decompose-commutative-int", "decompose-rank-float",
         "nesting-p-entry", "nesting-commutative-int", "nesting-rank-float",
         "decompose-envelope", "scheme-envelope", "commutative-int", "rank-float",
-        "valency-float"])
+        "valency-float", "scheme-negative-p", "decompose-not-associative"])
 def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, finer_file, command, offset,
                                            tamper):
     # offset 1 tampers with level n+1's entry, which --nesting reads
@@ -952,6 +976,20 @@ def test_tampered_cache_entry_is_recomputed(capsys, tmp_path, finer_file, comman
         assert run(capsys, *command, *mode, "--cache-dir", str(cache_dir)) == expected
         assert json.loads(path.read_text()) == stored  # rewritten by the recompute
         path.write_text(json.dumps(tampered))
+
+
+def test_cache_hit_past_its_check_budget_is_recomputed(capsys, tmp_path, finer_file,
+                                                       monkeypatch):
+    # 8 KiB of physical memory fits the rank-6 scheme's p (8 r^3 = 1728
+    # bytes) but not its product-rule check (25 r^3 = 5400): the build runs,
+    # and a stored entry is rebuilt rather than failing the run.
+    command = ("scheme", *FINER, "--level", "3", "--json")
+    cache_dir = str(tmp_path / "cache")
+    assert run(capsys, *command, "--cache-dir", cache_dir)[0] == 0
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 8 << 10)
+    uncached = run(capsys, *command)
+    assert uncached[0] == 0
+    assert run(capsys, *command, "--cache-dir", cache_dir) == uncached
 
 
 @pytest.mark.parametrize("argv", [

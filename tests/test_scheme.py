@@ -103,10 +103,16 @@ def _axiom_corruptions():
     yield "three-cycle pairing", k, p, (0, 2, 3, 1) + tuple(range(4, r)), size
     yield "pairing moves the diagonal", k, p, (1, 0) + tuple(range(2, r)), size
     yield "pairing not a permutation", k, p, (0,) * r, size
+    yield "negated p, pairing not a permutation", k, -p, (0,) * r, size
     yield "p of the wrong shape", k, p[:, :, :-1], pairing, size
     yield "all-zero p", k, np.zeros_like(p), pairing, size
     g = _scheme("gamma", 2)
     yield "all-zero p, gamma 2", g.valencies, np.zeros_like(g.p), g.pairing, g.point_count
+    g = _scheme("grigorchuk", 3)
+    moved = g.p.copy()  # p[2][1][0] to -2 with every row and weighted sum kept
+    moved[2, [1, 2], 0] += (-2, 2)
+    moved[2, [1, 2], 1] += (2, -2)
+    yield "one negative entry, sums kept", g.valencies, moved, g.pairing, g.point_count
 
 
 def test_axiom_messages_match_the_reference():

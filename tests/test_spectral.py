@@ -15,7 +15,7 @@ from selfsim.cli import main
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
 from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _charpoly_mod, _cluster_indices,
-                              _is_prime, _primes, _product_dtype, _residues, _slice_classes,
+                              _is_prime, _primes, _product_dtype, _residues,
                               common_eigensystem, degrees_embed, dense_commutant_oracle,
                               intersection_matrices, spectral_data)
 from selfsim.tree import parse_ray
@@ -113,18 +113,13 @@ _PRODUCT_RULE_FAMILY = {
 }
 
 
-@pytest.mark.parametrize("per_slice", [None, 1, 2], ids=["budget", "one-class", "two-classes"])
 @pytest.mark.parametrize("case", sorted(_PRODUCT_RULE_FAMILY))
-def test_product_rule_matches_the_reference_on_every_single_entry_change(
-        case, per_slice, monkeypatch):
-    # Every entry of p moved by +1 and by -1: the chunked products raise
-    # exactly where the per-class int64 loop does, naming the same (i, j).
-    # These ranks fit one slice of the byte budget; narrower slices also
-    # check the offsets of later ones.
+def test_product_rule_matches_the_reference_on_every_single_entry_change(case):
+    # Every entry of p moved by +1 and by -1: the per-class products on p
+    # raise exactly where the per-class int64 loop on B does, naming the
+    # same (i, j).
     pres, n, ray = _PRODUCT_RULE_FAMILY[case]
     p = build_scheme(pres, n, ray).p
-    if per_slice is not None:
-        monkeypatch.setattr("selfsim.spectral._TEMP_BYTES", per_slice * 8 * len(p)**3)
     assert _product_dtype(p) is np.float64
     assert _product_rule_verdict(intersection_matrices, p) is None
     raised = 0
@@ -169,33 +164,58 @@ def test_pencil_past_float64_runs_over_python_ints():
     assert spectral_data(p).degrees == [1, size - 1]
 
 
-def test_product_rule_check_keeps_to_its_byte_budget():
-    # Rank 42 (FINER_THAN_CONES, level 5): its r^4 products are checked a
-    # few classes at a time, near 7 MB; slices of 16 MiB peak near
-    # 42 MB, and all classes at once near 53 MB.
+def _rank_42():
     p = build_scheme(parse_presentation(FINER_THAN_CONES), 5, parse_ray("3", 3)).p
     assert len(p) == 42
+    return p
+
+
+def test_product_rule_check_keeps_to_its_byte_budget():
+    # Rank 42 (FINER_THAN_CONES, level 5): the float64 copy of p, one class's
+    # two products and their mask, 25 r^3 bytes, with room for the small
+    # per-class results; one more r^3 array of int64 or float64 (592 KB), as
+    # a copy of B would be, does not fit.
+    p = _rank_42()
     tracemalloc.start()
     try:
         intersection_matrices(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 << 20
+    assert peak < 25 * 42**3 + (64 << 10)
 
 
-def test_product_rule_slices_hold_several_classes_at_mid_rank():
-    # Up to rank 25 a class fits _TEMP_BYTES and the slices are as they
-    # were; past it they take _WIDE_TEMP_BYTES, one class again past rank 50.
-    for r in range(1, 26):
-        assert _slice_classes(r, 8) == max(1, 2**17 // (8 * r**3)), r
-    assert [_slice_classes(r, 8) for r in (26, 42, 50, 51, 123)] == [14, 3, 2, 1, 1]
-    p = build_scheme(parse_presentation(FINER_THAN_CONES), 5, parse_ray("3", 3)).p
-    for i, j, k in ((0, 0, 0), (40, 7, 3), (41, 41, 41)):  # first and last slice
+def test_product_rule_check_past_physical_memory_is_refused(monkeypatch):
+    # Physical memory one byte short of twice the check's 25 r^3 bytes:
+    # spectral_data refuses before a copy of p (8 r^3 bytes) exists.
+    p = _rank_42()
+    planned = 25 * 42**3
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 2 * planned - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=rf"^rank 42 needs {planned} bytes for its "
+                                               rf"product-rule check, more than half of the "
+                                               rf"{2 * planned - 1} bytes of physical memory$"):
+            spectral_data(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 42**3
+
+
+def test_product_rule_names_first_and_last_class_changes_at_mid_rank():
+    # Changes in the first and the last class of rank 42 give the
+    # reference's verdict: the first three name (0, 0), (1, 2) and (41, 0),
+    # and p[41][41][41] + 1 still passes.
+    p = _rank_42()
+    verdicts = []
+    for i, j, k in ((0, 0, 0), (40, 7, 3), (41, 0, 41), (41, 41, 41)):
         bad = p.copy()
         bad[i, j, k] += 1
-        assert (_product_rule_verdict(intersection_matrices, bad)
-                == _product_rule_verdict(product_rule_reference, bad)), (i, j, k)
+        verdicts.append(_product_rule_verdict(intersection_matrices, bad))
+        assert verdicts[-1] == _product_rule_verdict(product_rule_reference, bad), (i, j, k)
+    assert verdicts == [f"left-regular matrices violate the product rule at {pair}"
+                        for pair in ((0, 0), (1, 2), (41, 0))] + [None]
 
 
 @pytest.mark.parametrize("values,atol,want", [
