@@ -113,14 +113,30 @@ _PRODUCT_RULE_FAMILY = {
 }
 
 
+def _relabelled(p):
+    """p with classes 1..r-1 in reverse order; class 0 stays the identity."""
+    order = np.r_[0, np.arange(len(p) - 1, 0, -1)]
+    return p[np.ix_(order, order, order)]
+
+
+@pytest.mark.parametrize("variant", ["budget", "only-int64", "twisted-labels"])
 @pytest.mark.parametrize("case", sorted(_PRODUCT_RULE_FAMILY))
-def test_product_rule_matches_the_reference_on_every_single_entry_change(case):
+def test_product_rule_matches_the_reference_on_every_single_entry_change(
+        case, variant, monkeypatch):
     # Every entry of p moved by +1 and by -1: the per-class products on p
     # raise exactly where the per-class int64 loop on B does, naming the
-    # same (i, j).
+    # same (i, j).  "budget" runs the products in the dtype the 2^53 budget
+    # picks (float64 at these ranks), "only-int64" forces the int64 route,
+    # and "twisted-labels" relabels the classes, so the first failing pair
+    # in row-major order falls elsewhere.
     pres, n, ray = _PRODUCT_RULE_FAMILY[case]
     p = build_scheme(pres, n, ray).p
     assert _product_dtype(p) is np.float64
+    if variant == "only-int64":
+        monkeypatch.setattr(spectral, "_product_dtype", lambda p: np.int64)
+    elif variant == "twisted-labels":
+        p = _relabelled(p)
+        assert not np.array_equal(p, build_scheme(pres, n, ray).p)
     assert _product_rule_verdict(intersection_matrices, p) is None
     raised = 0
     for entry in np.ndindex(p.shape):
