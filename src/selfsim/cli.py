@@ -18,8 +18,11 @@ wreath power and touches no cache.  Either way every printed degree is
 exact, and ``--seed`` matters only to ``--oracle``.  ``decompose --oracle``
 and ``scheme --dot`` build the scheme and touch no cache.
 
-One parser serves a process: the first ``main`` call builds it, not the
-import, and every later call in the same process reuses it.
+Each command has a parser of its own, built on that command's first
+``main`` call, not at import, and reused by every later call in the same
+process.  The top-level parser of every command is built only when no
+command leads the argv: for --help, --version, a missing or unknown command
+and an option before the command.
 """
 
 from __future__ import annotations
@@ -73,51 +76,43 @@ def _add_common(sp, ray: bool, cap: bool = True, cached: bool = False):
                                       "or 'dinf' (default)")
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The parser of every subcommand, built on the first call and shared by
-    every later one: parsing reads it and leaves no state in it."""
-    parser = _Parser(prog="selfsim", description=__doc__.splitlines()[0]
-                     if __doc__ else None)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("catalog", help="list the built-in groups")
+def _add_catalog(sp):
     sp.add_argument("action", nargs="?", choices=["list"], default="list")
     sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("act", help="apply a word to a vertex")
+
+def _add_vertex(sp):
     _add_common(sp, ray=False, cap=False)
     sp.add_argument("--word", required=True)
     sp.add_argument("--vertex", required=True)
 
-    sp = sub.add_parser("section", help="restriction of a word below a vertex")
-    _add_common(sp, ray=False, cap=False)
-    sp.add_argument("--word", required=True)
-    sp.add_argument("--vertex", required=True)
 
-    sp = sub.add_parser("order", help="order of a word on one level")
+def _add_order(sp):
     _add_common(sp, ray=False)
     sp.add_argument("--word", required=True)
     sp.add_argument("--level", type=int, required=True)
 
-    sp = sub.add_parser("portrait", help="expand the recursion of a word")
+
+def _add_portrait(sp):
     _add_common(sp, ray=False)
     sp.add_argument("--word", required=True)
     sp.add_argument("--depth", type=int, default=2)
     sp.add_argument("--dot", action="store_true", help="emit graphviz DOT")
 
-    sp = sub.add_parser("orbits", help="stabilizer suborbits on a level")
+
+def _add_orbits(sp):
     _add_common(sp, ray=True)
     sp.add_argument("--level", type=int, required=True)
 
-    sp = sub.add_parser("scheme", help="orbital scheme of a level action")
+
+def _add_scheme(sp):
     _add_common(sp, ray=True, cached=True)
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--dot", action="store_true",
                     help="emit the colored orbital graph instead")
 
-    sp = sub.add_parser("decompose", help="irreducible component degrees")
+
+def _add_decompose(sp):
     _add_common(sp, ray=True, cached=True)
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--oracle", action="store_true",
@@ -125,11 +120,43 @@ def build_parser() -> _Parser:
     sp.add_argument("--nesting", action="store_true",
                     help="also check the degrees embed into level n+1")
 
-    sp = sub.add_parser("verify", help="run the randomized invariant suites")
+
+def _add_verify(sp):
     _add_common(sp, ray=True)
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--cases", type=int, default=DEFAULT_CASES)
 
+
+# name -> (help in the command list, the function that adds its arguments)
+_COMMANDS = {
+    "catalog": ("list the built-in groups", _add_catalog),
+    "act": ("apply a word to a vertex", _add_vertex),
+    "section": ("restriction of a word below a vertex", _add_vertex),
+    "order": ("order of a word on one level", _add_order),
+    "portrait": ("expand the recursion of a word", _add_portrait),
+    "orbits": ("stabilizer suborbits on a level", _add_orbits),
+    "scheme": ("orbital scheme of a level action", _add_scheme),
+    "decompose": ("irreducible component degrees", _add_decompose),
+    "verify": ("run the randomized invariant suites", _add_verify),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of one command, or for None the top-level parser of every
+    command; each is built on its first call and shared by every later one:
+    parsing reads it and leaves no state in it."""
+    if command is not None:
+        parser = _Parser(prog=f"selfsim {command}")
+        _COMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
+    parser = _Parser(prog="selfsim", description=__doc__.splitlines()[0]
+                     if __doc__ else None)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add) in _COMMANDS.items():
+        add(sub.add_parser(name, help=text))
     return parser
 
 
@@ -409,9 +436,12 @@ def _fail(args, kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = build_parser(argv[0]).parse_args(argv[1:])
+        else:  # --help, --version, no or an unknown command, an option before it
+            args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -419,6 +449,9 @@ def main(argv=None) -> int:
         # the commands that seed numpy, which takes no negative seed
         if args.command in ("decompose", "verify") and args.seed < 0:
             raise _UsageError(f"--seed must be at least 0, got {args.seed}")
+        # no level fits under such a cap
+        if getattr(args, "cap", 1) < 1:
+            raise _UsageError(f"--cap must be at least 1, got {args.cap}")
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         _fail(args, "usage", str(exc))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -495,7 +496,84 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_one_parser_per_process():
+    assert build_parser("decompose") is build_parser("decompose")
     assert build_parser() is build_parser()
+
+
+def test_a_call_builds_only_its_own_parser(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "decompose", "--group", "gamma", "--level", "2")[0] == 0
+    assert build_parser.cache_info().currsize == 1
+    assert run(capsys, "decompose", "--group", "gamma", "--level", "3")[0] == 0
+    assert build_parser.cache_info().currsize == 1
+
+
+COMMANDS = ("catalog", "act", "section", "order", "portrait", "orbits", "scheme",
+            "decompose", "verify")
+
+
+def _subparsers():
+    """The top-level parser's own subparsers, by command."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_the_top_level_parser_lists_every_command():
+    assert tuple(_subparsers()) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_parser_formats_as_the_top_level_subparser(command):
+    alone, sub = build_parser(command), _subparsers()[command]
+    assert alone is not sub
+    assert alone.format_help() == sub.format_help()
+    assert alone.format_usage() == sub.format_usage()
+
+
+def _main(capsys, argv):
+    """main's exit code, from its return or from --help or --version, with its output."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# argv, exit code, and a text that must be on stdout (exit 0) or stderr (otherwise)
+PARSE_MATRIX = [
+    ((), 1, "usage error: the following arguments are required: command\n"),
+    (("-h",), 0, "usage: selfsim [-h] [--version]"),
+    (("--version",), 0, f"{__version__}\n"),
+    (("bogus",), 1, "usage error: argument command: invalid choice: 'bogus'"),
+    (("decompose", "-h"), 0, "usage: selfsim decompose [-h]"),
+    (("--json", "decompose", "--group", "grigorchuk", "--level", "3"), 1,
+     "usage error: unrecognized arguments: --json\n"),
+    (("decompose", "--gr", "grigorchuk", "--level", "3"), 0,
+     "level 3: rank 4, gelfand: True\ndegrees: [1, 1, 2, 4]\n"),
+    (("decompose", "--group", "grigorchuk", "--level", "x"), 1,
+     "usage error: argument --level: invalid int value: 'x'\n"),
+    (("decompose", "--group", "grigorchuk"), 1,
+     "usage error: the following arguments are required: --level\n"),
+    (("decompose", "--", "--group"), 1, "usage error: "),
+    (("orbits", "--group", "grigorchuk", "--level", "2", "extra"), 1,
+     "usage error: unrecognized arguments: extra\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", PARSE_MATRIX,
+                         ids=[" ".join(argv) or "no-args" for argv, _, _ in PARSE_MATRIX])
+def test_main_prints_what_the_top_level_parser_prints(capsys, monkeypatch, argv, code, text):
+    routed = _main(capsys, argv)
+    out, err = routed[1:]
+    shown, silent = (out, err) if code == 0 else (err, out)
+    assert routed[0] == code and text in shown and silent == ""
+    # The same argv through the top-level parser alone: built with every
+    # command first, then the table hidden so main routes nothing to a
+    # command's own parser.
+    build_parser()
+    monkeypatch.setattr("selfsim.cli._COMMANDS", {})
+    assert _main(capsys, argv) == routed
 
 
 def test_the_shared_parser_keeps_nothing_between_calls(capsys):
@@ -732,6 +810,31 @@ def test_decompose_refuses_a_negative_seed_before_the_build(capsys, monkeypatch,
     assert code == 1
     assert out == ""
     assert "--seed must be at least 0, got -1" in err
+
+
+CAPPED = {
+    "order": ("order", "--group", "grigorchuk", "--word", "a b", "--level", "3"),
+    "portrait": ("portrait", "--group", "grigorchuk", "--word", "d", "--depth", "2"),
+    "orbits": ("orbits", "--group", "grigorchuk", "--level", "3"),
+    "scheme": ("scheme", "--group", "grigorchuk", "--level", "3"),
+    "decompose": ("decompose", "--group", "grigorchuk", "--level", "3"),
+    "verify": ("verify", "--group", "grigorchuk", "--level", "3"),
+}
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", CAPPED)
+def test_a_cap_below_one_is_a_usage_error(capsys, monkeypatch, command, cap):
+    # No level fits under such a cap: the flag is refused before the input
+    # is even read, where the size check blamed the computation (exit 2).
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the input was read")
+    monkeypatch.setattr("selfsim.cli._resolve", unreachable)
+    code, out, err = run(capsys, *CAPPED[command], "--cap", cap, "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "usage", "message": f"--cap must be at least 1, got {cap}"}
+    code, out, err = run(capsys, *CAPPED[command], "--cap", cap)
+    assert (code, out, err) == (1, "", f"error: --cap must be at least 1, got {cap}\n")
 
 
 SEEDLESS = {
