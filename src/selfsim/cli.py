@@ -127,20 +127,6 @@ def _add_verify(sp):
     sp.add_argument("--cases", type=int, default=DEFAULT_CASES)
 
 
-# name -> (help in the command list, the function that adds its arguments)
-_COMMANDS = {
-    "catalog": ("list the built-in groups", _add_catalog),
-    "act": ("apply a word to a vertex", _add_vertex),
-    "section": ("restriction of a word below a vertex", _add_vertex),
-    "order": ("order of a word on one level", _add_order),
-    "portrait": ("expand the recursion of a word", _add_portrait),
-    "orbits": ("stabilizer suborbits on a level", _add_orbits),
-    "scheme": ("orbital scheme of a level action", _add_scheme),
-    "decompose": ("irreducible component degrees", _add_decompose),
-    "verify": ("run the randomized invariant suites", _add_verify),
-}
-
-
 @functools.cache
 def build_parser(command: str | None = None) -> _Parser:
     """The parser of one command, or for None the top-level parser of every
@@ -155,7 +141,7 @@ def build_parser(command: str | None = None) -> _Parser:
                      if __doc__ else None)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add) in _COMMANDS.items():
+    for name, (text, add, _) in _COMMANDS.items():
         add(sub.add_parser(name, help=text))
     return parser
 
@@ -415,16 +401,18 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "act": _cmd_act,
-    "section": _cmd_act,
-    "order": _cmd_order,
-    "portrait": _cmd_portrait,
-    "orbits": _cmd_orbits,
-    "scheme": _cmd_scheme,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
+# name -> (help in the command list, the function that adds its arguments,
+# the handler)
+_COMMANDS = {
+    "catalog": ("list the built-in groups", _add_catalog, _cmd_catalog),
+    "act": ("apply a word to a vertex", _add_vertex, _cmd_act),
+    "section": ("restriction of a word below a vertex", _add_vertex, _cmd_act),
+    "order": ("order of a word on one level", _add_order, _cmd_order),
+    "portrait": ("expand the recursion of a word", _add_portrait, _cmd_portrait),
+    "orbits": ("stabilizer suborbits on a level", _add_orbits, _cmd_orbits),
+    "scheme": ("orbital scheme of a level action", _add_scheme, _cmd_scheme),
+    "decompose": ("irreducible component degrees", _add_decompose, _cmd_decompose),
+    "verify": ("run the randomized invariant suites", _add_verify, _cmd_verify),
 }
 
 
@@ -452,7 +440,7 @@ def main(argv=None) -> int:
         # no level fits under such a cap
         if getattr(args, "cap", 1) < 1:
             raise _UsageError(f"--cap must be at least 1, got {args.cap}")
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except _UsageError as exc:
         _fail(args, "usage", str(exc))
         return 1

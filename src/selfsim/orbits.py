@@ -281,6 +281,15 @@ def merge_components(rep: np.ndarray, tails: np.ndarray,
             rep = jumped
 
 
+def permutation_cycles(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each point's cycle under a permutation, named by its least point; the
+    length of the cycle of each name, 0 at other points; and the order."""
+    cycle = merge_components(np.arange(len(perm), dtype=np.int64), perm)
+    length = np.bincount(cycle, minlength=len(perm))
+    # Python ints: an int64 lcm can wrap and make a short cycle look full.
+    return cycle, length, math.lcm(*set(length[length > 0].tolist()))
+
+
 def _component_partition(perms: Iterable[np.ndarray], base: Vertex,
                          rows: np.ndarray) -> SuborbitPartition:
     """Orbits of the group the permutations generate: the components of the
@@ -341,16 +350,12 @@ def suborbits_from_transversal(pres: WreathPresentation, tv: Transversal) -> Sub
     if broken:
         raise IntegrityError("transversal checks failed:\n" + "\n".join(broken))
     gen_perms = generator_level_perms(pres, tv.base.level)
-    points = np.arange(size, dtype=np.int64)
     rows = max(1, _BLOCK_ENTRIES // size)
-    rep = points
+    rep = np.arange(size, dtype=np.int64)
     for k, name in enumerate(tv.generators):
         pg = gen_perms[name]
         keep = tv.via[pg] != k  # off the tree: s(x) was not first reached by s
-        cycle = merge_components(points, pg)
-        length = np.bincount(cycle, minlength=size)
-        # Python ints: an int64 lcm can wrap and make a short cycle look full.
-        order = math.lcm(*set(length[length > 0].tolist()))
+        cycle, length, order = permutation_cycles(pg)
         full = np.flatnonzero(keep & (length[cycle] == order))
         dropped = np.full(size, -1, dtype=np.int64)
         dropped[cycle[full]] = full  # one pair of each full cycle

@@ -2,17 +2,19 @@
 
 A presentation assigns each generator a permutation of the d subtrees at the
 root and a word of generators acting inside each subtree.  Inverses never
-need their own rules: the recursion for g^-1 follows from the rule for g.
-Words act on vertices on the left, rightmost letter first.  ``section``,
-portraits and ``act`` (but for a vertex's last _VERTEX_CHUNK letters, which
-a memoized letter recursion takes) walk one step rule, ``letter_step``.
+need their own rules: the recursion for g^-1 follows from the rule for g,
+and a presentation's step table states it once, per letter and vertex
+letter.  Words act on vertices on the left, rightmost letter first.
+``letter_step``, ``section``, portraits, ``act`` and the level permutations
+all read that table; ``act`` hands a vertex's last _VERTEX_CHUNK letters to
+a letter recursion memoized per presentation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -24,6 +26,9 @@ from .tree import DEFAULT_LEVEL_CAP, Vertex, check_level_size
 
 # One letter of a word: (generator name, +1 or -1).
 Letter = tuple[str, int]
+# One step of a letter at a vertex letter: the image, and the letters of the
+# section there as spelled and freely reduced, the reduced ones reversed.
+Step = tuple[int, tuple[Letter, ...], tuple[Letter, ...]]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _CACHE_LIMIT = 1 << 20
@@ -164,6 +169,27 @@ class WreathPresentation:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
+
+    @cached_property
+    def _steps(self) -> dict[Letter, tuple[Step, ...]]:
+        """The one step of the recursion: _steps[letter][x - 1] is the letter's
+        Step at the vertex letter x, reduced with no involutions.  g sends x
+        to g(x) and leaves g|_x; g^-1 sends x to j = g^-1(x) and leaves
+        (g|_j)^-1."""
+        steps = {}
+        for r in self.rules:
+            preimages = [r.root_perm.index(x) + 1 for x in range(1, self.degree + 1)]
+            for sign, pieces in ((1, zip(r.root_perm, r.sections)),
+                                 (-1, ((j, r.sections[j - 1].inverse()) for j in preimages))):
+                steps[r.name, sign] = tuple((image, w.letters, free_reduce(w).letters[::-1])
+                                            for image, w in pieces)
+        return steps
+
+    @cached_property
+    def _spelling(self) -> tuple[dict[Letter, Letter], int]:
+        """Each letter's inverse, and the most letters that one step spells."""
+        return ({(name, sign): (name, -sign) for name, sign in self._steps},
+                max(len(spelled) for pieces in self._steps.values() for _, spelled, _ in pieces))
 
     # Mutable memo tables; keyed by immutable inputs, so observationally pure.
     @cached_property
@@ -430,88 +456,80 @@ def load_presentation(path: str) -> WreathPresentation:
 # the action on vertices
 
 
-def _bound(cache: dict):
-    if len(cache) > _CACHE_LIMIT:
-        cache.clear()
-
-
 def letter_step(pres: WreathPresentation, letters: tuple[Letter, ...],
                 x: int) -> tuple[int, tuple[Letter, ...]]:
     """Where a word's letters send the vertex letter x (1-based), and the
     letters of the word's section there, unreduced.  The letters act
-    rightmost first; g^-1 sends x to j = g^-1(x) and leaves (g|_j)^-1."""
-    x, parts = _step_parts(pres, letters, x)
-    return x, tuple(chain.from_iterable(reversed(parts)))
+    rightmost first, each by its step in the presentation's step table."""
+    x, walked = _walk(pres, reversed(letters), x)
+    return x, tuple(chain.from_iterable(spelled for _, spelled, _ in reversed(walked)))
 
 
-def _step_parts(pres: WreathPresentation, letters: tuple[Letter, ...],
-                x: int) -> tuple[int, list[tuple[Letter, ...]]]:
-    """``letter_step`` before its section is spelled: the section's pieces,
-    one per letter, last first."""
-    parts = []
-    for name, sign in reversed(letters):
-        rule = pres.rule_map[name]
-        if sign > 0:
-            parts.append(rule.sections[x - 1].letters)
-            x = rule.root_perm[x - 1]
-        else:
-            x = rule.root_perm.index(x) + 1
-            parts.append(tuple((nm, -sg) for nm, sg in reversed(rule.sections[x - 1].letters)))
-    return x, parts
+def _walk(pres: WreathPresentation, rev: Iterable[Letter], x: int) -> tuple[int, list[Step]]:
+    """Where the letters of rev, in that order, send the vertex letter x, and
+    the step table's entry for each letter on the way."""
+    steps, walked = pres._steps, []
+    for letter in rev:
+        step = steps[letter][x - 1]
+        walked.append(step)
+        x = step[0]
+    return x, walked
 
 
 def _descend(pres: WreathPresentation, word: Word, vertex: Vertex,
-             stop: int) -> tuple[tuple[int, ...], tuple[Letter, ...]]:
+             stop: int) -> tuple[tuple[int, ...], Sequence[Letter]]:
     """The image of the vertex's first stop letters under a word, and the
     word's section there freely reduced with no involutions, which holds in
-    every group.  A vertex of another degree or an undeclared generator is
-    refused first.
+    every group, with its letters reversed.  A vertex of another degree or an
+    undeclared generator is refused first.
 
-    A section can double in length with every letter, so one whose pieces
-    hold more than DEFAULT_LEVEL_CAP letters is refused before it is
-    spelled out."""
+    Each section is spelled in one pass over the word's letters, rightmost
+    first: a letter's reduced piece cancels only where it meets the section
+    spelled so far.  A section can double in length with every letter, so
+    one whose pieces hold more than DEFAULT_LEVEL_CAP letters before
+    reduction is refused before it is spelled out."""
     if vertex.degree != pres.degree:
         raise ValueError("vertex degree does not match the presentation")
     _check_word(pres, word)
-    path, letters, image = vertex.letters[:stop], word.letters, []
+    inverse, longest = pres._spelling
+    path, rev, image = vertex.letters[:stop], word.letters[::-1], []
     for x in path:
-        if not letters:
-            return tuple(image) + path[len(image):], letters
-        x, parts = _step_parts(pres, letters, x)
-        size = sum(map(len, parts))
-        if size > DEFAULT_LEVEL_CAP:
-            raise SizeCapError(f"the section below letter {len(image) + 1} of the vertex has "
-                               f"{size} letters before reduction, more than the cap of "
-                               f"{DEFAULT_LEVEL_CAP}", size=size)
+        if not rev:
+            return tuple(image) + path[len(image):], rev
+        x, walked = _walk(pres, rev, x)
+        if len(rev) * longest > DEFAULT_LEVEL_CAP:
+            size = sum(len(spelled) for _, spelled, _ in walked)
+            if size > DEFAULT_LEVEL_CAP:
+                raise SizeCapError(f"the section below letter {len(image) + 1} of the vertex "
+                                   f"has {size} letters before reduction, more than the cap "
+                                   f"of {DEFAULT_LEVEL_CAP}", size=size)
         image.append(x)
-        letters = free_reduce(Word(tuple(chain.from_iterable(reversed(parts))))).letters
-    return tuple(image), letters
+        rev = []
+        for _, _, piece in walked:
+            k = 0
+            while k < len(piece) and rev and rev[-1] == inverse[piece[k]]:
+                rev.pop()
+                k += 1
+            rev.extend(piece[k:] if k else piece)
+    return tuple(image), rev
 
 
-def _act_letter(pres: WreathPresentation, name: str, sign: int,
+def _act_letter(pres: WreathPresentation, letter: Letter,
                 letters: tuple[int, ...]) -> tuple[int, ...]:
     if not letters:
         return letters
-    key = (name, sign, letters)
+    key = (letter, letters)
     cache = pres._act_cache
     hit = cache.get(key)
     if hit is not None:
         return hit
-    rule = pres.rule_map[name]
-    if sign > 0:
-        i = letters[0]
-        tail = letters[1:]
-        for nm, sg in reversed(rule.sections[i - 1].letters):
-            tail = _act_letter(pres, nm, sg, tail)
-        out = (rule.root_perm[i - 1],) + tail
-    else:
-        # g^-1 sends (i, tau) to (j, (g|_j)^-1 tau) where the rule sends j to i.
-        j = rule.root_perm.index(letters[0]) + 1
-        tail = letters[1:]
-        for nm, sg in rule.sections[j - 1].letters:
-            tail = _act_letter(pres, nm, -sg, tail)
-        out = (j,) + tail
-    _bound(cache)
+    image, _, piece = pres._steps[letter][letters[0] - 1]
+    tail = letters[1:]
+    for inner in piece:
+        tail = _act_letter(pres, inner, tail)
+    out = (image,) + tail
+    if len(cache) > _CACHE_LIMIT:
+        cache.clear()
     cache[key] = out
     return out
 
@@ -521,16 +539,17 @@ def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
     act(w, u) act(w|_u, v), v the last _VERTEX_CHUNK letters, since the
     letter recursion is one call deep per vertex letter."""
     cut = max(len(vertex.letters) - _VERTEX_CHUNK, 0)
-    head, letters = _descend(pres, word, vertex, cut)
+    head, rev = _descend(pres, word, vertex, cut)
     tail = vertex.letters[cut:]
-    for name, sign in reversed(letters):
-        tail = _act_letter(pres, name, sign, tail)
+    for letter in rev:
+        tail = _act_letter(pres, letter, tail)
     return Vertex(head + tail, pres.degree)
 
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     """The word acting inside the subtree rooted at vertex; freely reduced."""
-    return pres.reduce(Word(_descend(pres, word, vertex, len(vertex.letters))[1]))
+    rev = _descend(pres, word, vertex, len(vertex.letters))[1]
+    return pres.reduce(Word(tuple(reversed(rev))))
 
 
 # ---------------------------------------------------------------------------
@@ -542,36 +561,34 @@ def generator_level_perms(pres: WreathPresentation, n: int,
     """Zero-based index permutation of level n for every generator; a declared
     involution that does not square to the identity raises PresentationError."""
     check_level_size(pres.degree, n, cap)
-    cache = pres._level_cache
-    d = pres.degree
+    cache, d = pres._level_cache, pres.degree
+    if not cache:
+        cache[0] = {name: np.zeros(1, dtype=np.int64) for name in pres.generator_names}
     for k in range(len(cache), n + 1):
-        if k == 0:
-            cache[0] = {r.name: np.zeros(1, dtype=np.int64) for r in pres.rules}
-            continue
         m = d ** (k - 1)
         level = {}
-        for rule in pres.rules:
+        for name in pres.generator_names:
             img = np.empty(m * d, dtype=np.int64)
-            for i, target in enumerate(rule.root_perm):
-                sec = _compose_level(pres, rule.sections[i], k - 1)
-                img[i * m:(i + 1) * m] = (target - 1) * m + sec
-            if rule.name in pres.involutions and not np.array_equal(img[img], np.arange(m * d)):
-                raise PresentationError(f"declared involution {rule.name!r} does not "
+            for i, (target, spelled, _) in enumerate(pres._steps[name, 1]):
+                img[i * m:(i + 1) * m] = (target - 1) * m + _compose_level(pres, spelled, k - 1)
+            if name in pres.involutions and not np.array_equal(img[img], np.arange(m * d)):
+                raise PresentationError(f"declared involution {name!r} does not "
                                         f"square to the identity on level {k}")
-            level[rule.name] = img
+            level[name] = img
         cache[k] = level
     return cache[n]
 
 
-def _compose_level(pres: WreathPresentation, word: Word, n: int) -> np.ndarray:
-    """The level-n permutation of a word, from the cached generator ones.
+def _compose_level(pres: WreathPresentation, letters: tuple[Letter, ...],
+                   n: int) -> np.ndarray:
+    """The level-n permutation of a word's letters, from the cached generator ones.
 
     A letter with permutation p takes acc to acc[p]; its inverse takes acc to
     acc[p^-1], which is one scatter, nxt[p] = acc, so no inverse is stored.
     """
     perms = pres._level_cache[n]
     acc = np.arange(pres.degree**n, dtype=np.int64)
-    for name, sign in word.letters:
+    for name, sign in letters:
         p = perms[name]
         if sign > 0:
             acc = acc[p]
@@ -587,26 +604,14 @@ def level_permutation(pres: WreathPresentation, word: Word, n: int,
     """The permutation a word induces on level-n vertex indices."""
     _check_word(pres, word)
     generator_level_perms(pres, n, cap)
-    return _compose_level(pres, word, n)
+    return _compose_level(pres, word.letters, n)
 
 
 def order_at_level(pres: WreathPresentation, word: Word, n: int,
                    cap: int = DEFAULT_LEVEL_CAP) -> int:
     """Multiplicative order of the level-n permutation (1 for the identity)."""
-    perm = level_permutation(pres, word, n, cap)
-    seen = np.zeros(len(perm), dtype=bool)
-    lengths = set()
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.add(length)
-    return math.lcm(*lengths) if lengths else 1
+    from .orbits import permutation_cycles  # orbits imports this module
+    return permutation_cycles(level_permutation(pres, word, n, cap))[2]
 
 
 # ---------------------------------------------------------------------------

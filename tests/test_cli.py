@@ -18,8 +18,8 @@ from selfsim.cli import build_parser, main
 from selfsim.errors import SizeCapError
 from selfsim.scheme import is_commutative
 from selfsim.tree import Vertex, parse_ray
-from selfsim.wreath import (Word, generator_level_perms, level_permutation, load_presentation,
-                            parse_presentation, section)
+from selfsim.wreath import (Word, generator_level_perms, letter_step, level_permutation,
+                            load_presentation, parse_presentation, section)
 
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
 
@@ -457,14 +457,26 @@ def test_a_section_past_the_cap_exits_two(capsys, tmp_path):
                    "reduction, more than the cap of 1048576"}
 
 
-def test_section_bound_is_the_level_cap(monkeypatch):
-    pres = parse_presentation(DOUBLING)
+# The same group, its rules spelling a b as a b b^-1 b: the same sections
+# once reduced, but more letters before reduction.
+UNREDUCED = DOUBLING.replace("a b", "a b b^-1 b")
+
+
+@pytest.mark.parametrize("text, letter, size", [(DOUBLING, 7, 128), (UNREDUCED, 6, 94)],
+                         ids=["doubling", "unreduced"])
+def test_section_bound_is_the_level_cap(monkeypatch, text, letter, size):
+    # The cap counts a section's letters as letter_step spells them, before
+    # reduction: counted reduced, UNREDUCED's 94 would be 64 and pass.
+    pres = parse_presentation(text)
     monkeypatch.setattr("selfsim.wreath.DEFAULT_LEVEL_CAP", 64)
-    assert len(section(pres, Word.generator("a"), Vertex((1,) * 6, 2))) == 64
-    with pytest.raises(SizeCapError, match="^the section below letter 7 of the vertex has "
-                                           "128 letters before reduction, more than the "
-                                           "cap of 64$"):
-        section(pres, Word.generator("a"), Vertex((1,) * 7, 2))
+    a = Word.generator("a")
+    above = section(pres, a, Vertex((1,) * (letter - 1), 2))
+    assert len(above) == 2 ** (letter - 1)
+    assert len(letter_step(pres, above.letters, 1)[1]) == size
+    with pytest.raises(SizeCapError, match=f"^the section below letter {letter} of the "
+                                           f"vertex has {size} letters before reduction, "
+                                           "more than the cap of 64$"):
+        section(pres, a, Vertex((1,) * letter, 2))
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,11 +581,18 @@ def test_main_prints_what_the_top_level_parser_prints(capsys, monkeypatch, argv,
     shown, silent = (out, err) if code == 0 else (err, out)
     assert routed[0] == code and text in shown and silent == ""
     # The same argv through the top-level parser alone: built with every
-    # command first, then the table hidden so main routes nothing to a
-    # command's own parser.
+    # command first, then the table made to claim no name, so main routes
+    # nothing to a command's own parser but still finds each handler.
     build_parser()
-    monkeypatch.setattr("selfsim.cli._COMMANDS", {})
+    monkeypatch.setattr("selfsim.cli._COMMANDS", _Unrouted(selfsim.cli._COMMANDS))
     assert _main(capsys, argv) == routed
+
+
+class _Unrouted(dict):
+    """A command table whose membership test finds no command."""
+
+    def __contains__(self, name):
+        return False
 
 
 def test_the_shared_parser_keeps_nothing_between_calls(capsys):

@@ -348,6 +348,20 @@ def test_order_at_level(word, n, expected):
     assert _order_by_iteration(G, w, n) == expected
 
 
+@pytest.mark.parametrize("key", ["grigorchuk", "gamma", "gupta-sidki"])
+def test_order_at_level_matches_iterated_powers(key):
+    # The cycle count against composing the permutation until the identity,
+    # on random words with inverse letters.
+    pres = builtin(key).presentation
+    names = pres.generator_names
+    rng = np.random.default_rng(29)
+    for n in range(1, 6):
+        for _ in range(8):
+            w = Word(tuple((names[rng.integers(len(names))], int(rng.choice((-1, 1))))
+                           for _ in range(rng.integers(0, 7))))
+            assert order_at_level(pres, w, n) == _order_by_iteration(pres, w, n), (w, n)
+
+
 def test_order_at_level_cap():
     with pytest.raises(SizeCapError):
         order_at_level(G, Word.parse("a b"), 25)
