@@ -6,8 +6,8 @@ need their own rules: the recursion for g^-1 follows from the rule for g,
 and a presentation's step table states it once, per letter and vertex
 letter.  Words act on vertices on the left, rightmost letter first.
 ``letter_step``, ``section``, portraits, ``act`` and the level permutations
-all read that table; ``act`` hands a vertex's last _VERTEX_CHUNK letters to
-a letter recursion memoized per presentation.
+all read that table; ``section`` and ``act`` walk it one vertex letter at a
+time, reducing the section at every level.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ Letter = tuple[str, int]
 Step = tuple[int, tuple[Letter, ...], tuple[Letter, ...]]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_CACHE_LIMIT = 1 << 20
-# Most vertex letters the memoized letter recursion takes in one act call.
-_VERTEX_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -191,11 +188,8 @@ class WreathPresentation:
         return ({(name, sign): (name, -sign) for name, sign in self._steps},
                 max(len(spelled) for pieces in self._steps.values() for _, spelled, _ in pieces))
 
-    # Mutable memo tables; keyed by immutable inputs, so observationally pure.
-    @cached_property
-    def _act_cache(self) -> dict:
-        return {}
-
+    # The level permutations built so far, by level: a mutable memo keyed by
+    # immutable inputs, so observationally pure.
     @cached_property
     def _level_cache(self) -> dict:
         return {}
@@ -476,12 +470,12 @@ def _walk(pres: WreathPresentation, rev: Iterable[Letter], x: int) -> tuple[int,
     return x, walked
 
 
-def _descend(pres: WreathPresentation, word: Word, vertex: Vertex,
-             stop: int) -> tuple[tuple[int, ...], Sequence[Letter]]:
-    """The image of the vertex's first stop letters under a word, and the
-    word's section there freely reduced with no involutions, which holds in
-    every group, with its letters reversed.  A vertex of another degree or an
-    undeclared generator is refused first.
+def _descend(pres: WreathPresentation, word: Word,
+             vertex: Vertex) -> tuple[tuple[int, ...], Sequence[Letter]]:
+    """The image of the vertex under a word, and the word's section there
+    freely reduced with no involutions, which holds in every group, with its
+    letters reversed.  A vertex of another degree or an undeclared generator
+    is refused first.
 
     Each section is spelled in one pass over the word's letters, rightmost
     first: a letter's reduced piece cancels only where it meets the section
@@ -491,64 +485,38 @@ def _descend(pres: WreathPresentation, word: Word, vertex: Vertex,
     if vertex.degree != pres.degree:
         raise ValueError("vertex degree does not match the presentation")
     _check_word(pres, word)
-    inverse, longest = pres._spelling
-    path, rev, image = vertex.letters[:stop], word.letters[::-1], []
+    steps, (inverse, longest) = pres._steps, pres._spelling
+    path, rev, image = vertex.letters, word.letters[::-1], []
     for x in path:
         if not rev:
             return tuple(image) + path[len(image):], rev
-        x, walked = _walk(pres, rev, x)
         if len(rev) * longest > DEFAULT_LEVEL_CAP:
-            size = sum(len(spelled) for _, spelled, _ in walked)
+            size = sum(len(spelled) for _, spelled, _ in _walk(pres, rev, x)[1])
             if size > DEFAULT_LEVEL_CAP:
                 raise SizeCapError(f"the section below letter {len(image) + 1} of the vertex "
                                    f"has {size} letters before reduction, more than the cap "
                                    f"of {DEFAULT_LEVEL_CAP}", size=size)
-        image.append(x)
-        rev = []
-        for _, _, piece in walked:
+        below = []
+        for letter in rev:
+            x, _, piece = steps[letter][x - 1]
             k = 0
-            while k < len(piece) and rev and rev[-1] == inverse[piece[k]]:
-                rev.pop()
+            while k < len(piece) and below and below[-1] == inverse[piece[k]]:
+                below.pop()
                 k += 1
-            rev.extend(piece[k:] if k else piece)
+            below.extend(piece[k:] if k else piece)
+        image.append(x)
+        rev = below
     return tuple(image), rev
 
 
-def _act_letter(pres: WreathPresentation, letter: Letter,
-                letters: tuple[int, ...]) -> tuple[int, ...]:
-    if not letters:
-        return letters
-    key = (letter, letters)
-    cache = pres._act_cache
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    image, _, piece = pres._steps[letter][letters[0] - 1]
-    tail = letters[1:]
-    for inner in piece:
-        tail = _act_letter(pres, inner, tail)
-    out = (image,) + tail
-    if len(cache) > _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = out
-    return out
-
-
 def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
-    """Apply a word to a vertex, rightmost letter first: act(w, uv) is
-    act(w, u) act(w|_u, v), v the last _VERTEX_CHUNK letters, since the
-    letter recursion is one call deep per vertex letter."""
-    cut = max(len(vertex.letters) - _VERTEX_CHUNK, 0)
-    head, rev = _descend(pres, word, vertex, cut)
-    tail = vertex.letters[cut:]
-    for letter in rev:
-        tail = _act_letter(pres, letter, tail)
-    return Vertex(head + tail, pres.degree)
+    """Apply a word to a vertex, rightmost letter first."""
+    return Vertex(_descend(pres, word, vertex)[0], pres.degree)
 
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     """The word acting inside the subtree rooted at vertex; freely reduced."""
-    rev = _descend(pres, word, vertex, len(vertex.letters))[1]
+    rev = _descend(pres, word, vertex)[1]
     return pres.reduce(Word(tuple(reversed(rev))))
 
 

@@ -21,6 +21,8 @@ from selfsim.tree import Vertex, parse_ray
 from selfsim.wreath import (Word, generator_level_perms, letter_step, level_permutation,
                             load_presentation, parse_presentation, section)
 
+import section_reference as ref
+
 INTRANSITIVE = "degree: 2\ngen a = perm () | e, e\n"
 
 
@@ -441,13 +443,15 @@ def test_long_vertex_exits_zero(capsys, command, key, value):
 DOUBLING = "degree: 2\ngen a = perm (1 2) | a b, b a\ngen b = perm () | b a, a b\n"
 
 
-def test_a_section_past_the_cap_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["act", "section"])
+def test_a_section_past_the_cap_exits_two(capsys, tmp_path, command):
     # Refused once the section below letter 21 would have 2^21 letters,
     # before they are spelled; unbounded, the walk would run out of memory.
+    # act walks the same sections to find the image.
     path = tmp_path / "doubling.txt"
     path.write_text(DOUBLING)
     start = time.process_time()
-    code, out, err = run(capsys, "section", "--file", str(path), "--word", "a",
+    code, out, err = run(capsys, command, "--file", str(path), "--word", "a",
                          "--vertex", "1" * 40, "--json")
     assert time.process_time() - start < 1.0  # 0.6 s on a 2-vCPU VM
     assert (code, out) == (2, "")
@@ -455,6 +459,23 @@ def test_a_section_past_the_cap_exits_two(capsys, tmp_path):
         "error": "SizeCapError",
         "message": "the section below letter 21 of the vertex has 2097152 letters before "
                    "reduction, more than the cap of 1048576"}
+
+
+def test_act_on_a_non_contracting_presentation_ends(capsys, tmp_path):
+    # On NON_COMMUTATIVE the sections of b^-1 c^-1 along this vertex stay a
+    # few letters long once reduced, but spelled letter by letter without
+    # reduction they grow about threefold every 10 letters.
+    path = tmp_path / "non-commutative.txt"
+    path.write_text(NON_COMMUTATIVE)
+    vertex = ("211" * 47)[:140]
+    start = time.process_time()
+    code, doc, _ = run_json(capsys, "act", "--file", str(path), "--word", "b^-1 c^-1",
+                            "--vertex", vertex)
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert doc["image"] == "".join(map(str, ref.act(
+        parse_presentation(NON_COMMUTATIVE), Word.parse("b^-1 c^-1"),
+        Vertex.parse(vertex, 2), chunk=1).letters))
 
 
 # The same group, its rules spelling a b as a b b^-1 b: the same sections

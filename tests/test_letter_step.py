@@ -4,8 +4,6 @@ of ``section_reference`` on a fixed family of random presentations."""
 
 import random
 
-import pytest
-
 from selfsim.tree import Vertex
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             letter_step, level_permutation, portrait, section)
@@ -88,15 +86,6 @@ def test_act_and_section_match_the_letter_recursion():
     for pres, cases in FAMILY:
         for w, x in cases:
             assert section(pres, w, x) == ref.section(pres, w, x), (pres.to_text(), w, x)
-            assert act(pres, w, x) == ref.act(pres, w, x), (pres.to_text(), w, x)
-
-
-@pytest.mark.parametrize("chunk", [1, 2])
-def test_act_past_the_chunk_matches_the_letter_recursion(monkeypatch, chunk):
-    # The letters before the last chunk are walked by letter_step.
-    monkeypatch.setattr("selfsim.wreath._VERTEX_CHUNK", chunk)
-    for pres, cases in FAMILY:
-        for w, x in cases:
             assert act(pres, w, x) == ref.act(pres, w, x), (pres.to_text(), w, x)
 
 

@@ -16,6 +16,8 @@ from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             level_permutation, order_at_level,
                             parse_presentation, portrait, section)
 
+import section_reference as ref
+
 G = builtin("grigorchuk").presentation
 GAMMA = builtin("gamma").presentation
 GAMMA_BAR = builtin("gamma-bar").presentation
@@ -295,23 +297,19 @@ def test_reduction_preserves_action():
         assert act(G, w, x) == act(G, r, x)
 
 
-@pytest.mark.parametrize("pres", [G, GUPTA_SIDKI, GAMMA])
-@pytest.mark.parametrize("chunk", [1, 2, 5])
-def test_chunked_walk_matches_the_recursion(monkeypatch, pres, chunk):
-    # Vertices up to 20 letters take the one-call recursion by default;
-    # with a short chunk the same calls split them.
+@pytest.mark.parametrize("pres", [G, GUPTA_SIDKI, GAMMA],
+                         ids=["grigorchuk", "gupta-sidki", "gamma"])
+def test_walk_matches_the_letter_recursion(pres):
+    # Vertices up to 20 letters, which the reference takes in one call of
+    # its memoized letter recursion.
     rng = np.random.default_rng(17)
     names, d = pres.generator_names, pres.degree
-    cases = []
     for _ in range(30):
         w = Word(tuple((names[rng.integers(len(names))], int(rng.choice((-1, 1))))
                        for _ in range(rng.integers(0, 6))))
         x = Vertex(tuple(int(i) for i in rng.integers(1, d + 1, rng.integers(0, 21))), d)
-        cases.append((w, x, act(pres, w, x), section(pres, w, x)))
-    monkeypatch.setattr("selfsim.wreath._VERTEX_CHUNK", chunk)
-    for w, x, image, sec in cases:
-        assert act(pres, w, x) == image
-        assert section(pres, w, x) == sec
+        assert act(pres, w, x) == ref.act(pres, w, x)
+        assert section(pres, w, x) == ref.section(pres, w, x)
 
 
 @pytest.mark.parametrize("word,n,expected", [
