@@ -4,6 +4,8 @@ of ``section_reference`` on a fixed family of random presentations."""
 
 import random
 
+import pytest
+
 from selfsim.tree import Vertex
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             letter_step, level_permutation, portrait, section)
@@ -87,6 +89,22 @@ def test_act_and_section_match_the_letter_recursion():
         for w, x in cases:
             assert section(pres, w, x) == ref.section(pres, w, x), (pres.to_text(), w, x)
             assert act(pres, w, x) == ref.act(pres, w, x), (pres.to_text(), w, x)
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_act_past_the_chunk_matches_the_letter_recursion(chunk):
+    # The letters before the last chunk are walked by letter_step, the
+    # last chunk by act on the section carried down to it.
+    for pres, cases in FAMILY:
+        for w, x in cases:
+            head, letters = (), w.letters
+            for c in x.letters[:max(x.level - chunk, 0)]:
+                c, letters = letter_step(pres, letters, c)
+                head += (c,)
+                letters = pres.reduce(Word(letters)).letters
+            tail = Vertex(x.letters[len(head):], pres.degree)
+            image = Vertex(head + act(pres, Word(letters), tail).letters, pres.degree)
+            assert image == ref.act(pres, w, x), (pres.to_text(), w, x)
 
 
 def _nodes(node, path=()):

@@ -312,6 +312,26 @@ def test_walk_matches_the_letter_recursion(pres):
         assert section(pres, w, x) == ref.section(pres, w, x)
 
 
+@pytest.mark.parametrize("pres", [G, GUPTA_SIDKI, GAMMA])
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_chunked_walk_matches_the_recursion(pres, chunk):
+    # A vertex walked a chunk at a time, carrying the section below each
+    # chunk into the next, lands where the one-call recursion does.
+    rng = np.random.default_rng(17)
+    names, d = pres.generator_names, pres.degree
+    for _ in range(30):
+        w = Word(tuple((names[rng.integers(len(names))], int(rng.choice((-1, 1))))
+                       for _ in range(rng.integers(0, 6))))
+        x = Vertex(tuple(int(i) for i in rng.integers(1, d + 1, rng.integers(0, 21))), d)
+        image, sec = (), w
+        for i in range(0, x.level, chunk):
+            piece = Vertex(x.letters[i:i + chunk], d)
+            image += act(pres, sec, piece).letters
+            sec = section(pres, sec, piece)
+        assert Vertex(image, d) == ref.act(pres, w, x)
+        assert sec == ref.section(pres, w, x)
+
+
 @pytest.mark.parametrize("word,n,expected", [
     ("d d", 5, True),
     ("d", 1, True),
