@@ -406,3 +406,57 @@ def test_edge_merge_matches_union_find(case):
         assert np.array_equal(rep, given_rep)
         assert out.tolist() == least_members(size, seen), edges
         rep = out
+
+
+def _shuffled_cycle(size: int, seed: int) -> np.ndarray:
+    """One cycle through all size points, in a fixed random order."""
+    order = np.random.default_rng(seed).permutation(size)
+    perm = np.empty(size, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    return perm
+
+
+def _interleaved_cycles(size: int, step: int) -> np.ndarray:
+    """x -> x + step mod size: gcd(size, step) cycles whose points alternate."""
+    return (np.arange(size, dtype=np.int64) + step) % size
+
+
+def _path_down(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The path size-1 -- size-2 -- ... -- 0, its edges in descending order."""
+    heads = np.arange(size - 1, 0, -1, dtype=np.int64)
+    return heads - 1, heads
+
+
+def _forest(size: int, edges: list[tuple[int, int]]) -> np.ndarray:
+    """A valid input forest other than the identity: least members of edges."""
+    return np.array(least_members(size, edges), dtype=np.int64)
+
+
+# (name, size, input forest edges, tails, heads or None)
+KERNEL_CASES = [
+    ("path-descending", 2000, [], *_path_down(2000)),
+    ("one-4096-cycle", 4096, [], _shuffled_cycle(4096, 3), None),
+    ("one-4096-cycle-explicit-heads", 4096, [], _shuffled_cycle(4096, 3),
+     np.arange(4096, dtype=np.int64)),
+    ("interleaved-cycles", 1200, [], _interleaved_cycles(1200, 8), None),
+    ("interleaved-cycles-explicit-heads", 1200, [], _interleaved_cycles(1200, 8),
+     np.arange(1200, dtype=np.int64)),
+    ("empty-edge-list", 50, [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+    ("empty-edge-list-on-a-forest", 50, [(3, 40), (7, 9)],
+     np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+    ("forest-then-cycles", 600, [(x, x + 300) for x in range(0, 300, 7)] + [(599, 1)],
+     _interleaved_cycles(600, 6), None),
+    ("forest-then-path", 500, [(x, 499 - x) for x in range(250)], *_path_down(500)),
+]
+
+
+@pytest.mark.parametrize("name, size, forest, tails, heads", KERNEL_CASES,
+                         ids=[case[0] for case in KERNEL_CASES])
+def test_merge_components_on_fixed_cases(name, size, forest, tails, heads):
+    rep = _forest(size, forest)
+    given_rep, given_tails = rep.copy(), tails.copy()
+    out = merge_components(rep, tails, heads)
+    assert np.array_equal(rep, given_rep) and np.array_equal(tails, given_tails)
+    starts = np.arange(size) if heads is None else heads
+    edges = forest + list(zip(starts.tolist(), tails.tolist()))
+    assert out.tolist() == least_members(size, edges), name
