@@ -42,6 +42,11 @@ certified level off the table alone and builds no partition.
 The fold, the cone route and the enumeration oracle all end in a forest,
 rep[x] the least member of x's block, which ``_canonical_partition`` numbers
 into ``SuborbitPartition.block_of``, the one array every later step reads.
+The fold, check 3 and the oracle grow theirs with ``merge_components``, a
+union-find on edge arrays: it gathers the roots of all edge ends once, then
+hooks root onto root in rounds that read only the edges still crossing, and
+reads the whole forest once more at the end, to point every vertex at its
+root.
 Each partition reads its own labels, label(x, y) = the block of u_x^-1(y),
 through ``label_row(x)``: off the rows of u_x^-1 it was made with, or off
 tree digits on the cone route.  No other module knows either layout.
@@ -260,25 +265,46 @@ def merge_components(rep: np.ndarray, tails: np.ndarray,
 
     On entry every rep[x] is a root with rep[x] <= x; heads defaults to every
     vertex in order, so a permutation g is folded in as the edges x -- g(x).
-    Across each crossing edge the larger root hooks onto the smaller one, then
-    every pointer jumps to its root; this repeats until no edge crosses.  On
-    return rep[x] is the least member of x's component.  The input array is
-    not modified.
+    The roots of all edge ends are gathered once, and only the edges whose
+    two roots differ, the crossing ones, are kept.  Each round then reads
+    those edges alone: the larger root of every one hooks onto the smaller,
+    the hooked roots jump among themselves until each points to a root,
+    which gives the kept ends their new roots, and the edges whose two ends
+    now share a root are dropped.  Where more than N/8 ends were hooked they
+    are listed once each, through an N-entry mark, so that no array of a
+    round outgrows the forest.  The whole forest is read once more, at the
+    end, where every pointer jumps to its root.  rep is copied once, and on
+    return rep[x] is the least member of x's component.  The input array
+    is not modified; where no edge crosses, it is returned.
     """
-    while True:
-        a = rep if heads is None else rep[heads]
-        b = rep[tails]
-        cross = a != b
-        if not cross.any():
-            return rep
-        a, b = a[cross], b[cross]
-        rep = rep.copy()
-        np.minimum.at(rep, np.maximum(a, b), np.minimum(a, b))
+    a = rep if heads is None else rep[heads]
+    b = rep[tails]
+    cross = a != b
+    if not cross.any():
+        return rep
+    a, b = a[cross], b[cross]
+    rep = rep.copy()
+    while len(a):
+        hooked = np.maximum(a, b)
+        np.minimum.at(rep, hooked, np.minimum(a, b))
+        if len(hooked) > len(rep) >> 3:
+            mark = np.zeros(len(rep), dtype=bool)
+            mark[hooked] = True
+            hooked = np.flatnonzero(mark)
+        up = rep[hooked]  # a hooked root or a root, each
         while True:
-            jumped = rep[rep]
-            if np.array_equal(jumped, rep):
+            jumped = rep[up]
+            if np.array_equal(jumped, up):
                 break
-            rep = jumped
+            rep[hooked] = up = jumped
+        a, b = rep[a], rep[b]
+        cross = a != b
+        a, b = a[cross], b[cross]
+    while True:
+        jumped = rep[rep]
+        if np.array_equal(jumped, rep):
+            return rep
+        rep = jumped
 
 
 def permutation_cycles(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -388,11 +414,12 @@ def _letter_orbitals(pres: WreathPresentation) -> np.ndarray:
     """The orbits on pairs of letters of G_1, the group the root permutations
     generate: entry [a, c] (letters 0-based) is the least index a' d + c' of
     the orbit of (a, c).  Row b numbers the orbits of the stabilizer of b.
-    Each generator g folds in as the pair permutation a d + c -> g(a) d + g(c)."""
+    Each generator g gives the edges of the pair permutation
+    a d + c -> g(a) d + g(c), and all of them are folded in one call."""
     d = pres.degree
-    orbital = np.arange(d * d, dtype=np.int64)
-    for g in generator_level_perms(pres, 1).values():
-        orbital = merge_components(orbital, np.add.outer(g * d, g).reshape(-1))
+    images = [np.add.outer(g * d, g).reshape(-1) for g in generator_level_perms(pres, 1).values()]
+    pairs = np.arange(d * d, dtype=np.int64)
+    orbital = merge_components(pairs, np.concatenate(images), np.tile(pairs, len(images)))
     return orbital.reshape(d, d)
 
 

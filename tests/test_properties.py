@@ -447,6 +447,9 @@ KERNEL_CASES = [
     ("forest-then-cycles", 600, [(x, x + 300) for x in range(0, 300, 7)] + [(599, 1)],
      _interleaved_cycles(600, 6), None),
     ("forest-then-path", 500, [(x, 499 - x) for x in range(250)], *_path_down(500)),
+    # fewer edges than an eighth of the points: a short path and a star
+    ("short-path-descending", 4096, [], *_path_down(300)),
+    ("star", 4096, [], np.arange(200, dtype=np.int64), np.full(200, 4000, dtype=np.int64)),
 ]
 
 
