@@ -491,7 +491,10 @@ def _descend(pres: WreathPresentation, word: Word,
         if not rev:
             return tuple(image) + path[len(image):], rev
         if len(rev) * longest > DEFAULT_LEVEL_CAP:
-            size = sum(len(spelled) for _, spelled, _ in _walk(pres, rev, x)[1])
+            size, y = 0, x
+            for letter in rev:
+                y, spelled, _ = steps[letter][y - 1]
+                size += len(spelled)
             if size > DEFAULT_LEVEL_CAP:
                 raise SizeCapError(f"the section below letter {len(image) + 1} of the vertex "
                                    f"has {size} letters before reduction, more than the cap "
@@ -527,24 +530,46 @@ def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
 def generator_level_perms(pres: WreathPresentation, n: int,
                           cap: int = DEFAULT_LEVEL_CAP) -> dict[str, np.ndarray]:
     """Zero-based index permutation of level n for every generator; a declared
-    involution that does not square to the identity raises PresentationError."""
+    involution that does not square to the identity raises PresentationError.
+
+    Each level is composed from the cached one below.  Level n maps onto
+    every level below it, so g^2 = 1 there holds on all of them: the
+    involutions are checked once, on the top level built.  Only where one
+    fails are the levels built by this call searched upward, and the lowest
+    failing level is named, with its first failing generator in generator
+    order; no level from that one up stays cached."""
     check_level_size(pres.degree, n, cap)
     cache, d = pres._level_cache, pres.degree
     if not cache:
         cache[0] = {name: np.zeros(1, dtype=np.int64) for name in pres.generator_names}
-    for k in range(len(cache), n + 1):
+    built = len(cache)
+    for k in range(built, n + 1):
         m = d ** (k - 1)
         level = {}
         for name in pres.generator_names:
             img = np.empty(m * d, dtype=np.int64)
             for i, (target, spelled, _) in enumerate(pres._steps[name, 1]):
                 img[i * m:(i + 1) * m] = (target - 1) * m + _compose_level(pres, spelled, k - 1)
-            if name in pres.involutions and not np.array_equal(img[img], np.arange(m * d)):
-                raise PresentationError(f"declared involution {name!r} does not "
-                                        f"square to the identity on level {k}")
             level[name] = img
         cache[k] = level
+    if built <= n and _false_involution(pres, n) is not None:
+        for k in range(built, n + 1):
+            name = _false_involution(pres, k)
+            if name is not None:
+                for j in range(k, n + 1):
+                    del cache[j]
+                raise PresentationError(f"declared involution {name!r} does not "
+                                        f"square to the identity on level {k}")
     return cache[n]
+
+
+def _false_involution(pres: WreathPresentation, k: int) -> str | None:
+    """The first declared involution, in generator order, whose cached level-k
+    permutation does not square to the identity, or None."""
+    perms = pres._level_cache[k]
+    identity = np.arange(pres.degree**k)
+    return next((name for name in pres.generator_names if name in pres.involutions
+                 and not np.array_equal(perms[name][perms[name]], identity)), None)
 
 
 def _compose_level(pres: WreathPresentation, letters: tuple[Letter, ...],
@@ -553,26 +578,30 @@ def _compose_level(pres: WreathPresentation, letters: tuple[Letter, ...],
 
     A letter with permutation p takes acc to acc[p]; its inverse takes acc to
     acc[p^-1], which is one scatter, nxt[p] = acc, so no inverse is stored.
+    acc starts as the first letter's permutation, not the identity, so a word
+    of one positive letter is the cached array itself: only the callers that
+    hand the result out copy it, and none writes to it.
     """
     perms = pres._level_cache[n]
-    acc = np.arange(pres.degree**n, dtype=np.int64)
+    acc = None  # the identity, until the first letter
     for name, sign in letters:
         p = perms[name]
         if sign > 0:
-            acc = acc[p]
+            acc = p if acc is None else acc[p]
         else:
-            nxt = np.empty_like(acc)
-            nxt[p] = acc
+            nxt = np.empty_like(p)
+            nxt[p] = np.arange(len(p)) if acc is None else acc
             acc = nxt
-    return acc
+    return np.arange(pres.degree**n, dtype=np.int64) if acc is None else acc
 
 
 def level_permutation(pres: WreathPresentation, word: Word, n: int,
                       cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray:
     """The permutation a word induces on level-n vertex indices."""
     _check_word(pres, word)
-    generator_level_perms(pres, n, cap)
-    return _compose_level(pres, word.letters, n)
+    perms = generator_level_perms(pres, n, cap)
+    perm = _compose_level(pres, word.letters, n)
+    return perm.copy() if any(perm is p for p in perms.values()) else perm
 
 
 def order_at_level(pres: WreathPresentation, word: Word, n: int,

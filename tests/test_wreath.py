@@ -164,6 +164,47 @@ def test_declared_involution_sections_are_checked():
         order_at_level(pres, Word.parse("a"), 3)
 
 
+def test_a_false_involution_names_its_lowest_level_on_a_deep_first_call():
+    pres = parse_presentation("degree: 3\ninvolutions: a\n"
+                              "gen a = perm (1 2) | b, e, e\n"
+                              "gen b = perm (1 2 3) | e, e, e\n")
+    with pytest.raises(PresentationError, match="'a' does not square to the identity on level 2$"):
+        generator_level_perms(pres, 5)
+    assert sorted(pres._level_cache) == [0, 1]
+    with pytest.raises(PresentationError, match="on level 2$"):
+        generator_level_perms(pres, 3)
+    assert sorted(pres._level_cache) == [0, 1]
+
+
+@pytest.mark.parametrize("text, named", [
+    # c^2 = (a a, a a, e) first moves a vertex on level 3, a^2 = (b, b, e) on level 2
+    ("degree: 3\ninvolutions: c, a\n"
+     "gen c = perm (1 2) | a, a, e\n"
+     "gen a = perm (1 2) | b, e, e\n"
+     "gen b = perm (1 2 3) | e, e, e\n", "'a' does not square to the identity on level 2"),
+    # both first fail on level 2: the earlier in generator order is named
+    ("degree: 3\ninvolutions: a, z\n"
+     "gen z = perm (1 2) | b, e, e\n"
+     "gen a = perm (1 2) | e, b, e\n"
+     "gen b = perm (1 2 3) | e, e, e\n", "'z' does not square to the identity on level 2"),
+], ids=["lowest-level-first", "generator-order-within-a-level"])
+def test_two_false_involutions_name_the_lowest_level_then_generator_order(text, named):
+    pres = parse_presentation(text)
+    with pytest.raises(PresentationError, match=re.escape(named) + "$"):
+        generator_level_perms(pres, 4)
+    assert sorted(pres._level_cache) == [0, 1]
+
+
+def test_level_permutation_hands_out_no_cached_array():
+    pres = parse_presentation(source_text("grigorchuk"))
+    for text in ("a", "b", "a b"):
+        perm = level_permutation(pres, Word.parse(text), 3)
+        cached = {name: p.copy() for name, p in generator_level_perms(pres, 3).items()}
+        perm[:] = 0
+        for name, p in generator_level_perms(pres, 3).items():
+            assert np.array_equal(p, cached[name]), (text, name)
+
+
 def test_canonical_round_trip():
     pres = parse_presentation(source_text("gupta-sidki"))
     again = parse_presentation(pres.to_text())
