@@ -291,7 +291,7 @@ def merge_components(rep: np.ndarray, tails: np.ndarray,
             mark = np.zeros(len(rep), dtype=bool)
             mark[hooked] = True
             hooked = np.flatnonzero(mark)
-        up = rep[hooked]  # a hooked root or a root, each
+        up = rep[hooked]  # each a hooked root or a root
         while True:
             jumped = rep[up]
             if np.array_equal(jumped, up):
