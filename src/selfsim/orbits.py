@@ -48,8 +48,9 @@ hooks root onto root in rounds that read only the edges still crossing, and
 reads the whole forest once more at the end, to point every vertex at its
 root.
 Each partition reads its own labels, label(x, y) = the block of u_x^-1(y),
-through ``label_row(x)``: off the rows of u_x^-1 it was made with, or off
-tree digits on the cone route.  No other module knows either layout.
+through ``label_row(x)``, or one at a time through ``label(x, y)``: off the
+rows of u_x^-1 it was made with, or off tree digits on the cone route.  No
+other module knows either layout.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
                       cap: int = DEFAULT_LEVEL_CAP) -> Transversal:
     _check_ray(pres, ray)
     size = check_level_size(pres.degree, n, cap)
+    # The level permutations check the declared involutions, so an invalid
+    # input is named before the size of the table is judged.
+    gen_perms = generator_level_perms(pres, n, cap)
     # The perms table holds N^2 vertex indices of 1, 2 or 4 bytes, the fold's
     # one quadratic allocation.
     dtype = np.min_scalar_type(size - 1)
@@ -140,7 +144,6 @@ def orbit_transversal(pres: WreathPresentation, n: int, ray: Ray,
                  "its N x N transversal table", size)
     base = ray.prefix(n)
     base_idx = base.index()
-    gen_perms = generator_level_perms(pres, n, cap)
     gens = [gen_perms[name] for name in pres.generator_names]
 
     parent = np.full(size, -1, dtype=np.int64)
@@ -204,15 +207,37 @@ class SuborbitPartition:
         h letters, then overwrites the y that share them: O(N) per row.
         """
         if self.cones is None:
-            if self.rows is None:
-                raise IntegrityError("the partition has no label source: neither rows nor cones")
-            return self.block_of[self.rows[x]]
+            return self.block_of[self._rows()[x]]
         high, low = self._digit_tables
         top, rest = divmod(x, len(low))
         row = np.empty((len(high), len(low)), dtype=np.int64)
         row[:] = high[top][:, None]
         row[top] = low[rest]
         return row.reshape(-1)
+
+    def label(self, x: int, y: int) -> int:
+        """label(x, y) alone, equal to ``label_row(x)[y]``.  From cones: drop
+        the k leading letters x and y share, one integer step each, and read
+        the block of cones[k][x_{k+1}, y_{k+1}]: O(n).  From rows: one entry."""
+        if self.cones is None:
+            return int(self.block_of[self._rows()[x, y]])
+        if x == y:
+            return 0
+        span = self.base.degree ** (self.base.level - 1)  # place value of the next letter
+        k = 0
+        while x // span == y // span:
+            x, y, span, k = x % span, y % span, span // self.base.degree, k + 1
+        return self._cone_classes[k][x // span][y // span]
+
+    def _rows(self) -> np.ndarray:
+        if self.rows is None:
+            raise IntegrityError("the partition has no label source: neither rows nor cones")
+        return self.rows
+
+    @cached_property
+    def _cone_classes(self) -> list[list[list[int]]]:
+        """block_of[cones] as nested lists, for ``label``'s single reads."""
+        return self.block_of[self.cones].tolist()
 
     @cached_property
     def _digit_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,10 @@
 
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
 where u_x is any group element carrying the base to x.  The scheme reads
-every label through ``label_row(x)`` = label(x, .), which the suborbit
-partition reads from the layout it was made from: tree digits on the cone
-route, a gather on rows of u_x^-1 elsewhere.  This module knows neither
+every label through the suborbit partition's two readers, ``label_row(x)``
+= label(x, .) and ``label(x, y)`` alone, which read the layout it was made
+from: tree digits on the cone route, rows of u_x^-1 elsewhere.  So a single
+label costs O(n) on the route, not a row of N.  This module knows neither
 layout, and the route was chosen when the partition was made.  The class of
 (base, y) is then the suborbit of y, class 0 is the diagonal, and counting
 common neighbours gives the intersection numbers
@@ -57,6 +58,7 @@ class OrbitalScheme:
     representatives: tuple[int, ...]  # y_k with (base, y_k) in class k
     p: np.ndarray                   # (r, r, r) intersection numbers, exact ints
     label_row: Callable[[int], np.ndarray]  # partition.label_row: x -> label(x, .)
+    label_at: Callable[[int, int], int]     # partition.label: (x, y) -> label(x, y)
 
     @property
     def level(self) -> int:
@@ -67,7 +69,7 @@ class OrbitalScheme:
         return self.partition.base.degree
 
     def label(self, x: int, y: int) -> int:
-        return int(self.label_row(x)[y])
+        return self.label_at(x, y)
 
     def label_column(self, y: int) -> np.ndarray:
         """label(x, y) for every x."""
@@ -118,6 +120,7 @@ def scheme_from_partition(partition: SuborbitPartition) -> OrbitalScheme:
         representatives=tuple(reps.tolist()),
         p=p,
         label_row=partition.label_row,
+        label_at=partition.label,
     )
     violations = verify_scheme_axioms(scheme)
     if violations:

@@ -24,6 +24,7 @@ computation with ``spectral_data`` on the level-n p, which it cross-checks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -100,9 +101,14 @@ class SpectralData:
         [0, N] summing to N whose product of (x - m_j) is charpoly(T1^-1 T2)
         modulo every prime."""
         point_count = sum(self.degrees)
-        return (len(degrees) == len(self.degrees) and sum(degrees) == point_count
-                and all(0 <= m <= point_count for m in degrees)
-                and all(_from_roots(degrees, q) == f for q, f in self.residues))
+        if not (len(degrees) == len(self.degrees) and sum(degrees) == point_count
+                and all(0 <= m <= point_count for m in degrees)):
+            return False
+        # the constant term (-1)^r Prod_j m_j refuses most proposals in O(r);
+        # only one that matches it is expanded in full
+        constant = (-1) ** len(degrees) * math.prod(degrees)
+        return all(constant % q == f[0] and _from_roots(degrees, q) == f
+                   for q, f in self.residues)
 
 
 def spectral_data(p: np.ndarray) -> SpectralData:

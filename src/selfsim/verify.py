@@ -3,13 +3,15 @@
 Each suite draws its cases as arrays, _CASE_BLOCK at a time (word lengths,
 generator picks and sign bits; vertex levels and digits; point and class
 pairs; the degree certificate's pairs of degrees), and checks them one by
-one.  The label suite moves a case's two points by ``act``, so it builds
+one.  The label suite moves a case's two points by ``act`` and reads each
+label alone (``scheme.label``, O(n) on the cone route), so it builds
 nothing N-sized per case.  The degree certificate suite certifies the
 level's degrees once, by ``spectral_data``'s integer pencil, and holds them
 equal to the closed form wherever the cone route certifies the level; each
 of its cases moves one unit of multiplicity between two degrees, and the
-certificate must refuse the result.  The seed fixes every suite's cases,
-block by block: one generator serves the suites in their fixed order.
+certificate must refuse the result, most often on its constant term alone.
+The seed fixes every suite's cases, block by block: one generator serves
+the suites in their fixed order.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def _scheme_axioms(scheme, rng, cases):
     def check(x, y, i, j):
         row = scheme.label_row(x)
         k = int(row[y])
-        count = int(np.sum((row == i) & (scheme.label_column(y) == j)))
+        count = int(np.count_nonzero((row == i) & (scheme.label_column(y) == j)))
         if count != int(scheme.p[i, j, k]):
             return (f"recount at pair ({x}, {y}) in class {k}: "
                     f"{count} != p[{i}][{j}][{k}] = {int(scheme.p[i, j, k])}")
@@ -177,6 +179,16 @@ def closed_form_degrees(pres: WreathPresentation, n: int, ray: Ray,
     return None if orbital is None else wreath_power_degrees(orbital, n)
 
 
+def _unit_moves(degrees: list[int]) -> np.ndarray:
+    """The (a, b) pairs of the certificate suite's cases: a unit moves from
+    degree a to degree b, from the smaller of two distinct degrees to the
+    larger, so the multiset always changes; with one value, between equal
+    ones."""
+    m = np.asarray(degrees)
+    pairs = np.argwhere(m[:, None] < m[None, :])
+    return pairs if len(pairs) else np.argwhere(~np.eye(len(m), dtype=bool))
+
+
 def _degree_certificate(pres, scheme, ray, cap, rng, cases):
     name = "degree_certificate"
     if not is_commutative(scheme.p):
@@ -190,12 +202,7 @@ def _degree_certificate(pres, scheme, ray, cap, rng, cases):
                                  enumerate(itertools.zip_longest(degrees, closed))
                                  if pair[0] != pair[1])
         disagreement = f"pencil degree {j} is {ours}, closed form {theirs}"
-    # a unit moves from the smaller of two distinct degrees to the larger,
-    # so the multiset always changes; with one value, between equal ones
-    m = np.asarray(degrees)
-    pairs = np.argwhere(m[:, None] < m[None, :])
-    if not len(pairs):
-        pairs = np.argwhere(~np.eye(len(m), dtype=bool))
+    pairs = _unit_moves(degrees)
     if not len(pairs):
         return SuiteResult(name, 0, 0, "skipped: rank 1 has no other proposal")
 

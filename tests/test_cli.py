@@ -343,6 +343,23 @@ def test_false_involution_exits_one(capsys, tmp_path, text, level, needle):
     assert "involution" in err and needle in err
 
 
+@pytest.mark.parametrize("command", ["orbits", "scheme", "decompose"])
+def test_a_false_involution_is_named_before_the_table_is_refused(capsys, tmp_path,
+                                                                 monkeypatch, command):
+    # The cone route declines this input, so the fold plans its N x N table;
+    # with physical memory below that table (81^2 bytes at level 4), the
+    # false involution is still what the run names.
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 1 << 10)
+    path = tmp_path / "p.txt"
+    path.write_text("degree: 3\ninvolutions: a\ngen a = perm (1 2) | b, e, e\n"
+                    "gen b = perm (1 2 3) | e, e, e\n")
+    code, out, err = run(capsys, command, "--file", str(path), "--level", "4", "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "PresentationError",
+        "message": "declared involution 'a' does not square to the identity on level 2"}
+
+
 def test_level_past_physical_memory_exits_two(capsys, tmp_path):
     # 2^20 points pass the default --cap; the cone route declines this input,
     # and the N x N uint32 table of the fold would need 4 TiB

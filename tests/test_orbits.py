@@ -7,7 +7,7 @@ from label_table import table_route
 from scheme_routes import fold_scheme
 from suborbit_reference import (letter_orbitals_by_sweep, permutation_route,
                                 schreier_generators)
-from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
+from test_properties import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim.catalog import builtin
 from selfsim.errors import NotTransitiveError, SizeCapError
@@ -127,10 +127,51 @@ def test_every_partition_reads_the_labels_by_their_definition(key):
             assert scheme.pairing == pairing, (kind, n)
 
 
+def _assert_single_labels_match_the_rows(parts, where):
+    size = len(parts.block_of)
+    for x in range(size):
+        row = parts.label_row(x).tolist()
+        assert [parts.label(x, y) for y in range(size)] == row, (where, x)
+
+
+def test_a_single_label_from_the_digits_is_its_row_entry():
+    # On the cone route label(x, y) drops the letters x and y share and
+    # reads one class; every pair must give label_row(x)[y].
+    for key in ALL_KEYS:
+        pres, ray = _entry(key)
+        for n in range(1, (6 if pres.degree == 2 else 4) + 1):
+            parts = cone_suborbits(pres, n, ray)
+            assert parts.cones is not None, (key, n)
+            _assert_single_labels_match_the_rows(parts, (key, n))
+    for name, (text, ray) in CONE_CASES.items():
+        pres = parse_presentation(text)
+        for n in range(1, 6):
+            parts = cone_suborbits(pres, n, parse_ray(ray, pres.degree))
+            assert parts.cones is not None, (name, n)
+            _assert_single_labels_match_the_rows(parts, (name, n))
+
+
+def test_a_single_label_from_the_rows_is_its_row_entry():
+    pres = parse_presentation(FINER_THAN_CONES)
+    ray = parse_ray("3", pres.degree)
+    for n in range(1, 5):
+        parts = _fold(pres, n, ray)
+        assert parts.rows is not None and parts.cones is None, n
+        _assert_single_labels_match_the_rows(parts, ("finer-than-cones", n))
+    for key in ALL_KEYS:
+        pres, ray = _entry(key)
+        for n in range(4 if pres.degree == 2 else 3):
+            _assert_single_labels_match_the_rows(oracle_suborbits(pres, n, ray), (key, n))
+
+
 def test_refused_level_allocates_nothing(monkeypatch):
     monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 1 << 20)
     pres, ray = _entry("grigorchuk")
     table = 2 * 4**10  # N = 2^10 uint16 entries
+    # The level permutations, linear in N, are read before the table is
+    # planned, so that a false involution is named first; they are built
+    # here, and the trace sees what the refusal itself allocates.
+    generator_level_perms(pres, 10)
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError, match=f"level 10 needs {table} bytes"):

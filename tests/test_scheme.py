@@ -245,6 +245,9 @@ def test_a_partition_without_a_label_source_is_refused():
     message = "^the partition has no label source: neither rows nor cones$"
     with pytest.raises(IntegrityError, match=message):
         bare.label_row(0)
+    for x, y in [(0, 1), (0, 0)]:
+        with pytest.raises(IntegrityError, match=message):
+            bare.label(x, y)
     with pytest.raises(IntegrityError, match=message):
         scheme_from_partition(bare)
 
@@ -292,26 +295,40 @@ def _label_readings(pres, s):
 
 @pytest.mark.parametrize("key,n", [("gamma", 2), ("grigorchuk", 4)])
 def test_a_foreign_label_source_reads_the_same(key, n):
-    # The scheme reads labels only through label_row: a source that is not
-    # the transversal gives the same readings, and one that fails fails them.
+    # The scheme reads labels only through its two readers, label_row and
+    # label_at: a source that is not the partition gives the same readings,
+    # and one that fails fails them.
     s = _scheme(key, n)
     pres = builtin(key).presentation
     table = s.labels.copy()
-    foreign = replace(s, label_row=lambda x: table[x])
+    foreign = replace(s, label_row=lambda x: table[x], label_at=lambda x, y: int(table[x, y]))
     assert _label_readings(pres, foreign) == _label_readings(pres, s)
 
-    def refused(x):
-        raise LookupError(f"no label row {x}")
+    def refused(x, y=None):
+        raise LookupError(f"no label of {x}")
 
-    failing = replace(s, label_row=refused)
-    readers = [lambda: failing.label(0, 1), lambda: failing.label_column(1),
-               lambda: failing.labels, lambda: list(orbital_graph_dot(failing)),
-               lambda: dense_commutant_oracle(failing),
-               lambda: _label_invariance(pres, failing, np.random.default_rng(3), 5),
-               lambda: _scheme_axioms(failing, np.random.default_rng(4), 5)]
-    for read in readers:
-        with pytest.raises(LookupError):
-            read()
+    # single labels come through label_at, everything else through label_row
+    by_pair = ["label", "label_invariance"]
+    by_row = ["label_column", "labels", "dot", "dense_oracle", "scheme_axioms"]
+    for fields, refusing in [({"label_at": refused}, by_pair),
+                             ({"label_row": refused}, by_row),
+                             ({"label_at": refused, "label_row": refused}, by_pair + by_row)]:
+        failing = replace(s, **fields)
+        readers = {"label": lambda: failing.label(0, 1),
+                   "label_column": lambda: failing.label_column(1),
+                   "labels": lambda: failing.labels,
+                   "dot": lambda: list(orbital_graph_dot(failing)),
+                   "dense_oracle": lambda: dense_commutant_oracle(failing),
+                   "label_invariance": lambda: _label_invariance(
+                       pres, failing, np.random.default_rng(3), 5),
+                   "scheme_axioms": lambda: _scheme_axioms(
+                       failing, np.random.default_rng(4), 5)}
+        for name, read in readers.items():
+            if name in refusing:
+                with pytest.raises(LookupError):
+                    read()
+            else:
+                read()
 
 
 def test_build_scheme_holds_one_transversal_table():

@@ -14,11 +14,12 @@ from selfsim.catalog import builtin
 from selfsim.cli import main
 from selfsim.errors import IntegrityError, NumericalError, SizeCapError
 from selfsim.scheme import build_scheme
-from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, _charpoly_mod, _cluster_indices,
-                              _is_prime, _primes, _product_dtype, _residues,
-                              common_eigensystem, degrees_embed, dense_commutant_oracle,
-                              intersection_matrices, spectral_data)
+from selfsim.spectral import (DEFAULT_SEED, MAX_SEED_TRIES, SpectralData, _charpoly_mod,
+                              _cluster_indices, _from_roots, _is_prime, _primes,
+                              _product_dtype, _residues, common_eigensystem, degrees_embed,
+                              dense_commutant_oracle, intersection_matrices, spectral_data)
 from selfsim.tree import parse_ray
+from selfsim.verify import _unit_moves
 from selfsim.wreath import parse_presentation
 
 
@@ -396,6 +397,50 @@ def test_a_wrong_proposal_is_rejected(rank):
     assert len(wrong) > len(values)
     for proposal in wrong:
         assert not data.accepts(proposal), proposal
+
+
+def test_a_proposal_with_the_right_constant_term_is_still_expanded():
+    # [2, 2, 9] has the sum 13 and the constant term 36 of [1, 6, 6], but
+    # its x coefficient is 2*2 + 2*9 + 2*9 = 40 against 6 + 6 + 36 = 48.
+    q = next(_primes())
+    data = SpectralData([1, 6, 6], ((q, (-36 % q, 48, q - 13, 1)),))  # (x - 1)(x - 6)^2
+    assert data.accepts([1, 6, 6]) and data.accepts([6, 1, 6])
+    assert math.prod([2, 2, 9]) == math.prod([1, 6, 6]) and sum([2, 2, 9]) == 13
+    assert not data.accepts([2, 2, 9])
+    assert not data.accepts([1, 5, 7])  # refused on its constant term, 35
+
+
+def _full_comparison(data, degrees):
+    """The certificate without its constant-term shortcut: every
+    coefficient of Prod_j (x - m_j) against charpoly(T1^-1 T2), mod q."""
+    point_count = sum(data.degrees)
+    return (len(degrees) == len(data.degrees) and sum(degrees) == point_count
+            and all(0 <= m <= point_count for m in degrees)
+            and all(_from_roots(degrees, q) == f for q, f in data.residues))
+
+
+@pytest.mark.parametrize("key", ["grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar",
+                                 "gupta-sidki"])
+def test_the_constant_term_keeps_every_verdict(monkeypatch, key):
+    # Every unit move the verify suite draws, and the pencil's own proposal,
+    # gets the verdict of the full comparison; a move whose constant term
+    # already differs is refused without expanding the product.
+    expanded = []
+    monkeypatch.setattr(spectral, "_from_roots",
+                        lambda roots, q: expanded.append(roots) or _from_roots(roots, q))
+    for n in range((8 if builtin(key).degree == 2 else 5) + 1):
+        data = spectral_data(_scheme(key, n).p)
+        proposals = [list(data.degrees)]
+        for a, b in _unit_moves(data.degrees).tolist():
+            wrong = list(data.degrees)
+            wrong[a] -= 1
+            wrong[b] += 1
+            proposals.append(wrong)
+        for proposal in proposals:
+            expanded.clear()
+            assert data.accepts(proposal) == _full_comparison(data, proposal), (n, proposal)
+            if math.prod(proposal) != math.prod(data.degrees):
+                assert not expanded, (n, proposal)
 
 
 def test_the_modular_characteristic_polynomial_is_exact():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,24 @@ def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
     assert all(r.passed and r.cases == cases for r in results)
     assert len(moves) == 2 * cases
     assert len(asked) == 1 + cases
+
+
+def test_the_label_suite_builds_nothing_n_sized():
+    # One int64 row of N labels is 8 N bytes; each case reads two single
+    # labels off the tree digits instead.
+    e = builtin("grigorchuk")
+    scheme = build_scheme(e.presentation, 16, e.default_ray)
+    # one case first, so that numpy's lazy imports fall outside the trace
+    verify._label_invariance(e.presentation, scheme, np.random.default_rng(6), 1)
+    rng = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        result = verify._label_invariance(e.presentation, scheme, rng, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.cases == 20
+    assert peak < 8 * scheme.point_count, peak
 
 
 def _faulty_suite(monkeypatch, suite):
