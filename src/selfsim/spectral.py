@@ -41,15 +41,14 @@ DENSE_ORACLE_CAP = 243
 
 
 def intersection_matrices(p: np.ndarray) -> np.ndarray:
-    """Left-regular matrices B, B[i][k, j] = p[i][j][k], once p passes the
-    product rule B_i B_j = sum_k p[i][j][k] B_k for every (i, j).
+    """Left-regular matrices B[i][k, j] = p[i][j][k], a read-only view of p,
+    once p passes the product rule B_i B_j = sum_k p[i][j][k] B_k for all (i, j).
 
-    That rule is associativity, sum_m p[i][j][m] p[m][k][l] =
-    sum_x p[j][k][x] p[i][x][l] (Bannai-Ito, II.2), checked for one i and
-    every (j, k, l) at a time as two matrix products on p in
-    ``_product_dtype(p)``; the first failing pair in row-major order is
-    named.  The copy of p, one i's products and their mask take 25 r^3
-    bytes, refused like p itself past half of physical memory.
+    That rule is associativity, sum_m p[i][j][m] p[m][k][l] = sum_x p[j][k][x]
+    p[i][x][l] (Bannai-Ito, II.2), checked for one i and every (j, k, l) at a
+    time as two matrix products on p in ``_product_dtype(p)``, naming the first
+    failing pair in row-major order.  The copy of p, one i's products and their
+    mask take 25 r^3 bytes, refused like p itself past half of physical memory.
     """
     p = np.asarray(p)
     r = len(p)
@@ -62,8 +61,9 @@ def intersection_matrices(p: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero((left != right.reshape(r, -1)).any(axis=1))
         if bad.size:
             raise IntegrityError(f"left-regular matrices violate the product rule at ({i}, {bad[0]})")
-    del px, left, right  # B's 8 r^3 bytes come once the check's 25 r^3 are freed
-    return p.transpose(0, 2, 1).copy()
+    B = p.transpose(0, 2, 1)
+    B.flags.writeable = False
+    return B
 
 
 def _product_dtype(p: np.ndarray) -> type:

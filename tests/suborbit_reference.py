@@ -5,7 +5,8 @@ through the component routine; the partition reads its labels off the
 transversal table, as the fold's does.  The reduced Schreier generator
 words, spelled from the transversal words (Seress, Permutation Group
 Algorithms, section 4.1), which no library route builds.  Also a stack
-sweep over letter pairs, as a reference for ``orbits._letter_orbitals``."""
+sweep over letter pairs, as a reference for ``orbits._letter_orbitals``,
+and a permutation's cycle lengths, walked point by point."""
 
 import numpy as np
 
@@ -78,3 +79,16 @@ def letter_orbitals_by_sweep(pres):
                         orbital[pair] = start
                         stack.append(pair)
     return np.array(orbital, dtype=np.int64).reshape(d, d)
+
+
+def cycle_lengths(perm):
+    """The lengths of a permutation's cycles, as a set."""
+    lengths, seen = set(), set()
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = int(perm[x]), length + 1
+        if length:
+            lengths.add(length)
+    return lengths

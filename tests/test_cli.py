@@ -8,8 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_orbits import ADDING_MACHINE
-from test_properties import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE
+from families import ADDING_MACHINE, CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE
 
 import selfsim
 from selfsim import __version__, cache

@@ -14,8 +14,8 @@ import random
 
 import numpy as np
 import pytest
-from test_orbits import ADDING_MACHINE, SHIFTED_BASE
-from test_properties import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE
+from families import (ADDING_MACHINE, CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE,
+                      SHIFTED_BASE)
 
 from selfsim import orbits
 from selfsim.catalog import keys, source_text

@@ -3,13 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from families import (ADDING_MACHINE, BASILICA, CONE_CASES, FINER_THAN_CONES,
+                      NON_COMMUTATIVE, SHIFTED_BASE)
 from label_table import table_route
 from scheme_routes import fold_scheme
-from suborbit_reference import (letter_orbitals_by_sweep, permutation_route,
+from suborbit_reference import (cycle_lengths, letter_orbitals_by_sweep, permutation_route,
                                 schreier_generators)
-from test_properties import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE
 
-from selfsim.catalog import builtin
+from selfsim.catalog import builtin, keys
 from selfsim.errors import NotTransitiveError, SizeCapError
 from selfsim.orbits import (SuborbitPartition, _canonical_partition,
                             _cross_blocks_whole, _least_in_orbit,
@@ -22,9 +23,6 @@ from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, parse_ray
 from selfsim.wreath import (Word, WreathPresentation, act,
                             generator_level_perms, level_permutation,
                             parse_presentation)
-
-ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
-
 
 def _entry(key):
     e = builtin(key)
@@ -62,7 +60,7 @@ def test_transversal_gamma_level_one():
     assert [str(w) for w in tv.words] == ["a", "a a", "e"]
 
 
-@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize("key", keys())
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_transversal_moves_base(key, n):
     pres, ray = _entry(key)
@@ -103,7 +101,7 @@ def test_transversal_table_at_each_dtype_boundary(key, n, dtype):
     assert scheme.pairing == pairing
 
 
-@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize("key", keys())
 def test_every_partition_reads_the_labels_by_their_definition(key):
     # label(x, y) is the block of u_x^-1(y) for any u_x carrying the base to
     # x, so the cone route's digits, the transversal rows of the fold and of
@@ -137,7 +135,7 @@ def _assert_single_labels_match_the_rows(parts, where):
 def test_a_single_label_from_the_digits_is_its_row_entry():
     # On the cone route label(x, y) drops the letters x and y share and
     # reads one class; every pair must give label_row(x)[y].
-    for key in ALL_KEYS:
+    for key in keys():
         pres, ray = _entry(key)
         for n in range(1, (6 if pres.degree == 2 else 4) + 1):
             parts = cone_suborbits(pres, n, ray)
@@ -158,7 +156,7 @@ def test_a_single_label_from_the_rows_is_its_row_entry():
         parts = _fold(pres, n, ray)
         assert parts.rows is not None and parts.cones is None, n
         _assert_single_labels_match_the_rows(parts, ("finer-than-cones", n))
-    for key in ALL_KEYS:
+    for key in keys():
         pres, ray = _entry(key)
         for n in range(4 if pres.degree == 2 else 3):
             _assert_single_labels_match_the_rows(oracle_suborbits(pres, n, ray), (key, n))
@@ -201,7 +199,7 @@ def test_schreier_level_one_grigorchuk():
     assert [str(w) for w in schreier_generators(pres, 1, ray)] == ["b"]
 
 
-@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize("key", keys())
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_schreier_words_fix_base(key, n):
     pres, ray = _entry(key)
@@ -238,7 +236,7 @@ def test_suborbits_level_zero():
     assert parts.block_of.tolist() == [0]
 
 
-@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize("key", keys())
 def test_suborbits_match_the_permutation_route(key):
     # The cone route and the fold, each against every Schreier generator.
     pres, ray = _entry(key)
@@ -246,21 +244,6 @@ def test_suborbits_match_the_permutation_route(key):
         expected = permutation_route(pres, orbit_transversal(pres, n, ray))
         assert stabilizer_suborbits(pres, n, ray) == expected, n
         assert _fold(pres, n, ray) == expected, n
-
-
-BASILICA = "degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | e, a\n"
-
-
-def _cycle_lengths(perm):
-    lengths, seen = set(), set()
-    for start in range(len(perm)):
-        length, x = 0, start
-        while x not in seen:
-            seen.add(x)
-            x, length = int(perm[x]), length + 1
-        if length:
-            lengths.add(length)
-    return lengths
 
 
 def test_suborbits_keep_the_pairs_of_short_cycles():
@@ -272,8 +255,8 @@ def test_suborbits_keep_the_pairs_of_short_cycles():
     pres = parse_presentation(BASILICA)
     ray = all_d_ray(2)
     perms = generator_level_perms(pres, 3)
-    assert _cycle_lengths(perms["a"]) == {1, 2}
-    assert _cycle_lengths(perms["b"]) == {2, 4}
+    assert cycle_lengths(perms["a"]) == {1, 2}
+    assert cycle_lengths(perms["b"]) == {2, 4}
     assert cone_suborbits(pres, 3, ray) is not None
     parts = _fold(pres, 3, ray)
     assert parts.blocks_as_vertices() == [
@@ -473,7 +456,7 @@ def _root_permutation_sets(count, seed):
 def test_letter_orbitals_match_the_sweep():
     # The pair-permutation fold against the stack sweep it replaced: the same
     # int64 table on the catalog and on random root-permutation sets.
-    cases = [builtin(key).presentation for key in ALL_KEYS]
+    cases = [builtin(key).presentation for key in keys()]
     for pres in cases + list(_root_permutation_sets(300, 5)):
         got, want = _letter_orbitals(pres), letter_orbitals_by_sweep(pres)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -505,11 +488,6 @@ def test_cone_route_declines_an_intransitive_root_group():
         stabilizer_suborbits(pres, 1, ray)
 
 
-# The binary adding machine: self-replicating, so check 2 passes, but its
-# stabilizers fix every vertex of a level, so no cross block is ever whole.
-ADDING_MACHINE = "degree: 2\ngen a = perm (1 2) | e, a\n"
-
-
 def test_cone_route_falls_back_after_its_budget():
     pres, ray = parse_presentation(ADDING_MACHINE), all_d_ray(2)
     assert _self_replicating(pres, 1)
@@ -519,14 +497,6 @@ def test_cone_route_falls_back_after_its_budget():
         parts = stabilizer_suborbits(pres, n, ray)
         assert parts.rank == 2**n
         assert parts == oracle_suborbits(pres, n, ray)
-
-
-# Seen from 1313 on level 4, check 3 passes; seen from 313, the base of
-# level 3 one step down the recursion, it does not within the budget, and
-# 313 begins no longer base that passed.  So the route declines level 4
-# rather than certify it from the top level alone.
-SHIFTED_BASE = ("degree: 3\ngen a = perm (1 3 2) | e, b^-1 b^-1 b, a^-1\n"
-                "gen b = perm (1 2) | e, e, b^-1\n")
 
 
 def test_cone_route_checks_every_shifted_base():

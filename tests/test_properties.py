@@ -1,4 +1,5 @@
-"""Property tests on random small presentations beyond the catalog: the
+"""Property tests on random small presentations beyond the catalog, each
+test reading the seeded family of ``families.py`` with a seed of its own: the
 suborbits (the cone route's where it passes, the fold's elsewhere) against
 the group enumeration oracle and, at levels past the oracle's cap, against
 the permutation route, also on fixed automata whose generators have cycles
@@ -10,16 +11,17 @@ the Gelfand verdict spectral_data reads off p against exact products of the
 left-regular matrices.  The component routine the suborbit routes share is
 checked on its own against a union-find reference."""
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 from eigen_reference import first_non_commuting_pair, least_members
+from families import (CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE, edge_lists, family,
+                      permutation_family, where)
 from label_table import table_route
 from scheme_routes import fold_scheme, oracle_scheme
-from suborbit_reference import permutation_route, schreier_pairs
+from suborbit_reference import cycle_lengths, permutation_route, schreier_pairs
 
 from selfsim.catalog import builtin, keys
 from selfsim.errors import IntegrityError, NotTransitiveError, SizeCapError
@@ -28,35 +30,15 @@ from selfsim.orbits import (cone_suborbits, merge_components, oracle_suborbits,
                             suborbits_from_transversal)
 from selfsim.scheme import build_scheme, is_commutative
 from selfsim.spectral import dense_commutant_oracle, intersection_matrices, spectral_data
-from selfsim.tree import Ray, Vertex, all_d_ray, parse_ray
-from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
-                            generator_level_perms, parse_presentation)
+from selfsim.tree import Vertex, all_d_ray, parse_ray
+from selfsim.wreath import (Word, WreathPresentation, act, generator_level_perms,
+                            parse_presentation)
 
-NAMES = ("a", "b", "c")
 # The level-3 group of a degree-3 presentation can have ~10^10 elements;
 # levels whose group outgrows this cap are left to the catalog tests.
 ORACLE_CAP = 5000
-
-PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, database=None,
-                             derandomize=True,
-                             suppress_health_check=[HealthCheck.too_slow])
-
-
-@st.composite
-def presentations(draw):
-    """Degree 2 or 3, one to three generators, section words of length <= 3."""
-    degree = draw(st.sampled_from((2, 3)))
-    names = NAMES[:draw(st.integers(1, len(NAMES)))]
-    letters = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
-    words = st.lists(letters, max_size=3).map(lambda ls: Word(tuple(ls)))
-    rules = tuple(
-        GeneratorRule(name,
-                      tuple(draw(st.permutations(range(1, degree + 1)))),
-                      tuple(draw(st.lists(words, min_size=degree, max_size=degree))))
-        for name in names
-    )
-    tail = tuple(draw(st.lists(st.integers(1, degree), min_size=1, max_size=2)))
-    return WreathPresentation(degree, rules), Ray(Vertex.root(degree), tail)
+# Draws of the shared family per random test, each test with its own seed.
+DRAWS = 120
 
 
 def _orbit_size(pres: WreathPresentation, base: Vertex) -> int:
@@ -73,25 +55,23 @@ def _orbit_size(pres: WreathPresentation, base: Vertex) -> int:
     return len(seen)
 
 
-@PROPERTY_SETTINGS
-@given(presentations())
-def test_suborbits_match_the_oracle(case):
-    pres, ray = case
-    for n in range(4):
-        if _orbit_size(pres, ray.prefix(n)) < pres.degree**n:
-            with pytest.raises(NotTransitiveError):
-                stabilizer_suborbits(pres, n, ray)
-            return
-        try:
-            expected = oracle_suborbits(pres, n, ray, cap=ORACLE_CAP)
-        except SizeCapError:
-            return
-        assert stabilizer_suborbits(pres, n, ray) == expected, pres.to_text()
-        tv = orbit_transversal(pres, n, ray)
-        assert suborbits_from_transversal(pres, tv) == expected, pres.to_text()
+def test_suborbits_match_the_oracle():
+    for i, (pres, ray) in enumerate(family(1, DRAWS)):
+        for n in range(4):
+            if _orbit_size(pres, ray.prefix(n)) < pres.degree**n:
+                with pytest.raises(NotTransitiveError):
+                    stabilizer_suborbits(pres, n, ray)
+                break
+            try:
+                expected = oracle_suborbits(pres, n, ray, cap=ORACLE_CAP)
+            except SizeCapError:
+                break
+            assert stabilizer_suborbits(pres, n, ray) == expected, (n, where(i, pres, ray))
+            tv = orbit_transversal(pres, n, ray)
+            assert suborbits_from_transversal(pres, tv) == expected, (n, where(i, pres, ray))
 
 
-def _check_the_permutation_route(pres, ray):
+def _check_the_permutation_route(pres, ray, msg):
     # Past the enumeration oracle's cap: levels up to 5 / 4.  The fold is
     # called directly as well, since the cone route takes the levels it
     # certifies.
@@ -101,17 +81,16 @@ def _check_the_permutation_route(pres, ray):
         except NotTransitiveError:
             return
         expected = permutation_route(pres, tv)
-        assert stabilizer_suborbits(pres, n, ray) == expected, pres.to_text()
-        assert suborbits_from_transversal(pres, tv) == expected, pres.to_text()
+        assert stabilizer_suborbits(pres, n, ray) == expected, (n, msg)
+        assert suborbits_from_transversal(pres, tv) == expected, (n, msg)
 
 
-@PROPERTY_SETTINGS
-@given(presentations())
-def test_suborbits_match_the_permutation_route(case):
-    _check_the_permutation_route(*case)
+def test_suborbits_match_the_permutation_route():
+    for i, (pres, ray) in enumerate(family(2, DRAWS)):
+        _check_the_permutation_route(pres, ray, where(i, pres, ray))
 
 
-def _check_the_cone_route(pres, ray, top):
+def _check_the_cone_route(pres, ray, top, msg):
     """The cone route's scheme against the fold's on levels 1..top, wherever
     the route passes; returns the levels where it did."""
     passed = []
@@ -119,42 +98,22 @@ def _check_the_cone_route(pres, ray, top):
         try:
             fold = fold_scheme(pres, n, ray)
         except NotTransitiveError:
-            assert cone_suborbits(pres, n, ray) is None, pres.to_text()
+            assert cone_suborbits(pres, n, ray) is None, (n, msg)
             break
         if cone_suborbits(pres, n, ray) is None:
             continue
         route = build_scheme(pres, n, ray)
-        assert route.partition == fold.partition, pres.to_text()
-        assert route.representatives == fold.representatives, pres.to_text()
-        assert route.pairing == fold.pairing, pres.to_text()
-        assert np.array_equal(route.p, fold.p), pres.to_text()
+        assert route.partition == fold.partition, (n, msg)
+        assert route.representatives == fold.representatives, (n, msg)
+        assert route.pairing == fold.pairing, (n, msg)
+        assert np.array_equal(route.p, fold.p), (n, msg)
         passed.append(n)
     return passed
 
 
-@PROPERTY_SETTINGS
-@given(presentations())
-def test_cone_route_matches_the_fold(case):
-    pres, ray = case
-    _check_the_cone_route(pres, ray, 5 if pres.degree == 2 else 4)
-
-
-# Drawn inputs the cone route passes at every level, beyond the catalog:
-# rays of period 2, and G_1 = S_3, whose point stabilizers join two letters
-# into one cross block.
-CONE_CASES = {
-    "binary-ray-21": ("degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | a, e\n", "21"),
-    "binary-ray-12": ("degree: 2\ngen a = perm (1 2) | e, a\n"
-                      "gen b = perm (1 2) | a^-1, a^-1 b^-1 a^-1\n", "12"),
-    "ternary-ray-21": ("degree: 3\ngen a = perm (1 3 2) | e, e, e\n"
-                       "gen b = perm (1 2 3) | e, b^-1, a b^-1 a^-1\n"
-                       "gen c = perm () | b b b^-1, c^-1 a b^-1, c b\n", "21"),
-    "s3-ray-3": ("degree: 3\ngen a = perm (2 3) | a^-1, b, e\n"
-                 "gen b = perm (1 2 3) | b, b^-1, a^-1 b^-1 b^-1\n", "3"),
-    "s3-ray-31": ("degree: 3\ngen a = perm (1 2) | e, b, e\n"
-                  "gen b = perm (1 2) | c^-1 a^-1, a a c, b^-1\n"
-                  "gen c = perm (1 2 3) | b, e, a\n", "31"),
-}
+def test_cone_route_matches_the_fold():
+    for i, (pres, ray) in enumerate(family(3, DRAWS)):
+        _check_the_cone_route(pres, ray, 5 if pres.degree == 2 else 4, where(i, pres, ray))
 
 
 @pytest.mark.parametrize("name", CONE_CASES)
@@ -162,7 +121,7 @@ def test_cone_route_matches_the_fold_on_fixed_inputs(name):
     text, ray = CONE_CASES[name]
     pres = parse_presentation(text)
     top = 6 if pres.degree == 2 else 5
-    assert _check_the_cone_route(pres, parse_ray(ray, pres.degree), top) == \
+    assert _check_the_cone_route(pres, parse_ray(ray, pres.degree), top, name) == \
         list(range(1, top + 1))
 
 
@@ -206,28 +165,14 @@ MIXED_CYCLES = (
 )
 
 
-def _cycle_lengths(perm: np.ndarray) -> set[int]:
-    cycle = merge_components(np.arange(len(perm)), perm)
-    return set(np.bincount(cycle)[np.unique(cycle)].tolist())
-
-
 @pytest.mark.parametrize("text", MIXED_CYCLES,
                          ids=[f"automaton{i}" for i in range(len(MIXED_CYCLES))])
 def test_suborbits_with_cycles_of_mixed_lengths(text):
     pres = parse_presentation(text)
-    assert any(len(_cycle_lengths(perm) - {1}) > 1
+    assert any(len(cycle_lengths(perm) - {1}) > 1
                for n in range(6 if pres.degree == 2 else 5)
                for perm in generator_level_perms(pres, n).values())
-    _check_the_permutation_route(pres, all_d_ray(pres.degree))
-
-
-# A degree-3 input whose suborbits are much finer than the bound that keeps
-# the prefix shared with the base and the stabilizer orbit of the next
-# letter: rank 15 at level 4, where that bound has rank 5.  A check of
-# self-replication that counts section letters by name, not by occurrence,
-# passes it and gives wrong blocks.
-FINER_THAN_CONES = ("degree: 3\ngen a = perm (2 3) | e, b a, a^-1\n"
-                    "gen b = perm (1 3) | a a^-1, b, e\n")
+    _check_the_permutation_route(pres, all_d_ray(pres.degree), text)
 
 
 def test_suborbits_finer_than_the_cones():
@@ -256,16 +201,17 @@ def test_oracle_keeps_each_group_element_once():
     assert peak < 4 << 20
 
 
-def _check_the_gelfand_verdict(p):
+def _check_the_gelfand_verdict(p, msg):
     # spectral_data reads commutativity off p; the exact products of the
     # left-regular matrices must name the same pair, or none.
     pair = first_non_commuting_pair(intersection_matrices(p))
-    if pair is None:
+    try:
         spectral_data(p)
-    else:
-        with pytest.raises(IntegrityError,
-                           match=f"^matrices {pair[0]} and {pair[1]} do not commute$"):
-            spectral_data(p)
+        refusal = None
+    except IntegrityError as e:
+        refusal = str(e)
+    assert refusal == (None if pair is None
+                       else f"matrices {pair[0]} and {pair[1]} do not commute"), msg
     return pair
 
 
@@ -274,13 +220,7 @@ def test_gelfand_verdict_matches_the_products_on_the_catalog(key):
     e = builtin(key)
     for n in range(7 if e.presentation.degree == 2 else 5):
         scheme = build_scheme(e.presentation, n, e.default_ray)
-        assert _check_the_gelfand_verdict(scheme.p) is None, n
-
-
-# A binary input whose scheme is not commutative from level 3 on; no
-# catalog group has one.
-NON_COMMUTATIVE = ("degree: 2\ngen a = perm (1 2) | c, c^-1 b^-1 c^-1\n"
-                   "gen b = perm (1 2) | e, c^-1 a\ngen c = perm (1 2) | e, a c\n")
+        assert _check_the_gelfand_verdict(scheme.p, n) is None, n
 
 
 def test_suborbits_of_a_non_commutative_scheme():
@@ -291,7 +231,7 @@ def test_suborbits_of_a_non_commutative_scheme():
         assert scheme.partition == oracle_suborbits(pres, n, ray), n
         assert scheme.partition == permutation_route(pres, orbit_transversal(pres, n, ray)), n
         assert is_commutative(scheme.p) == (n < 3), n
-        assert _check_the_gelfand_verdict(scheme.p) == (None if n < 3 else (1, 3)), n
+        assert _check_the_gelfand_verdict(scheme.p, n) == (None if n < 3 else (1, 3)), n
 
 
 # The catalog groups and the fixed inputs above, each with its ray.
@@ -324,88 +264,62 @@ def test_schreier_pairs_leave_out_exactly_the_tree_pairs(name):
             assert np.array_equal(tv.perms[perm[x]][:, perm], tv.perms[x]), n
 
 
-@PROPERTY_SETTINGS
-@given(presentations())
-def test_scheme_matches_the_label_table(case):
+def test_scheme_matches_the_label_table():
     # Both label sources: build_scheme's, whichever route it takes, and the
     # fold's, called directly.
-    pres, ray = case
-    for n in range(4):
-        try:
-            schemes = build_scheme(pres, n, ray), fold_scheme(pres, n, ray)
-        except NotTransitiveError:
-            return
-        for scheme in schemes:
-            p, pairing = table_route(scheme)
-            assert np.array_equal(scheme.p, p), pres.to_text()
-            assert scheme.pairing == pairing, pres.to_text()
-            if is_commutative(scheme.p):
-                assert (dense_commutant_oracle(scheme)
-                        == spectral_data(scheme.p).degrees), pres.to_text()
+    for i, (pres, ray) in enumerate(family(4, DRAWS)):
+        for n in range(4):
+            try:
+                schemes = build_scheme(pres, n, ray), fold_scheme(pres, n, ray)
+            except NotTransitiveError:
+                break
+            for scheme in schemes:
+                p, pairing = table_route(scheme)
+                assert np.array_equal(scheme.p, p), (n, where(i, pres, ray))
+                assert scheme.pairing == pairing, (n, where(i, pres, ray))
+                if is_commutative(scheme.p):
+                    assert (dense_commutant_oracle(scheme)
+                            == spectral_data(scheme.p).degrees), (n, where(i, pres, ray))
 
 
-@PROPERTY_SETTINGS
-@given(presentations())
-def test_gelfand_verdict_matches_the_products(case):
-    pres, ray = case
-    for n in range(4):
-        try:
-            scheme = build_scheme(pres, n, ray)
-        except NotTransitiveError:
-            return
-        _check_the_gelfand_verdict(scheme.p)
+def test_gelfand_verdict_matches_the_products():
+    for i, (pres, ray) in enumerate(family(5, DRAWS)):
+        for n in range(4):
+            try:
+                scheme = build_scheme(pres, n, ray)
+            except NotTransitiveError:
+                break
+            _check_the_gelfand_verdict(scheme.p, (n, where(i, pres, ray)))
 
 
-@st.composite
-def permutation_families(draw):
-    """A point count and a list of permutations of it, drawn from a few
-    distinct ones plus the identity, so repeats and the identity occur."""
-    size = draw(st.integers(1, 24))
-    distinct = draw(st.lists(st.permutations(range(size)), min_size=1, max_size=4))
-    pool = distinct + [list(range(size))]
-    return size, draw(st.lists(st.sampled_from(pool), max_size=8))
+def test_permutation_fold_matches_union_find():
+    rng = random.Random(6)
+    for i in range(DRAWS):
+        size, perms = permutation_family(rng)
+        rep = np.arange(size)
+        edges = []
+        for g in perms:
+            given_rep = rep.copy()
+            out = merge_components(rep, np.array(g, dtype=np.int64))
+            assert np.array_equal(rep, given_rep)
+            edges += [(x, g[x]) for x in range(size)]
+            assert out.tolist() == least_members(size, edges), (i, perms)
+            rep = out
 
 
-@PROPERTY_SETTINGS
-@given(permutation_families())
-def test_permutation_fold_matches_union_find(case):
-    size, family = case
-    rep = np.arange(size)
-    edges = []
-    for g in family:
-        given_rep = rep.copy()
-        out = merge_components(rep, np.array(g))
-        assert np.array_equal(rep, given_rep)
-        edges += [(x, g[x]) for x in range(size)]
-        assert out.tolist() == least_members(size, edges), family
-        rep = out
-
-
-@st.composite
-def edge_lists(draw):
-    """A point count and two edge lists on it.  Random ends give self-loops
-    and repeated edges; the second list also draws the self-loops at the
-    first and last point."""
-    size = draw(st.integers(1, 30))
-    ends = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
-    return (size, draw(st.lists(ends, max_size=40)),
-            draw(st.lists(st.sampled_from([(0, 0), (size - 1, size - 1)]) | ends,
-                          max_size=40)))
-
-
-@PROPERTY_SETTINGS
-@given(edge_lists())
-def test_edge_merge_matches_union_find(case):
-    size, first, second = case
-    rep = np.arange(size)
-    for edges, seen in ((first, first), (second, first + second)):
-        heads = np.array([a for a, _ in edges], dtype=np.int64)
-        tails = np.array([b for _, b in edges], dtype=np.int64)
-        given_rep = rep.copy()
-        out = merge_components(rep, tails, heads)
-        assert np.array_equal(rep, given_rep)
-        assert out.tolist() == least_members(size, seen), edges
-        rep = out
+def test_edge_merge_matches_union_find():
+    rng = random.Random(7)
+    for i in range(DRAWS):
+        size, first, second = edge_lists(rng)
+        rep = np.arange(size)
+        for edges, seen in ((first, first), (second, first + second)):
+            heads = np.array([a for a, _ in edges], dtype=np.int64)
+            tails = np.array([b for _, b in edges], dtype=np.int64)
+            given_rep = rep.copy()
+            out = merge_components(rep, tails, heads)
+            assert np.array_equal(rep, given_rep)
+            assert out.tolist() == least_members(size, seen), (i, size, edges)
+            rep = out
 
 
 def _shuffled_cycle(size: int, seed: int) -> np.ndarray:
@@ -450,6 +364,13 @@ KERNEL_CASES = [
     # fewer edges than an eighth of the points: a short path and a star
     ("short-path-descending", 4096, [], *_path_down(300)),
     ("star", 4096, [], np.arange(200, dtype=np.int64), np.full(200, 4000, dtype=np.int64)),
+    # the edge cases the seeded draws of the tests above also reach
+    ("one-point", 1, [], np.zeros(1, dtype=np.int64), None),
+    ("identity-only", 40, [], np.arange(40, dtype=np.int64), None),
+    ("one-permutation-repeated", 60, [(x, (x + 5) % 60) for x in range(60)],
+     _interleaved_cycles(60, 5), None),
+    ("self-loops-at-the-ends", 30, [(3, 8)], np.array([0, 29, 12, 29, 0], dtype=np.int64),
+     np.array([0, 29, 5, 29, 0], dtype=np.int64)),
 ]
 
 

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from axiom_reference import axiom_messages_reference
+from families import FINER_THAN_CONES, NON_COMMUTATIVE
 from label_table import table_route
 from scheme_routes import fold_scheme
-from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
-from selfsim.catalog import builtin, source_text
+from selfsim.catalog import builtin, keys, source_text
 from selfsim.cli import main
 from selfsim.errors import IntegrityError
 from selfsim.orbits import SuborbitPartition, cone_suborbits, orbit_transversal
@@ -23,9 +23,6 @@ from selfsim.spectral import dense_commutant_oracle, spectral_data
 from selfsim.tree import parse_ray
 from selfsim.verify import _label_invariance, _scheme_axioms
 from selfsim.wreath import level_permutation, parse_presentation
-
-ALL_KEYS = ("grigorchuk", "grigorchuk-tilde", "gamma", "gamma-bar", "gupta-sidki")
-
 
 def _scheme(key, n, **kw):
     e = builtin(key)
@@ -187,7 +184,7 @@ def test_on_demand_labels_match_materialized():
             assert s.label(x, y) == int(s.labels[x, y])
 
 
-@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize("key", keys())
 def test_row_route_matches_the_label_table(key):
     top = 6 if builtin(key).degree == 2 else 4
     for n in range(top + 1):
@@ -270,7 +267,7 @@ def test_scheme_keeps_no_transversal(monkeypatch):
     assert s.label(s.base_index, s.base_index) == 0  # the scheme still reads labels
 
 
-@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize("key", keys())
 def test_scheme_reads_the_partition_array(key):
     for n in range(5 if key.startswith("grigorchuk") else 4):
         s = _scheme(key, n)
@@ -383,7 +380,7 @@ def test_p_is_counted_one_label_row_at_a_time(key, n):
     assert peak < 6 * 8 * size
 
 
-@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize("key", keys())
 def test_cone_route_matches_the_fold(key):
     # The digit labels and the transversal table give the same scheme, and
     # the same label rows where every row is compared.

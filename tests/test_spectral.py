@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from eigen_reference import chained_clusters, characteristic_polynomial, sieved_primes
+from families import FINER_THAN_CONES, NON_COMMUTATIVE
 from product_rule_reference import product_rule_reference
-from test_properties import FINER_THAN_CONES, NON_COMMUTATIVE
 
 from selfsim import spectral
 from selfsim.catalog import builtin
@@ -37,6 +37,13 @@ def test_intersection_matrices_swap_scheme():
 def test_intersection_matrices_identity_class():
     B = intersection_matrices(_scheme("gamma", 2).p)
     assert np.array_equal(B[0], np.eye(5, dtype=np.int64))
+
+
+def test_intersection_matrices_are_a_read_only_view_of_p():
+    p = _scheme("gupta-sidki", 2).p
+    B = intersection_matrices(p)
+    assert np.shares_memory(B, p)
+    assert not B.flags.writeable and p.flags.writeable
 
 
 def test_inverse_classes_multiply_to_identity():

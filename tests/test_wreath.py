@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from families import ADDING_MACHINE, BASILICA
 
 import selfsim
 from selfsim.catalog import builtin, source_text
@@ -289,10 +290,6 @@ def test_level_permutation_homomorphism():
         pv = level_permutation(G, v, 4)
         puv = level_permutation(G, u * v, 4)
         assert np.array_equal(puv, pu[pv])
-
-
-ADDING_MACHINE = "degree: 2\ngen a = perm (1 2) | e, a\n"
-BASILICA = "degree: 2\ngen a = perm () | e, b\ngen b = perm (1 2) | e, a\n"
 
 
 @pytest.mark.parametrize("text", [ADDING_MACHINE, BASILICA],
