@@ -47,10 +47,10 @@ union-find on edge arrays: it gathers the roots of all edge ends once, then
 hooks root onto root in rounds that read only the edges still crossing, and
 reads the whole forest once more at the end, to point every vertex at its
 root.
-Each partition reads its own labels, label(x, y) = the block of u_x^-1(y),
-through ``label_row(x)``, or one at a time through ``label(x, y)``: off the
-rows of u_x^-1 it was made with, or off tree digits on the cone route.  No
-other module knows either layout.
+Each partition owns its labels, label(x, y) = the block of u_x^-1(y), and
+alone reads them, through ``label_row(x)`` or one at a time through
+``label(x, y)``: off the rows of u_x^-1 it was made with, or off the cone
+route's class table.  No other module knows either layout.
 """
 
 from __future__ import annotations
@@ -181,9 +181,8 @@ class SuborbitPartition:
     # The label source, one of the two.  Where the fold or the oracle made
     # the blocks, rows[x] is the level permutation of u_x^-1 for a u_x that
     # carries the base to x, shape (N, N).  Where the cone route certified
-    # them, cones[k][a, c] (letters 0-based) is the least vertex sharing its
-    # first k letters with the base whose next letter c' puts (v_{k+1}, c')
-    # in the G_1-orbit of (a, c), shape (n, d, d).
+    # them, cones[k][a, c] (letters 0-based, a != c) is the class of the
+    # pairs that share k letters and go on with a and c, shape (n, d, d).
     rows: np.ndarray | None = None
     cones: np.ndarray | None = None
 
@@ -202,9 +201,9 @@ class SuborbitPartition:
         From cones: the class of (x, y) is fixed by the number k of letters x
         and y share and the G_1-orbit of (x_{k+1}, y_{k+1}).  That G-invariant
         partition of pairs is coarser than the orbitals and meets the base
-        row in the suborbits, so the class is the block of
-        cones[k][x_{k+1}, y_{k+1}].  A row broadcasts the labels of x's first
-        h letters, then overwrites the y that share them: O(N) per row.
+        row in the suborbits, so the class is cones[k][x_{k+1}, y_{k+1}].  A
+        row broadcasts the labels of x's first h letters, then overwrites the
+        y that share them: O(N) per row.
         """
         if self.cones is None:
             return self.block_of[self._rows()[x]]
@@ -216,18 +215,14 @@ class SuborbitPartition:
         return row.reshape(-1)
 
     def label(self, x: int, y: int) -> int:
-        """label(x, y) alone, equal to ``label_row(x)[y]``.  From cones: drop
-        the k leading letters x and y share, one integer step each, and read
-        the block of cones[k][x_{k+1}, y_{k+1}]: O(n).  From rows: one entry."""
+        """label(x, y) alone, equal to ``label_row(x)[y]``, one entry of the
+        tables ``label_row`` copies from: the low one where x and y share
+        their first h letters, else the high one.  From rows: one entry."""
         if self.cones is None:
             return int(self.block_of[self._rows()[x, y]])
-        if x == y:
-            return 0
-        span = self.base.degree ** (self.base.level - 1)  # place value of the next letter
-        k = 0
-        while x // span == y // span:
-            x, y, span, k = x % span, y % span, span // self.base.degree, k + 1
-        return self._cone_classes[k][x // span][y // span]
+        high, low = self._digit_tables
+        (top, rest), (top_y, rest_y) = divmod(x, len(low)), divmod(y, len(low))
+        return low.item(rest, rest_y) if top == top_y else high.item(top, top_y)
 
     def _rows(self) -> np.ndarray:
         if self.rows is None:
@@ -235,18 +230,12 @@ class SuborbitPartition:
         return self.rows
 
     @cached_property
-    def _cone_classes(self) -> list[list[list[int]]]:
-        """block_of[cones] as nested lists, for ``label``'s single reads."""
-        return self.block_of[self.cones].tolist()
-
-    @cached_property
     def _digit_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The labels of all pairs of h-letter and of (n - h)-letter words,
         h = n // 2: at most d N entries, against N^2 for one table of n
         letters, and a row costs two copies, not a walk down the levels."""
-        n, d = self.base.level, self.base.degree
-        tables = list(self.block_of[self.cones])
-        return _pair_table(tables[:n // 2], d), _pair_table(tables[n // 2:], d)
+        h, d, tables = self.base.level // 2, self.base.degree, list(self.cones)
+        return _pair_table(tables[:h], d), _pair_table(tables[h:], d)
 
     def blocks_as_vertices(self) -> list[list[str]]:
         blocks: list[list[str]] = [[] for _ in range(self.rank)]
@@ -273,7 +262,8 @@ def _pair_table(tables: list[np.ndarray], degree: int) -> np.ndarray:
 def _canonical_partition(rep: np.ndarray, base: Vertex, rows: np.ndarray | None = None,
                          cones: np.ndarray | None = None) -> SuborbitPartition:
     """Number the forest rep canonically: array passes over the vertices and
-    a Python sort of the r roots (rep[x] = x) only."""
+    a Python sort of the r roots (rep[x] = x) only.  The off-diagonal
+    entries of cones are roots as well, and become block numbers alike."""
     sizes = np.bincount(rep)
     roots = np.flatnonzero(sizes)
     base_root = int(rep[base.index()])
@@ -281,7 +271,8 @@ def _canonical_partition(rep: np.ndarray, base: Vertex, rows: np.ndarray | None 
     order = [base_root] + [root for _, root in rest if root != base_root]
     number = sizes  # reused: root -> block number
     number[order] = np.arange(len(order))
-    return SuborbitPartition(base, number[rep], rows, cones)
+    classes = None if cones is None else number[cones]
+    return SuborbitPartition(base, number[rep], rows, classes)
 
 
 def merge_components(rep: np.ndarray, tails: np.ndarray,
@@ -537,8 +528,8 @@ def _cross_blocks_whole(pres: WreathPresentation, base: Vertex,
 
 def _cone_forest(base: Vertex, orbital: np.ndarray,
                  least: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rep[y] = the least vertex of y's cone block, and the table
-    ``SuborbitPartition.cones``, from one walk down the base.
+    """rep[y] = the least vertex of y's cone block, and the least vertex of
+    each class of ``SuborbitPartition.cones``, from one walk down the base.
 
     The blocks are fixed by the number k of letters y shares with the base
     and by the orbit of y_{k+1} under the stabilizer of v_{k+1}.  G_1 is

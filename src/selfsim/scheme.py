@@ -1,12 +1,12 @@
 """The orbital association scheme of a level action.
 
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
-where u_x is any group element carrying the base to x.  The scheme reads
-every label through the suborbit partition's two readers, ``label_row(x)``
-= label(x, .) and ``label(x, y)`` alone, which read the layout it was made
-from: tree digits on the cone route, rows of u_x^-1 elsewhere.  So a single
-label costs O(n) on the route, not a row of N.  This module knows neither
-layout, and the route was chosen when the partition was made.  The class of
+where u_x is any group element carrying the base to x.  The scheme keeps
+no copy of the labels: it reads them through their owner, its partition,
+by ``label_row(x)`` = label(x, .) or ``label(x, y)`` alone, off the cone
+route's class table or rows of u_x^-1, so a single label is one table entry
+on the route, not a row of N.  This module knows neither layout, and the
+route was chosen when the partition was made.  The class of
 (base, y) is then the suborbit of y, class 0 is the diagonal, and counting
 common neighbours gives the intersection numbers
 
@@ -30,7 +30,7 @@ and only when read (the dense oracle, tests).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -51,14 +51,11 @@ class OrbitalScheme:
     point_count: int
     rank: int
     base_index: int
-    partition: SuborbitPartition
-    block_of: np.ndarray            # partition.block_of: class of (base, y) per y
+    partition: SuborbitPartition    # the owner and only reader of the labels
     valencies: np.ndarray           # class sizes k_i; k_0 = 1
     pairing: tuple[int, ...]        # i -> class of the reversed pairs
     representatives: tuple[int, ...]  # y_k with (base, y_k) in class k
     p: np.ndarray                   # (r, r, r) intersection numbers, exact ints
-    label_row: Callable[[int], np.ndarray]  # partition.label_row: x -> label(x, .)
-    label_at: Callable[[int, int], int]     # partition.label: (x, y) -> label(x, y)
 
     @property
     def level(self) -> int:
@@ -69,17 +66,21 @@ class OrbitalScheme:
         return self.partition.base.degree
 
     def label(self, x: int, y: int) -> int:
-        return self.label_at(x, y)
+        return self.partition.label(x, y)
+
+    def label_row(self, x: int) -> np.ndarray:
+        """label(x, y) for every y, a fresh array."""
+        return self.partition.label_row(x)
 
     def label_column(self, y: int) -> np.ndarray:
         """label(x, y) for every x."""
-        return np.asarray(self.pairing)[self.label_row(y)]
+        return np.asarray(self.pairing)[self.partition.label_row(y)]
 
     @cached_property
     def labels(self) -> np.ndarray:
         """The full (N, N) label table, built on first read, a row at a time."""
         size = self.point_count
-        return np.fromiter(map(self.label_row, range(size)), (np.int64, (size,)), size)
+        return np.fromiter(map(self.partition.label_row, range(size)), (np.int64, (size,)), size)
 
 
 def build_scheme(pres: WreathPresentation, n: int, ray: Ray,
@@ -114,13 +115,10 @@ def scheme_from_partition(partition: SuborbitPartition) -> OrbitalScheme:
         rank=r,
         base_index=base_idx,
         partition=partition,
-        block_of=block_of,
         valencies=np.bincount(block_of, minlength=r),
         pairing=tuple(pairing.tolist()),
         representatives=tuple(reps.tolist()),
         p=p,
-        label_row=partition.label_row,
-        label_at=partition.label,
     )
     violations = verify_scheme_axioms(scheme)
     if violations:
@@ -191,11 +189,12 @@ def verify_scheme_axioms(scheme: OrbitalScheme) -> list[str]:
     """Axioms plus the class checks any label source must pass; empty list = pass."""
     out = axiom_violations(scheme.valencies, scheme.p, scheme.pairing,
                            scheme.point_count)
-    if scheme.block_of[scheme.base_index] != 0:
+    block_of = scheme.partition.block_of
+    if block_of[scheme.base_index] != 0:
         out.append("base vertex is not in class 0")
     for k, y in enumerate(scheme.representatives):
-        if scheme.block_of[y] != k:
-            out.append(f"representative of class {k} lies in class {int(scheme.block_of[y])}")
+        if block_of[y] != k:
+            out.append(f"representative of class {k} lies in class {int(block_of[y])}")
             break
     return out[:_VIOLATION_LIMIT]
 

@@ -189,9 +189,17 @@ def _residues(T1: np.ndarray, T2: np.ndarray,
             return tuple(residues)
 
 
+_PRIMES: list[int] = []  # the primes _primes has found, largest first
+
+
 def _primes():
-    """The primes below 2^30 and above 2^15, largest first."""
-    return filter(_is_prime, range(2**30 - 1, 2**15, -2))
+    """The primes below 2^30 and above 2^15, largest first; each is tested
+    once per process, and the list of those found grows on demand."""
+    yield from _PRIMES
+    for q in filter(_is_prime, range(_PRIMES[-1] - 2 if _PRIMES else 2**30 - 1, 2**15, -2)):
+        if not _PRIMES or q < _PRIMES[-1]:  # else another reader has kept it
+            _PRIMES.append(q)
+        yield q
 
 
 def _is_prime(n: int) -> bool:

@@ -4,7 +4,7 @@ Each suite draws its cases as arrays, _CASE_BLOCK at a time (word lengths,
 generator picks and sign bits; vertex levels and digits; point and class
 pairs; the degree certificate's pairs of degrees), and checks them one by
 one.  The label suite moves a case's two points by ``act`` and reads each
-label alone (``scheme.label``, O(n) on the cone route), so it builds
+label alone (``scheme.label``, one entry on the cone route), so it builds
 nothing N-sized per case.  The degree certificate suite certifies the
 level's degrees once, by ``spectral_data``'s integer pencil, and holds them
 equal to the closed form wherever the cone route certifies the level; each

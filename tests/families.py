@@ -1,9 +1,13 @@
 """Inputs the test modules share: one seeded family of random presentations,
 seeded draws for the component routine, and fixed presentations.  Each
 random test reads ``family`` with a seed of its own, so its inputs depend
-on that seed alone, not on its body nor on the hash seed."""
+on that seed alone, not on its body nor on the hash seed, and runs each
+draw's checks inside ``in_draw``, so a failure names its draw."""
 
 import random
+from contextlib import contextmanager
+
+import pytest
 
 from selfsim.tree import Ray, Vertex
 from selfsim.wreath import GeneratorRule, Word, WreathPresentation
@@ -62,8 +66,25 @@ def family(seed: int, count: int) -> list[tuple[WreathPresentation, Ray]]:
 
 
 def where(i: int, pres: WreathPresentation, ray: Ray) -> str:
-    """An assertion message naming draw i."""
+    """A message naming draw i."""
     return f"draw {i}, ray tail {ray.periodic_tail}:\n{pres.to_text()}"
+
+
+class DrawFailed(AssertionError):
+    """A check on one draw of the family failed; the failure is the cause."""
+
+
+@contextmanager
+def in_draw(i: int, pres: WreathPresentation, ray: Ray):
+    """Name draw i in the report of whatever the body raises: a failed
+    assertion, any other exception, or a failed ``pytest.raises``, whose
+    ``Failed`` is a BaseException.  The failure is re-raised as the cause
+    of a ``DrawFailed`` carrying ``where(i, pres, ray)``; chaining, not
+    ``add_note``, which Python 3.10 lacks."""
+    try:
+        yield
+    except (Exception, pytest.fail.Exception) as exc:
+        raise DrawFailed(where(i, pres, ray)) from exc
 
 
 def permutation_family(rng: random.Random) -> tuple[int, list[list[int]]]:

@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 import pytest
-from families import CONE_CASES, family, where
+from families import CONE_CASES, family, in_draw
 
 from selfsim import spectral
 from selfsim.catalog import builtin, keys
@@ -66,8 +66,9 @@ def test_closed_form_matches_the_float_route_on_the_cone_cases(name):
 def test_closed_form_matches_the_float_route_on_random_draws():
     certified = 0
     for i, (pres, ray) in enumerate(family(7, 1500)):
-        certified += sum(_check_level(pres, n, ray, where(i, pres, ray))
-                         for n in range(1, (6 if pres.degree == 2 else 5) + 1))
+        with in_draw(i, pres, ray):
+            certified += sum(_check_level(pres, n, ray, f"draw {i}")
+                             for n in range(1, (6 if pres.degree == 2 else 5) + 1))
     assert certified == 1302  # the route's coverage of this family shows here
 
 

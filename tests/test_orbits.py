@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from families import (ADDING_MACHINE, BASILICA, CONE_CASES, FINER_THAN_CONES,
-                      NON_COMMUTATIVE, SHIFTED_BASE)
+                      NON_COMMUTATIVE, SHIFTED_BASE, family, in_draw)
 from label_table import table_route
 from scheme_routes import fold_scheme
 from suborbit_reference import (cycle_lengths, letter_orbitals_by_sweep, permutation_route,
@@ -104,9 +104,9 @@ def test_transversal_table_at_each_dtype_boundary(key, n, dtype):
 @pytest.mark.parametrize("key", keys())
 def test_every_partition_reads_the_labels_by_their_definition(key):
     # label(x, y) is the block of u_x^-1(y) for any u_x carrying the base to
-    # x, so the cone route's digits, the transversal rows of the fold and of
-    # the permutation route, and the oracle's own rows give one table, and
-    # the full table gives each scheme's p and pairing.
+    # x, so the cone route's class table, the transversal rows of the fold
+    # and of the permutation route, and the oracle's own rows give one
+    # table, and the full table gives each scheme's p and pairing.
     pres, ray = _entry(key)
     for n in range(5 if pres.degree == 2 else 4):
         tv = orbit_transversal(pres, n, ray)
@@ -133,8 +133,10 @@ def _assert_single_labels_match_the_rows(parts, where):
 
 
 def test_a_single_label_from_the_digits_is_its_row_entry():
-    # On the cone route label(x, y) drops the letters x and y share and
-    # reads one class; every pair must give label_row(x)[y].
+    # On the cone route label(x, y) reads one entry of the two tables that
+    # label_row copies from; every pair must give label_row(x)[y], on the
+    # catalog, the fixed cone cases and the route-certified levels of a
+    # seeded family.
     for key in keys():
         pres, ray = _entry(key)
         for n in range(1, (6 if pres.degree == 2 else 4) + 1):
@@ -147,6 +149,15 @@ def test_a_single_label_from_the_digits_is_its_row_entry():
             parts = cone_suborbits(pres, n, parse_ray(ray, pres.degree))
             assert parts.cones is not None, (name, n)
             _assert_single_labels_match_the_rows(parts, (name, n))
+    certified = 0
+    for i, (pres, ray) in enumerate(family(8, 60)):
+        with in_draw(i, pres, ray):
+            for n in range(1, 5):
+                parts = cone_suborbits(pres, n, ray)
+                if parts is not None:
+                    certified += 1
+                    _assert_single_labels_match_the_rows(parts, (f"draw {i}", n))
+    assert certified == 46  # the route's coverage of this family shows here
 
 
 def test_a_single_label_from_the_rows_is_its_row_entry():

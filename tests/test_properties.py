@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from eigen_reference import first_non_commuting_pair, least_members
 from families import (CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE, edge_lists, family,
-                      permutation_family, where)
+                      in_draw, permutation_family)
 from label_table import table_route
 from scheme_routes import fold_scheme, oracle_scheme
 from suborbit_reference import cycle_lengths, permutation_route, schreier_pairs
@@ -57,18 +57,19 @@ def _orbit_size(pres: WreathPresentation, base: Vertex) -> int:
 
 def test_suborbits_match_the_oracle():
     for i, (pres, ray) in enumerate(family(1, DRAWS)):
-        for n in range(4):
-            if _orbit_size(pres, ray.prefix(n)) < pres.degree**n:
-                with pytest.raises(NotTransitiveError):
-                    stabilizer_suborbits(pres, n, ray)
-                break
-            try:
-                expected = oracle_suborbits(pres, n, ray, cap=ORACLE_CAP)
-            except SizeCapError:
-                break
-            assert stabilizer_suborbits(pres, n, ray) == expected, (n, where(i, pres, ray))
-            tv = orbit_transversal(pres, n, ray)
-            assert suborbits_from_transversal(pres, tv) == expected, (n, where(i, pres, ray))
+        with in_draw(i, pres, ray):
+            for n in range(4):
+                if _orbit_size(pres, ray.prefix(n)) < pres.degree**n:
+                    with pytest.raises(NotTransitiveError):
+                        stabilizer_suborbits(pres, n, ray)
+                    break
+                try:
+                    expected = oracle_suborbits(pres, n, ray, cap=ORACLE_CAP)
+                except SizeCapError:
+                    break
+                assert stabilizer_suborbits(pres, n, ray) == expected, n
+                tv = orbit_transversal(pres, n, ray)
+                assert suborbits_from_transversal(pres, tv) == expected, n
 
 
 def _check_the_permutation_route(pres, ray, msg):
@@ -87,7 +88,8 @@ def _check_the_permutation_route(pres, ray, msg):
 
 def test_suborbits_match_the_permutation_route():
     for i, (pres, ray) in enumerate(family(2, DRAWS)):
-        _check_the_permutation_route(pres, ray, where(i, pres, ray))
+        with in_draw(i, pres, ray):
+            _check_the_permutation_route(pres, ray, f"draw {i}")
 
 
 def _check_the_cone_route(pres, ray, top, msg):
@@ -113,7 +115,8 @@ def _check_the_cone_route(pres, ray, top, msg):
 
 def test_cone_route_matches_the_fold():
     for i, (pres, ray) in enumerate(family(3, DRAWS)):
-        _check_the_cone_route(pres, ray, 5 if pres.degree == 2 else 4, where(i, pres, ray))
+        with in_draw(i, pres, ray):
+            _check_the_cone_route(pres, ray, 5 if pres.degree == 2 else 4, f"draw {i}")
 
 
 @pytest.mark.parametrize("name", CONE_CASES)
@@ -268,28 +271,29 @@ def test_scheme_matches_the_label_table():
     # Both label sources: build_scheme's, whichever route it takes, and the
     # fold's, called directly.
     for i, (pres, ray) in enumerate(family(4, DRAWS)):
-        for n in range(4):
-            try:
-                schemes = build_scheme(pres, n, ray), fold_scheme(pres, n, ray)
-            except NotTransitiveError:
-                break
-            for scheme in schemes:
-                p, pairing = table_route(scheme)
-                assert np.array_equal(scheme.p, p), (n, where(i, pres, ray))
-                assert scheme.pairing == pairing, (n, where(i, pres, ray))
-                if is_commutative(scheme.p):
-                    assert (dense_commutant_oracle(scheme)
-                            == spectral_data(scheme.p).degrees), (n, where(i, pres, ray))
+        with in_draw(i, pres, ray):
+            for n in range(4):
+                try:
+                    schemes = build_scheme(pres, n, ray), fold_scheme(pres, n, ray)
+                except NotTransitiveError:
+                    break
+                for scheme in schemes:
+                    p, pairing = table_route(scheme)
+                    assert np.array_equal(scheme.p, p), n
+                    assert scheme.pairing == pairing, n
+                    if is_commutative(scheme.p):
+                        assert dense_commutant_oracle(scheme) == spectral_data(scheme.p).degrees, n
 
 
 def test_gelfand_verdict_matches_the_products():
     for i, (pres, ray) in enumerate(family(5, DRAWS)):
-        for n in range(4):
-            try:
-                scheme = build_scheme(pres, n, ray)
-            except NotTransitiveError:
-                break
-            _check_the_gelfand_verdict(scheme.p, (n, where(i, pres, ray)))
+        with in_draw(i, pres, ray):
+            for n in range(4):
+                try:
+                    scheme = build_scheme(pres, n, ray)
+                except NotTransitiveError:
+                    break
+                _check_the_gelfand_verdict(scheme.p, n)
 
 
 def test_permutation_fold_matches_union_find():

@@ -166,7 +166,7 @@ def test_representative_independence():
         col = s.label_column(other)
         counts = np.zeros((s.rank, s.rank), dtype=np.int64)
         for z in range(s.point_count):
-            counts[int(s.block_of[z]), int(col[z])] += 1
+            counts[int(s.partition.block_of[z]), int(col[z])] += 1
         assert np.array_equal(counts, s.p[:, :, k])
 
 
@@ -224,13 +224,13 @@ def test_a_label_source_whose_base_row_is_not_the_suborbits_is_refused(layout):
     e = builtin("gupta-sidki")
     make = fold_scheme if layout == "rows" else build_scheme
     parts = make(e.presentation, 3, e.default_ray).partition
-    base = parts.base.index()
     if layout == "rows":
+        base = parts.base.index()
         rows = parts.rows.copy()
         rows[base] = rows[base][::-1]
         broken = replace(parts, rows=rows)
     else:
-        broken = replace(parts, cones=np.full_like(parts.cones, base))
+        broken = replace(parts, cones=np.zeros_like(parts.cones))  # every pair in class 0
     with pytest.raises(IntegrityError, match="^the labels of the base row are not the suborbits$"):
         scheme_from_partition(broken)
 
@@ -271,8 +271,8 @@ def test_scheme_keeps_no_transversal(monkeypatch):
 def test_scheme_reads_the_partition_array(key):
     for n in range(5 if key.startswith("grigorchuk") else 4):
         s = _scheme(key, n)
-        assert s.block_of is s.partition.block_of
-        least = [int(np.flatnonzero(s.block_of == k)[0]) for k in range(s.rank)]
+        assert not hasattr(s, "block_of")  # the partition's array, not a copy
+        least = [int(np.flatnonzero(s.partition.block_of == k)[0]) for k in range(s.rank)]
         assert s.representatives == tuple(least), (key, n)
 
 
@@ -290,27 +290,45 @@ def _label_readings(pres, s):
     )
 
 
+class _TablePartition:
+    """A stand-in partition that reads its labels off a full table, and
+    refuses the readers named in refused."""
+
+    def __init__(self, parts, table, refused=()):
+        self.base, self.block_of = parts.base, parts.block_of
+        self._table, self._refused = table, refused
+
+    def _check(self, reader, x):
+        if reader in self._refused:
+            raise LookupError(f"no label of {x}")
+
+    def label_row(self, x):
+        self._check("label_row", x)
+        return self._table[x]
+
+    def label(self, x, y):
+        self._check("label", x)
+        return int(self._table[x, y])
+
+
 @pytest.mark.parametrize("key,n", [("gamma", 2), ("grigorchuk", 4)])
 def test_a_foreign_label_source_reads_the_same(key, n):
-    # The scheme reads labels only through its two readers, label_row and
-    # label_at: a source that is not the partition gives the same readings,
-    # and one that fails fails them.
+    # The scheme reads labels only through its partition's two readers,
+    # label_row and label: a stand-in partition that is not a suborbit
+    # partition gives the same readings, and one that fails fails them.
     s = _scheme(key, n)
     pres = builtin(key).presentation
     table = s.labels.copy()
-    foreign = replace(s, label_row=lambda x: table[x], label_at=lambda x, y: int(table[x, y]))
+    foreign = replace(s, partition=_TablePartition(s.partition, table))
     assert _label_readings(pres, foreign) == _label_readings(pres, s)
 
-    def refused(x, y=None):
-        raise LookupError(f"no label of {x}")
-
-    # single labels come through label_at, everything else through label_row
+    # single labels come through label, everything else through label_row
     by_pair = ["label", "label_invariance"]
     by_row = ["label_column", "labels", "dot", "dense_oracle", "scheme_axioms"]
-    for fields, refusing in [({"label_at": refused}, by_pair),
-                             ({"label_row": refused}, by_row),
-                             ({"label_at": refused, "label_row": refused}, by_pair + by_row)]:
-        failing = replace(s, **fields)
+    for refused, refusing in [({"label"}, by_pair),
+                              ({"label_row"}, by_row),
+                              ({"label", "label_row"}, by_pair + by_row)]:
+        failing = replace(s, partition=_TablePartition(s.partition, table, refused))
         readers = {"label": lambda: failing.label(0, 1),
                    "label_column": lambda: failing.label_column(1),
                    "labels": lambda: failing.labels,

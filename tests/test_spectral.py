@@ -474,6 +474,29 @@ def test_the_primes_match_the_sieve():
     assert not any(map(_is_prime, (2047, 1373653, 25326001)))
 
 
+def test_the_primes_are_found_once(monkeypatch):
+    # _primes keeps the primes it has found in one list, grown on demand:
+    # from an empty list it gives the primes a plain filter gives, two
+    # interleaved readers see the same sequence, and a second spectral_data
+    # on the same p tests no prime it reuses.
+    monkeypatch.setattr(spectral, "_PRIMES", [])
+    want = list(itertools.islice(filter(_is_prime, range(2**30 - 1, 2**15, -2)), 40))
+    first, second = _primes(), _primes()
+    interleaved = [next(first), next(second), next(second), next(first)]
+    assert interleaved == [want[0], want[0], want[1], want[1]]
+    assert list(itertools.islice(_primes(), 40)) == want
+    monkeypatch.setattr(spectral, "_PRIMES", [])
+    tested = []
+    monkeypatch.setattr(spectral, "_is_prime", lambda n: tested.append(n) or _is_prime(n))
+    p = _scheme("gupta-sidki", 7).p
+    before = spectral_data(p)
+    assert len(before.residues) == 4 and tested
+    tested.clear()
+    after = spectral_data(p)
+    assert (after.degrees, after.residues) == (before.degrees, before.residues)
+    assert tested == []
+
+
 def test_a_prime_that_divides_det_t1_is_skipped():
     first, second = itertools.islice(_primes(), 2)
     T1 = np.array([[first]], dtype=object)

@@ -187,7 +187,7 @@ def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
 
 def test_the_label_suite_builds_nothing_n_sized():
     # One int64 row of N labels is 8 N bytes; each case reads two single
-    # labels off the tree digits instead.
+    # labels instead, one table entry each.
     e = builtin("grigorchuk")
     scheme = build_scheme(e.presentation, 16, e.default_ray)
     # one case first, so that numpy's lazy imports fall outside the trace
