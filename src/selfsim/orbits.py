@@ -48,9 +48,12 @@ hooks root onto root in rounds that read only the edges still crossing, and
 reads the whole forest once more at the end, to point every vertex at its
 root.
 Each partition owns its labels, label(x, y) = the block of u_x^-1(y), and
-alone reads them, through ``label_row(x)`` or one at a time through
-``label(x, y)``: off the rows of u_x^-1 it was made with, or off the cone
-route's class table.  No other module knows either layout.
+alone reads them, through ``label_row(x)``, one at a time through
+``label(x, y)``, or as path counts #{z : label(x, z) = i, label(z, y) = j}
+through ``path_counts``: off the rows of u_x^-1 it was made with, or off
+the cone route's class table.  No other module knows either layout.  On the
+route a path count reads one row and one column of the two digit tables,
+O(sqrt N) per case, where a row of labels takes O(N).
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ DEFAULT_GROUP_CAP = 1 << 20
 # more than the N x N transversal table from N = 256 on, where that table
 # takes 64 KiB of uint8.
 _BLOCK_ENTRIES = 1 << 13
+# Bytes of one int64 gather in path_counts: a chunk of cases reads this much
+# of the digit tables' rows, and as much of their columns, so its
+# temporaries stay a few times this whatever the level or the case count.
+_PATH_BYTES = 1 << 18
 
 
 def _physical_memory() -> int:
@@ -224,6 +231,31 @@ class SuborbitPartition:
         (top, rest), (top_y, rest_y) = divmod(x, len(low)), divmod(y, len(low))
         return low.item(rest, rest_y) if top == top_y else high.item(top, top_y)
 
+    def path_counts(self, x: np.ndarray, y: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> np.ndarray:
+        """#{z : label(x, z) = i, label(z, y) = j} for each case of the four
+        equal-length arrays, counted from the label layout case by case.
+
+        From cones: split x = (a, s), y = (b, t) and z = (c, u) at h letters.
+        label(x, z) is low[s, u] where c = a, else high[a, c], and label(z, y)
+        is low[u, t] where c = b, else high[c, b], so each case reads one row
+        and one column of each digit table, O(sqrt N), _PATH_BYTES of
+        gathered entries at a time.  From rows: one row and one column of the
+        transversal table, O(N) per case."""
+        x, y, i, j = (np.asarray(v, dtype=np.int64) for v in (x, y, i, j))
+        if self.cones is None:
+            rows, block_of = self._rows(), self.block_of
+            return np.array([np.count_nonzero((block_of[rows[a]] == c)
+                                              & (block_of[rows[:, b]] == e))
+                             for a, b, c, e in zip(x, y, i, j)], dtype=np.int64)
+        high, low = self._digit_tables
+        counts = np.empty(len(x), dtype=np.int64)
+        step = max(1, _PATH_BYTES // (8 * len(low)))  # len(low) >= len(high)
+        for k in range(0, len(x), step):
+            part = slice(k, k + step)
+            counts[part] = _cone_path_counts(high, low, x[part], y[part], i[part], j[part])
+        return counts
+
     def _rows(self) -> np.ndarray:
         if self.rows is None:
             raise IntegrityError("the partition has no label source: neither rows nor cones")
@@ -242,6 +274,27 @@ class SuborbitPartition:
         for i, k in enumerate(self.block_of.tolist()):  # each block in index order
             blocks[k].append(str(Vertex.from_index(self.base.degree, self.base.level, i)))
         return blocks
+
+
+def _cone_path_counts(high: np.ndarray, low: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``SuborbitPartition.path_counts`` off the two digit tables, for one
+    chunk of cases.  The L = len(low) vertices z = (c, u) of a top block c
+    apart from a and b all count alike, so that part is L times a count over
+    c; the blocks c = a and c = b add one count over u each, or one joint
+    count where a = b."""
+    (a, s), (b, t) = np.divmod(x, len(low)), np.divmod(y, len(low))
+    cases = np.arange(len(x))
+    apart = high[a] == i[:, None]
+    apart &= high[:, b].T == j[:, None]
+    apart[cases, a] = apart[cases, b] = False
+    from_x = low[s] == i[:, None]
+    into_y = low[:, t].T == j[:, None]
+    across = high[a, b]
+    ends = np.where(a == b, np.count_nonzero(from_x & into_y, axis=1),
+                    (across == j) * np.count_nonzero(from_x, axis=1)
+                    + (across == i) * np.count_nonzero(into_y, axis=1))
+    return len(low) * np.count_nonzero(apart, axis=1) + ends
 
 
 def _pair_table(tables: list[np.ndarray], degree: int) -> np.ndarray:

@@ -3,12 +3,12 @@
 Pairs of level vertices are classed by label(x, y) = suborbit of u_x^-1(y),
 where u_x is any group element carrying the base to x.  The scheme keeps
 no copy of the labels: it reads them through their owner, its partition,
-by ``label_row(x)`` = label(x, .) or ``label(x, y)`` alone, off the cone
-route's class table or rows of u_x^-1, so a single label is one table entry
-on the route, not a row of N.  This module knows neither layout, and the
-route was chosen when the partition was made.  The class of
-(base, y) is then the suborbit of y, class 0 is the diagonal, and counting
-common neighbours gives the intersection numbers
+by ``label_row(x)`` = label(x, .), ``label(x, y)`` alone or
+``path_counts``, off the cone route's class table or rows of u_x^-1, so a
+single label is one table entry on the route, not a row of N.  This module
+knows neither layout, and the route was chosen when the partition was
+made.  The class of (base, y) is then the suborbit of y, class 0 is the
+diagonal, and counting common neighbours gives the intersection numbers
 
     p[i][j][k] = #{z : (x, z) in class i, (z, y) in class j}
 
@@ -71,6 +71,12 @@ class OrbitalScheme:
     def label_row(self, x: int) -> np.ndarray:
         """label(x, y) for every y, a fresh array."""
         return self.partition.label_row(x)
+
+    def path_counts(self, x: np.ndarray, y: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> np.ndarray:
+        """#{z : label(x, z) = i, label(z, y) = j} for each case of the four
+        equal-length arrays, counted from the labels, not from p."""
+        return self.partition.path_counts(x, y, i, j)
 
     def label_column(self, y: int) -> np.ndarray:
         """label(x, y) for every x."""

@@ -4,8 +4,11 @@ Each suite draws its cases as arrays, _CASE_BLOCK at a time (word lengths,
 generator picks and sign bits; vertex levels and digits; point and class
 pairs; the degree certificate's pairs of degrees), and checks them one by
 one.  The label suite moves a case's two points by ``act`` and reads each
-label alone (``scheme.label``, one entry on the cone route), so it builds
-nothing N-sized per case.  The degree certificate suite certifies the
+label alone (``scheme.label``, one entry on the cone route).  The axioms
+suite recounts p from the labels, a block of cases in one
+``scheme.path_counts`` call, which reads one row and one column of each
+digit table per case on the cone route.  So neither builds anything
+N-sized per case.  The degree certificate suite certifies the
 level's degrees once, by ``spectral_data``'s integer pencil, and holds them
 equal to the closed form wherever the cone route certifies the level; each
 of its cases moves one unit of multiplicity between two degrees, and the
@@ -154,16 +157,16 @@ def _label_invariance(pres, scheme, rng, cases):
 
 
 def _scheme_axioms(scheme, rng, cases):
-    # build_scheme has already refused any axiom violation; recount p.
+    # build_scheme has already refused any axiom violation; recount p from
+    # the labels, a block of cases in one call.
     def draw(k):
         pairs = rng.integers(scheme.point_count, size=(k, 2))
         classes = rng.integers(scheme.rank, size=(k, 2))
-        return np.hstack([pairs, classes]).tolist()
+        counts = scheme.path_counts(pairs[:, 0], pairs[:, 1], classes[:, 0], classes[:, 1])
+        return np.hstack([pairs, classes, counts[:, None]]).tolist()
 
-    def check(x, y, i, j):
-        row = scheme.label_row(x)
-        k = int(row[y])
-        count = int(np.count_nonzero((row == i) & (scheme.label_column(y) == j)))
+    def check(x, y, i, j, count):
+        k = scheme.label(x, y)
         if count != int(scheme.p[i, j, k]):
             return (f"recount at pair ({x}, {y}) in class {k}: "
                     f"{count} != p[{i}][{j}][{k}] = {int(scheme.p[i, j, k])}")

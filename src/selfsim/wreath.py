@@ -6,15 +6,17 @@ need their own rules: the recursion for g^-1 follows from the rule for g,
 and a presentation's step table states it once, per letter and vertex
 letter.  Words act on vertices on the left, rightmost letter first.
 ``letter_step``, ``section``, portraits, ``act`` and the level permutations
-all read that table; ``section`` and ``act`` walk it one vertex letter at a
-time, reducing the section at every level.
+all read that table.  ``section`` and ``act`` walk a coded view of it, each
+letter an integer whose inverse is one xor away, one vertex letter at a
+time, reducing the section at every level: the word is coded once on entry
+and the section decoded once at the end.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -29,6 +31,9 @@ Letter = tuple[str, int]
 # One step of a letter at a vertex letter: the image, and the letters of the
 # section there as spelled and freely reduced, the reduced ones reversed.
 Step = tuple[int, tuple[Letter, ...], tuple[Letter, ...]]
+# The same step on letter codes: the image, the reduced letters reversed as
+# codes, and the number of letters spelled.
+CodedStep = tuple[int, tuple[int, ...], int]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -183,10 +188,19 @@ class WreathPresentation:
         return steps
 
     @cached_property
-    def _spelling(self) -> tuple[dict[Letter, Letter], int]:
-        """Each letter's inverse, and the most letters that one step spells."""
-        return ({(name, sign): (name, -sign) for name, sign in self._steps},
-                max(len(spelled) for pieces in self._steps.values() for _, spelled, _ in pieces))
+    def _coded(self) -> tuple[dict[Letter, int], tuple[Letter, ...],
+                              tuple[tuple[CodedStep, ...], ...], int]:
+        """A view of _steps on letter codes, for walks that compare letters
+        often: letter (g_i, +1) is code 2i and (g_i, -1) is code 2i + 1, so a
+        letter's inverse is code ^ 1.  Each letter's code, each code's
+        letter, table[code][x - 1] the CodedStep of _steps[letter][x - 1],
+        and the most letters that one step spells."""
+        letters = tuple((name, sign) for name in self.generator_names for sign in (1, -1))
+        codes = {letter: code for code, letter in enumerate(letters)}
+        table = tuple(tuple((image, tuple(codes[letter] for letter in reduced), len(spelled))
+                            for image, spelled, reduced in self._steps[letter])
+                      for letter in letters)
+        return codes, letters, table, max(size for pieces in table for _, _, size in pieces)
 
     # The level permutations built so far, by level: a mutable memo keyed by
     # immutable inputs, so observationally pure.
@@ -471,42 +485,48 @@ def _walk(pres: WreathPresentation, rev: Iterable[Letter], x: int) -> tuple[int,
 
 
 def _descend(pres: WreathPresentation, word: Word,
-             vertex: Vertex) -> tuple[tuple[int, ...], Sequence[Letter]]:
+             vertex: Vertex) -> tuple[tuple[int, ...], list[int]]:
     """The image of the vertex under a word, and the word's section there
-    freely reduced with no involutions, which holds in every group, with its
-    letters reversed.  A vertex of another degree or an undeclared generator
-    is refused first.
+    freely reduced with no involutions, which holds in every group, as
+    letter codes (``WreathPresentation._coded``) in reverse order.  A vertex
+    of another degree or an undeclared generator is refused first.
 
-    Each section is spelled in one pass over the word's letters, rightmost
-    first: a letter's reduced piece cancels only where it meets the section
-    spelled so far.  A section can double in length with every letter, so
-    one whose pieces hold more than DEFAULT_LEVEL_CAP letters before
-    reduction is refused before it is spelled out."""
+    The word is coded once, and each section is spelled in one pass over
+    its codes, rightmost letter first: each code of a letter's reduced piece
+    either cancels the last code spelled or is appended, and since the piece
+    is reduced, only its first codes can cancel.  A section can double in
+    length with every letter, so one whose pieces hold more than
+    DEFAULT_LEVEL_CAP letters before reduction is refused before it is
+    spelled out."""
     if vertex.degree != pres.degree:
         raise ValueError("vertex degree does not match the presentation")
-    _check_word(pres, word)
-    steps, (inverse, longest) = pres._steps, pres._spelling
-    path, rev, image = vertex.letters, word.letters[::-1], []
+    codes, _, table, longest = pres._coded
+    try:
+        rev = [codes[letter] for letter in reversed(word.letters)]
+    except KeyError:
+        _check_word(pres, word)
+        raise
+    path, image = vertex.letters, []
     for x in path:
         if not rev:
             return tuple(image) + path[len(image):], rev
         if len(rev) * longest > DEFAULT_LEVEL_CAP:
             size, y = 0, x
-            for letter in rev:
-                y, spelled, _ = steps[letter][y - 1]
-                size += len(spelled)
+            for code in rev:
+                y, _, spelled = table[code][y - 1]
+                size += spelled
             if size > DEFAULT_LEVEL_CAP:
                 raise SizeCapError(f"the section below letter {len(image) + 1} of the vertex "
                                    f"has {size} letters before reduction, more than the cap "
                                    f"of {DEFAULT_LEVEL_CAP}", size=size)
         below = []
-        for letter in rev:
-            x, _, piece = steps[letter][x - 1]
-            k = 0
-            while k < len(piece) and below and below[-1] == inverse[piece[k]]:
-                below.pop()
-                k += 1
-            below.extend(piece[k:] if k else piece)
+        for code in rev:
+            x, piece, _ = table[code][x - 1]
+            for c in piece:
+                if below and below[-1] == c ^ 1:
+                    below.pop()
+                else:
+                    below.append(c)
         image.append(x)
         rev = below
     return tuple(image), rev
@@ -519,8 +539,9 @@ def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     """The word acting inside the subtree rooted at vertex; freely reduced."""
+    letters = pres._coded[1]
     rev = _descend(pres, word, vertex)[1]
-    return pres.reduce(Word(tuple(reversed(rev))))
+    return pres.reduce(Word(tuple(letters[code] for code in reversed(rev))))
 
 
 # ---------------------------------------------------------------------------

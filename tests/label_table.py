@@ -1,5 +1,6 @@
-"""The table route to the scheme: intersection numbers and pairing counted
-straight from the full N x N label table, as a reference for build_scheme."""
+"""The table route to the scheme: intersection numbers, pairing and path
+counts counted straight from the full N x N label table, as a reference for
+build_scheme and the partition's path_counts."""
 
 import numpy as np
 
@@ -15,3 +16,11 @@ def table_route(scheme):
         p[:, :, k] = counts.reshape(r, r)
     pairing = tuple(int(labels[y, scheme.base_index]) for y in scheme.representatives)
     return p, pairing
+
+
+def path_counts(scheme, x, y, i, j):
+    """#{z : label(x, z) = i, label(z, y) = j} for each case, counted off
+    ``scheme.labels`` by the definition."""
+    labels = scheme.labels
+    return [int(np.count_nonzero((labels[a] == c) & (labels[:, b] == e)))
+            for a, b, c, e in zip(x, y, i, j)]

@@ -469,7 +469,7 @@ def test_a_section_past_the_cap_exits_two(capsys, tmp_path, command):
     start = time.process_time()
     code, out, err = run(capsys, command, "--file", str(path), "--word", "a",
                          "--vertex", "1" * 40, "--json")
-    assert time.process_time() - start < 1.0  # 0.6 s on a 2-vCPU VM
+    assert time.process_time() - start < 1.0  # 0.2-0.3 s on a 2-vCPU VM
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "SizeCapError",

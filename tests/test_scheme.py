@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from axiom_reference import axiom_messages_reference
-from families import FINER_THAN_CONES, NON_COMMUTATIVE
-from label_table import table_route
+from families import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE, family, in_draw
+from label_table import path_counts, table_route
 from scheme_routes import fold_scheme
 
 from selfsim.catalog import builtin, keys, source_text
@@ -195,6 +195,70 @@ def test_row_route_matches_the_label_table(key):
         assert dense_commutant_oracle(s) == spectral_data(s.p).degrees, (key, n)
 
 
+def _path_cases(s, rng, count=60):
+    """Cases (x, y, i, j) for path_counts, a third each with x = y, with x and
+    y in one top block of the digit tables' split at h = n // 2 letters, and
+    with x and y in two top blocks where the level has two.  Half the class
+    pairs are read through a vertex z, so that their count is not 0."""
+    size, low = s.point_count, s.degree ** (s.level - s.level // 2)
+    tops = size // low
+    x = rng.integers(size, size=count)
+    y = x.copy()
+    block = slice(count // 3, 2 * count // 3)
+    y[block] = x[block] // low * low + rng.integers(low, size=len(y[block]))
+    if tops > 1:
+        apart = slice(2 * count // 3, count)
+        shift = 1 + rng.integers(tops - 1, size=len(y[apart]))
+        y[apart] = (x[apart] // low + shift) % tops * low + rng.integers(low, size=len(y[apart]))
+    z = rng.integers(size, size=count)
+    labels = s.labels
+    i, j = rng.integers(s.rank, size=(2, count))
+    i[::2], j[::2] = labels[x, z][::2], labels[z, y][::2]
+    return x, y, i, j
+
+
+def _assert_path_counts_match_the_table(s, rng, where):
+    x, y, i, j = _path_cases(s, rng)
+    assert s.path_counts(x, y, i, j).tolist() == path_counts(s, x, y, i, j), where
+
+
+def test_path_counts_match_the_label_table():
+    # path_counts reads one row and one column of each digit table on the
+    # cone route, of the transversal table on the rows route; both must
+    # count what the full label table counts, on the catalog, the fixed
+    # cone cases, the finer-than-cones input and the route-certified levels
+    # of a seeded family.
+    rng = np.random.default_rng(36)
+    for key in keys():
+        pres, ray = builtin(key).presentation, builtin(key).default_ray
+        for n in range(1, (8 if pres.degree == 2 else 5) + 1):
+            s = build_scheme(pres, n, ray)
+            assert s.partition.cones is not None, (key, n)
+            _assert_path_counts_match_the_table(s, rng, (key, n))
+    for name, (text, ray) in CONE_CASES.items():
+        pres = parse_presentation(text)
+        for n in range(1, 6):
+            s = build_scheme(pres, n, parse_ray(ray, pres.degree))
+            assert s.partition.cones is not None, (name, n)
+            _assert_path_counts_match_the_table(s, rng, (name, n))
+    pres = parse_presentation(FINER_THAN_CONES)
+    for n in range(1, 5):
+        s = fold_scheme(pres, n, parse_ray("3", 3))
+        assert s.partition.cones is None, n
+        _assert_path_counts_match_the_table(s, rng, ("finer-than-cones", n))
+    certified = []
+    for index, (pres, ray) in enumerate(family(2, 100)):
+        with in_draw(index, pres, ray):
+            for n in range(1, (5 if pres.degree == 2 else 4) + 1):
+                parts = cone_suborbits(pres, n, ray)
+                if parts is not None:
+                    certified.append(n)
+                    s = scheme_from_partition(parts)
+                    _assert_path_counts_match_the_table(s, rng, (f"draw {index}", n))
+    # the route's coverage of this family shows here: 30 levels past 1
+    assert (len(certified), sum(n > 1 for n in certified)) == (100, 30)
+
+
 def _declined():
     """A presentation and ray that the cone route declines, so that
     build_scheme reads the transversal table."""
@@ -246,6 +310,8 @@ def test_a_partition_without_a_label_source_is_refused():
         with pytest.raises(IntegrityError, match=message):
             bare.label(x, y)
     with pytest.raises(IntegrityError, match=message):
+        bare.path_counts([0], [1], [0], [1])
+    with pytest.raises(IntegrityError, match=message):
         scheme_from_partition(bare)
 
 
@@ -277,10 +343,12 @@ def test_scheme_reads_the_partition_array(key):
 
 
 def _label_readings(pres, s):
-    """Everything the library reads off a scheme's label rows."""
+    """Everything the library reads off a scheme's labels."""
     size = s.point_count
+    xs, ys = np.divmod(np.arange(size * size), size)
     return (
         [[s.label(x, y) for y in range(size)] for x in range(size)],
+        s.path_counts(xs, ys, xs % s.rank, ys % s.rank).tolist(),
         [s.label_column(y).tolist() for y in range(size)],
         s.labels.tolist(),
         list(orbital_graph_dot(s)),
@@ -310,26 +378,38 @@ class _TablePartition:
         self._check("label", x)
         return int(self._table[x, y])
 
+    def path_counts(self, x, y, i, j):
+        self._check("path_counts", x)
+        table = self._table
+        return np.array([np.count_nonzero((table[a] == c) & (table[:, b] == e))
+                         for a, b, c, e in zip(x, y, i, j)], dtype=np.int64)
+
 
 @pytest.mark.parametrize("key,n", [("gamma", 2), ("grigorchuk", 4)])
 def test_a_foreign_label_source_reads_the_same(key, n):
-    # The scheme reads labels only through its partition's two readers,
-    # label_row and label: a stand-in partition that is not a suborbit
-    # partition gives the same readings, and one that fails fails them.
+    # The scheme reads labels only through its partition's three readers,
+    # label_row, label and path_counts: a stand-in partition that is not a
+    # suborbit partition gives the same readings, and one that fails fails
+    # them.
     s = _scheme(key, n)
     pres = builtin(key).presentation
     table = s.labels.copy()
     foreign = replace(s, partition=_TablePartition(s.partition, table))
     assert _label_readings(pres, foreign) == _label_readings(pres, s)
 
-    # single labels come through label, everything else through label_row
-    by_pair = ["label", "label_invariance"]
-    by_row = ["label_column", "labels", "dot", "dense_oracle", "scheme_axioms"]
+    # single labels come through label and recounts through path_counts
+    # (the axioms suite reads both), everything else through label_row
+    by_pair = ["label", "label_invariance", "scheme_axioms"]
+    by_path = ["path_counts", "scheme_axioms"]
+    by_row = ["label_column", "labels", "dot", "dense_oracle"]
     for refused, refusing in [({"label"}, by_pair),
+                              ({"path_counts"}, by_path),
                               ({"label_row"}, by_row),
-                              ({"label", "label_row"}, by_pair + by_row)]:
+                              ({"label", "label_row", "path_counts"},
+                               by_pair + by_path + by_row)]:
         failing = replace(s, partition=_TablePartition(s.partition, table, refused))
         readers = {"label": lambda: failing.label(0, 1),
+                   "path_counts": lambda: failing.path_counts([0], [1], [0], [1]),
                    "label_column": lambda: failing.label_column(1),
                    "labels": lambda: failing.labels,
                    "dot": lambda: list(orbital_graph_dot(failing)),

@@ -203,6 +203,24 @@ def test_the_label_suite_builds_nothing_n_sized():
     assert peak < 8 * scheme.point_count, peak
 
 
+def test_the_axioms_recount_builds_nothing_n_sized():
+    # Half of one int64 row of N labels is 4 N bytes; each case reads one
+    # row and one column of each digit table instead, about sqrt(N) entries.
+    e = builtin("grigorchuk")
+    scheme = build_scheme(e.presentation, 16, e.default_ray)
+    # one case first, so that numpy's lazy imports fall outside the trace
+    verify._scheme_axioms(scheme, np.random.default_rng(6), 1)
+    rng = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        result = verify._scheme_axioms(scheme, rng, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.cases == 20
+    assert peak < 4 * scheme.point_count, peak
+
+
 def _faulty_suite(monkeypatch, suite):
     """Run one suite with a planted fault; the suite's name picks the fault."""
     key = "gupta-sidki" if suite == "inverse_identity" else "grigorchuk"
