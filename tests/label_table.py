@@ -18,9 +18,8 @@ def table_route(scheme):
     return p, pairing
 
 
-def path_counts(scheme, x, y, i, j):
-    """#{z : label(x, z) = i, label(z, y) = j} for each case, counted off
-    ``scheme.labels`` by the definition."""
-    labels = scheme.labels
+def path_counts(labels, x, y, i, j):
+    """#{z : label(x, z) = i, label(z, y) = j} for each case, counted off a
+    full label table (``scheme.labels``) by the definition."""
     return [int(np.count_nonzero((labels[a] == c) & (labels[:, b] == e)))
             for a, b, c, e in zip(x, y, i, j)]
