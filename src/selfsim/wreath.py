@@ -4,12 +4,13 @@ A presentation assigns each generator a permutation of the d subtrees at the
 root and a word of generators acting inside each subtree.  Inverses never
 need their own rules: the recursion for g^-1 follows from the rule for g,
 and a presentation's step table states it once, per letter and vertex
-letter.  Words act on vertices on the left, rightmost letter first.
-``letter_step``, ``section``, portraits, ``act`` and the level permutations
-all read that table.  ``section`` and ``act`` walk a coded view of it, each
-letter an integer whose inverse is one xor away, one vertex letter at a
-time, reducing the section at every level: the word is coded once on entry
-and the section decoded once at the end.
+letter, on integer letter codes, each letter's inverse one xor away.  Words
+act on vertices on the left, rightmost letter first.  ``letter_step``,
+``section``, portraits, ``act`` and the level permutations all read that one
+table; Letters appear only where a ``Word`` enters or leaves this module,
+coded once on entry and decoded once at the end.  ``section`` and ``act``
+walk the table one vertex letter at a time, reducing the section at every
+level.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from .tree import DEFAULT_LEVEL_CAP, Vertex, check_level_size
 
 # One letter of a word: (generator name, +1 or -1).
 Letter = tuple[str, int]
-# One step of a letter at a vertex letter: the image, and the letters of the
-# section there as spelled and freely reduced, the reduced ones reversed.
-Step = tuple[int, tuple[Letter, ...], tuple[Letter, ...]]
-# The same step on letter codes: the image, the reduced letters reversed as
-# codes, and the number of letters spelled.
-CodedStep = tuple[int, tuple[int, ...], int]
+# One step of a letter at a vertex letter, on letter codes: the image, and
+# the codes of the section there as spelled and freely reduced, the reduced
+# ones reversed.
+Step = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -138,6 +137,8 @@ class WreathPresentation:
         # Sorted, so that a set's iteration order never picks the message.
         for message, _ in _undeclared(self.rules, sorted(self.involutions)):
             raise ValueError(message)
+        for w in chain.from_iterable(r.sections for r in self.rules):
+            _check_word(self, w)
         for name in sorted(self.involutions):
             if not _squares_to_identity(self.rule_map[name].root_perm):
                 raise ValueError(f"declared involution {name!r} has a root permutation "
@@ -173,34 +174,25 @@ class WreathPresentation:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
     @cached_property
-    def _steps(self) -> dict[Letter, tuple[Step, ...]]:
-        """The one step of the recursion: _steps[letter][x - 1] is the letter's
-        Step at the vertex letter x, reduced with no involutions.  g sends x
-        to g(x) and leaves g|_x; g^-1 sends x to j = g^-1(x) and leaves
-        (g|_j)^-1."""
-        steps = {}
-        for r in self.rules:
-            preimages = [r.root_perm.index(x) + 1 for x in range(1, self.degree + 1)]
-            for sign, pieces in ((1, zip(r.root_perm, r.sections)),
-                                 (-1, ((j, r.sections[j - 1].inverse()) for j in preimages))):
-                steps[r.name, sign] = tuple((image, w.letters, free_reduce(w).letters[::-1])
-                                            for image, w in pieces)
-        return steps
-
-    @cached_property
-    def _coded(self) -> tuple[dict[Letter, int], tuple[Letter, ...],
-                              tuple[tuple[CodedStep, ...], ...], int]:
-        """A view of _steps on letter codes, for walks that compare letters
-        often: letter (g_i, +1) is code 2i and (g_i, -1) is code 2i + 1, so a
-        letter's inverse is code ^ 1.  Each letter's code, each code's
-        letter, table[code][x - 1] the CodedStep of _steps[letter][x - 1],
-        and the most letters that one step spells."""
+    def _steps(self) -> tuple[dict[Letter, int], tuple[Letter, ...],
+                              tuple[tuple[Step, ...], ...], int]:
+        """The one step of the recursion, on letter codes: letter (g_i, +1) is
+        code 2i and (g_i, -1) is 2i + 1, so a letter's inverse is code ^ 1.
+        Each letter's code, each code's letter, table[code][x - 1] the Step
+        of the letter at the vertex letter x, reduced with no involutions,
+        and the most letters that one step spells.  g sends x to g(x) and
+        leaves g|_x; g^-1 sends x to j = g^-1(x) and leaves (g|_j)^-1."""
         letters = tuple((name, sign) for name in self.generator_names for sign in (1, -1))
         codes = {letter: code for code, letter in enumerate(letters)}
-        table = tuple(tuple((image, tuple(codes[letter] for letter in reduced), len(spelled))
-                            for image, spelled, reduced in self._steps[letter])
-                      for letter in letters)
-        return codes, letters, table, max(size for pieces in table for _, _, size in pieces)
+        table = tuple(tuple((image, tuple(codes[c] for c in w.letters),
+                             tuple(codes[c] for c in reversed(free_reduce(w).letters)))
+                            for image, w in pieces)
+                      for r in self.rules
+                      for pieces in (zip(r.root_perm, r.sections),
+                                     ((j, r.sections[j - 1].inverse())
+                                      for j in (r.root_perm.index(x) + 1
+                                                for x in range(1, self.degree + 1)))))
+        return codes, letters, table, max(len(s) for pieces in table for _, s, _ in pieces)
 
     # The level permutations built so far, by level: a mutable memo keyed by
     # immutable inputs, so observationally pure.
@@ -225,9 +217,11 @@ def _undeclared(rules, involutions):
 
 
 def _check_word(pres: WreathPresentation, word: Word):
-    for name, _ in word.letters:
+    for name, sign in word.letters:
         if name not in pres.rule_map:
             raise ValueError(f"undeclared generator {name!r} in word")
+        if sign not in (1, -1):
+            raise ValueError(f"letter {(name, sign)!r} has a sign other than +1 or -1")
 
 
 def _squares_to_identity(perm: tuple[int, ...]) -> bool:
@@ -468,28 +462,28 @@ def letter_step(pres: WreathPresentation, letters: tuple[Letter, ...],
                 x: int) -> tuple[int, tuple[Letter, ...]]:
     """Where a word's letters send the vertex letter x (1-based), and the
     letters of the word's section there, unreduced.  The letters act
-    rightmost first, each by its step in the presentation's step table."""
-    x, walked = _walk(pres, reversed(letters), x)
-    return x, tuple(chain.from_iterable(spelled for _, spelled, _ in reversed(walked)))
-
-
-def _walk(pres: WreathPresentation, rev: Iterable[Letter], x: int) -> tuple[int, list[Step]]:
-    """Where the letters of rev, in that order, send the vertex letter x, and
-    the step table's entry for each letter on the way."""
-    steps, walked = pres._steps, []
-    for letter in rev:
-        step = steps[letter][x - 1]
-        walked.append(step)
-        x = step[0]
-    return x, walked
+    rightmost first, each by its step in the presentation's step table.  A
+    vertex letter outside 1..d or a letter not in the table is refused."""
+    if not 1 <= x <= pres.degree:
+        raise ValueError(f"vertex letter {x} is outside 1..{pres.degree}")
+    codes, decode, table, _ = pres._steps
+    walked = []
+    try:
+        for letter in reversed(letters):
+            x, spelled, _ = table[codes[letter]][x - 1]
+            walked.append(spelled)
+    except KeyError:
+        _check_word(pres, Word(tuple(letters)))
+        raise
+    return x, tuple(map(decode.__getitem__, chain.from_iterable(reversed(walked))))
 
 
 def _descend(pres: WreathPresentation, word: Word,
              vertex: Vertex) -> tuple[tuple[int, ...], list[int]]:
     """The image of the vertex under a word, and the word's section there
     freely reduced with no involutions, which holds in every group, as
-    letter codes (``WreathPresentation._coded``) in reverse order.  A vertex
-    of another degree or an undeclared generator is refused first.
+    letter codes (``WreathPresentation._steps``) in reverse order.  A vertex
+    of another degree is refused first, then a letter not in the table.
 
     The word is coded once, and each section is spelled in one pass over
     its codes, rightmost letter first: each code of a letter's reduced piece
@@ -500,7 +494,7 @@ def _descend(pres: WreathPresentation, word: Word,
     spelled out."""
     if vertex.degree != pres.degree:
         raise ValueError("vertex degree does not match the presentation")
-    codes, _, table, longest = pres._coded
+    codes, _, table, longest = pres._steps
     try:
         rev = [codes[letter] for letter in reversed(word.letters)]
     except KeyError:
@@ -513,15 +507,15 @@ def _descend(pres: WreathPresentation, word: Word,
         if len(rev) * longest > DEFAULT_LEVEL_CAP:
             size, y = 0, x
             for code in rev:
-                y, _, spelled = table[code][y - 1]
-                size += spelled
+                y, spelled, _ = table[code][y - 1]
+                size += len(spelled)
             if size > DEFAULT_LEVEL_CAP:
                 raise SizeCapError(f"the section below letter {len(image) + 1} of the vertex "
                                    f"has {size} letters before reduction, more than the cap "
                                    f"of {DEFAULT_LEVEL_CAP}", size=size)
         below = []
         for code in rev:
-            x, piece, _ = table[code][x - 1]
+            x, _, piece = table[code][x - 1]
             for c in piece:
                 if below and below[-1] == c ^ 1:
                     below.pop()
@@ -539,7 +533,7 @@ def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     """The word acting inside the subtree rooted at vertex; freely reduced."""
-    letters = pres._coded[1]
+    letters = pres._steps[1]
     rev = _descend(pres, word, vertex)[1]
     return pres.reduce(Word(tuple(letters[code] for code in reversed(rev))))
 
@@ -560,16 +554,16 @@ def generator_level_perms(pres: WreathPresentation, n: int,
     failing level is named, with its first failing generator in generator
     order; no level from that one up stays cached."""
     check_level_size(pres.degree, n, cap)
-    cache, d = pres._level_cache, pres.degree
+    cache, d, table = pres._level_cache, pres.degree, pres._steps[2]
     if not cache:
         cache[0] = {name: np.zeros(1, dtype=np.int64) for name in pres.generator_names}
     built = len(cache)
     for k in range(built, n + 1):
         m = d ** (k - 1)
         level = {}
-        for name in pres.generator_names:
+        for g, name in enumerate(pres.generator_names):
             img = np.empty(m * d, dtype=np.int64)
-            for i, (target, spelled, _) in enumerate(pres._steps[name, 1]):
+            for i, (target, spelled, _) in enumerate(table[2 * g]):
                 img[i * m:(i + 1) * m] = (target - 1) * m + _compose_level(pres, spelled, k - 1)
             level[name] = img
         cache[k] = level
@@ -593,26 +587,27 @@ def _false_involution(pres: WreathPresentation, k: int) -> str | None:
                  and not np.array_equal(perms[name][perms[name]], identity)), None)
 
 
-def _compose_level(pres: WreathPresentation, letters: tuple[Letter, ...],
-                   n: int) -> np.ndarray:
-    """The level-n permutation of a word's letters, from the cached generator ones.
+def _compose_level(pres: WreathPresentation, codes: Iterable[int], n: int) -> np.ndarray:
+    """The level-n permutation of a word's letter codes, from the cached
+    generator ones.
 
-    A letter with permutation p takes acc to acc[p]; its inverse takes acc to
+    Code c is a letter of generator c >> 1, inverted when c & 1.  A letter
+    with permutation p takes acc to acc[p]; its inverse takes acc to
     acc[p^-1], which is one scatter, nxt[p] = acc, so no inverse is stored.
     acc starts as the first letter's permutation, not the identity, so a word
     of one positive letter is the cached array itself: only the callers that
     hand the result out copy it, and none writes to it.
     """
-    perms = pres._level_cache[n]
+    perms, names = pres._level_cache[n], pres.generator_names
     acc = None  # the identity, until the first letter
-    for name, sign in letters:
-        p = perms[name]
-        if sign > 0:
-            acc = p if acc is None else acc[p]
-        else:
+    for code in codes:
+        p = perms[names[code >> 1]]
+        if code & 1:
             nxt = np.empty_like(p)
             nxt[p] = np.arange(len(p)) if acc is None else acc
             acc = nxt
+        else:
+            acc = p if acc is None else acc[p]
     return np.arange(pres.degree**n, dtype=np.int64) if acc is None else acc
 
 
@@ -621,7 +616,8 @@ def level_permutation(pres: WreathPresentation, word: Word, n: int,
     """The permutation a word induces on level-n vertex indices."""
     _check_word(pres, word)
     perms = generator_level_perms(pres, n, cap)
-    perm = _compose_level(pres, word.letters, n)
+    codes = pres._steps[0]
+    perm = _compose_level(pres, [codes[letter] for letter in word.letters], n)
     return perm.copy() if any(perm is p for p in perms.values()) else perm
 
 

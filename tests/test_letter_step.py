@@ -1,7 +1,8 @@
-"""``act``, ``section`` and ``portrait`` walk the one-step rule
-``letter_step``; they are checked here against the memoized letter recursion
-of ``section_reference`` on 400 draws of the seeded family in
-``families.py``, whose declared involutions are made to be ones."""
+"""``letter_step``, ``act``, ``section``, ``portrait`` and the level
+permutations all read one step table on letter codes; they are checked here
+against the memoized letter recursion of ``section_reference``, and against
+each other, on 400 draws of the seeded family in ``families.py``, whose
+declared involutions are made to be ones."""
 
 import os
 import random
@@ -82,6 +83,22 @@ def test_letter_step_is_one_level_of_the_recursion():
                     assert image == int(level_permutation(pres, w, 1)[x - 1]) + 1, (w, x)
                     assert pres.reduce(Word(letters)) == ref.section(
                         pres, w, Vertex((x,), pres.degree)), (w, x)
+
+
+def test_level_permutations_match_act_below_level_one():
+    # level_permutation composes the table's spelled codes level by level,
+    # act walks its reduced codes vertex letter by vertex letter: on
+    # mixed-sign words they agree on every vertex of levels 2-4 (binary) or
+    # 2-3 (ternary).
+    for i, (pres, ray, cases) in enumerate(FAMILY):
+        d = pres.degree
+        with in_draw(i, pres, ray):
+            for w, _ in cases[:5]:
+                for n in range(2, 5 if d == 2 else 4):
+                    perm = level_permutation(pres, w, n)
+                    for x in range(d**n):
+                        assert perm[x] == act(pres, w, Vertex.from_index(d, n, x)).index(), (
+                            w, n, x)
 
 
 def test_act_and_section_match_the_letter_recursion():

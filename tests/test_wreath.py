@@ -14,7 +14,7 @@ from selfsim.errors import PresentationError, SizeCapError
 from selfsim.tree import Vertex
 from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             cycle_notation, free_reduce, generator_level_perms,
-                            level_permutation, order_at_level,
+                            letter_step, level_permutation, order_at_level,
                             parse_presentation, portrait, section)
 
 import section_reference as ref
@@ -102,6 +102,8 @@ def _rule(name, root_perm, *sections):
 
 
 SWAP = _rule("a", (2, 1), "e", "e")
+# A letter whose sign is not +1 or -1; Word.parse never makes one.
+BAD_SIGN = Word((("b", 1), ("a", 2)))
 
 
 @pytest.mark.parametrize("refuse,needle", [
@@ -114,14 +116,28 @@ SWAP = _rule("a", (2, 1), "e", "e")
      "section of 'a' uses undeclared generator 'b'"),
     (lambda: WreathPresentation(2, (SWAP,), frozenset("z")),
      "involutions list names undeclared generator 'z'"),
+    (lambda: WreathPresentation(2, (GeneratorRule("a", (2, 1), (Word(), Word((("a", 2),)))),)),
+     "letter ('a', 2) has a sign other than +1 or -1"),
     (lambda: G.parse_word("a y z"), "undeclared generator 'y' in word"),
     (lambda: act(G, Word.parse("a y z"), v2("1")), "undeclared generator 'y' in word"),
     (lambda: section(G, Word.parse("a y z"), v2("1")), "undeclared generator 'y' in word"),
     (lambda: level_permutation(G, Word.parse("a y z"), 2), "undeclared generator 'y' in word"),
     (lambda: section(G, Word.parse("a"), v3("1")), "vertex degree does not match"),
+    (lambda: letter_step(GUPTA_SIDKI, (("t", 1),), 0), "vertex letter 0 is outside 1..3"),
+    (lambda: letter_step(GUPTA_SIDKI, (("t", 1),), -1), "vertex letter -1 is outside 1..3"),
+    (lambda: letter_step(GUPTA_SIDKI, (("t", 1),), 4), "vertex letter 4 is outside 1..3"),
+    (lambda: letter_step(G, (("a", 1), ("y", 1), ("z", 1)), 1),
+     "undeclared generator 'y' in word"),
+    (lambda: act(G, BAD_SIGN, v2("1")), "letter ('a', 2) has a sign other than +1 or -1"),
+    (lambda: section(G, BAD_SIGN, v2("1")), "letter ('a', 2) has a sign other than +1 or -1"),
+    (lambda: letter_step(G, BAD_SIGN.letters, 1),
+     "letter ('a', 2) has a sign other than +1 or -1"),
+    (lambda: level_permutation(G, BAD_SIGN, 2), "letter ('a', 2) has a sign other than +1 or -1"),
 ], ids=["degree", "no-rules", "duplicate", "root-perm", "section-count", "section-name",
-        "involution-name", "parse-word", "act", "section", "level-permutation",
-        "section-degree"])
+        "involution-name", "rule-sign", "parse-word", "act", "section", "level-permutation",
+        "section-degree", "letter-step-0", "letter-step-negative", "letter-step-past-d",
+        "letter-step-undeclared", "act-sign", "section-sign", "letter-step-sign",
+        "level-permutation-sign"])
 def test_refusals(refuse, needle):
     with pytest.raises(ValueError, match=re.escape(needle)):
         refuse()
