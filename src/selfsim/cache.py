@@ -16,8 +16,17 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .tree import Ray
 from .wreath import WreathPresentation
+
+
+def encode(payload: dict) -> str:
+    """An entry's text: one-shot, the C encoder, with each array in the
+    payload written as its nested lists."""
+    return json.dumps(payload, default=np.ndarray.tolist)
+
 
 def cache_key(pres: WreathPresentation, n: int, ray: Ray) -> str:
     blob = f"{pres.fingerprint()}|{n}|{ray}|scheme".encode()
@@ -44,7 +53,7 @@ def store(directory: Path, key: str, payload: dict) -> None:
     try:
         directory.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))  # one-shot: the C encoder
+            fh.write(encode(payload))
         os.replace(tmp, directory / f"{key}.json")
     except OSError:
         with contextlib.suppress(OSError):

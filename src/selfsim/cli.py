@@ -31,6 +31,8 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -173,9 +175,129 @@ def _envelope(args, group, level):
     }
 
 
+# Entries of an integer array written per chunk.  The array passes of one
+# chunk hold about 16 bytes per digit of its widest entry and a few dozen
+# more per entry: near 4 MB for 3-digit entries.  A small array is one chunk.
+_OUTPUT_ENTRIES = 1 << 16
+# 10^19 ... 10^0: the place values of the digits of a uint64
+_POWERS = np.uint64(10) ** np.arange(19, -1, -1, dtype=np.uint64)
+
+
+# The text json.dumps writes for the leaves a document holds most, by exact
+# type: a bool is not written as an int, nor a str subclass looked up here.
+_LEAF_TEXT = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b else "false",
+              type(None): lambda _: "null"}
+
+
+def _json_chunks(value, level: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)`` at nesting ``level``, as
+    chunks to stream.  A list of ints, or of strings, is one join; an
+    integer array is written as its ``tolist()`` would be, in array passes
+    over whole slices, with no list made of it; a leaf of any other type is
+    ``json.dumps``'s own text, so the writer fails where it fails, once the
+    chunks before that leaf are out."""
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        yield leaf(value)
+    elif isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "iu":
+        yield from _int_array_chunks(value, level)
+    elif isinstance(value, (dict, list, tuple)) and not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, dict):
+        inner = "\n" + "  " * (level + 1)
+        for i, (key, item) in enumerate(value.items()):
+            # a key that is not a string is written, or refused, as json writes it
+            name = _encode_str(key) if type(key) is str else json.dumps({key: 0})[1:-4]
+            yield ("," if i else "{") + inner + name + ": "
+            yield from _json_chunks(item, level + 1)
+        yield "\n" + "  " * level + "}"
+    elif isinstance(value, (list, tuple)):
+        inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level + "]"
+        joined = _joined_leaves(value, "," + inner)
+        if joined is not None:
+            yield "[" + inner + joined + close
+            return
+        for i, item in enumerate(value):
+            yield ("," if i else "[") + inner
+            yield from _json_chunks(item, level + 1)
+        yield close
+    else:
+        yield json.dumps(value)
+
+
+def _joined_leaves(value, sep: str) -> str | None:
+    """``sep.join`` of the texts of a non-empty list's items where all are
+    leaves of one type in _LEAF_TEXT, or all strings; else None.  The
+    strings are quoted as they are where their concatenation needs no
+    escape."""
+    if isinstance(value[0], str):
+        try:
+            whole = "".join(value)
+        except TypeError:  # an item that is not a string
+            return None
+        if len(_encode_str(whole)) == len(whole) + 2:  # an escape is longer than its character
+            return '"' + f'"{sep}"'.join(value) + '"'
+        return sep.join(map(_encode_str, value))
+    kinds = set(map(type, value))
+    if len(kinds) == 1 and kinds <= _LEAF_TEXT.keys():
+        return sep.join(map(_LEAF_TEXT[kinds.pop()], value))
+    return None
+
+
+def _int_array_chunks(value: np.ndarray, level: int) -> Iterator[str]:
+    """An integer array at nesting ``level``, as its ``tolist()`` is written
+    there: whole slices ``value[i]``, about _OUTPUT_ENTRIES entries a chunk."""
+    if not value.size:  # nested empty lists
+        yield from _json_chunks(value.tolist(), level)
+        return
+    step = max(1, _OUTPUT_ENTRIES * len(value) // value.size)
+    for start in range(0, len(value), step):
+        text = _int_items(value[start:start + step], level)
+        yield "[" + text[1:] if start == 0 else text
+    yield "\n" + "  " * level + "]"
+
+
+def _int_items(block: np.ndarray, level: int) -> str:
+    """The items of the list an integer array writes at nesting ``level``,
+    each behind its comma and line break, in array passes: an entry is its
+    sign and decimal digits as bytes, each inner list opens where its first
+    item's comma stands and closes after its last item, and the zero bytes
+    that stand for no sign and for leading zeros are dropped."""
+    # |x| as uint64: |-2^63| wraps to -2^63 in int64, which uint64 reads as 2^63
+    magnitude = (np.abs(block.astype(np.int64)) if block.dtype.kind == "i"
+                 else block).astype(np.uint64)
+    powers = _POWERS[-len(str(magnitude.max())):]
+    shown = magnitude[..., None] >= powers  # no leading zero; 0 keeps its ones digit
+    shown[..., -1] = True
+    text = np.empty((*block.shape, 1 + len(powers)), np.uint8)
+    text[..., 0] = (block < 0) * ord("-")
+    text[..., 1:] = (magnitude[..., None] // powers % np.uint64(10) + np.uint64(ord("0"))) * shown
+    for axis in reversed(range(block.ndim)):
+        indent = "\n" + "  " * (level + axis + 1)
+        text = _framed(text, "," + indent, indent + "]" if axis < block.ndim - 1 else "")
+        if axis:
+            text[..., 0, 0] = ord("[")
+            text = text.reshape(*text.shape[:-2], -1)
+    return text[text != 0].tobytes().decode()
+
+
+def _framed(text: np.ndarray, head: str, tail: str) -> np.ndarray:
+    """Each row of bytes on the last axis of text, with head before it and
+    tail after it."""
+    width = text.shape[-1]
+    framed = np.empty((*text.shape[:-1], len(head) + width + len(tail)), np.uint8)
+    framed[..., :len(head)] = np.frombuffer(head.encode(), np.uint8)
+    framed[..., len(head):len(head) + width] = text
+    framed[..., len(head) + width:] = np.frombuffer(tail.encode(), np.uint8)
+    return framed
+
+
 def _emit(args, envelope: dict, payload: dict, human: str) -> None:
+    """Print the document, with --json as ``json.dumps(doc, indent=2)``
+    writes it, streamed chunk by chunk."""
     if args.json:
-        print(json.dumps(envelope | payload, indent=2))
+        sys.stdout.writelines(_json_chunks(envelope | payload))
+        sys.stdout.write("\n")
     else:
         print(human)
 
@@ -267,7 +389,8 @@ def _cmd_orbits(args) -> int:
     blocks = parts.blocks_as_vertices()
     payload = {"level": args.level, "base": str(parts.base), "blocks": blocks}
     lines = [f"base {parts.base}: {parts.rank} suborbits"]
-    lines += [f"  [{len(block)}] " + " ".join(block) for block in blocks]
+    if not args.json:  # a text of every vertex, made only where it is printed
+        lines += [f"  [{len(block)}] " + " ".join(block) for block in blocks]
     _emit(args, _envelope(args, label, args.level), payload, "\n".join(lines))
     return 0
 
@@ -284,7 +407,7 @@ def _valid_scheme_payload(doc: dict, point_count: int) -> tuple | None:
         rebuilt = scheme_json_doc(*data)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    if not (json.dumps(doc) == json.dumps(rebuilt)
+    if not (cache.encode(doc) == cache.encode(rebuilt)
             and valencies.shape == pairing.shape == (r,) and p.shape == (r, r, r)
             and not axiom_violations(valencies, p, tuple(rebuilt["pairing"]), point_count)):
         return None

@@ -60,11 +60,13 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import weakref
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -270,10 +272,26 @@ class SuborbitPartition:
         return _pair_table(tables[:h], d), _pair_table(tables[h:], d)
 
     def blocks_as_vertices(self) -> list[list[str]]:
-        blocks: list[list[str]] = [[] for _ in range(self.rank)]
-        for i, k in enumerate(self.block_of.tolist()):  # each block in index order
-            blocks[k].append(str(Vertex.from_index(self.base.degree, self.base.level, i)))
-        return blocks
+        """Each block's vertices as ``str(Vertex)`` writes them, in index
+        order.  A vertex's text is that of its first h = n // 2 letters
+        joined to that of the rest, each half spelled from the letters'
+        texts and whatever ``Vertex`` puts between two letters.  One stable
+        argsort of block_of puts the vertices in block order; the halves are
+        gathered and joined in that order and cut at the block sizes.  The N
+        texts and five 8-byte slots each (the two index halves and three
+        pointer arrays) are refused past half of physical memory before any
+        is made."""
+        d, n, size = self.base.degree, self.base.level, len(self.block_of)
+        h, between = n // 2, str(Vertex((1, 1), d))[1:-1]
+        letters = [str(Vertex((c,), d)) for c in range(1, d + 1)]
+        high = [between.join(w) + between for w in product(letters, repeat=h)] if h else [""]
+        low = [between.join(w) for w in product(letters, repeat=n - h)] if n else [str(self.base)]
+        text_bytes = sys.getsizeof("") + len(high[-1]) + len(low[-1])  # the last is the longest
+        check_memory(f"level {n}", size * (text_bytes + 5 * 8), "its block listing", size)
+        first, rest = np.divmod(np.argsort(self.block_of, kind="stable"), len(low))
+        listing = (np.array(high, dtype=object)[first] + np.array(low, dtype=object)[rest]).tolist()
+        ends = np.cumsum(np.bincount(self.block_of)).tolist()
+        return [listing[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _cone_path_counts(high: np.ndarray, low: np.ndarray, x: np.ndarray, y: np.ndarray,

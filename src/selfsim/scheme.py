@@ -207,11 +207,14 @@ def verify_scheme_axioms(scheme: OrbitalScheme) -> list[str]:
 
 def scheme_json_doc(valencies: np.ndarray, pairing, p: np.ndarray) -> dict:
     """The scheme document that ``scheme`` prints and the cache stores; its
-    keys and types are written here only."""
+    keys and types are written here only.  p stays the (r, r, r) int64
+    array, which both writers write as the nested lists of ``p.tolist()``:
+    the CLI's a few slices at a time, the cache's through ``json.dumps``'s
+    ``default``."""
     return {
         "rank": len(valencies),
         "valencies": np.asarray(valencies).tolist(),
         "pairing": np.asarray(pairing).tolist(),
         "commutative": is_commutative(p),
-        "p": p.tolist(),
+        "p": p,
     }

@@ -86,8 +86,16 @@ class Vertex:
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "Vertex":
+        """The vertex that ``str`` writes as text: one digit per letter up to
+        degree 9, letters joined by dots above it, and "-" or "" the root."""
         if text == "-" or text == "":
             return cls.root(degree)
+        if degree > 9:
+            parts = text.split(".")
+            if not all(p.isascii() and p.isdigit() and p[0] != "0" for p in parts):
+                raise ValueError(f"vertex string may only contain letters 1..{degree} "
+                                 f"joined by '.', got {text!r}")
+            return cls(tuple(map(int, parts)), degree)
         letters = []
         for ch in text:
             if not ch.isdigit() or ch == "0":

@@ -6,12 +6,14 @@ transversal table, as the fold's does.  The reduced Schreier generator
 words, spelled from the transversal words (Seress, Permutation Group
 Algorithms, section 4.1), which no library route builds.  Also a stack
 sweep over letter pairs, as a reference for ``orbits._letter_orbitals``,
-and a permutation's cycle lengths, walked point by point."""
+a permutation's cycle lengths, walked point by point, and the block
+listing one vertex at a time, as a reference for
+``SuborbitPartition.blocks_as_vertices``."""
 
 import numpy as np
 
 from selfsim.orbits import _component_partition, orbit_transversal
-from selfsim.tree import DEFAULT_LEVEL_CAP
+from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex
 from selfsim.wreath import Word, generator_level_perms
 
 
@@ -92,3 +94,12 @@ def cycle_lengths(perm):
         if length:
             lengths.add(length)
     return lengths
+
+
+def blocks_by_vertex(parts):
+    """Each block's vertices as text, one ``Vertex.from_index`` and one
+    ``str`` per vertex, appended in index order."""
+    blocks = [[] for _ in range(parts.rank)]
+    for i, k in enumerate(parts.block_of.tolist()):
+        blocks[k].append(str(Vertex.from_index(parts.base.degree, parts.base.level, i)))
+    return blocks

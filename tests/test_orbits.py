@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ from families import (ADDING_MACHINE, BASILICA, CONE_CASES, FINER_THAN_CONES,
                       NON_COMMUTATIVE, SHIFTED_BASE, family, in_draw)
 from label_table import table_route
 from scheme_routes import fold_scheme
-from suborbit_reference import (cycle_lengths, letter_orbitals_by_sweep, permutation_route,
-                                schreier_generators)
+from suborbit_reference import (blocks_by_vertex, cycle_lengths, letter_orbitals_by_sweep,
+                                permutation_route, schreier_generators)
 
 from selfsim.catalog import builtin, keys
 from selfsim.errors import NotTransitiveError, SizeCapError
@@ -20,7 +21,7 @@ from selfsim.orbits import (SuborbitPartition, _canonical_partition,
                             stabilizer_suborbits, suborbits_from_transversal)
 from selfsim.scheme import build_scheme, scheme_from_partition
 from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex, all_d_ray, parse_ray
-from selfsim.wreath import (Word, WreathPresentation, act,
+from selfsim.wreath import (GeneratorRule, Word, WreathPresentation, act,
                             generator_level_perms, level_permutation,
                             parse_presentation)
 
@@ -245,6 +246,56 @@ def test_suborbits_level_zero():
     pres, ray = _entry("gamma")
     parts = stabilizer_suborbits(pres, 0, ray)
     assert parts.block_of.tolist() == [0]
+
+
+# An 11-adic odometer a and a root transposition b: past degree 9 a vertex's
+# text joins its letters by dots, as in "10.11".
+ELEVEN = WreathPresentation(11, (
+    GeneratorRule("a", tuple(range(2, 12)) + (1,), (Word(),) * 10 + (Word.generator("a"),)),
+    GeneratorRule("b", tuple(range(1, 10)) + (11, 10), (Word(),) * 11)), frozenset({"b"}))
+
+
+def _listing_cases():
+    for key in keys():
+        pres, ray = _entry(key)
+        for n in range(11 if pres.degree == 2 else 8):
+            yield key, pres, ray, n
+    for n in range(1, 7):
+        yield "finer-than-cones", parse_presentation(FINER_THAN_CONES), parse_ray("3", 3), n
+    for n in range(4):
+        yield "degree-11", ELEVEN, all_d_ray(11), n
+
+
+def test_listing_matches_the_per_vertex_reference():
+    # the array passes list what one Vertex.from_index and one str per
+    # vertex list, on both routes and in the dotted form
+    dotted = 0
+    for name, pres, ray, n in _listing_cases():
+        parts = stabilizer_suborbits(pres, n, ray)
+        listing = parts.blocks_as_vertices()
+        assert listing == blocks_by_vertex(parts), (name, n)
+        dotted += any("." in text for block in listing for text in block)
+    assert dotted == 2  # degree 11, levels 2 and 3
+
+
+def test_listing_past_physical_memory_is_refused_before_it_allocates(monkeypatch):
+    # Level 24 of the binary tree, its block_of a broadcast view: nothing
+    # N-sized is built, and the refusal states the N texts of 24 letters,
+    # five 8-byte slots each.
+    n, size = 24, 1 << 24
+    planned = size * (sys.getsizeof("") + n + 5 * 8)
+    monkeypatch.setattr("selfsim.orbits._physical_memory", lambda: 2 * planned - 1)
+    parts = SuborbitPartition(Vertex((2,) * n, 2), np.broadcast_to(np.int64(0), (size,)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=f"^level 24 needs {planned} bytes for its "
+                                               "block listing, more than half") as refused:
+            parts.blocks_as_vertices()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused.value.size == size
+    assert peak < size // 16  # the two halves' 2^12 texts each, not one per vertex
 
 
 @pytest.mark.parametrize("key", keys())

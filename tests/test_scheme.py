@@ -11,6 +11,7 @@ from families import CONE_CASES, FINER_THAN_CONES, NON_COMMUTATIVE, family, in_d
 from label_table import path_counts, table_route
 from scheme_routes import fold_scheme
 
+from selfsim import cache
 from selfsim.catalog import builtin, keys, source_text
 from selfsim.cli import main
 from selfsim.errors import IntegrityError
@@ -524,6 +525,9 @@ def test_json_doc_shape():
     assert p.shape == (3, 3, 3)
     assert p.dtype.kind == "i"
     # rebuilt from its own JSON, as the cache revalidates an entry
-    rebuilt = scheme_json_doc(*(np.asarray(doc[key], dtype=np.int64)
+    text = cache.encode(doc)
+    stored = json.loads(text)
+    assert stored["p"] == s.p.tolist()
+    rebuilt = scheme_json_doc(*(np.asarray(stored[key], dtype=np.int64)
                                 for key in ("valencies", "pairing", "p")))
-    assert json.dumps(rebuilt) == json.dumps(doc)
+    assert cache.encode(rebuilt) == text

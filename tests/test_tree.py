@@ -87,6 +87,36 @@ def test_vertex_parse_and_str():
         Vertex.parse("14", 3)
 
 
+@pytest.mark.parametrize("letters", [(10, 3), (11,), (1, 11, 10, 2), (10,) * 5])
+def test_vertex_parse_reads_the_dotted_form_past_degree_nine(letters):
+    v = Vertex(letters, 11)
+    assert Vertex.parse(str(v), 11) == v
+    assert Vertex.parse(str(v), 11).index() == v.index()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("10.03", "may only contain letters 1..11 joined by '.'"),
+    ("10..3", "may only contain letters 1..11 joined by '.'"),
+    ("10.", "may only contain letters 1..11 joined by '.'"),
+    ("1.x", "may only contain letters 1..11 joined by '.'"),
+    ("1.٣", "may only contain letters 1..11 joined by '.'"),
+    ("12.1", "letter 12 outside 1..11"),
+    ("103", "letter 103 outside 1..11"),
+])
+def test_vertex_parse_refuses_a_bad_dotted_form(text, message):
+    with pytest.raises(ValueError, match=message):
+        Vertex.parse(text, 11)
+
+
+def test_vertex_parse_keeps_its_messages_up_to_degree_nine():
+    for text in ("10", "1.2", "1x"):
+        with pytest.raises(ValueError, match=rf"^vertex string may only contain digits "
+                                             rf"1\.\.9, got '{text}'$"):
+            Vertex.parse(text, 9)
+    with pytest.raises(ValueError, match=r"^letter 4 outside 1\.\.3$"):
+        Vertex.parse("14", 3)
+
+
 def test_vertex_child_concat():
     v = Vertex.parse("21", 2)
     assert str(Vertex(v.letters + (1,), 2)) == "211"
