@@ -40,6 +40,14 @@ def check_level_size(degree: int, level: int, cap: int = DEFAULT_LEVEL_CAP) -> i
     )
 
 
+def letters_index(letters: tuple[int, ...], degree: int) -> int:
+    """Lexicographic rank of a vertex's letters over 1..degree within its level."""
+    i = 0
+    for c in letters:
+        i = i * degree + (c - 1)
+    return i
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A tree vertex: a word over {1, ..., degree}."""
@@ -65,10 +73,7 @@ class Vertex:
 
     def index(self) -> int:
         """Lexicographic rank of this vertex within its level."""
-        i = 0
-        for c in self.letters:
-            i = i * self.degree + (c - 1)
-        return i
+        return letters_index(self.letters, self.degree)
 
     @classmethod
     def root(cls, degree: int) -> "Vertex":

@@ -1,20 +1,18 @@
 """Randomized invariant suites tying the algebra back to the tree action.
 
-Each suite draws its cases as arrays, _CASE_BLOCK at a time (word lengths,
-generator picks and sign bits; vertex levels and digits; point and class
-pairs; the degree certificate's pairs of degrees), and checks them one by
-one.  The label suite moves a case's two points by ``act`` and reads each
-label alone (``scheme.label``, one entry on the cone route).  The axioms
-suite recounts p from the labels, a block of cases in one
-``scheme.path_counts`` call, which reads one row and one column of each
-digit table per case on the cone route.  So neither builds anything
-N-sized per case.  The degree certificate suite certifies the
+Each suite draws its cases as arrays, _CASE_BLOCK at a time, and checks
+them one by one; the seed fixes every suite's cases, block by block, as one
+generator serves the suites in their fixed order.  The four action suites
+draw words as letter-code tuples and vertices as letter tuples, move them by
+``wreath.walk`` and compare tuples; only a failing case's detail spells a
+``Word`` or a ``Vertex``.  The label suite reads each moved pair's label
+alone (``scheme.label``), and the axioms suite recounts p a block of cases
+per ``scheme.path_counts`` call, so on the cone route neither builds
+anything N-sized per case.  The degree certificate suite certifies the
 level's degrees once, by ``spectral_data``'s integer pencil, and holds them
 equal to the closed form wherever the cone route certifies the level; each
 of its cases moves one unit of multiplicity between two degrees, and the
 certificate must refuse the result, most often on its constant term alone.
-The seed fixes every suite's cases, block by block: one generator serves
-the suites in their fixed order.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ import numpy as np
 from .orbits import cone_certificate
 from .scheme import build_scheme, is_commutative
 from .spectral import DEFAULT_SEED, spectral_data, wreath_power_degrees
-from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex
-from .wreath import Word, WreathPresentation, act, section
+from .tree import DEFAULT_LEVEL_CAP, Ray, Vertex, letters_index
+from .wreath import Word, WreathPresentation, decode, encode, inverse_codes, reduce_codes, walk
 
 DEFAULT_CASES = 200
 _WORD_LEN = 10
@@ -57,39 +55,34 @@ def _split(items: list, lengths: np.ndarray) -> list[tuple]:
 
 
 def _random_words(rng: np.random.Generator, pres: WreathPresentation,
-                  count: int) -> list[Word]:
-    """count words of 0.._WORD_LEN uniform letters; a declared involution
-    always carries sign +1, any other generator +1 or -1 with even odds."""
-    names = pres.generator_names
-    # letter 2g + b is generator g with sign bit b; an involution ignores b
-    table = [(name, 1 if b == 0 or name in pres.involutions else -1)
-             for name in names for b in (0, 1)]
+                  count: int) -> list[tuple[int, ...]]:
+    """count coded words of 0.._WORD_LEN uniform letters: a declared
+    involution always has sign +1, another generator +1 or -1 evenly."""
+    table = np.reshape(encode(pres, Word(tuple(
+        (name, 1 if b == 0 or name in pres.involutions else -1)
+        for name in pres.generator_names for b in (0, 1)))), (-1, 2))
     lengths = rng.integers(0, _WORD_LEN + 1, count)
     total = int(lengths.sum())
-    picks = 2 * rng.integers(len(names), size=total) + rng.integers(2, size=total)
-    return [Word(letters) for letters in _split([table[i] for i in picks.tolist()], lengths)]
+    picks = table[rng.integers(len(table), size=total), rng.integers(2, size=total)]
+    return _split(picks.tolist(), lengths)
 
 
 def _random_vertices(rng: np.random.Generator, degree: int, max_level: int,
-                     count: int) -> list[Vertex]:
-    """count vertices of uniform level 0..max_level with uniform digits."""
+                     count: int) -> list[tuple[int, ...]]:
+    """count vertices' letters: uniform level 0..max_level, uniform digits."""
     levels = rng.integers(0, max_level + 1, count)
-    digits = rng.integers(1, degree + 1, int(levels.sum())).tolist()
-    return [Vertex(letters, degree) for letters in _split(digits, levels)]
+    return _split(rng.integers(1, degree + 1, int(levels.sum())).tolist(), levels)
 
 
 def _run_cases(name: str, cases: int, draw, check) -> SuiteResult:
-    """Count the cases whose ``check(*case)`` names a problem, keeping the
-    first problem; ``draw(k)`` gives k cases, asked for _CASE_BLOCK at a time."""
-    failures = 0
-    detail = ""
+    """Count the cases whose ``check(*case)`` names a problem (else None),
+    keeping the first problem; ``draw(k)`` gives k cases, asked for _CASE_BLOCK at a time."""
+    failures, detail = 0, ""
     for lo in range(0, cases, _CASE_BLOCK):
         for case in draw(min(_CASE_BLOCK, cases - lo)):
-            problem = check(*case)
-            if problem:
+            if problem := check(*case):
                 failures += 1
-                if not detail:
-                    detail = problem
+                detail = detail or problem
     return SuiteResult(name, cases, failures, detail)
 
 
@@ -99,11 +92,11 @@ def _action_compatibility(pres, rng, cases):
                    _random_vertices(rng, pres.degree, _VERTEX_LEVEL, k))
 
     def check(u, v, x):
-        lhs = act(pres, u * v, x)
-        rhs = act(pres, u, act(pres, v, x))
+        lhs = walk(pres, u + v, x)[0]
+        rhs = walk(pres, u, walk(pres, v, x)[0])[0]
         if lhs != rhs:
-            return f"act({u} * {v}, {x}) = {lhs} but stepwise gives {rhs}"
-        return ""
+            return (f"act({decode(pres, u)} * {decode(pres, v)}, {Vertex(x, pres.degree)}) = "
+                    f"{Vertex(lhs, pres.degree)} but stepwise gives {Vertex(rhs, pres.degree)}")
     return _run_cases("action_compatibility", cases, draw, check)
 
 
@@ -114,11 +107,10 @@ def _cocycle_identity(pres, rng, cases):
                    _random_vertices(rng, pres.degree, _SECTION_LEVEL, k))
 
     def check(w, sigma, tau):
-        lhs = act(pres, w, sigma.concat(tau))
-        rhs = act(pres, w, sigma).concat(act(pres, section(pres, w, sigma), tau))
-        if lhs != rhs:
-            return f"section cocycle fails for {w} at {sigma}|{tau}"
-        return ""
+        image, below = walk(pres, w, sigma)
+        if walk(pres, w, sigma + tau)[0] != image + walk(pres, reduce_codes(pres, below), tau)[0]:
+            return (f"section cocycle fails for {decode(pres, w)} at "
+                    f"{Vertex(sigma, pres.degree)}|{Vertex(tau, pres.degree)}")
     return _run_cases("cocycle_identity", cases, draw, check)
 
 
@@ -128,10 +120,10 @@ def _inverse_identity(pres, rng, cases):
                    _random_vertices(rng, pres.degree, _VERTEX_LEVEL, k))
 
     def check(w, v):
-        back = act(pres, w.inverse(), act(pres, w, v))
+        back = walk(pres, inverse_codes(w), walk(pres, w, v)[0])[0]
         if back != v:
-            return f"{w}^-1 {w} moved {v} to {back}"
-        return ""
+            word, d = decode(pres, w), pres.degree
+            return f"{word}^-1 {word} moved {Vertex(v, d)} to {Vertex(back, d)}"
     return _run_cases("inverse_identity", cases, draw, check)
 
 
@@ -143,16 +135,16 @@ def _label_invariance(pres, scheme, rng, cases):
         words = _random_words(rng, pres, k)
         pairs = rng.integers(scheme.point_count, size=(k, 2))
         digits = (pairs[:, :, None] // weights % d + 1).tolist()
-        return ((g, x, y, Vertex(tuple(dx), d), Vertex(tuple(dy), d))
+        return ((g, x, y, tuple(dx), tuple(dy))
                 for g, (x, y), (dx, dy) in zip(words, pairs.tolist(), digits))
 
     def check(g, x, y, vx, vy):
         before = scheme.label(x, y)
-        after = scheme.label(act(pres, g, vx).index(), act(pres, g, vy).index())
+        after = scheme.label(letters_index(walk(pres, g, vx)[0], d),
+                             letters_index(walk(pres, g, vy)[0], d))
         if before != after:
-            return (f"label({x}, {y}) = {before} but moving by {g} "
+            return (f"label({x}, {y}) = {before} but moving by {decode(pres, g)} "
                     f"gives class {after}")
-        return ""
     return _run_cases("label_invariance", cases, draw, check)
 
 
@@ -170,7 +162,6 @@ def _scheme_axioms(scheme, rng, cases):
         if count != int(scheme.p[i, j, k]):
             return (f"recount at pair ({x}, {y}) in class {k}: "
                     f"{count} != p[{i}][{j}][{k}] = {int(scheme.p[i, j, k])}")
-        return ""
     return _run_cases("scheme_axioms", cases, draw, check)
 
 
@@ -220,7 +211,6 @@ def _degree_certificate(pres, scheme, ray, cap, rng, cases):
         wrong[b] += 1
         if data.accepts(wrong):
             return f"the certificate accepted the wrong degrees {sorted(wrong)}"
-        return ""
     return _run_cases(name, cases, draw, check)
 
 

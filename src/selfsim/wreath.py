@@ -6,11 +6,12 @@ need their own rules: the recursion for g^-1 follows from the rule for g,
 and a presentation's step table states it once, per letter and vertex
 letter, on integer letter codes, each letter's inverse one xor away.  Words
 act on vertices on the left, rightmost letter first.  ``letter_step``,
-``section``, portraits, ``act`` and the level permutations all read that one
-table; Letters appear only where a ``Word`` enters or leaves this module,
-coded once on entry and decoded once at the end.  ``section`` and ``act``
-walk the table one vertex letter at a time, reducing the section at every
-level.
+``walk``, portraits and the level permutations all read that one table.
+``encode`` and ``decode`` turn a ``Word`` into codes and back, and
+``inverse_codes`` and ``reduce_codes`` are ``Word.inverse`` and
+``pres.reduce`` on codes.  ``walk`` moves a vertex's letters by a coded word
+one vertex letter at a time, reducing the section at every level; ``act``
+and ``section`` are its ``Word`` and ``Vertex`` wrappers.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ class Word:
         return len(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return " ".join(name if sign > 0 else f"{name}^-1" for name, sign in self.letters)
+        return " ".join(name if sign > 0 else f"{name}^-1" for name, sign in self.letters) or "e"
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -67,11 +66,7 @@ class Word:
             return cls()
         if not tokens:
             raise ValueError("empty word must be written 'e'")
-        letters = []
-        for tok in tokens:
-            name, sign = _parse_token(tok)
-            letters.append((name, sign))
-        return cls(tuple(letters))
+        return cls(tuple(map(_parse_token, tokens)))
 
     @classmethod
     def generator(cls, name: str) -> "Word":
@@ -231,20 +226,16 @@ def _squares_to_identity(perm: tuple[int, ...]) -> bool:
 
 def cycle_notation(perm: tuple[int, ...]) -> str:
     """Render a permutation of 1..d in cycle notation; identity is "()"."""
-    seen = [False] * len(perm)
-    parts = []
+    seen, parts = set(), []
     for start in range(1, len(perm) + 1):
-        if seen[start - 1] or perm[start - 1] == start:
-            continue
-        cyc = [start]
-        seen[start - 1] = True
-        nxt = perm[start - 1]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt - 1] = True
-            nxt = perm[nxt - 1]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
+        cyc, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x)
+            x = perm[x - 1]
+        if len(cyc) > 1:
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) or "()"
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +251,8 @@ class _Cursor:
         self.pos = 0
 
     def error(self, message: str, column: int | None = None):
-        raise PresentationError(
-            message, line=self.lineno, column=(self.pos + 1 if column is None else column)
-        )
+        raise PresentationError(message, line=self.lineno,
+                                column=self.pos + 1 if column is None else column)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -458,6 +448,39 @@ def load_presentation(path: str) -> WreathPresentation:
 # the action on vertices
 
 
+def encode(pres: WreathPresentation, word: Word) -> tuple[int, ...]:
+    """A word's letter codes (``WreathPresentation._steps``), left to right."""
+    try:
+        return tuple(map(pres._steps[0].__getitem__, word.letters))
+    except KeyError:
+        _check_word(pres, word)
+        raise
+
+
+def decode(pres: WreathPresentation, codes: Iterable[int]) -> Word:
+    """The word whose letter codes these are."""
+    return Word(tuple(map(pres._steps[1].__getitem__, codes)))
+
+
+def inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """The codes of the inverse of a coded word."""
+    return tuple([c ^ 1 for c in reversed(codes)])
+
+
+def reduce_codes(pres: WreathPresentation, codes: Iterable[int]) -> tuple[int, ...]:
+    """``pres.reduce`` on letter codes: a declared involution's code drops
+    its sign bit and cancels with itself, any other code with its inverse."""
+    involutions, out = {pres._steps[0][name, 1] for name in pres.involutions}, []
+    for c in codes:
+        if (c & -2) in involutions:
+            c &= -2
+        if out and out[-1] == (c if c in involutions else c ^ 1):
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
 def letter_step(pres: WreathPresentation, letters: tuple[Letter, ...],
                 x: int) -> tuple[int, tuple[Letter, ...]]:
     """Where a word's letters send the vertex letter x (1-based), and the
@@ -466,44 +489,29 @@ def letter_step(pres: WreathPresentation, letters: tuple[Letter, ...],
     vertex letter outside 1..d or a letter not in the table is refused."""
     if not 1 <= x <= pres.degree:
         raise ValueError(f"vertex letter {x} is outside 1..{pres.degree}")
-    codes, decode, table, _ = pres._steps
-    walked = []
-    try:
-        for letter in reversed(letters):
-            x, spelled, _ = table[codes[letter]][x - 1]
-            walked.append(spelled)
-    except KeyError:
-        _check_word(pres, Word(tuple(letters)))
-        raise
-    return x, tuple(map(decode.__getitem__, chain.from_iterable(reversed(walked))))
+    table, walked = pres._steps[2], []
+    for code in reversed(encode(pres, Word(tuple(letters)))):
+        x, spelled, _ = table[code][x - 1]
+        walked.append(spelled)
+    return x, decode(pres, chain.from_iterable(reversed(walked))).letters
 
 
-def _descend(pres: WreathPresentation, word: Word,
-             vertex: Vertex) -> tuple[tuple[int, ...], list[int]]:
-    """The image of the vertex under a word, and the word's section there
-    freely reduced with no involutions, which holds in every group, as
-    letter codes (``WreathPresentation._steps``) in reverse order.  A vertex
-    of another degree is refused first, then a letter not in the table.
-
-    The word is coded once, and each section is spelled in one pass over
-    its codes, rightmost letter first: each code of a letter's reduced piece
-    either cancels the last code spelled or is appended, and since the piece
-    is reduced, only its first codes can cancel.  A section can double in
-    length with every letter, so one whose pieces hold more than
-    DEFAULT_LEVEL_CAP letters before reduction is refused before it is
-    spelled out."""
-    if vertex.degree != pres.degree:
-        raise ValueError("vertex degree does not match the presentation")
-    codes, _, table, longest = pres._steps
-    try:
-        rev = [codes[letter] for letter in reversed(word.letters)]
-    except KeyError:
-        _check_word(pres, word)
-        raise
-    path, image = vertex.letters, []
-    for x in path:
+def walk(pres: WreathPresentation, codes: tuple[int, ...],
+         letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The image of a vertex's letters under a coded word, and the codes of
+    the word's section there, freely reduced with no involutions, which holds
+    in every group (at the root, the codes as given).  The letters are
+    trusted to lie in 1..d: ``act`` takes them from a ``Vertex`` and
+    ``verify`` draws them so.  Each section is spelled in one pass over its
+    codes, rightmost first: each code of a letter's reduced piece cancels
+    the last code spelled or is appended.  A section can double in length
+    with every letter, so one whose pieces hold more than DEFAULT_LEVEL_CAP
+    letters before reduction is refused before it is spelled out."""
+    _, _, table, longest = pres._steps
+    rev, image = codes[::-1], []
+    for x in letters:
         if not rev:
-            return tuple(image) + path[len(image):], rev
+            return tuple(image) + letters[len(image):], ()
         if len(rev) * longest > DEFAULT_LEVEL_CAP:
             size, y = 0, x
             for code in rev:
@@ -523,19 +531,24 @@ def _descend(pres: WreathPresentation, word: Word,
                     below.append(c)
         image.append(x)
         rev = below
-    return tuple(image), rev
+    return tuple(image), tuple(rev[::-1])
+
+
+def _coded(pres: WreathPresentation, word: Word, vertex: Vertex) -> tuple[int, ...]:
+    """A word's codes; a vertex of another degree is refused first."""
+    if vertex.degree != pres.degree:
+        raise ValueError("vertex degree does not match the presentation")
+    return encode(pres, word)
 
 
 def act(pres: WreathPresentation, word: Word, vertex: Vertex) -> Vertex:
     """Apply a word to a vertex, rightmost letter first."""
-    return Vertex(_descend(pres, word, vertex)[0], pres.degree)
+    return Vertex(walk(pres, _coded(pres, word, vertex), vertex.letters)[0], pres.degree)
 
 
 def section(pres: WreathPresentation, word: Word, vertex: Vertex) -> Word:
     """The word acting inside the subtree rooted at vertex; freely reduced."""
-    letters = pres._steps[1]
-    rev = _descend(pres, word, vertex)[1]
-    return pres.reduce(Word(tuple(letters[code] for code in reversed(rev))))
+    return pres.reduce(decode(pres, walk(pres, _coded(pres, word, vertex), vertex.letters)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +627,9 @@ def _compose_level(pres: WreathPresentation, codes: Iterable[int], n: int) -> np
 def level_permutation(pres: WreathPresentation, word: Word, n: int,
                       cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray:
     """The permutation a word induces on level-n vertex indices."""
-    _check_word(pres, word)
+    codes = encode(pres, word)
     perms = generator_level_perms(pres, n, cap)
-    codes = pres._steps[0]
-    perm = _compose_level(pres, [codes[letter] for letter in word.letters], n)
+    perm = _compose_level(pres, codes, n)
     return perm.copy() if any(perm is p for p in perms.values()) else perm
 
 
@@ -642,11 +654,8 @@ class PortraitNode:
     word: Word | None = None
 
     def is_trivial(self) -> bool:
-        if self.root_perm != tuple(range(1, len(self.root_perm) + 1)):
-            return False
-        if self.word is not None and len(self.word) > 0:
-            return False
-        return all(c.is_trivial() for c in self.children)
+        return (self.root_perm == tuple(range(1, len(self.root_perm) + 1))
+                and not self.word and all(c.is_trivial() for c in self.children))
 
 
 def portrait(pres: WreathPresentation, word: Word, depth: int,

@@ -6,7 +6,15 @@ rule, every other module asks it where a word sends a vertex and what its
 section is there; within ``wreath.py`` only the step table's builder
 ``WreathPresentation._steps`` reads a rule for the action, so the step, and
 g^-1's rule with it, is stated once, and no cached property is a second
-table derived from it."""
+table derived from it.
+
+verify builds no label row per case: every verify suite reads single labels
+or path counts, which take O(sqrt N) per case on the cone route, where a
+label row or column, or the full table, is an N-length array per case.
+
+No private imports across modules: an underscored name belongs to its
+module; a caller elsewhere uses the public one, so wrapping or replacing
+that covers every call."""
 
 import ast
 import re
@@ -19,8 +27,11 @@ import selfsim
 SRC = Path(selfsim.__file__).resolve().parent
 WREATH = SRC / "wreath.py"
 
+VERIFY = SRC / "verify.py"
+
 RULE_READ = re.compile(r"rule_map|\.sections")
 RULE_READ_IN_WREATH = re.compile(r"root_perm\.index|root_perm\[|\.sections\[")
+LABEL_ARRAY = re.compile(r"label_row|label_column|\.labels\b")
 
 
 def _rule_reads(path, text: str) -> list[str]:
@@ -102,3 +113,44 @@ def test_a_planted_cached_view_is_flagged():
 
 def image''')
     assert _cached_views(planted) == ["_coded"]
+
+
+def _label_arrays(path, text: str) -> list[str]:
+    """The lines that name an N-length label array, comments included."""
+    return [f"{path}:{i}: {line.strip()}" for i, line in enumerate(text.splitlines(), start=1)
+            if LABEL_ARRAY.search(line)]
+
+
+def _private_imports(path, text: str) -> list[str]:
+    """The underscored names, dunders aside, that a module imports from
+    another module of the package."""
+    return [f"{path}:{node.lineno}: {alias.name}"
+            for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_verify_builds_no_label_row_per_case():
+    bad = _label_arrays(VERIFY, VERIFY.read_text())
+    assert not bad, "a verify suite builds an N-length label array:\n" + "\n".join(bad)
+
+
+def test_no_private_imports_across_modules():
+    bad = [hit for path in sorted(SRC.glob("*.py"))
+           for hit in _private_imports(path, path.read_text())]
+    assert not bad, "private names imported from another module:\n" + "\n".join(bad)
+
+
+@pytest.mark.parametrize("line", ["row = scheme.label_row(x)", "col = scheme.label_column(y)",
+                                  "table = scheme.labels  # whole"])
+def test_a_planted_label_array_is_flagged(line):
+    text = f"k = scheme.label(x, y)\n{line}\nlabels = []\n"
+    assert _label_arrays("planted.py", text) == [f"planted.py:2: {line}"]
+
+
+def test_a_planted_private_import_is_flagged():
+    text = ("from .wreath import Word, _check_word\nfrom . import _private\n"
+            "from .tree import __all__\nfrom os import _exit\n")
+    assert _private_imports("planted.py", text) == ["planted.py:1: _check_word",
+                                                   "planted.py:2: _private"]

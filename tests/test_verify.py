@@ -12,7 +12,7 @@ from selfsim.scheme import build_scheme
 from selfsim.spectral import SpectralData
 from selfsim.tree import DEFAULT_LEVEL_CAP, Vertex
 from selfsim.verify import _random_vertices, _random_words, run_verification
-from selfsim.wreath import Word, parse_presentation
+from selfsim.wreath import Word, decode, parse_presentation
 
 SUITES = ("action_compatibility", "cocycle_identity", "inverse_identity",
           "label_invariance", "scheme_axioms", "degree_certificate")
@@ -93,19 +93,20 @@ MIXED = "degree: 2\ninvolutions: a\ngen a = perm (1 2) | e, e\ngen b = perm () |
 
 def test_random_words_keep_lengths_names_and_involution_signs():
     pres = parse_presentation(MIXED)
+    # words are drawn as tuples of letter codes
     words = _random_words(np.random.default_rng(0), pres, 2000)
-    assert len(words) == 2000
+    assert len(words) == 2000 and all(type(w) is tuple for w in words)
     assert {len(w) for w in words} == set(range(verify._WORD_LEN + 1))
-    letters = {letter for w in words for letter in w.letters}
+    letters = {letter for w in words for letter in decode(pres, w).letters}
     assert letters == {("a", 1), ("b", 1), ("b", -1)}
 
 
 def test_random_vertices_keep_levels_and_digits():
+    # vertices are drawn as tuples of their letters
     vertices = _random_vertices(np.random.default_rng(0), 3, 4, 2000)
-    assert len(vertices) == 2000
-    assert {v.level for v in vertices} == set(range(5))
-    assert {c for v in vertices for c in v.letters} == {1, 2, 3}
-    assert all(v.degree == 3 for v in vertices)
+    assert len(vertices) == 2000 and all(type(v) is tuple for v in vertices)
+    assert {len(v) for v in vertices} == set(range(5))
+    assert {c for v in vertices for c in v} == {1, 2, 3}
 
 
 def test_draws_of_nothing_and_of_one_generator(monkeypatch):
@@ -113,11 +114,11 @@ def test_draws_of_nothing_and_of_one_generator(monkeypatch):
     pres = parse_presentation("degree: 2\ngen a = perm (1 2) | e, e\n")
     assert _random_words(rng, pres, 0) == []
     assert _random_vertices(rng, 2, 3, 0) == []
-    letters = {letter for w in _random_words(rng, pres, 200) for letter in w.letters}
+    letters = {letter for w in _random_words(rng, pres, 200) for letter in decode(pres, w).letters}
     assert letters == {("a", 1), ("a", -1)}
-    assert [v.letters for v in _random_vertices(rng, 3, 0, 5)] == [()] * 5
+    assert _random_vertices(rng, 3, 0, 5) == [()] * 5
     monkeypatch.setattr(verify, "_WORD_LEN", 0)
-    assert _random_words(rng, pres, 5) == [Word()] * 5
+    assert _random_words(rng, pres, 5) == [()] * 5
 
 
 def test_same_seed_same_results():
@@ -161,20 +162,20 @@ def test_a_workload_job_certifies_its_degrees_once(monkeypatch, key, n):
 
 
 def test_a_run_longer_than_one_block_checks_every_case(monkeypatch):
-    # label_invariance moves the two points of each case by act, and the
-    # degree certificate asks about one wrong proposal per case.
+    # label_invariance moves the two points of each case by one walk each,
+    # and the degree certificate asks about one wrong proposal per case.
     e = builtin("grigorchuk")
     cases = verify._CASE_BLOCK + 3
     moves, asked = [], []
-    act, label_suite, accepts = verify.act, verify._label_invariance, SpectralData.accepts
+    walk, label_suite, accepts = verify.walk, verify._label_invariance, SpectralData.accepts
 
     def counted(*args):
-        # only this suite's act calls count
-        monkeypatch.setattr(verify, "act", lambda *a: moves.append(1) or act(*a))
+        # only this suite's walks count
+        monkeypatch.setattr(verify, "walk", lambda *a: moves.append(1) or walk(*a))
         try:
             return label_suite(*args)
         finally:
-            monkeypatch.setattr(verify, "act", act)
+            monkeypatch.setattr(verify, "walk", walk)
 
     monkeypatch.setattr(verify, "_label_invariance", counted)
     monkeypatch.setattr(SpectralData, "accepts",
@@ -228,23 +229,28 @@ def _faulty_suite(monkeypatch, suite):
     pres = e.presentation
     scheme = build_scheme(pres, 3, e.default_ray)
     rng = np.random.default_rng(1)
+    walk = verify.walk
     if suite == "action_compatibility":
-        act = verify.act
-        monkeypatch.setattr(verify, "act",
-                            lambda pres, w, x: act(pres, Word(w.letters[:-1]), x))
+        # every walk drops the word's last letter
+        monkeypatch.setattr(verify, "walk", lambda pres, w, x: walk(pres, w[:-1], x))
         return verify._action_compatibility(pres, rng, 50)
     if suite == "cocycle_identity":
-        monkeypatch.setattr(verify, "section", lambda pres, w, v: Word())
+        # the section comes back empty
+        monkeypatch.setattr(verify, "reduce_codes", lambda pres, w: ())
         return verify._cocycle_identity(pres, rng, 50)
     if suite == "inverse_identity":
         # reverses the letters but keeps their signs; t is no involution
-        monkeypatch.setattr(Word, "inverse", lambda w: Word(w.letters[::-1]))
+        monkeypatch.setattr(verify, "inverse_codes", lambda w: w[::-1])
         return verify._inverse_identity(pres, rng, 50)
     if suite == "label_invariance":
         # every image one index further on
-        act, size = verify.act, scheme.point_count
-        monkeypatch.setattr(verify, "act", lambda pres, w, v: Vertex.from_index(
-            v.degree, v.level, (act(pres, w, v).index() + 1) % size))
+        size = scheme.point_count
+
+        def moved(pres, w, v):
+            image, below = walk(pres, w, v)
+            index = (Vertex(image, pres.degree).index() + 1) % size
+            return Vertex.from_index(pres.degree, len(v), index).letters, below
+        monkeypatch.setattr(verify, "walk", moved)
         return verify._label_invariance(pres, scheme, rng, 50)
     if suite == "scheme_axioms":
         return verify._scheme_axioms(replace(scheme, p=scheme.p + 1), rng, 50)
@@ -265,3 +271,51 @@ def test_each_suite_catches_a_planted_fault(monkeypatch, suite, names_the_case):
     assert result.name == suite
     assert result.cases == 50 and result.failures > 0
     assert all(part in result.detail for part in names_the_case), result.detail
+
+
+# The first failing case's detail under each planted fault above, at seed 1,
+# as the suites wrote it when they still moved Words and Vertices by act and
+# section: a change to the draw order, the case order or the message text
+# changes it.
+PINNED_DETAILS = {
+    "action_compatibility": (13, "act(d d b * a a a b b d c b d a, 2112) = 1222 "
+                                 "but stepwise gives 1122"),
+    "cocycle_identity": (13, "section cocycle fails for b c b a b c b d at 1|21"),
+    "inverse_identity": (31, "a t a^-1 a t^-1^-1 a t a^-1 a t^-1 moved 12 to 32"),
+    "label_invariance": (28, "label(3, 2) = 1 but moving by a c b c d gives class 2"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_DETAILS))
+def test_a_planted_fault_names_the_same_case(monkeypatch, suite):
+    result = _faulty_suite(monkeypatch, suite)
+    assert (result.failures, result.detail) == PINNED_DETAILS[suite]
+
+
+def _constructions(monkeypatch, cases):
+    """The Vertex and Word objects made while the four action suites run
+    on grigorchuk 8, the scheme built beforehand."""
+    e = builtin("grigorchuk")
+    pres = e.presentation
+    scheme = build_scheme(pres, 8, e.default_ray)
+    made = {Vertex: 0, Word: 0}
+    for cls in made:
+        def counted(self, *args, __init__=cls.__init__, cls=cls, **kwargs):
+            made[cls] += 1
+            __init__(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    rng = np.random.default_rng(3)
+    results = [verify._action_compatibility(pres, rng, cases),
+               verify._cocycle_identity(pres, rng, cases),
+               verify._inverse_identity(pres, rng, cases),
+               verify._label_invariance(pres, scheme, rng, cases)]
+    monkeypatch.undo()
+    assert all(r.passed and r.cases == cases for r in results)
+    return made
+
+
+def test_the_action_suites_make_no_object_per_case(monkeypatch):
+    # Words are code tuples and vertices letter tuples; a Word or a Vertex
+    # is made only to write a failing case's detail, so 200 cases make as
+    # many as 10 do (each draw of words codes its draw table once).
+    assert _constructions(monkeypatch, 10) == _constructions(monkeypatch, 200)
